@@ -45,6 +45,9 @@ __all__ = [
 
 _MAX_PANELS = 4096
 _MAX_TRUNCATION = 200_000
+# largest state table built in one piece; k = 3 at truncation 256 needs
+# 257**3 ~ 1.7e7 cells, k = 4 at the same truncation would need 4.4e9
+_CELL_BUDGET = 2**25
 
 
 class QuadratureError(RuntimeError):
@@ -167,7 +170,15 @@ def _geometric_weights(rhos: np.ndarray, m: int) -> np.ndarray:
     return (1.0 - p)[:, None] * powers
 
 
+def _check_cells(cells: int, what: str) -> None:
+    """Reject a state table above the cell budget before allocating it."""
+    if cells > _CELL_BUDGET:
+        raise ValueError(f"{what} needs {cells:.3e} cells, above the budget {_CELL_BUDGET:.3e}")
+
+
 def _g_grid(g: LocalFunction, m: int) -> np.ndarray:
+    """g on the full state grid [0, m]^k."""
+    _check_cells((m + 1) ** g.k, f"the k={g.k} state grid at truncation {m}")
     axes = np.meshgrid(*([np.arange(m + 1)] * g.k), indexing="ij")
     return np.asarray(g(*axes), dtype=float)
 

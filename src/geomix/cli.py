@@ -54,8 +54,7 @@ from geomix.ldp import (
     OptimizationError,
     SolverConfig,
     annealed_free_energy,
-    free_energy_site,
-    free_energy_transfer,
+    free_energy,
     inhom_free_energy,
     path_rate,
     profile_rate,
@@ -559,12 +558,7 @@ def cmd_ldp(
     if task == "free-energy":
         theta = float(_require(sec, "theta", "ldp"))
         lam_grid = [float(v) for v in _require(sec, "lambda_grid", "ldp")]
-        values = [
-            free_energy_site(theta, lam, spec.g, spec.m_state)
-            if spec.g.k == 1
-            else free_energy_transfer(theta, lam, spec)
-            for lam in lam_grid
-        ]
+        values, _, _ = free_energy(theta, lam_grid, spec)
         run.csv(f"{name}_table.csv", ["lambda", "free_energy"], zip(lam_grid, values))
         payload = {"theta": theta}
     elif task == "rate":

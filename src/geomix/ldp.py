@@ -4,18 +4,21 @@ variational problems for the mixture measure.
 For a bounded local function g, the homogeneous free energy
 F(theta, lambda) is the exponential growth rate per site of
 E[exp(lambda * sum of shifted g)] under the geometric product at theta.
-For k = 1 it is a single truncated sum; for k >= 2 it is the log of the
-leading eigenvalue of a transfer kernel on (k-1)-site windows, computed
-by power iteration.  Level-1 rates follow by Legendre transform, the
-parameter-path rate J penalizes the log-slope of monotone profiles, and
-the two variational problems (annealed free energy, rate of a target
-profile) are solved by projected-gradient ascent/descent over discretized
-monotone profiles in the increment parametrization.
+One evaluator, :func:`free_energy`, returns F with its analytic lambda-
+and theta-derivatives: weighted geometric sums for k = 1, the left and
+right Perron vectors of a transfer kernel on (k-1)-site windows for
+k >= 2.  Level-1 rates follow by Legendre transform, the parameter-path
+rate J penalizes the log-slope of monotone profiles, and the two
+variational problems (annealed free energy, rate of a target profile)
+are solved by projected-gradient ascent/descent over discretized monotone
+profiles in the increment parametrization.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,9 +29,11 @@ from geomix.core import BoundaryParams, LocalFunction
 from geomix.asymptotics import (
     QuadratureError,
     QuadratureSpec,
+    _check_cells,
     _composite_nodes,
+    _g_grid,
+    _geometric_weights,
     _refine,
-    geometric_tail_bound,
 )
 from geomix.fields import TestFunction
 
@@ -38,7 +43,7 @@ __all__ = [
     "FreeEnergySpec",
     "SolverConfig",
     "MonotoneProfile",
-    "free_energy_site",
+    "free_energy",
     "free_energy_transfer",
     "free_energy_finite_chain",
     "rate_function",
@@ -81,16 +86,6 @@ class FreeEnergySpec:
             raise ValueError("lambda domain must be a non-trivial interval")
         if self.m_state < 1:
             raise ValueError("state truncation must be positive")
-
-    def check_truncation(self, theta: float, lam: float) -> None:
-        err = math.exp(abs(lam) * float(self.g.bound)) * geometric_tail_bound(
-            theta, self.m_state
-        )
-        if err > _TAIL_TOL:
-            raise QuadratureError(
-                f"state truncation {self.m_state} leaves tail {err:.2e} at "
-                f"theta={theta}, lambda={lam}"
-            )
 
     @property
     def lambda_cap(self) -> float:
@@ -174,87 +169,144 @@ class MonotoneProfile:
         return cls(values=vals, bounds=bounds)
 
 
-def _site_values(g: LocalFunction, m_state: int) -> np.ndarray:
-    return np.asarray(g(np.arange(m_state + 1)), dtype=float)
+def _weight_tables(thetas: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """nu_theta(n) and its theta-derivative on n = 0..m, one row per theta.
 
-
-def _weights(thetas: np.ndarray, m_state: int) -> np.ndarray:
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    p = thetas / (1.0 + thetas)
-    return (1.0 - p)[:, None] * p[:, None] ** np.arange(m_state + 1)[None, :]
-
-
-def _free_energy_site_nodes(
-    thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec
-) -> np.ndarray:
-    """Vectorized k=1 free energy over paired (theta, lambda) nodes."""
-    gvals = _site_values(spec.g, spec.m_state)
-    w = _weights(thetas, spec.m_state)
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    tilt = np.exp(lams[:, None] * gvals[None, :])
-    return np.log(np.sum(w * tilt, axis=1))
-
-
-def free_energy_site(theta: float, lam: float, g: LocalFunction, m_state: int = 128) -> float:
-    """log sum_n exp(lam * g(n)) nu_theta(n) for a bounded single-site g.
-
-    The truncated-sum tail is certified against the geometric tail scaled
-    by exp(|lam| * bound).
+    d nu_theta(n)/d theta = (1-p)^2 (n p^{n-1} - (n+1) p^n), written as
+    (1-p) (n nu(n-1) - (n+1) nu(n)) so that it stays finite at theta = 0.
     """
-    if g.k != 1:
-        raise ValueError("free_energy_site requires a single-site local function")
-    spec = FreeEnergySpec(g=g, m_state=m_state)
-    spec.check_truncation(theta, lam)
-    return float(_free_energy_site_nodes(np.array([theta]), np.array([lam]), spec)[0])
+    w = _geometric_weights(thetas, m)
+    p = thetas / (1.0 + thetas)
+    n = np.arange(m + 1)
+    prev = np.zeros_like(w)
+    prev[:, 1:] = w[:, :-1]
+    return w, (1.0 - p)[:, None] * (n * prev - (n + 1) * w)
 
 
-def _transfer_tensor(theta: float, lam: float, spec: FreeEnergySpec) -> np.ndarray:
-    """exp(lam * g) * nu_theta(n_k) on the k-site state grid, with k=1
-    lifted to a two-site kernel."""
-    g = spec.g
-    k = max(g.k, 2)
-    if k > 4:
-        raise ValueError("transfer kernels are limited to k <= 4")
-    m = spec.m_state
-    axes = np.meshgrid(*([np.arange(m + 1)] * k), indexing="ij")
-    gvals = np.broadcast_to(
-        np.asarray(g(*axes[: g.k]), dtype=float), (m + 1,) * k
-    )
-    nu = _weights(np.array([theta]), m)[0]
-    return np.exp(lam * gvals) * nu.reshape((1,) * (k - 1) + (m + 1,))
+def _check_tail(thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec) -> None:
+    """Certify the state truncation at every (theta, lambda) node: the
+    dropped mass exp(|lam| * bound) * (theta/(1+theta))**(m_state+1)."""
+    p = thetas / (1.0 + thetas)
+    errs = np.exp(np.abs(lams) * float(spec.g.bound)) * p ** (spec.m_state + 1)
+    if np.any(errs > _TAIL_TOL):
+        worst = int(np.argmax(errs))
+        raise QuadratureError(
+            f"state truncation {spec.m_state} leaves tail {errs[worst]:.2e} at "
+            f"theta={thetas[worst]}, lambda={lams[worst]}"
+        )
 
 
-def free_energy_transfer(theta: float, lam: float, spec: FreeEnergySpec) -> float:
-    """Free energy of g via the leading transfer-kernel eigenvalue.
+def _perron(
+    theta: float, lam: float, gvals: np.ndarray, spec: FreeEnergySpec
+) -> tuple[float, float, float]:
+    """(log Lambda, d log Lambda/d lambda, d log Lambda/d theta) for the
+    leading eigenvalue Lambda of the transfer kernel.
 
     The kernel acts on (k-1)-site windows,
     K(w, w') = nu_theta(n_k) * exp(lam * g(n_1, ..., n_k)) for
-    w = (n_1..n_{k-1}), w' = (n_2..n_k); the result is the log of its
-    leading eigenvalue from power iteration.  Single-site functions are
-    lifted to a two-site kernel, which reproduces :func:`free_energy_site`.
+    w = (n_1..n_{k-1}), w' = (n_2..n_k); single-site functions are lifted
+    to a two-site kernel.  One power iteration converges the right and
+    left Perron vectors r, l together, and the derivatives follow from
+    Hellmann-Feynman: d Lambda = <l, dK r> / <l, r>.
     """
-    spec.check_truncation(theta, lam)
-    t = _transfer_tensor(theta, lam, spec)
-    k = t.ndim
-    letters = "abcd"[:k]
-    sub = f"{letters},{letters[1:]}->{letters[:-1]}"
-    v = np.ones((spec.m_state + 1,) * (k - 1))
-    v /= v.sum()
-    eigen = np.nan
+    k = max(gvals.ndim, 2)
+    m = spec.m_state
+    gk = np.broadcast_to(gvals.reshape(gvals.shape + (1,) * (k - gvals.ndim)), (m + 1,) * k)
+    w, dw = _weight_tables(np.array([theta]), m)
+    last = (1,) * (k - 1) + (m + 1,)
+    tilt = np.exp(lam * gk)
+    t = tilt * w[0].reshape(last)
+    letters = string.ascii_lowercase[:k]
+    right = f"{letters},{letters[1:]}->{letters[:-1]}"
+    left = f"{letters[:-1]},{letters}->{letters[1:]}"
+    r = np.full((m + 1,) * (k - 1), 1.0 / (m + 1) ** (k - 1))
+    l = r.copy()
+    eigen = np.full(2, np.nan)
     for _ in range(_POWER_ITERATION_CAP):
-        kv = np.einsum(sub, t, v)
-        new_eigen = float(kv.sum())
-        if new_eigen <= 0.0 or not math.isfinite(new_eigen):
+        kr, kl = np.einsum(right, t, r), np.einsum(left, l, t)
+        new_eigen = np.array([kr.sum(), kl.sum()])
+        if not np.all((new_eigen > 0.0) & np.isfinite(new_eigen)):
             raise NumericError(f"degenerate transfer iterate at theta={theta}, lam={lam}")
-        v = kv / new_eigen
-        if math.isfinite(eigen) and abs(new_eigen - eigen) <= spec.eigen_tol * max(
-            1.0, abs(new_eigen)
-        ):
-            return math.log(new_eigen)
+        r, l = kr / new_eigen[0], kl / new_eigen[1]
+        if np.all(np.abs(new_eigen - eigen) <= spec.eigen_tol * np.maximum(1.0, new_eigen)):
+            break
         eigen = new_eigen
-    raise NumericError(
-        f"power iteration did not converge within {_POWER_ITERATION_CAP} steps"
+    else:
+        raise NumericError(
+            f"power iteration did not converge within {_POWER_ITERATION_CAP} steps"
+        )
+    pair = f"{letters[:-1]},{letters},{letters[1:]}->"
+    norm = float(np.einsum(pair, l, t, r))  # Lambda * <l, r>
+    d_lam = float(np.einsum(pair, l, t * gk, r)) / norm
+    d_theta = float(np.einsum(pair, l, tilt * dw[0].reshape(last), r)) / norm
+    return math.log(new_eigen[0]), d_lam, d_theta
+
+
+class _FreeEnergyTable:
+    """Per-theta state tables of the free-energy evaluator, built once and
+    evaluated at any number of lambda vectors paired with the thetas."""
+
+    def __init__(self, thetas: np.ndarray, spec: FreeEnergySpec) -> None:
+        self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        if np.any(self.thetas < 0):
+            raise ValueError("theta must be >= 0")
+        self.spec = spec
+        self.gvals = _g_grid(spec.g, spec.m_state)
+        if spec.g.k == 1:
+            _check_cells(
+                self.thetas.size * (spec.m_state + 1),
+                f"the weight table of {self.thetas.size} nodes at truncation {spec.m_state}",
+            )
+            self.w, self.dw = _weight_tables(self.thetas, spec.m_state)
+
+    def take(self, mask: np.ndarray) -> "_FreeEnergyTable":
+        """The table restricted to the nodes selected by mask."""
+        sub = copy.copy(self)
+        sub.thetas = self.thetas[mask]
+        if self.spec.g.k == 1:
+            sub.w, sub.dw = self.w[mask], self.dw[mask]
+        return sub
+
+    def __call__(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lams = np.broadcast_to(np.asarray(lams, dtype=float), self.thetas.shape)
+        _check_tail(self.thetas, lams, self.spec)
+        if self.spec.g.k == 1:
+            # F = log Z, dF/dlambda the tilted mean of g, dF/dtheta the
+            # tilted sum of d nu/d theta, all over Z = sum nu * exp(lam g)
+            tilt = np.exp(lams[:, None] * self.gvals[None, :])
+            tilted = self.w * tilt
+            z = np.sum(tilted, axis=1)
+            f_theta = np.einsum("ij,ij->i", self.dw, tilt) / z
+            return np.log(z), tilted @ self.gvals / z, f_theta
+        rows = [_perron(t, l, self.gvals, self.spec) for t, l in zip(self.thetas, lams)]
+        out = np.array(rows, dtype=float).reshape(lams.size, 3)
+        return out[:, 0], out[:, 1], out[:, 2]
+
+
+def free_energy(
+    thetas, lams, spec: FreeEnergySpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(theta, lambda), dF/dlambda and dF/dtheta at paired nodes (thetas
+    and lams broadcast against each other).
+
+    For k = 1, F = log sum_n exp(lam * g(n)) nu_theta(n) is a truncated
+    sum; for k >= 2 it is the log of the leading transfer-kernel
+    eigenvalue, with derivatives from the Perron vectors.  Every node's
+    truncation tail is certified against exp(|lam| * bound) times the
+    geometric tail.
+    """
+    thetas, lams = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(thetas, dtype=float)), np.asarray(lams, dtype=float)
     )
+    return _FreeEnergyTable(thetas, spec)(lams)
+
+
+def free_energy_transfer(theta: float, lam: float, spec: FreeEnergySpec) -> float:
+    """Free energy of g via the leading transfer-kernel eigenvalue (power
+    iteration; single-site g is lifted to a two-site kernel, which
+    reproduces the k = 1 sum of :func:`free_energy`)."""
+    _check_tail(np.array([theta]), np.array([lam]), spec)
+    return _perron(theta, lam, _g_grid(spec.g, spec.m_state), spec)[0]
 
 
 def free_energy_finite_chain(
@@ -269,13 +321,14 @@ def free_energy_finite_chain(
     g = spec.g
     if g.k == 1:
         # all N windows tilt independently, so the per-site value is exact
-        return _free_energy(theta, lam, spec)
+        return float(free_energy(theta, lam, spec)[0][0])
     k = g.k
     if n_sites < k:
         raise ValueError(f"chain of {n_sites} sites is shorter than the window {k}")
-    spec.check_truncation(theta, lam)
-    t = _transfer_tensor(theta, lam, spec)
-    letters = "abcd"[: t.ndim]
+    _check_tail(np.array([theta]), np.array([lam]), spec)
+    w = _geometric_weights(np.array([theta]), spec.m_state)[0]
+    t = np.exp(lam * _g_grid(g, spec.m_state)) * w
+    letters = string.ascii_lowercase[:k]
     sub = f"{letters},{letters[1:]}->{letters[:-1]}"
     v = np.ones((spec.m_state + 1,) * (k - 1))
     log_total = 0.0
@@ -284,111 +337,58 @@ def free_energy_finite_chain(
         norm = float(v.sum())
         log_total += math.log(norm)
         v /= norm
-    w = _weights(np.array([theta]), spec.m_state)[0]
     marginal = w
     for _ in range(k - 2):
         marginal = np.multiply.outer(marginal, w)
     return (log_total + math.log(float(np.sum(marginal * v)))) / n_sites
 
 
-def _free_energy(theta: float, lam: float, spec: FreeEnergySpec) -> float:
-    if spec.g.k == 1:
-        spec.check_truncation(theta, lam)
-        return float(_free_energy_site_nodes(np.array([theta]), np.array([lam]), spec)[0])
-    return free_energy_transfer(theta, lam, spec)
-
-
-def _free_energy_nodes(thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    lams = np.broadcast_to(np.asarray(lams, dtype=float), thetas.shape)
-    # pairwise tail certification: each node has its own admissible range
-    p = thetas / (1.0 + thetas)
-    errs = np.exp(np.abs(lams) * float(spec.g.bound)) * p ** (spec.m_state + 1)
-    if np.any(errs > _TAIL_TOL):
-        worst = int(np.argmax(errs))
-        raise QuadratureError(
-            f"state truncation {spec.m_state} leaves tail {errs[worst]:.2e} at "
-            f"theta={thetas[worst]}, lambda={lams[worst]}"
-        )
-    if spec.g.k == 1:
-        return _free_energy_site_nodes(thetas, lams, spec)
-    return np.array(
-        [free_energy_transfer(float(t), float(l), spec) for t, l in zip(thetas, lams)]
-    )
-
-
-def _free_energy_lambda_deriv_nodes(
-    thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec
-) -> np.ndarray:
-    step = 1e-6 * (1.0 + np.abs(lams))
-    hi = _free_energy_nodes(thetas, lams + step, spec)
-    lo = _free_energy_nodes(thetas, lams - step, spec)
-    return (hi - lo) / (2.0 * step)
-
-
-def _g_value_range(spec: FreeEnergySpec) -> tuple[float, float]:
-    g = spec.g
-    axes = np.meshgrid(*([np.arange(spec.m_state + 1)] * g.k), indexing="ij")
-    vals = np.asarray(g(*axes), dtype=float)
-    return float(vals.min()), float(vals.max())
+def _legendre(
+    thetas: np.ndarray, xs: np.ndarray, spec: FreeEnergySpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sup_lam(lam*x - F) at paired (theta, x) nodes: (rate values,
+    maximizing lambdas, dF/dtheta there); +inf where x falls outside the
+    closure of the range of dF/dlambda.  The maximizer is found by bisection
+    on the increasing dF/dlambda within each node's certified lambda range;
+    lambda = 0, where the untruncated F vanishes, bounds every rate below by 0.
+    """
+    table = _FreeEnergyTable(thetas, spec)
+    xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
+    g_lo, g_hi = float(table.gvals.min()), float(table.gvals.max())
+    caps = spec.certified_lambda_caps(table.thetas)
+    interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
+    boundary = ~interior & (np.isclose(xs, g_lo) | np.isclose(xs, g_hi))
+    # on the boundary the sup is approached along lambda -> +-inf: take the
+    # certified cap (a tight lower bound; the tilt there concentrates the law)
+    lam = np.where(boundary, np.where(np.isclose(xs, g_hi), 1.0, -1.0) * caps, 0.0)
+    if np.any(interior):
+        inner, x, cap = table.take(interior), xs[interior], caps[interior]
+        lo = np.maximum(spec.lambda_domain[0], -cap)
+        hi = np.minimum(spec.lambda_domain[1], cap)
+        for bound_arr, expand in ((lo, -1.0), (hi, 1.0)):
+            for _ in range(60):
+                deriv = inner(bound_arr)[1]
+                bad = (deriv > x) if expand < 0 else (deriv < x)
+                bad &= np.abs(bound_arr) < cap
+                if not np.any(bad):
+                    break
+                bound_arr[bad] = np.clip(2.0 * bound_arr[bad] + expand, -cap[bad], cap[bad])
+        for _ in range(_BISECTION_STEPS):
+            mid = (lo + hi) / 2.0
+            below = inner(mid)[1] < x
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        lam[interior] = (lo + hi) / 2.0
+    f, _, f_theta = table(lam)
+    rates = np.where(interior | boundary, np.maximum(lam * xs - f, 0.0), math.inf)
+    return rates, lam, f_theta
 
 
 def _rate_nodes(
     thetas: np.ndarray, xs: np.ndarray, spec: FreeEnergySpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre transform sup_lam(lam*x - F) at many (theta, x) nodes.
-
-    Returns (rate values, maximizing lambdas); nodes whose x falls outside
-    the closure of the range of dF/dlambda get +inf.  The maximizer is
-    found by bisection on the increasing derivative dF/dlambda.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    g_lo, g_hi = _g_value_range(spec)
-    out = np.full(thetas.shape, math.inf)
-    lam_star = np.zeros(thetas.shape)
-    caps = spec.certified_lambda_caps(thetas)
-    interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
-    boundary = ~interior & (np.isclose(xs, g_lo) | np.isclose(xs, g_hi))
-    if np.any(boundary):
-        # sup approached along lambda -> +-inf: evaluate at the certified
-        # cap (a tight lower bound; the tilt there concentrates the law)
-        cap = np.where(np.isclose(xs[boundary], g_hi), 1.0, -1.0) * caps[boundary]
-        vals = cap * xs[boundary] - _free_energy_nodes(thetas[boundary], cap, spec)
-        out[boundary] = vals
-        lam_star[boundary] = cap
-    if not np.any(interior):
-        return out, lam_star
-
-    th = thetas[interior]
-    x = xs[interior]
-    cap = caps[interior]
-    # margin keeps the derivative stencil of the expansion loop certified
-    step_margin = 1e-6 * (1.0 + cap)
-    lo = np.maximum(np.full(th.shape, spec.lambda_domain[0]), -cap + step_margin)
-    hi = np.minimum(np.full(th.shape, spec.lambda_domain[1]), cap - step_margin)
-    for bound_arr, expand in ((lo, -1.0), (hi, 1.0)):
-        for _ in range(60):
-            deriv = _free_energy_lambda_deriv_nodes(th, bound_arr, spec)
-            bad = (deriv > x) if expand < 0 else (deriv < x)
-            bad &= np.abs(bound_arr) < cap - step_margin
-            if not np.any(bad):
-                break
-            bound_arr[bad] = np.clip(
-                2.0 * bound_arr[bad] + expand,
-                (-cap + step_margin)[bad],
-                (cap - step_margin)[bad],
-            )
-    for _ in range(_BISECTION_STEPS):
-        mid = (lo + hi) / 2.0
-        deriv = _free_energy_lambda_deriv_nodes(th, mid, spec)
-        below = deriv < x
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    mid = (lo + hi) / 2.0
-    out[interior] = mid * x - _free_energy_nodes(th, mid, spec)
-    lam_star[interior] = mid
-    return out, lam_star
+    """(rate values, maximizing lambdas) of :func:`_legendre`."""
+    return _legendre(thetas, xs, spec)[:2]
 
 
 def rate_function(theta: float, x: float, spec: FreeEnergySpec) -> float:
@@ -434,7 +434,7 @@ def inhom_free_energy(
 
     def evaluate(panels: int) -> float:
         x, w = _composite_nodes(panels, quad.nodes_per_panel)
-        return float(w @ _free_energy_nodes(u.interpolate(x), phi(x), spec))
+        return float(w @ free_energy(u.interpolate(x), phi(x), spec)[0])
 
     return _refine(evaluate, quad, "inhomogeneous free energy")
 
@@ -495,16 +495,44 @@ def _cell_nodes(m_cells: int, nodes: int = 2) -> tuple[np.ndarray, np.ndarray, n
     return x, w, np.tile(tau, m_cells)
 
 
-def _grid_gradient_from_nodes(
-    node_grad: np.ndarray, tau: np.ndarray, m_cells: int, nodes: int
-) -> np.ndarray:
-    """Chain node-wise dObjective/du(x) through the hat basis to du_j."""
-    per_cell = node_grad.reshape(m_cells, nodes)
-    tau_c = tau.reshape(m_cells, nodes)
-    grad = np.zeros(m_cells + 1)
-    np.add.at(grad, np.arange(m_cells), np.sum(per_cell * (1.0 - tau_c), axis=1))
-    np.add.at(grad, np.arange(1, m_cells + 1), np.sum(per_cell * tau_c, axis=1))
-    return grad
+def _path_objective(
+    param: _ProfileParam,
+    cell_nodes: int,
+    strength: TestFunction,
+    node_terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    j_sign: float,
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """e -> (integral of an integrand along u + j_sign * J(u), its e-gradient).
+
+    ``node_terms(u(x), strength(x))`` gives the integrand and its u-derivative
+    at the Gauss nodes x of the profile cells.  The gradient chains through
+    the hat basis to du_j, then through the suffix sums of the increment
+    parametrization.  A non-finite integrand gives the worst value, j_sign * inf.
+    """
+    m = param.m_cells
+    x, w, tau = _cell_nodes(m, cell_nodes)
+    tau_c = tau.reshape(m, cell_nodes)
+    grid = np.arange(m + 1) / m
+    sx = np.asarray(strength(x), dtype=float)
+
+    def objective(e: np.ndarray) -> tuple[float, np.ndarray]:
+        vals = param.to_values(e)
+        node_vals, node_grads = node_terms(np.interp(x, grid, vals), sx)
+        if not np.all(np.isfinite(node_vals)):
+            return j_sign * math.inf, np.zeros(m + 1)
+        per_cell = (w * node_grads).reshape(m, cell_nodes)
+        grad_u = np.zeros(m + 1)
+        grad_u[:-1] += np.sum(per_cell * (1.0 - tau_c), axis=1)
+        grad_u[1:] += np.sum(per_cell * tau_c, axis=1)
+        incs = np.diff(vals)
+        j_val = float(-np.sum(np.log(m * incs / param.bounds.width)) / m)
+        suffix = np.cumsum(grad_u[::-1])[::-1]
+        grad_e = np.empty(m + 1)
+        grad_e[0] = suffix[0]
+        grad_e[1:] = suffix[1:] + j_sign * (-1.0 / (m * incs))
+        return float(w @ node_vals) + j_sign * j_val, grad_e
+
+    return objective
 
 
 def _pgd(
@@ -561,10 +589,6 @@ class ProfileRateResult:
     start_values: tuple[float, ...]
 
 
-def _theta_step(thetas: np.ndarray) -> np.ndarray:
-    return 1e-6 * (1.0 + np.abs(thetas))
-
-
 def annealed_free_energy(
     phi: TestFunction,
     spec: FreeEnergySpec,
@@ -575,36 +599,20 @@ def annealed_free_energy(
     """sup over monotone profiles of [integral of F(u(x), phi(x)) - J(u)].
 
     Projected-gradient ascent in the increment parametrization with a
-    linear-profile start plus random multistarts; gradients of the free
-    energy use central finite differences in theta, the path-rate
-    gradient is analytic.  The reported value is never below the
-    linear-profile benchmark.
+    linear-profile start plus random multistarts; the free energy and its
+    theta-derivative come from one :func:`free_energy` call per iterate,
+    the path-rate gradient is analytic.  The reported value is never below
+    the linear-profile benchmark.
     """
     if bounds.width <= 0.0:
         raise ValueError("the annealed problem requires theta_left < theta_right")
     param = _ProfileParam(bounds, solver.grid_size, _default_delta_min(bounds))
-    x, w, tau = _cell_nodes(param.m_cells, cell_nodes)
-    phix = phi(x)
 
-    def objective(e: np.ndarray) -> tuple[float, np.ndarray]:
-        vals = param.to_values(e)
-        thetas = np.interp(x, np.arange(param.m_cells + 1) / param.m_cells, vals)
-        f_nodes = _free_energy_nodes(thetas, phix, spec)
-        delta = _theta_step(thetas)
-        f_theta = (
-            _free_energy_nodes(thetas + delta, phix, spec)
-            - _free_energy_nodes(thetas - delta, phix, spec)
-        ) / (2.0 * delta)
-        grad_u = _grid_gradient_from_nodes(w * f_theta, tau, param.m_cells, cell_nodes)
-        incs = np.diff(vals)
-        j_val = float(-np.sum(np.log(param.m_cells * incs / bounds.width)) / param.m_cells)
-        dj_dinc = -1.0 / (param.m_cells * incs)
-        # map d/du_j to the (e_u, e_increments) coordinates
-        suffix = np.cumsum(grad_u[::-1])[::-1]
-        grad_e = np.empty(param.m_cells + 1)
-        grad_e[0] = suffix[0]
-        grad_e[1:] = suffix[1:] - dj_dinc
-        return float(w @ f_nodes) - j_val, grad_e
+    def node_terms(thetas: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, _, f_theta = free_energy(thetas, lams, spec)
+        return f, f_theta
+
+    objective = _path_objective(param, cell_nodes, phi, node_terms, j_sign=-1.0)
 
     starts = [param.linear_start()] + param.random_starts(
         max(solver.multistart - 1, 0), solver.seed
@@ -640,35 +648,19 @@ def profile_rate(
     """inf over monotone profiles of [integral of I(u(x), mu(x)) + J(u)].
 
     The gradient of the rate integral uses the envelope identity
-    dI/dtheta = -dF/dtheta evaluated at the maximizing lambda.
+    dI/dtheta = -dF/dtheta, with the analytic dF/dtheta evaluated at the
+    maximizing lambda of each node.
     """
     if bounds.width <= 0.0:
         raise ValueError("the profile-rate problem requires theta_left < theta_right")
     param = _ProfileParam(bounds, solver.grid_size, _default_delta_min(bounds))
-    x, w, tau = _cell_nodes(param.m_cells, cell_nodes)
-    mux = np.asarray(mu_density(x), dtype=float)
 
-    def objective(e: np.ndarray) -> tuple[float, np.ndarray]:
-        vals = param.to_values(e)
-        thetas = np.interp(x, np.arange(param.m_cells + 1) / param.m_cells, vals)
-        rates, lam_star = _rate_nodes(thetas, mux, spec)
-        if not np.all(np.isfinite(rates)):
-            # infeasible target at some node: push the start away via inf
-            return math.inf, np.zeros(param.m_cells + 1)
-        delta = _theta_step(thetas)
-        f_theta = (
-            _free_energy_nodes(thetas + delta, lam_star, spec)
-            - _free_energy_nodes(thetas - delta, lam_star, spec)
-        ) / (2.0 * delta)
-        grad_u = _grid_gradient_from_nodes(-w * f_theta, tau, param.m_cells, cell_nodes)
-        incs = np.diff(vals)
-        j_val = float(-np.sum(np.log(param.m_cells * incs / bounds.width)) / param.m_cells)
-        dj_dinc = -1.0 / (param.m_cells * incs)
-        suffix = np.cumsum(grad_u[::-1])[::-1]
-        grad_e = np.empty(param.m_cells + 1)
-        grad_e[0] = suffix[0]
-        grad_e[1:] = suffix[1:] + dj_dinc
-        return float(w @ rates) + j_val, grad_e
+    def node_terms(thetas: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # envelope identity: dI/dtheta = -dF/dtheta at the maximizing lambda
+        rates, _, f_theta = _legendre(thetas, mus, spec)
+        return rates, -f_theta
+
+    objective = _path_objective(param, cell_nodes, mu_density, node_terms, j_sign=1.0)
 
     starts = [param.linear_start()] + param.random_starts(
         max(solver.multistart - 1, 0), solver.seed

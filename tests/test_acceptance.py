@@ -35,7 +35,7 @@ from geomix.ldp import (
     MonotoneProfile,
     SolverConfig,
     annealed_free_energy,
-    free_energy_site,
+    free_energy,
     free_energy_transfer,
     path_rate,
     rate_function,
@@ -238,13 +238,13 @@ def test_criterion_7_ldp_consistency():
     checks = {}
 
     checks["zero-tilt free energy"] = all(
-        abs(free_energy_site(theta, 0.0, g)) < 1e-8 for theta in (0.0, 0.5, 1.0, 2.0)
+        abs(free_energy(theta, 0.0, spec)[0][0]) < 1e-8 for theta in (0.0, 0.5, 1.0, 2.0)
     )
 
     lams = np.linspace(-2.5, 2.5, 41)
     convex_ok = True
     for theta in (0.3, 1.0, 2.0):
-        vals = np.array([free_energy_site(theta, l, g) for l in lams])
+        vals = free_energy(theta, lams, spec)[0]
         if (vals[2:] - 2 * vals[1:-1] + vals[:-2]).min() < -1e-9:
             convex_ok = False
     checks["lambda convexity"] = convex_ok
@@ -254,7 +254,7 @@ def test_criterion_7_ldp_consistency():
     )
 
     checks["transfer reduction"] = all(
-        abs(free_energy_transfer(theta, lam, spec) - free_energy_site(theta, lam, g)) < 1e-8
+        abs(free_energy_transfer(theta, lam, spec) - free_energy(theta, lam, spec)[0][0]) < 1e-8
         for theta, lam in ((0.7, 0.5), (1.0, -0.8), (1.9, 1.2))
     )
 

@@ -206,6 +206,23 @@ def test_numeric_error_exit_code(tmp_path):
     assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
 
 
+def test_state_tables_over_budget_are_config_errors(tmp_path):
+    # eta1*eta2*eta3*eta4 selects truncation 256: a 257^4 grid is refused
+    # before anything is allocated, as is an LDP state truncation of 10^8
+    quartic = base_config(
+        g={"name": "custom-polynomial", "k": 4, "terms": [{"exps": [1, 1, 1, 1], "coef": 1.0}]},
+        lln={"n_ladder": [100], "replicas": 10},
+    )
+    path = write_config(tmp_path, quartic, "quartic.json")
+    assert main(["verify", "lln", "--config", path, "--out-dir", str(tmp_path / "q")]) == EXIT_CONFIG
+    wide = base_config(
+        g={"name": "indicator-vacuum"},
+        ldp={"theta": 1.0, "lambda_grid": [0.5], "m_state": 10**8},
+    )
+    path = write_config(tmp_path, wide, "wide.json")
+    assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "w")]) == EXIT_CONFIG
+
+
 def test_missing_and_malformed_config(tmp_path):
     assert main(["sample", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     bad = tmp_path / "bad.json"

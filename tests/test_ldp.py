@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from geomix.ldp import (
     MonotoneProfile,
     SolverConfig,
     annealed_free_energy,
+    free_energy,
     free_energy_finite_chain,
-    free_energy_site,
     free_energy_transfer,
     inhom_free_energy,
     path_rate,
@@ -36,6 +37,14 @@ def make_pair_vacuum():
     return LocalFunction(k=2, evaluator=evaluator, bounded=True, bound=1.0, name="pair-vacuum")
 
 
+def make_pair_vacuum_spec():
+    return FreeEnergySpec(g=make_pair_vacuum())
+
+
+def free_energy_at(theta, lam, g):
+    return float(free_energy(theta, lam, FreeEnergySpec(g=g))[0][0])
+
+
 def const_phi(value, name="const"):
     return TestFunction(lambda x, v=value: np.full_like(x, v), name=name)
 
@@ -49,12 +58,12 @@ def test_site_free_energy_closed_form(ind_spec):
     g = indicator_vacuum_function()
     for theta, lam in ((0.5, 0.3), (1.0, 0.7), (2.0, -1.1)):
         expected = math.log((math.exp(lam) + theta) / (1 + theta))
-        assert free_energy_site(theta, lam, g) == pytest.approx(expected, abs=1e-12)
+        assert free_energy_at(theta, lam, g) == pytest.approx(expected, abs=1e-12)
 
 
 def test_site_free_energy_vanishes_at_zero_tilt(ind_spec):
     for theta in (0.0, 0.5, 2.0):
-        assert abs(free_energy_site(theta, 0.0, indicator_vacuum_function())) < 1e-8
+        assert abs(free_energy_at(theta, 0.0, indicator_vacuum_function())) < 1e-8
 
 
 def test_site_free_energy_of_constant_is_linear():
@@ -66,7 +75,7 @@ def test_site_free_energy_of_constant_is_linear():
         name="const",
     )
     for lam in (-2.0, 0.4, 3.0):
-        assert free_energy_site(1.2, lam, g) == pytest.approx(0.7 * lam, abs=1e-10)
+        assert free_energy_at(1.2, lam, g) == pytest.approx(0.7 * lam, abs=1e-10)
 
 
 def test_free_energy_requires_bounded_g():
@@ -86,8 +95,34 @@ def test_transfer_reduces_to_site_form(ind_spec):
     g = indicator_vacuum_function()
     for theta, lam in ((0.7, 0.5), (1.0, -0.8), (1.9, 1.2)):
         assert abs(
-            free_energy_transfer(theta, lam, ind_spec) - free_energy_site(theta, lam, g)
+            free_energy_transfer(theta, lam, ind_spec) - free_energy_at(theta, lam, g)
         ) < 1e-8
+
+
+def test_free_energy_closed_forms_including_theta_zero(ind_spec):
+    # indicator-vacuum: F = log((e^lam + theta)/(1 + theta)) with
+    # dF/dlambda = e^lam/(e^lam + theta), dF/dtheta = 1/(e^lam + theta) - 1/(1 + theta)
+    thetas = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 1.0])
+    lams = np.array([-1.5, 0.0, 2.0, 0.3, 0.7, -1.1, -6.0])
+    f, f_lam, f_theta = free_energy(thetas, lams, ind_spec)
+    e = np.exp(lams)
+    assert f == pytest.approx(np.log((e + thetas) / (1 + thetas)), abs=1e-12)
+    assert f_lam == pytest.approx(e / (e + thetas), abs=1e-12)
+    assert f_theta == pytest.approx(1 / (e + thetas) - 1 / (1 + thetas), rel=1e-12, abs=1e-12)
+
+
+def test_transfer_derivatives_match_central_differences():
+    spec = make_pair_vacuum_spec()
+    thetas = np.array([0.4, 1.0, 1.8])
+    lams = np.array([-0.9, 0.3, 1.2])
+    f, f_lam, f_theta = free_energy(thetas, lams, spec)
+    h = 1e-5
+    for i, (theta, lam) in enumerate(zip(thetas, lams)):
+        assert f[i] == free_energy_transfer(theta, lam, spec)
+        d_lam = (free_energy_transfer(theta, lam + h, spec) - free_energy_transfer(theta, lam - h, spec)) / (2 * h)
+        d_theta = (free_energy_transfer(theta + h, lam, spec) - free_energy_transfer(theta - h, lam, spec)) / (2 * h)
+        assert f_lam[i] == pytest.approx(d_lam, abs=1e-8)
+        assert f_theta[i] == pytest.approx(d_theta, abs=1e-8)
 
 
 def test_transfer_against_direct_simulation():
@@ -107,7 +142,7 @@ def test_lambda_convexity(ind_spec):
     lams = np.linspace(-3.0, 3.0, 41)
     for theta in (0.4, 1.0, 2.0):
         vals = np.array(
-            [free_energy_site(theta, l, indicator_vacuum_function()) for l in lams]
+            [free_energy_at(theta, l, indicator_vacuum_function()) for l in lams]
         )
         second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
         assert second.min() >= -1e-9
@@ -148,9 +183,9 @@ def test_legendre_consistency(ind_spec):
     for lam in (-1.5, -0.4, 0.3, 1.1, 2.0):
         h = 1e-6
         deriv = (
-            free_energy_site(theta, lam + h, g) - free_energy_site(theta, lam - h, g)
+            free_energy_at(theta, lam + h, g) - free_energy_at(theta, lam - h, g)
         ) / (2 * h)
-        lhs = rate_function(theta, deriv, ind_spec) + free_energy_site(theta, lam, g)
+        lhs = rate_function(theta, deriv, ind_spec) + free_energy_at(theta, lam, g)
         assert lhs == pytest.approx(lam * deriv, abs=1e-6)
 
 
@@ -205,7 +240,7 @@ def test_inhom_free_energy_constant_profile_reduction(ind_spec):
     prof = MonotoneProfile(values=vals, bounds=b)
     lam = 0.4
     assert inhom_free_energy(prof, const_phi(lam), ind_spec, quad) == pytest.approx(
-        free_energy_site(b.theta_right, lam, indicator_vacuum_function()), abs=1e-9
+        free_energy_at(b.theta_right, lam, indicator_vacuum_function()), abs=1e-9
     )
 
 
@@ -282,6 +317,20 @@ def test_profile_rate_vanishes_at_lln_profile(bounds, ind_spec):
     res = profile_rate(TestFunction(mu, name="lln"), ind_spec, bounds, solver)
     assert 0.0 <= res.value <= 1e-4
     assert np.max(np.abs(res.argmin.values - MonotoneProfile.linear(bounds, solver.grid_size).values)) < 0.05
+
+
+def test_profile_rate_near_left_reservoir_zero_is_finite(bounds, ind_spec):
+    # theta_left = 0 puts profile nodes at theta ~ 1e-9 with lambda ~ -16,
+    # where a theta-stencil reaching below zero turned F into NaN
+    def mu(x):
+        return 1.0 / (1.0 + bounds.density(x)) - 0.05
+
+    solver = SolverConfig(grid_size=20, multistart=2, seed=0, max_iterations=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = profile_rate(TestFunction(mu, name="lln-shifted"), ind_spec, bounds, solver)
+    assert math.isfinite(res.value)
+    assert all(math.isfinite(v) for v in res.start_values)
 
 
 def test_profile_rate_perturbed_target_strictly_positive():
