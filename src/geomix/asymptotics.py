@@ -8,25 +8,30 @@ parameter rho, this module computes
 * the summed window covariance
   V(rho) = sum_{m=1}^{2k-1} cov(g(eta_k..eta_{2k-1}), g(eta_m..eta_{m+k-1})),
 
-by truncated sums with certified geometric tail bounds, and from these the
-law-of-large-numbers limit integral, the two central-limit variances
-(parameter-fluctuation part and white-noise part) and the bridge
-covariance kernel, by composite Gauss-Legendre quadrature.  The 2-d
-variance integral is split along its diagonal, where the kernel
+and from these the law-of-large-numbers limit integral, the two
+central-limit variances (parameter-fluctuation part and white-noise part)
+and the bridge covariance kernel, by composite Gauss-Legendre quadrature.
+The 2-d variance integral is split along its diagonal, where the kernel
 min(s,t) - s*t has a kink.
+
+For polynomial g, h, h' and V are exact polynomials in rho built from the
+geometric raw moments E[eta^p]; only bounded, non-polynomial g is summed
+over a truncated state grid, with certified tail bounds for h and h'.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.fields import TestFunction
+from geomix.moments import geometric_raw_moment_coefficients
 
 __all__ = [
     "QuadratureError",
@@ -54,35 +59,32 @@ class QuadratureError(RuntimeError):
     """Raised when a truncation or panel-doubling tolerance is unattainable."""
 
 
-def geometric_tail_bound(theta: float, m: int, degree: int = 0) -> float:
-    """Certified bound on sum_{n > m} n^degree * nu_theta(n).
-
-    For degree 0 this is the exact tail mass (theta/(1+theta))**(m+1).
-    For degree > 0 the geometric-ratio bound
-    q * (m+1)^d * p^{m+1} / (1 - r) with r = p * ((m+2)/(m+1))^d is used.
-    """
+def geometric_tail_bound(theta: float, m: int) -> float:
+    """The geometric tail mass sum_{n > m} nu_theta(n) = (theta/(1+theta))**(m+1)."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    if theta == 0.0:
-        return 0.0
-    p = theta / (1.0 + theta)
-    if degree == 0:
-        return p ** (m + 1)
-    r = p * ((m + 2) / (m + 1)) ** degree
-    if r >= 1.0:
+    return (theta / (1.0 + theta)) ** (m + 1)
+
+
+def _deriv_tail_bound(theta: float, m: int) -> float:
+    """sum_{n > m} |d nu_theta(n)/d theta|.  For m >= theta the terms are
+    positive and sum to (m+1) p**m (1-p)**2 with p = theta/(1+theta)."""
+    if m < theta:
         return math.inf
-    return (1.0 - p) * (m + 1) ** degree * p ** (m + 1) / (1.0 - r)
+    p = theta / (1.0 + theta)
+    return (m + 1) * p**m * (1.0 - p) ** 2
 
 
-def truncation_for(theta_max: float, tol: float = 1e-12, degree: int = 0) -> int:
-    """Smallest power-of-two-ish cutoff with certified tail below tol."""
+def truncation_for(theta_max: float, tol: float = 1e-12) -> int:
+    """Smallest power-of-two-ish cutoff whose tails of nu_theta and of
+    d nu_theta/d theta are both certified below tol."""
     m = 16
-    while geometric_tail_bound(theta_max, m, degree) > tol:
+    while max(geometric_tail_bound(theta_max, m), _deriv_tail_bound(theta_max, m)) > tol:
         m *= 2
         if m > _MAX_TRUNCATION:
             raise QuadratureError(
                 f"tail tolerance {tol} unattainable below cutoff {_MAX_TRUNCATION} "
-                f"for theta={theta_max}, degree={degree}"
+                f"for theta={theta_max}"
             )
     return m
 
@@ -91,8 +93,9 @@ def truncation_for(theta_max: float, tol: float = 1e-12, degree: int = 0) -> int
 class QuadratureSpec:
     """Composite-quadrature and state-truncation settings.
 
-    ``truncation`` is the per-site state cutoff for the geometric sums;
-    the constructor :meth:`for_bounds` chooses it from the certified tail
+    ``truncation`` is the per-site state cutoff for the geometric sums of
+    bounded, non-polynomial g (polynomial g is never truncated); the
+    constructor :meth:`for_bounds` chooses it from the certified tail
     bound at the largest parameter in play.  ``integral_tol`` is the
     panel-doubling convergence tolerance of the x-integrals.
     """
@@ -109,13 +112,9 @@ class QuadratureSpec:
 
     @classmethod
     def for_bounds(
-        cls,
-        bounds: BoundaryParams,
-        tail_tol: float = 1e-12,
-        degree: int = 0,
-        **kwargs,
+        cls, bounds: BoundaryParams, tail_tol: float = 1e-12, **kwargs
     ) -> "QuadratureSpec":
-        m = truncation_for(bounds.theta_right, tail_tol, degree)
+        m = truncation_for(bounds.theta_right, tail_tol)
         return cls(truncation=m, tail_tol=tail_tol, **kwargs)
 
 
@@ -140,25 +139,57 @@ class CltVariances:
         return self.bridge_variance + self.white_noise_variance
 
 
-def _truncation_scale(g: LocalFunction) -> tuple[float, int]:
-    """(magnitude scale, tail degree) certifying the truncated sums of g."""
-    if g.bounded:
-        return float(g.bound), 0
-    if g.monomials is not None:
-        scale = sum(abs(c) for c in g.monomials.values())
-        return max(scale, 1.0) * g.k, g.degree or 0
-    raise ValueError(
-        "cannot certify truncation: local function is neither bounded nor polynomial"
-    )
+def _product_moment(exps) -> np.ndarray:
+    """E[prod_j eta_j^{e_j}] under the homogeneous product, as coefficients in rho."""
+    out = np.ones(1)
+    for e in exps:
+        out = P.polymul(out, geometric_raw_moment_coefficients(int(e)))
+    return out
 
 
-def _check_truncation(g: LocalFunction, theta_max: float, quad: QuadratureSpec) -> None:
-    scale, degree = _truncation_scale(g)
-    err = scale * geometric_tail_bound(theta_max, quad.truncation, degree)
+def _poly_mean(g: LocalFunction) -> np.ndarray:
+    """h of a polynomial g as coefficients in rho."""
+    h = np.zeros(1)
+    for exps, coef in g.monomials.items():
+        h = P.polyadd(h, coef * _product_moment(exps))
+    return h
+
+
+def _poly_variance(g: LocalFunction) -> np.ndarray:
+    """V of a polynomial g as coefficients in rho.  On 3k-2 sites the
+    reference window covers k..2k-1 and window m covers m..m+k-1; a pair
+    of monomials adds its exponents on the sites the two windows share."""
+    k, h = g.k, _poly_mean(g)
+    total = -(2 * k - 1) * P.polymul(h, h)
+    for m in range(1, 2 * k):
+        for (ref, c_ref), (mov, c_mov) in itertools.product(g.monomials.items(), repeat=2):
+            exps = np.zeros(3 * k - 2, dtype=np.int64)
+            exps[k - 1 : 2 * k - 1] += ref
+            exps[m - 1 : m - 1 + k] += mov
+            total = P.polyadd(total, c_ref * c_mov * _product_moment(exps))
+    return total
+
+
+def _check_truncation(
+    g: LocalFunction, theta_max: float, quad: QuadratureSpec, deriv: bool = False
+) -> None:
+    """Certify the truncated grid sums of a bounded g for h, or for h'.
+
+    States beyond m at any of k sites move h by at most bound * k * p**(m+1).
+    For h' each slot adds the tail of d nu/d theta, and a whole row of
+    d nu/d theta has total variation at most 2.
+    """
+    if not g.bounded:
+        raise ValueError("cannot certify truncation: g is neither bounded nor polynomial")
+    m = quad.truncation
+    tail = geometric_tail_bound(theta_max, m)
+    if deriv:
+        tail = _deriv_tail_bound(theta_max, m) + 2 * (g.k - 1) * tail
+    err = float(g.bound) * g.k * tail
     if err > quad.tail_tol:
         raise QuadratureError(
-            f"truncation {quad.truncation} leaves certified tail {err:.3e} above "
-            f"tolerance {quad.tail_tol:.3e} (theta={theta_max}, degree={degree})"
+            f"truncation {m} leaves certified tail {err:.3e} above "
+            f"tolerance {quad.tail_tol:.3e} (theta={theta_max})"
         )
 
 
@@ -168,6 +199,20 @@ def _geometric_weights(rhos: np.ndarray, m: int) -> np.ndarray:
     p = rhos / (1.0 + rhos)
     powers = p[:, None] ** np.arange(m + 1)[None, :]
     return (1.0 - p)[:, None] * powers
+
+
+def _weight_tables(thetas: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """nu_theta(n) and its theta-derivative on n = 0..m, one row per theta.
+
+    d nu_theta(n)/d theta = (1-p)^2 (n p^{n-1} - (n+1) p^n), written as
+    (1-p) (n nu(n-1) - (n+1) nu(n)) so that it stays finite at theta = 0.
+    """
+    w = _geometric_weights(thetas, m)
+    p = thetas / (1.0 + thetas)
+    n = np.arange(m + 1)
+    prev = np.zeros_like(w)
+    prev[:, 1:] = w[:, :-1]
+    return w, (1.0 - p)[:, None] * (n * prev - (n + 1) * w)
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -183,101 +228,114 @@ def _g_grid(g: LocalFunction, m: int) -> np.ndarray:
     return np.asarray(g(*axes), dtype=float)
 
 
-def homogeneous_mean_batch(
-    g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec, _grid: np.ndarray | None = None
+def _contract(grid: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """sum_n grid(n_1..n_k) * prod_j tables[j][r, n_j], one value per row r."""
+    t = np.tensordot(grid, tables[-1], axes=([grid.ndim - 1], [1]))
+    for w in reversed(tables[:-1]):
+        t = np.einsum("...ir,ri->...r", t, w)
+    return t
+
+
+def _grid_mean(
+    g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec, deriv: bool = False
 ) -> np.ndarray:
-    """h at many parameters at once; see :func:`homogeneous_mean`."""
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    if np.any(rhos < 0):
-        raise ValueError("rho must be >= 0")
-    _check_truncation(g, float(rhos.max(initial=0.0)), quad)
-    m = quad.truncation
-    grid = _g_grid(g, m) if _grid is None else _grid
+    """h, or h' with ``deriv``, by truncated sums: the state grid
+    contracted with nu_rho in every slot, and for h' the sum over slots j
+    of the contraction with d nu_rho/d rho in slot j."""
+    k, m = g.k, quad.truncation
+    grid = _g_grid(g, m)
     out = np.empty(rhos.size)
     chunk = max(1, 2**22 // max(grid.size, 1))
     for lo in range(0, rhos.size, chunk):
-        w = _geometric_weights(rhos[lo : lo + chunk], m)
-        t = np.tensordot(grid, w, axes=([grid.ndim - 1], [1]))
-        while t.ndim > 1:
-            t = np.einsum("...ir,ri->...r", t, w)
-        out[lo : lo + chunk] = t
+        sl = slice(lo, lo + chunk)
+        if not deriv:
+            out[sl] = _contract(grid, [_geometric_weights(rhos[sl], m)] * k)
+            continue
+        w, dw = _weight_tables(rhos[sl], m)
+        out[sl] = sum(_contract(grid, [dw if i == j else w for i in range(k)]) for j in range(k))
     return out
+
+
+def _grid_local_variance(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+    """V by truncated sums: each covariance term conditions on the sites
+    the two windows share, which factorizes the product expectation."""
+    k = g.k
+    grid = _g_grid(g, quad.truncation)
+    out = np.zeros(rhos.size)
+    for i, w in enumerate(_geometric_weights(rhos, quad.truncation)):
+
+        def conditional(shared):
+            t = grid
+            for ax in sorted(set(range(k)) - set(shared), reverse=True):
+                t = np.tensordot(t, w, axes=([ax], [0]))
+            return t
+
+        mean = float(conditional(()))
+        for m in range(1, 2 * k):
+            lo, hi = max(m, k), min(m + k - 1, 2 * k - 1)
+            joint = conditional(range(lo - k, hi - k + 1)) * conditional(range(lo - m, hi - m + 1))
+            for _ in range(joint.ndim):
+                joint = np.tensordot(joint, w, axes=([joint.ndim - 1], [0]))
+            out[i] += float(joint) - mean * mean
+    return out
+
+
+def _rhos(rhos) -> np.ndarray:
+    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+    if np.any(rhos < 0):
+        raise ValueError("rho must be >= 0")
+    return rhos
+
+
+def _mean(g: LocalFunction, rhos, quad: QuadratureSpec, deriv: bool) -> np.ndarray:
+    rhos = _rhos(rhos)
+    if g.monomials is not None:
+        h = _poly_mean(g)
+        return P.polyval(rhos, P.polyder(h) if deriv else h)
+    _check_truncation(g, float(rhos.max(initial=0.0)), quad, deriv)
+    return _grid_mean(g, rhos, quad, deriv)
+
+
+def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+    """h at many parameters at once; see :func:`homogeneous_mean`."""
+    return _mean(g, rhos, quad, deriv=False)
 
 
 def homogeneous_mean(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
     """E[g(eta_1, ..., eta_k)] under the homogeneous geometric product at rho.
 
-    Truncated k-fold sum over [0, truncation]^k; the truncation error is
-    certified against ``quad.tail_tol`` (exactly for bounded g, via the
-    degree-inflated tail bound for polynomial g).  Requires g.k <= 4.
+    Exact for polynomial g.  Bounded g is summed over [0, truncation]^k,
+    with the truncation error certified against ``quad.tail_tol``, and is
+    limited to k <= 4.
     """
-    if g.k > 4:
-        raise ValueError("homogeneous means are limited to k <= 4")
+    if g.monomials is None and g.k > 4:
+        raise ValueError("homogeneous means of non-polynomial g are limited to k <= 4")
     return float(homogeneous_mean_batch(g, np.array([rho]), quad)[0])
-
-
-def _deriv_stencils(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Richardson-extrapolated difference stencils along the diagonal.
-
-    Central where rho - delta >= 0, one-sided otherwise.  Returns
-    (points, coefficients, one_sided mask); points and coefficients have
-    one row of four entries per input parameter.
-    """
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    delta = np.maximum(1e-5, 1e-5 * rhos)
-    pts = np.empty((rhos.size, 4))
-    coefs = np.empty((rhos.size, 4))
-    one_sided = rhos - delta < 0.0
-    c = ~one_sided
-    d = delta[c]
-    # (4*D(d/2) - D(d)) / 3 with D central
-    pts[c] = np.stack([rhos[c] - d, rhos[c] - d / 2, rhos[c] + d / 2, rhos[c] + d], axis=1)
-    coefs[c] = np.stack([1 / (6 * d), -8 / (6 * d), 8 / (6 * d), -1 / (6 * d)], axis=1)
-    if np.any(one_sided):
-        d = delta[one_sided]
-        r = rhos[one_sided]
-        # forward D(s) = (-3f(x) + 4f(x+s) - f(x+2s)) / (2s) at s = d, d/2,
-        # Richardson-combined (4 D(d/2) - D(d)) / 3
-        pts[one_sided] = np.stack([r, r + d / 2, r + d, r + 2 * d], axis=1)
-        coefs[one_sided] = np.stack(
-            [-21 / (6 * d), 16 / (3 * d), -2 / d, 1 / (6 * d)], axis=1
-        )
-    return pts, coefs, one_sided
 
 
 def homogeneous_mean_deriv_batch(
     g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec
 ) -> np.ndarray:
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    pts, coefs, _ = _deriv_stencils(rhos)
-    vals = homogeneous_mean_batch(g, pts.ravel(), quad).reshape(pts.shape)
-    return np.sum(coefs * vals, axis=1)
+    """h' at many parameters at once; see :func:`homogeneous_mean_deriv`."""
+    return _mean(g, rhos, quad, deriv=True)
 
 
 def homogeneous_mean_deriv(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
-    """Derivative of t -> E[g | all parameters equal t] at t = rho.
-
-    Richardson-extrapolated central difference with step
-    max(1e-5, 1e-5 * rho); falls back to a one-sided stencil (with a
-    warning) when rho sits within a step of zero.
-    """
-    pts, coefs, one_sided = _deriv_stencils(np.array([rho]))
-    if one_sided[0]:
-        warnings.warn(
-            f"one-sided difference used for h' at rho={rho}", RuntimeWarning
-        )
-    vals = homogeneous_mean_batch(g, pts[0], quad)
-    return float(np.sum(coefs[0] * vals))
+    """Derivative of t -> E[g | all parameters equal t] at t = rho: exact
+    for polynomial g, and for bounded g the truncated sum with d nu/d rho
+    in one slot at a time (finite at rho = 0 too)."""
+    return float(homogeneous_mean_deriv_batch(g, np.array([rho]), quad)[0])
 
 
-def _conditional_on_shared(
-    grid: np.ndarray, w: np.ndarray, shared_axes: tuple[int, ...]
-) -> np.ndarray:
-    """Average the g grid over the non-shared axes with weights w."""
-    t = grid
-    for ax in sorted(set(range(grid.ndim)) - set(shared_axes), reverse=True):
-        t = np.tensordot(t, w, axes=([ax], [0]))
-    return t
+def local_variance_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+    """V at many parameters at once; see :func:`local_variance`."""
+    rhos = _rhos(rhos)
+    if g.monomials is not None:
+        return P.polyval(rhos, _poly_variance(g))
+    if g.k > 3:
+        raise ValueError("local variances of non-polynomial g are limited to k <= 3")
+    _check_truncation(g, float(rhos.max(initial=0.0)), quad)
+    return _grid_local_variance(g, rhos, quad)
 
 
 def local_variance(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
@@ -285,44 +343,10 @@ def local_variance(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
 
     Under the homogeneous product at rho, with the reference window on
     sites k..2k-1 and moving windows m..m+k-1 for m = 1..2k-1:
-    V(rho) = sum_m cov(g(reference), g(window m)).  Each term is computed
-    by conditioning on the shared sites, which factorizes the product
-    expectation over at most (truncation+1)^k states.  Requires g.k <= 3.
+    V(rho) = sum_m cov(g(reference), g(window m)).  Exact for polynomial
+    g; bounded g is summed over the truncated state grid (k <= 3).
     """
-    k = g.k
-    if k > 3:
-        raise ValueError("local variances are limited to k <= 3")
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    _check_truncation(g, rho, quad)
-    m_cut = quad.truncation
-    grid = _g_grid(g, m_cut)
-    w = _geometric_weights(np.array([rho]), m_cut)[0]
-    mean = grid
-    for _ in range(k):
-        mean = np.tensordot(mean, w, axes=([mean.ndim - 1], [0]))
-    mean = float(mean)
-
-    total = 0.0
-    ref_lo, ref_hi = k, 2 * k - 1
-    for m in range(1, 2 * k):
-        lo, hi = max(m, ref_lo), min(m + k - 1, ref_hi)
-        ref_axes = tuple(range(lo - ref_lo, hi - ref_lo + 1))
-        mov_axes = tuple(range(lo - m, hi - m + 1))
-        cond_ref = _conditional_on_shared(grid, w, ref_axes)
-        cond_mov = _conditional_on_shared(grid, w, mov_axes)
-        joint = cond_ref * cond_mov
-        for _ in range(joint.ndim):
-            joint = np.tensordot(joint, w, axes=([joint.ndim - 1], [0]))
-        total += float(joint) - mean * mean
-    return total
-
-
-def local_variance_batch(
-    g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec
-) -> np.ndarray:
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    return np.array([local_variance(g, float(r), quad) for r in rhos])
+    return float(local_variance_batch(g, np.array([rho]), quad)[0])
 
 
 def _composite_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ distance at practical replica counts).
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ from geomix.duality import le_deviation
 from geomix.fields import TestFunction, field_values_batch
 from geomix.moments import (
     geometric_raw_moment_coefficients,
-    theta_product_moment,
+    theta_marginals,
+    theta_window_moments,
 )
 
 __all__ = [
@@ -190,7 +192,10 @@ def fit_log_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=max(min(r2, 1.0), 0.0))
 
 
-def _poly_mean_terms(g: LocalFunction) -> list[tuple[float, list[np.ndarray]]]:
+def _theta_polynomial(g: LocalFunction) -> list[tuple[float, tuple[int, ...]]]:
+    """The window mean of g as a polynomial in the window's parameters:
+    each monomial with E[eta^p | theta] expanded over its raw-moment
+    coefficients, as (coefficient, Theta exponent vector) pairs."""
     if g.monomials is None:
         raise ValueError("exact mixture means require a polynomial local function")
     if (g.degree or 0) > _MAX_POLY_DEGREE or g.k > _MAX_POLY_WINDOW:
@@ -198,40 +203,24 @@ def _poly_mean_terms(g: LocalFunction) -> list[tuple[float, list[np.ndarray]]]:
             f"exact mixture means support degree <= {_MAX_POLY_DEGREE} "
             f"and window <= {_MAX_POLY_WINDOW}"
         )
-    return [
-        (coef, [geometric_raw_moment_coefficients(e) for e in exps])
-        for exps, coef in g.monomials.items()
-    ]
-
-
-def exact_window_mean(
-    g: LocalFunction, start: int, n_sites: int, bounds: BoundaryParams
-) -> float:
-    """Exact steady-state mean of g on the window starting at ``start``
-    (1-based), assembled from order-statistic product moments."""
-    terms = _poly_mean_terms(g)
-    total = 0.0
-    for coef, per_site in terms:
-        grids = [np.arange(c.size) for c in per_site]
-        mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, g.k)
-        for qs in mesh:
-            weight = coef
-            for c, q in zip(per_site, qs):
-                weight *= c[q]
-            if weight == 0.0:
-                continue
-            total += weight * theta_product_moment(start, qs, n_sites, bounds)
-    return total
+    poly = []
+    for exps, coef in g.monomials.items():
+        per_site = [geometric_raw_moment_coefficients(e) for e in exps]
+        for qs in itertools.product(*(range(c.size) for c in per_site)):
+            weight = coef * math.prod(c[q] for c, q in zip(per_site, qs))
+            if weight != 0.0:
+                poly.append((weight, qs))
+    return poly
 
 
 def exact_field_mean(
     g: LocalFunction, phi: TestFunction, n_sites: int, bounds: BoundaryParams
 ) -> float:
-    """Exact mean of the field of g: (1/N) sum_i E[g(window i)] phi(i/(N+1))."""
-    weights = phi(np.arange(n_sites - g.k + 1) / (n_sites + 1))
-    means = np.array(
-        [exact_window_mean(g, i + 1, n_sites, bounds) for i in range(n_sites - g.k + 1)]
-    )
+    """Exact mean of the field of g: (1/N) sum_i E[g(window i)] phi(i/(N+1)),
+    all window means at once from order-statistic product moments."""
+    starts = np.arange(1, n_sites - g.k + 2)
+    weights = phi((starts - 1) / (n_sites + 1))
+    means = theta_window_moments(starts, _theta_polynomial(g), n_sites, bounds)
     return float(weights @ means / n_sites)
 
 
@@ -256,7 +245,7 @@ def run_lln(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> LlnRes
     if cfg.g.monomials is not None and (cfg.g.degree or 0) > _MAX_POLY_DEGREE:
         raise ValueError("polynomial degree cap exceeded for the moment hypotheses")
     if quad is None:
-        quad = QuadratureSpec.for_bounds(cfg.bounds, degree=2 * (cfg.g.degree or 1))
+        quad = QuadratureSpec.for_bounds(cfg.bounds)
     limit = lln_limit(cfg.g, cfg.phi, cfg.bounds, quad)
     sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds, quad).total
     rows = []
@@ -306,7 +295,7 @@ def run_clt(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> CltRes
         raise ValueError("distributional tests need at least 2000 replicas")
     n = cfg.n_ladder[-1]
     if quad is None:
-        quad = QuadratureSpec.for_bounds(cfg.bounds, degree=2 * (cfg.g.degree or 1))
+        quad = QuadratureSpec.for_bounds(cfg.bounds)
     target = clt_variances(cfg.g, cfg.phi, cfg.bounds, quad)
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
 
@@ -360,7 +349,7 @@ def run_bridge(
     idx = np.array([int(math.floor(s * n)) for s in grid])
     if np.any(idx < 1) or np.any(idx > n):
         raise ValueError("grid points map outside the chain")
-    exact_means = cfg.bounds.theta_left + cfg.bounds.width * idx / (n + 1)
+    exact_means = theta_marginals(n, cfg.bounds)[0][idx - 1]
 
     def fn(rng, count):
         thetas = profile_batch(n, cfg.bounds, rng, count)
@@ -465,9 +454,7 @@ def run_concentration(
             raise ValueError("eps schedule length must match the ladder")
     rows = []
     for n, eps in zip(ladder, eps_list):
-        i = np.arange(1, n + 1)
-        exact_mean = bounds.theta_left + bounds.width * i / (n + 1)
-        variances = i * (n + 1 - i) * bounds.width**2 / ((n + 1) ** 2 * (n + 2))
+        exact_mean, variances = theta_marginals(n, bounds)
         union = min(1.0, float(variances.sum()) / eps**2) if eps > 0 else 1.0
 
         def fn(rng, count, n=n, eps=eps, exact_mean=exact_mean):
@@ -543,14 +530,10 @@ def check_profile_marginals(
     # se of the variance estimator from central fourth moments
     mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
     var_se = np.sqrt(np.maximum(mu4 - var**2, 0.0) / r)
-    i = np.arange(1, n_sites + 1)
-    exact_mean = bounds.theta_left + bounds.width * i / (n_sites + 1)
-    exact_var = i * (n_sites + 1 - i) * bounds.width**2 / (
-        (n_sites + 1) ** 2 * (n_sites + 2)
-    )
+    exact_mean, exact_var = theta_marginals(n_sites, bounds)
     return MarginalCheckResult(
         n_sites=n_sites,
-        site_index=i,
+        site_index=np.arange(1, n_sites + 1),
         empirical_mean=m1,
         mean_se=mean_se,
         exact_mean=exact_mean,

@@ -34,6 +34,7 @@ from geomix.asymptotics import (
     _g_grid,
     _geometric_weights,
     _refine,
+    _weight_tables,
 )
 from geomix.fields import TestFunction
 
@@ -167,20 +168,6 @@ class MonotoneProfile:
         vals = bounds.theta_left + bounds.width * (np.arange(m_cells + 1) / m_cells)
         vals[-1] = bounds.theta_right
         return cls(values=vals, bounds=bounds)
-
-
-def _weight_tables(thetas: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """nu_theta(n) and its theta-derivative on n = 0..m, one row per theta.
-
-    d nu_theta(n)/d theta = (1-p)^2 (n p^{n-1} - (n+1) p^n), written as
-    (1-p) (n nu(n-1) - (n+1) nu(n)) so that it stays finite at theta = 0.
-    """
-    w = _geometric_weights(thetas, m)
-    p = thetas / (1.0 + thetas)
-    n = np.arange(m + 1)
-    prev = np.zeros_like(w)
-    prev[:, 1:] = w[:, :-1]
-    return w, (1.0 - p)[:, None] * (n * prev - (n + 1) * w)
 
 
 def _check_tail(thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec) -> None:

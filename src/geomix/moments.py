@@ -14,6 +14,7 @@ exact-rational path exists for N <= 64 and is used in unit tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,8 @@ __all__ = [
     "uniform_orderstat_product_moment_exact",
     "uniform_orderstat_moment",
     "theta_moment",
+    "theta_marginals",
+    "theta_window_moments",
     "theta_product_moment",
     "geometric_binomial_moment",
     "geometric_raw_moment",
@@ -75,23 +78,23 @@ def uniform_orderstat_product_moment_exact(n: int, exps: Sequence[int]) -> Fract
         value /= s + j
     return value
 
-def _window_log_moment(n: int, start: int, exps: np.ndarray) -> float:
-    """log E[ U_{start:N}^{e_1} ... U_{start+k-1:N}^{e_k} ].
+
+def _window_log_moment(n: int, starts: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """log E[ U_{s:N}^{e_1} ... U_{s+k-1:N}^{e_k} ] for every start s in ``starts``.
 
     Only the k sites of the window carry exponents, so the partial-sum
-    product collapses: sites before the window contribute lgamma(start),
-    sites after it contribute lgamma(L+n+1) - lgamma(L+start+k) with L
-    the total exponent.  Cost is O(k) independent of n.
+    product collapses: sites before the window contribute lgamma(s),
+    sites after it contribute lgamma(L+n+1) - lgamma(L+s+k) with L the
+    total exponent.  Cost is O(k) per start, independent of n; the
+    caller keeps every window inside 1..n.
     """
     k = exps.size
-    if start < 1 or start + k - 1 > n:
-        raise ValueError(f"window [{start}, {start + k - 1}] out of range for n={n}")
     partial = np.cumsum(exps, dtype=np.int64)
-    total = int(partial[-1]) if k else 0
-    inside = float(np.sum(np.log(partial + np.arange(start, start + k))))
-    before = math.lgamma(start)
-    after = math.lgamma(total + n + 1) - math.lgamma(total + start + k)
-    return math.lgamma(n + 1) - (before + inside + after)
+    total = int(partial[-1])
+    inside = np.sum(np.log(partial + (starts[:, None] + np.arange(k))), axis=1)
+    before = np.array([math.lgamma(s) for s in starts.tolist()])
+    ends = np.array([math.lgamma(s + total + k) for s in starts.tolist()])
+    return math.lgamma(n + 1) - (before + inside + (math.lgamma(total + n + 1) - ends))
 
 
 def uniform_orderstat_moment(r: int, n: int, power: int) -> float:
@@ -102,26 +105,58 @@ def uniform_orderstat_moment(r: int, n: int, power: int) -> float:
         raise ValueError("power must be a natural number")
     if power == 0:
         return 1.0
-    return math.exp(_window_log_moment(n, r, np.array([power], dtype=np.int64)))
+    return math.exp(_window_log_moment(n, np.array([r]), np.array([power]))[0])
 
 
 def theta_moment(i: int, n: int, power: int, bounds: BoundaryParams) -> float:
-    """E[Theta_{i,N}^p] for the rescaled order-statistic parameter.
+    """E[Theta_{i,N}^p] for the rescaled order-statistic parameter; the
+    single-site case of :func:`theta_product_moment`."""
+    return theta_product_moment(i, [power], n, bounds)
 
-    Binomial expansion of (theta_left + width * U_{i:N})^p over the
-    single-index uniform moments.
+
+def theta_marginals(n: int, bounds: BoundaryParams) -> tuple[np.ndarray, np.ndarray]:
+    """E[Theta_i] and Var[Theta_i] for i = 1..n, from the rescaled
+    Beta(i, n+1-i) law: theta_left + width * i/(n+1) and
+    i(n+1-i) width^2 / ((n+1)^2 (n+2))."""
+    i = np.arange(1, n + 1)
+    mean = bounds.theta_left + bounds.width * i / (n + 1)
+    var = i * (n + 1 - i) * bounds.width**2 / ((n + 1) ** 2 * (n + 2))
+    return mean, var
+
+
+def theta_window_moments(
+    starts, poly: Sequence[tuple[float, Sequence[int]]], n: int, bounds: BoundaryParams
+) -> np.ndarray:
+    """E[ sum_t c_t prod_j Theta_{s+j-1}^{e_tj} ] at every window start s.
+
+    ``poly`` is a window's Theta-polynomial as (c_t, exponent vector)
+    pairs.  Each monomial is expanded binomially in
+    Theta = theta_left + width * U into uniform exponent vectors, and each
+    vector is evaluated at all starts at once in log space.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"index i={i} out of range 1..{n}")
-    if power < 0:
-        raise ValueError("power must be a natural number")
+    starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
     lo, width = bounds.theta_left, bounds.width
-    total = 0.0
-    for l in range(power + 1):
-        coef = math.comb(power, l) * lo ** (power - l) * width**l
-        if coef != 0.0:
-            total += coef * uniform_orderstat_moment(i, n, l)
-    return total
+    out = np.zeros(starts.size)
+    for weight, exps in poly:
+        powers = _check_exponents(exps).tolist()
+        if starts.size and (starts.min() < 1 or starts.max() + len(powers) - 1 > n):
+            raise ValueError(f"windows of {len(powers)} sites out of range for n={n}")
+        moment = np.zeros(starts.size)
+        for ls in itertools.product(*(range(p + 1) for p in powers)):
+            coef = lo ** (sum(powers) - sum(ls)) * width ** sum(ls)
+            if coef == 0.0:
+                continue
+            for p, l in zip(powers, ls):
+                coef *= math.comb(p, l)
+            active = np.flatnonzero(ls)
+            if active.size == 0:
+                moment += coef
+                continue
+            # zero exponents at the window edges shrink the window
+            a, b = active[0], active[-1] + 1
+            moment += coef * np.exp(_window_log_moment(n, starts + a, np.array(ls[a:b])))
+        out += weight * moment
+    return out
 
 
 def theta_product_moment(
@@ -129,43 +164,10 @@ def theta_product_moment(
 ) -> float:
     """E[Theta_{start}^{e_1} * ... * Theta_{start+k-1}^{e_k}] exactly.
 
-    Multi-binomial expansion of the rescaled window into standard-uniform
-    window moments; the window must satisfy start + k - 1 <= n.
+    The one-start case of :func:`theta_window_moments`; the window must
+    satisfy start + k - 1 <= n.
     """
-    powers = _check_exponents(exps)
-    k = powers.size
-    if k == 0:
-        return 1.0
-    if start < 1 or start + k - 1 > n:
-        raise ValueError(f"window [{start}, {start + k - 1}] out of range for n={n}")
-    lo, width = bounds.theta_left, bounds.width
-    total_p = int(powers.sum())
-    support = np.nonzero(powers)[0]
-    if support.size == 0:
-        return 1.0
-
-    # expand only over the sites with nonzero exponent
-    grids = [np.arange(powers[j] + 1) for j in support]
-    combos = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, support.size)
-    total = 0.0
-    ls = np.zeros(k, dtype=np.int64)
-    for combo in combos:
-        ls[:] = 0
-        ls[support] = combo
-        l_sum = int(combo.sum())
-        coef = lo ** (total_p - l_sum) * width**l_sum
-        if coef == 0.0:
-            continue
-        for j in support:
-            coef *= math.comb(int(powers[j]), int(ls[j]))
-        active = np.nonzero(ls)[0]
-        if active.size == 0:
-            total += coef
-            continue
-        # zero exponents at the window edges shrink the effective window
-        sub = ls[active[0] : active[-1] + 1]
-        total += coef * math.exp(_window_log_moment(n, start + int(active[0]), sub))
-    return total
+    return float(theta_window_moments([start], [(1.0, exps)], n, bounds)[0])
 
 
 @lru_cache(maxsize=None)

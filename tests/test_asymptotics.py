@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from conftest import assert_within_se
 from geomix.asymptotics import (
     QuadratureError,
     QuadratureSpec,
+    _grid_local_variance,
+    _grid_mean,
     bridge_covariance,
     clt_variances,
     geometric_tail_bound,
@@ -26,23 +29,35 @@ from geomix.core import (
     geometric_pmf,
     indicator_vacuum_function,
     pair_product_function,
+    polynomial_function,
 )
 from geomix.fields import phi_identity, phi_one
 
 
 @pytest.fixture
 def quad(bounds):
-    return QuadratureSpec.for_bounds(bounds, degree=4)
+    return QuadratureSpec.for_bounds(bounds)
 
 
 def test_tail_bound_certifies_truncation():
     m = truncation_for(2.0, 1e-12)
     assert geometric_tail_bound(2.0, m) <= 1e-12
     assert geometric_tail_bound(0.0, 5) == 0.0
-    # degree inflation keeps the polynomial tail certified
-    md = truncation_for(2.0, 1e-12, degree=4)
-    assert md >= m
-    assert geometric_tail_bound(2.0, md, degree=4) <= 1e-12
+
+
+def test_for_bounds_certifies_the_derivative_tail():
+    # the cutoff certifies h' of bounded g as well as its mass tail; at
+    # theta_right = 0.2 the mass tail alone picks a cutoff (16) whose
+    # d nu/d theta tail is 4e-12
+    g = indicator_vacuum_function()
+    for theta in (0.2, 0.7, 1.8):
+        quad = QuadratureSpec.for_bounds(BoundaryParams(0.0, theta))
+        assert homogeneous_mean_deriv(g, theta, quad) == pytest.approx(
+            -1 / (1 + theta) ** 2, rel=1e-10
+        )
+    bounds = BoundaryParams(0.0, 0.2)
+    var = clt_variances(g, phi_one(), bounds, QuadratureSpec.for_bounds(bounds))
+    assert np.isfinite(var.total) and var.bridge_variance > 0
 
 
 def test_quadrature_spec_validation():
@@ -71,9 +86,13 @@ def test_homogeneous_mean_unbounded_non_polynomial_rejected(quad):
 
 
 def test_homogeneous_mean_truncation_error():
+    # only bounded g is truncated; polynomial g is exact at any truncation
     tiny = QuadratureSpec(truncation=4, tail_tol=1e-12)
     with pytest.raises(QuadratureError):
-        homogeneous_mean(density_function(), 2.0, tiny)
+        homogeneous_mean(indicator_vacuum_function(), 2.0, tiny)
+    with pytest.raises(QuadratureError):
+        homogeneous_mean_deriv(indicator_vacuum_function(), 2.0, tiny)
+    assert homogeneous_mean(density_function(), 2.0, tiny) == 2.0
 
 
 def test_homogeneous_mean_monte_carlo_consistency(quad, bounds):
@@ -101,10 +120,44 @@ def test_homogeneous_mean_deriv_examples(quad):
         )
 
 
-def test_homogeneous_mean_deriv_one_sided_flag(quad):
-    with pytest.warns(RuntimeWarning):
-        val = homogeneous_mean_deriv(density_function(), 0.0, quad)
-    assert val == pytest.approx(1.0, abs=1e-6)
+def test_homogeneous_mean_deriv_exact_at_zero(quad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vacuum = homogeneous_mean_deriv(indicator_vacuum_function(), 0.0, quad)
+        density = homogeneous_mean_deriv(density_function(), 0.0, quad)
+    assert vacuum == pytest.approx(-1.0, abs=1e-15)
+    assert density == 1.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        density_function(),
+        pair_product_function(),
+        # the g of the exact-clt benchmark workload
+        polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0}),
+        polynomial_function(3, {(1, 0, 1): 1.0, (0, 2, 0): -0.5, (0, 0, 0): 2.0}),
+    ],
+    ids=lambda g: f"k{g.k}-deg{g.degree}",
+)
+def test_exact_layer_matches_grid_path(g):
+    # the closed forms for polynomial g against the truncated grid sums
+    # (h' on the grid is the analytic d nu/d rho contraction, so it is held
+    # to the same 1e-12 as h and V); at rho = 2 the cutoffs leave
+    # sum_{n > m} n^d nu(n) below 2e-13 for every site degree d here
+    rhos = np.array([0.0, 0.3, 1.0, 2.0])
+    grid_quad = QuadratureSpec(truncation=200 if g.k < 3 else 120)
+    exact = [
+        np.array([f(g, r, grid_quad) for r in rhos])
+        for f in (homogeneous_mean, homogeneous_mean_deriv, local_variance)
+    ]
+    grid = [
+        _grid_mean(g, rhos, grid_quad),
+        _grid_mean(g, rhos, grid_quad, deriv=True),
+        _grid_local_variance(g, rhos, grid_quad),
+    ]
+    for e, r in zip(exact, grid):
+        np.testing.assert_allclose(e, r, rtol=1e-12, atol=1e-12)
 
 
 def test_local_variance_single_site(quad):

@@ -206,15 +206,22 @@ def test_numeric_error_exit_code(tmp_path):
     assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
 
 
-def test_state_tables_over_budget_are_config_errors(tmp_path):
-    # eta1*eta2*eta3*eta4 selects truncation 256: a 257^4 grid is refused
-    # before anything is allocated, as is an LDP state truncation of 10^8
+def test_quartic_polynomial_lln_is_exact(tmp_path):
+    # eta1*eta2*eta3*eta4 needs no state grid: h(rho) = rho^4 exactly, so
+    # the limit is the integral of (2x)^4 over [0, 1]
     quartic = base_config(
         g={"name": "custom-polynomial", "k": 4, "terms": [{"exps": [1, 1, 1, 1], "coef": 1.0}]},
         lln={"n_ladder": [100], "replicas": 10},
     )
     path = write_config(tmp_path, quartic, "quartic.json")
-    assert main(["verify", "lln", "--config", path, "--out-dir", str(tmp_path / "q")]) == EXIT_CONFIG
+    code = main(["verify", "lln", "--config", path, "--out-dir", str(tmp_path / "q")])
+    assert code in (EXIT_PASS, EXIT_VERDICT)
+    summary = json.loads((tmp_path / "q" / "lln_summary.json").read_text())
+    assert summary["limit"] == pytest.approx(16 / 5, rel=1e-9, abs=1e-9)
+
+
+def test_state_tables_over_budget_are_config_errors(tmp_path):
+    # an LDP state truncation of 10^8 is refused before anything is allocated
     wide = base_config(
         g={"name": "indicator-vacuum"},
         ldp={"theta": 1.0, "lambda_grid": [0.5], "m_state": 10**8},

@@ -53,7 +53,7 @@ def test_field_value_is_weighted_mean():
 def test_field_value_monte_carlo_mean(bounds):
     # LLN anchor: the field mean at N = 10^4 approaches the limit integral
     n, r = 10**4, 50
-    quad = QuadratureSpec.for_bounds(bounds, degree=2)
+    quad = QuadratureSpec.for_bounds(bounds)
     limit = lln_limit(density_function(), phi_one(), bounds, quad)
     assert limit == pytest.approx((bounds.theta_left + bounds.theta_right) / 2)
     rng = RandomSeed(81, 0).generator()

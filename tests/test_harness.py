@@ -1,7 +1,11 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from geomix.core import (
@@ -15,9 +19,9 @@ from geomix.fields import phi_identity, phi_one
 from geomix.harness import (
     ExperimentConfig,
     SlopeFit,
+    _theta_polynomial,
     check_profile_marginals,
     exact_field_mean,
-    exact_window_mean,
     fit_log_slope,
     ks_critical_value,
     ks_statistic,
@@ -28,7 +32,18 @@ from geomix.harness import (
     run_le_scaling,
     run_lln,
 )
-from geomix.moments import theta_moment
+from geomix.moments import (
+    geometric_raw_moment_coefficients,
+    theta_moment,
+    theta_product_moment,
+    theta_window_moments,
+    uniform_orderstat_product_moment_exact,
+)
+
+
+def exact_window_mean(g, start, n_sites, bounds):
+    """The exact mean of g on one window, read from the vectorized path."""
+    return float(theta_window_moments([start], _theta_polynomial(g), n_sites, bounds)[0])
 
 
 def test_ks_calibration_at_the_one_percent_level():
@@ -87,8 +102,6 @@ def test_slope_fit_r_squared_range():
 
 
 def test_exact_window_mean_pair_and_square(bounds):
-    from geomix.moments import theta_product_moment
-
     assert exact_window_mean(pair_product_function(), 3, 10, bounds) == pytest.approx(
         theta_product_moment(3, [1, 1], 10, bounds), rel=1e-12
     )
@@ -139,6 +152,63 @@ def test_exact_field_mean_degree_cap(bounds):
     g = polynomial_function(1, {(7,): 1.0})
     with pytest.raises(ValueError):
         exact_field_mean(g, phi_one(), 10, bounds)
+
+
+@st.composite
+def small_polynomials(draw):
+    k = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(lambda e: sum(e) <= 4)
+    # positive coefficients on nonnegative parameters: no cancellation, so
+    # a relative tolerance is meaningful for every window
+    terms = draw(st.dictionaries(exps.map(tuple), st.integers(1, 5), min_size=1, max_size=3))
+    return polynomial_function(k, terms)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    g=small_polynomials(),
+    lo=st.floats(0.0, 3.0),
+    width=st.floats(0.0, 3.0),
+    n=st.integers(3, 40),
+)
+def test_window_means_match_exact_rationals(g, lo, width, n):
+    # every window mean of the vectorized path against exact rationals:
+    # E[eta^p | theta] expanded over its raw-moment coefficients, each
+    # Theta = lo + width * U expanded binomially, and each uniform moment
+    # taken from the exact-rational product-moment identity
+    bounds = BoundaryParams(lo, lo + width)
+    lo_q, width_q = Fraction(bounds.theta_left), Fraction(bounds.width)
+    uniform = {}
+
+    def theta_moment_exact(start, qs):
+        total = Fraction(0)
+        for ls in itertools.product(*(range(q + 1) for q in qs)):
+            coef = Fraction(1)
+            for q, l in zip(qs, ls):
+                coef *= math.comb(q, l) * lo_q ** (q - l) * width_q**l
+            if coef:
+                full = [0] * n
+                full[start - 1 : start - 1 + len(ls)] = ls
+                key = tuple(full)
+                if key not in uniform:
+                    uniform[key] = uniform_orderstat_product_moment_exact(n, full)
+                total += coef * uniform[key]
+        return total
+
+    expected = []
+    for start in range(1, n - g.k + 2):
+        mean = Fraction(0)
+        for exps, coef in g.monomials.items():
+            per_site = [[int(c) for c in geometric_raw_moment_coefficients(e)] for e in exps]
+            for qs in itertools.product(*(range(len(c)) for c in per_site)):
+                weight = Fraction(coef)
+                for c, q in zip(per_site, qs):
+                    weight *= c[q]
+                if weight:
+                    mean += weight * theta_moment_exact(start, qs)
+        expected.append(float(mean))
+    means = theta_window_moments(np.arange(1, n - g.k + 2), _theta_polynomial(g), n, bounds)
+    np.testing.assert_allclose(means, expected, rtol=1e-12, atol=0.0)
 
 
 def test_clt_centering_cross_check(bounds, seed):
