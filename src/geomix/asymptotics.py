@@ -39,10 +39,9 @@ __all__ = [
     "CltVariances",
     "geometric_tail_bound",
     "truncation_for",
-    "homogeneous_mean",
     "homogeneous_mean_batch",
-    "homogeneous_mean_deriv",
-    "local_variance",
+    "homogeneous_mean_deriv_batch",
+    "local_variance_batch",
     "lln_limit",
     "clt_variances",
     "bridge_covariance",
@@ -297,38 +296,32 @@ def _mean(g: LocalFunction, rhos, quad: QuadratureSpec, deriv: bool) -> np.ndarr
 
 
 def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """h at many parameters at once; see :func:`homogeneous_mean`."""
-    return _mean(g, rhos, quad, deriv=False)
-
-
-def homogeneous_mean(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
-    """E[g(eta_1, ..., eta_k)] under the homogeneous geometric product at rho.
+    """h(rho) = E[g(eta_1, ..., eta_k)] under the homogeneous geometric
+    product at each rho.
 
     Exact for polynomial g.  Bounded g is summed over [0, truncation]^k,
-    with the truncation error certified against ``quad.tail_tol``, and is
-    limited to k <= 4.
+    with the truncation error certified against ``quad.tail_tol``.
     """
-    if g.monomials is None and g.k > 4:
-        raise ValueError("homogeneous means of non-polynomial g are limited to k <= 4")
-    return float(homogeneous_mean_batch(g, np.array([rho]), quad)[0])
+    return _mean(g, rhos, quad, deriv=False)
 
 
 def homogeneous_mean_deriv_batch(
     g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec
 ) -> np.ndarray:
-    """h' at many parameters at once; see :func:`homogeneous_mean_deriv`."""
+    """Derivative of t -> E[g | all parameters equal t] at each rho: exact
+    for polynomial g, and for bounded g the truncated sum with d nu/d rho
+    in one slot at a time (finite at rho = 0 too)."""
     return _mean(g, rhos, quad, deriv=True)
 
 
-def homogeneous_mean_deriv(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
-    """Derivative of t -> E[g | all parameters equal t] at t = rho: exact
-    for polynomial g, and for bounded g the truncated sum with d nu/d rho
-    in one slot at a time (finite at rho = 0 too)."""
-    return float(homogeneous_mean_deriv_batch(g, np.array([rho]), quad)[0])
-
-
 def local_variance_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """V at many parameters at once; see :func:`local_variance`."""
+    """Summed covariance of g between a reference window and its 2k-1 shifts.
+
+    Under the homogeneous product at each rho, with the reference window on
+    sites k..2k-1 and moving windows m..m+k-1 for m = 1..2k-1:
+    V(rho) = sum_m cov(g(reference), g(window m)).  Exact for polynomial
+    g; bounded g is summed over the truncated state grid (k <= 3).
+    """
     rhos = _rhos(rhos)
     if g.monomials is not None:
         return P.polyval(rhos, _poly_variance(g))
@@ -336,17 +329,6 @@ def local_variance_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpe
         raise ValueError("local variances of non-polynomial g are limited to k <= 3")
     _check_truncation(g, float(rhos.max(initial=0.0)), quad)
     return _grid_local_variance(g, rhos, quad)
-
-
-def local_variance(g: LocalFunction, rho: float, quad: QuadratureSpec) -> float:
-    """Summed covariance of g between a reference window and its 2k-1 shifts.
-
-    Under the homogeneous product at rho, with the reference window on
-    sites k..2k-1 and moving windows m..m+k-1 for m = 1..2k-1:
-    V(rho) = sum_m cov(g(reference), g(window m)).  Exact for polynomial
-    g; bounded g is summed over the truncated state grid (k <= 3).
-    """
-    return float(local_variance_batch(g, np.array([rho]), quad)[0])
 
 
 def _composite_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,6 +372,7 @@ def lln_limit(
 
 
 def _bridge_kernel(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """min(s,t) - s*t, the covariance of the Brownian bridge on [0, 1]."""
     return np.minimum(s, t) - s * t
 
 
@@ -472,4 +455,4 @@ def bridge_covariance(s: float, t: float, bounds: BoundaryParams) -> float:
     """width^2 * (min(s,t) - s*t), the parameter-fluctuation covariance."""
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("s and t must lie in [0, 1]")
-    return bounds.width**2 * (min(s, t) - s * t)
+    return float(bounds.width**2 * _bridge_kernel(s, t))

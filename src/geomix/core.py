@@ -260,18 +260,22 @@ def configuration_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndar
     """Geometric occupation numbers, one per entry of ``thetas``.
 
     Inverse-CDF transform of a single uniform draw per site:
-    eta = ceil(log(1-u)/log(theta/(1+theta))) - 1, clipped at zero, with
-    theta = 0 handled as the point mass at zero.
+    eta = ceil(log(1-u)/log(theta/(1+theta))) - 1, clipped at zero.  At
+    theta = 0 the log is -inf, so the quotient is 0 and eta is the point
+    mass at zero.  The steps run in place on the uniforms.
     """
     thetas = np.asarray(thetas, dtype=float)
     u = rng.random(thetas.shape)
-    out = np.zeros(thetas.shape, dtype=np.int64)
-    pos = thetas > 0.0
-    if np.any(pos):
-        log_p = np.log(thetas[pos]) - np.log1p(thetas[pos])
-        vals = np.ceil(np.log1p(-u[pos]) / log_p) - 1.0
-        out[pos] = np.maximum(vals, 0.0).astype(np.int64)
-    return out
+    with np.errstate(divide="ignore"):
+        log_p = np.log(thetas)
+    log_p -= np.log1p(thetas)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= log_p
+    np.ceil(u, out=u)
+    u -= 1.0
+    np.maximum(u, 0.0, out=u)
+    return u.astype(np.int64)
 
 
 def sample_parameter_profile(

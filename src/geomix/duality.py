@@ -17,12 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
-from geomix.core import BoundaryParams, Configuration
+from geomix.core import BoundaryParams
 from geomix.moments import theta_product_moment
 
 __all__ = [
     "DualConfiguration",
-    "duality_polynomial",
     "duality_polynomial_batch",
     "duality_expectation",
     "le_deviation",
@@ -68,26 +67,11 @@ class DualConfiguration:
         return cls({start + j: int(p) for j, p in enumerate(powers)})
 
 
-def duality_polynomial(eta: Configuration, xi: DualConfiguration) -> float:
-    """prod_i C(eta_i, xi_i) over the support of xi; 0 if any eta_i < xi_i."""
-    occ = eta.occupations
-    if xi.max_site > occ.size:
-        raise ValueError(
-            f"dual support reaches site {xi.max_site}, configuration has {occ.size}"
-        )
-    value = 1
-    for site, mult in xi.multiplicities.items():
-        n = int(occ[site - 1])
-        if n < mult:
-            return 0.0
-        value *= math.comb(n, mult)
-    return float(value)
-
-
 def duality_polynomial_batch(
     occupations: np.ndarray, xi: DualConfiguration
 ) -> np.ndarray:
-    """Duality polynomial per row of a (replicas, N) occupation batch."""
+    """Duality polynomial prod_i C(eta_i, xi_i) over the support of xi, per
+    row of a (replicas, N) occupation batch; 0 where any eta_i < xi_i."""
     occ = np.asarray(occupations)
     if xi.max_site > occ.shape[-1]:
         raise ValueError("dual support exceeds the configuration length")

@@ -1,5 +1,5 @@
-"""Fields of local functions on configurations: shifts, weighted sums,
-empirical profiles and block averages.
+"""Fields of local functions on configurations, and the test functions
+that weight them.
 
 The field of a local function g with dependence-set size k pairs the
 shifted values g(eta_{i+1}, ..., eta_{i+k}) with test-function weights
@@ -15,34 +15,22 @@ from typing import Callable
 
 import numpy as np
 
-from geomix.core import Configuration, LocalFunction
+from geomix.core import LocalFunction
 
 __all__ = [
     "TestFunction",
-    "EmpiricalProfile",
     "phi_one",
     "phi_identity",
     "phi_polynomial",
-    "shift_apply",
-    "field_value",
     "field_values_batch",
-    "empirical_profile",
-    "block_average",
-    "block_average_curve",
 ]
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function on [0, 1]; the evaluator must be numpy-vectorized.
-
-    ``smoothness`` is a declaration ("continuous", "differentiable" for
-    differentiable with bounded derivative, or "smooth"); it is carried
-    for experiment bookkeeping, not enforced.
-    """
+    """A test function on [0, 1]; the evaluator must be numpy-vectorized."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    smoothness: str = "smooth"
     name: str = "phi"
 
     __test__ = False  # not a test case despite the name
@@ -68,29 +56,6 @@ def phi_polynomial(coefficients) -> TestFunction:
     return TestFunction(evaluator, name="poly")
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalProfile:
-    """Atomic measure sum_i w_i * delta_{x_i} carried by a field sample."""
-
-    locations: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        locs = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", w)
-        if locs.shape != w.shape or locs.ndim != 1:
-            raise ValueError("locations and weights must be matching 1-d arrays")
-        if locs.size and (locs.min() < 0.0 or locs.max() > 1.0):
-            raise ValueError("atom locations must lie in [0, 1]")
-
-    def pair(self, phi: TestFunction) -> float:
-        """Integral of phi against the atomic measure (same summation
-        order as :func:`field_value`)."""
-        return float(np.sum(self.weights * phi(self.locations)))
-
-
 def _windows(occ: np.ndarray, k: int) -> list[np.ndarray]:
     n = occ.shape[-1]
     if n < k:
@@ -98,83 +63,18 @@ def _windows(occ: np.ndarray, k: int) -> list[np.ndarray]:
     return [occ[..., j : n - k + 1 + j] for j in range(k)]
 
 
-def shift_apply(g: LocalFunction, i: int, eta: Configuration) -> float:
-    """Evaluate g on the window of sites i+1, ..., i+k (offset i >= 0)."""
-    occ = eta.occupations
-    if i < 0 or i + g.k > occ.size:
-        raise ValueError(
-            f"window offset {i} with k={g.k} overflows {occ.size} sites"
-        )
-    return float(g(*occ[i : i + g.k]))
-
-
-def field_grid(n_sites: int, k: int) -> np.ndarray:
+def _field_grid(n_sites: int, k: int) -> np.ndarray:
     """Field abscissae i/(N+1) for i = 0, ..., N-k."""
     return np.arange(n_sites - k + 1, dtype=float) / (n_sites + 1)
-
-
-def field_value(g: LocalFunction, phi: TestFunction, eta: Configuration) -> float:
-    """(1/N) * sum_i g(window at i) * phi(i/(N+1)).
-
-    Evaluated as sum of (g/N) * phi, the same elementwise operations as
-    pairing the empirical profile with phi, so the two agree bitwise."""
-    occ = eta.occupations
-    vals = np.asarray(g(*_windows(occ, g.k)), dtype=float)
-    return float(np.sum(vals / occ.size * phi(field_grid(occ.size, g.k))))
 
 
 def field_values_batch(
     g: LocalFunction, phi: TestFunction, occupations: np.ndarray
 ) -> np.ndarray:
-    """Field values for a (replicas, N) batch of configurations."""
+    """(1/N) * sum_i g(window at i) * phi(i/(N+1)) for each row of a
+    (replicas, N) batch of configurations; a single (N,) configuration
+    gives a scalar."""
     occ = np.asarray(occupations)
     n = occ.shape[-1]
     vals = np.asarray(g(*_windows(occ, g.k)), dtype=float)
-    return vals @ phi(field_grid(n, g.k)) / n
-
-
-def empirical_profile(g: LocalFunction, eta: Configuration) -> EmpiricalProfile:
-    """Atoms (i/(N+1), g(window at i)/N); pairing with phi equals the field."""
-    occ = eta.occupations
-    vals = np.asarray(g(*_windows(occ, g.k)), dtype=float)
-    return EmpiricalProfile(
-        locations=field_grid(occ.size, g.k), weights=vals / occ.size
-    )
-
-
-def block_average(eta: Configuration, i: int, eps: float) -> float:
-    """Mean occupation over the sites j with |j - i| <= floor(eps*N).
-
-    ``i`` is a 1-based site index; the window must stay inside the chain,
-    which requires eps*N < i < (1-eps)*N up to integer truncation.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    occ = eta.occupations
-    n = occ.size
-    half = int(np.floor(eps * n))
-    if i - half < 1 or i + half > n:
-        raise ValueError(
-            f"block around site {i} with half-width {half} exits the chain 1..{n}"
-        )
-    return float(np.mean(occ[i - 1 - half : i + half]))
-
-
-def block_average_curve(eta: Configuration, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Block averages at every admissible centre, via a running sum.
-
-    Returns (sites, averages) with 1-based site indices; used for the
-    replacement of a field by a function of the locally averaged density.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    occ = eta.occupations.astype(float)
-    n = occ.size
-    half = int(np.floor(eps * n))
-    width = 2 * half + 1
-    if width > n:
-        raise ValueError("block width exceeds the chain")
-    csum = np.concatenate(([0.0], np.cumsum(occ)))
-    sums = csum[width:] - csum[:-width]
-    sites = np.arange(half + 1, n - half + 1)
-    return sites, sums / width
+    return vals @ phi(_field_grid(n, g.k)) / n

@@ -18,7 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from geomix.asymptotics import CltVariances, QuadratureSpec, clt_variances, lln_limit
+from geomix.asymptotics import (
+    CltVariances,
+    QuadratureSpec,
+    _bridge_kernel,
+    clt_variances,
+    lln_limit,
+)
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
@@ -27,7 +33,7 @@ from geomix.core import (
     profile_batch,
 )
 from geomix.duality import le_deviation
-from geomix.fields import TestFunction, field_values_batch
+from geomix.fields import TestFunction, field_values_batch, phi_one
 from geomix.moments import (
     geometric_raw_moment_coefficients,
     theta_marginals,
@@ -55,13 +61,11 @@ __all__ = [
     "fit_log_slope",
     "normal_cdf",
     "annealed_mc_estimate",
-    "homogeneous_mc_free_energy",
 ]
 
 _CHUNK_BUDGET = 2**22  # doubles per sampling chunk; fixed so chunking is
 # independent of worker count and results stay replica-reproducible
 _MAX_POLY_DEGREE = 6
-_MAX_POLY_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -198,11 +202,8 @@ def _theta_polynomial(g: LocalFunction) -> list[tuple[float, tuple[int, ...]]]:
     coefficients, as (coefficient, Theta exponent vector) pairs."""
     if g.monomials is None:
         raise ValueError("exact mixture means require a polynomial local function")
-    if (g.degree or 0) > _MAX_POLY_DEGREE or g.k > _MAX_POLY_WINDOW:
-        raise ValueError(
-            f"exact mixture means support degree <= {_MAX_POLY_DEGREE} "
-            f"and window <= {_MAX_POLY_WINDOW}"
-        )
+    if (g.degree or 0) > _MAX_POLY_DEGREE:
+        raise ValueError(f"exact mixture means support degree <= {_MAX_POLY_DEGREE}")
     poly = []
     for exps, coef in g.monomials.items():
         per_site = [geometric_raw_moment_coefficients(e) for e in exps]
@@ -366,15 +367,8 @@ def run_bridge(
     cov *= r / (r - 1)
     var_of_cov = s4 / r - (s2 / r) ** 2
     se = np.sqrt(np.maximum(var_of_cov, 0.0) / r)
-    analytic = np.array(
-        [
-            [
-                cfg.bounds.width**2 * (min(s, t) - s * t)
-                for t in grid
-            ]
-            for s in grid
-        ]
-    )
+    points = np.array(grid)
+    analytic = cfg.bounds.width**2 * _bridge_kernel(points[:, None], points[None, :])
     return BridgeResult(
         n_sites=n,
         grid=grid,
@@ -554,42 +548,16 @@ def annealed_mc_estimate(
     workers: int = 1,
 ) -> tuple[float, float]:
     """(1/N) log E[exp(lam * N * field with phi = 1)] over steady-state
-    replicas, with a delta-method standard error for the (1/N) log."""
+    replicas, with a delta-method standard error for the (1/N) log.
+
+    Equal reservoirs, BoundaryParams(theta, theta), give the homogeneous
+    geometric product at theta."""
 
     def fn(rng, count):
         _, occ = _ness_batch(rng, count, n_sites, bounds)
-        return lam * n_sites * field_values_batch(
-            g, TestFunction(lambda x: np.ones_like(x)), occ
-        )
+        return lam * n_sites * field_values_batch(g, phi_one(), occ)
 
     exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
-    return _log_mean_exp_with_se(exponents, n_sites)
-
-
-def homogeneous_mc_free_energy(
-    g: LocalFunction,
-    lam: float,
-    theta: float,
-    n_sites: int,
-    replicas: int,
-    seed: RandomSeed,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Monte Carlo (1/N) log E[exp(lam * sum of shifted g)] under the
-    homogeneous geometric product at theta (windows i = 0..N-k)."""
-
-    def fn(rng, count):
-        thetas = np.full((count, n_sites), float(theta))
-        occ = configuration_batch(thetas, rng)
-        return lam * n_sites * field_values_batch(
-            g, TestFunction(lambda x: np.ones_like(x)), occ
-        )
-
-    exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
-    return _log_mean_exp_with_se(exponents, n_sites)
-
-
-def _log_mean_exp_with_se(exponents: np.ndarray, n_sites: int) -> tuple[float, float]:
     shift = float(exponents.max())
     scaled = np.exp(exponents - shift)
     mean = float(scaled.mean())

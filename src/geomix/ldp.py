@@ -371,21 +371,13 @@ def _legendre(
     return rates, lam, f_theta
 
 
-def _rate_nodes(
-    thetas: np.ndarray, xs: np.ndarray, spec: FreeEnergySpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rate values, maximizing lambdas) of :func:`_legendre`."""
-    return _legendre(thetas, xs, spec)[:2]
-
-
 def rate_function(theta: float, x: float, spec: FreeEnergySpec) -> float:
     """Level-1 rate sup_lambda (lambda * x - F(theta, lambda)).
 
     Returns +inf when x lies outside the closure of the range of
     dF/dlambda (equivalently outside the value range of g).
     """
-    vals, _ = _rate_nodes(np.array([theta]), np.array([x]), spec)
-    return float(vals[0])
+    return float(_legendre(np.array([theta]), np.array([x]), spec)[0][0])
 
 
 def path_rate(u: MonotoneProfile, delta_min: float | None = None) -> float:

@@ -6,8 +6,9 @@ alpha_1, ..., alpha_N and partial sums S_j = alpha_1 + ... + alpha_j,
 
     E[ prod_j U_{j:N}^{alpha_j} ] = N! * prod_{j=1}^{N} 1 / (S_j + j).
 
-Everything else (moments of the rescaled parameters, window product
-moments, geometric raw moments) reduces to this by binomial expansion.
+Moments of the rescaled parameters and window product moments reduce to
+this by binomial expansion; geometric raw moments are polynomials in the
+mean, with Stirling-number coefficients.
 Evaluation is done in log space to stay finite for N up to 10^6; an
 exact-rational path exists for N <= 64 and is used in unit tests.
 """
@@ -28,13 +29,11 @@ __all__ = [
     "uniform_orderstat_product_moment",
     "uniform_orderstat_product_moment_exact",
     "uniform_orderstat_moment",
-    "theta_moment",
     "theta_marginals",
     "theta_window_moments",
     "theta_product_moment",
-    "geometric_binomial_moment",
-    "geometric_raw_moment",
     "stirling2",
+    "geometric_raw_moment_coefficients",
 ]
 
 _MAX_STIRLING_ORDER = 20
@@ -106,12 +105,6 @@ def uniform_orderstat_moment(r: int, n: int, power: int) -> float:
     if power == 0:
         return 1.0
     return math.exp(_window_log_moment(n, np.array([r]), np.array([power]))[0])
-
-
-def theta_moment(i: int, n: int, power: int, bounds: BoundaryParams) -> float:
-    """E[Theta_{i,N}^p] for the rescaled order-statistic parameter; the
-    single-site case of :func:`theta_product_moment`."""
-    return theta_product_moment(i, [power], n, bounds)
 
 
 def theta_marginals(n: int, bounds: BoundaryParams) -> tuple[np.ndarray, np.ndarray]:
@@ -193,32 +186,13 @@ def stirling2(p: int, j: int) -> int:
     return _stirling_row(p)[j]
 
 
-def geometric_binomial_moment(theta: float, k: int) -> float:
-    """E[C(eta, k)] under the geometric law with mean theta: equals theta**k."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    return float(theta) ** k
-
-
-def geometric_raw_moment(theta: float, p: int) -> float:
-    """E[eta^p] under the geometric law with mean theta.
+def geometric_raw_moment_coefficients(p: int) -> np.ndarray:
+    """Coefficients c_j with E[eta^p | theta] = sum_j c_j theta^j under the
+    geometric law with mean theta.
 
     Uses eta^p = sum_j S(p,j) * eta(eta-1)...(eta-j+1) together with the
     factorial-moment identity E[falling(eta, j)] = j! * theta^j.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    if p < 0:
-        raise ValueError("p must be a natural number")
-    return float(
-        sum(stirling2(p, j) * math.factorial(j) * theta**j for j in range(p + 1))
-    )
-
-
-def geometric_raw_moment_coefficients(p: int) -> np.ndarray:
-    """Coefficients c_j with E[eta^p | theta] = sum_j c_j theta^j."""
     if p < 0:
         raise ValueError("p must be a natural number")
     return np.array(

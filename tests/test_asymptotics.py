@@ -14,10 +14,10 @@ from geomix.asymptotics import (
     bridge_covariance,
     clt_variances,
     geometric_tail_bound,
-    homogeneous_mean,
-    homogeneous_mean_deriv,
+    homogeneous_mean_batch,
+    homogeneous_mean_deriv_batch,
     lln_limit,
-    local_variance,
+    local_variance_batch,
     truncation_for,
 )
 from geomix.core import (
@@ -39,6 +39,11 @@ def quad(bounds):
     return QuadratureSpec.for_bounds(bounds)
 
 
+def at(evaluator, g, rho, quad):
+    """One value of a batch evaluator of the homogeneous layer."""
+    return float(evaluator(g, np.array([rho]), quad)[0])
+
+
 def test_tail_bound_certifies_truncation():
     m = truncation_for(2.0, 1e-12)
     assert geometric_tail_bound(2.0, m) <= 1e-12
@@ -52,7 +57,7 @@ def test_for_bounds_certifies_the_derivative_tail():
     g = indicator_vacuum_function()
     for theta in (0.2, 0.7, 1.8):
         quad = QuadratureSpec.for_bounds(BoundaryParams(0.0, theta))
-        assert homogeneous_mean_deriv(g, theta, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, g, theta, quad) == pytest.approx(
             -1 / (1 + theta) ** 2, rel=1e-10
         )
     bounds = BoundaryParams(0.0, 0.2)
@@ -69,12 +74,12 @@ def test_quadrature_spec_validation():
 
 def test_homogeneous_mean_examples(quad):
     for rho in (0.2, 1.0, 1.8):
-        assert homogeneous_mean(density_function(), rho, quad) == pytest.approx(rho, rel=1e-10)
+        assert at(homogeneous_mean_batch, density_function(), rho, quad) == pytest.approx(rho, rel=1e-10)
         # conditional independence: product of the two site means
-        assert homogeneous_mean(pair_product_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_batch, pair_product_function(), rho, quad) == pytest.approx(
             rho**2, rel=1e-10
         )
-        assert homogeneous_mean(indicator_vacuum_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_batch, indicator_vacuum_function(), rho, quad) == pytest.approx(
             1 / (1 + rho), rel=1e-12
         )
 
@@ -82,17 +87,17 @@ def test_homogeneous_mean_examples(quad):
 def test_homogeneous_mean_unbounded_non_polynomial_rejected(quad):
     g = LocalFunction(k=1, evaluator=lambda n: np.exp(np.asarray(n, dtype=float)))
     with pytest.raises(ValueError):
-        homogeneous_mean(g, 1.0, quad)
+        at(homogeneous_mean_batch, g, 1.0, quad)
 
 
 def test_homogeneous_mean_truncation_error():
     # only bounded g is truncated; polynomial g is exact at any truncation
     tiny = QuadratureSpec(truncation=4, tail_tol=1e-12)
     with pytest.raises(QuadratureError):
-        homogeneous_mean(indicator_vacuum_function(), 2.0, tiny)
+        at(homogeneous_mean_batch, indicator_vacuum_function(), 2.0, tiny)
     with pytest.raises(QuadratureError):
-        homogeneous_mean_deriv(indicator_vacuum_function(), 2.0, tiny)
-    assert homogeneous_mean(density_function(), 2.0, tiny) == 2.0
+        at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 2.0, tiny)
+    assert at(homogeneous_mean_batch, density_function(), 2.0, tiny) == 2.0
 
 
 def test_homogeneous_mean_monte_carlo_consistency(quad, bounds):
@@ -103,19 +108,19 @@ def test_homogeneous_mean_monte_carlo_consistency(quad, bounds):
     vals = occ[:, 0].astype(float) * occ[:, 1]
     se = vals.std(ddof=1) / math.sqrt(r)
     assert_within_se(
-        vals.mean(), homogeneous_mean(pair_product_function(), rho, quad), se, 4
+        vals.mean(), at(homogeneous_mean_batch, pair_product_function(), rho, quad), se, 4
     )
 
 
 def test_homogeneous_mean_deriv_examples(quad):
     for rho in (0.3, 1.0, 1.7):
-        assert homogeneous_mean_deriv(density_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, density_function(), rho, quad) == pytest.approx(
             1.0, abs=1e-7
         )
-        assert homogeneous_mean_deriv(pair_product_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, pair_product_function(), rho, quad) == pytest.approx(
             2 * rho, abs=1e-7
         )
-        assert homogeneous_mean_deriv(indicator_vacuum_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), rho, quad) == pytest.approx(
             -1 / (1 + rho) ** 2, abs=1e-7
         )
 
@@ -123,8 +128,8 @@ def test_homogeneous_mean_deriv_examples(quad):
 def test_homogeneous_mean_deriv_exact_at_zero(quad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vacuum = homogeneous_mean_deriv(indicator_vacuum_function(), 0.0, quad)
-        density = homogeneous_mean_deriv(density_function(), 0.0, quad)
+        vacuum = at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 0.0, quad)
+        density = at(homogeneous_mean_deriv_batch, density_function(), 0.0, quad)
     assert vacuum == pytest.approx(-1.0, abs=1e-15)
     assert density == 1.0
 
@@ -148,8 +153,8 @@ def test_exact_layer_matches_grid_path(g):
     rhos = np.array([0.0, 0.3, 1.0, 2.0])
     grid_quad = QuadratureSpec(truncation=200 if g.k < 3 else 120)
     exact = [
-        np.array([f(g, r, grid_quad) for r in rhos])
-        for f in (homogeneous_mean, homogeneous_mean_deriv, local_variance)
+        f(g, rhos, grid_quad)
+        for f in (homogeneous_mean_batch, homogeneous_mean_deriv_batch, local_variance_batch)
     ]
     grid = [
         _grid_mean(g, rhos, grid_quad),
@@ -162,11 +167,11 @@ def test_exact_layer_matches_grid_path(g):
 
 def test_local_variance_single_site(quad):
     for rho in (0.4, 1.0, 2.0):
-        assert local_variance(density_function(), rho, quad) == pytest.approx(
+        assert at(local_variance_batch, density_function(), rho, quad) == pytest.approx(
             rho * (1 + rho), rel=1e-10
         )
         p = 1 / (1 + rho)
-        assert local_variance(indicator_vacuum_function(), rho, quad) == pytest.approx(
+        assert at(local_variance_batch, indicator_vacuum_function(), rho, quad) == pytest.approx(
             p * (1 - p), rel=1e-10
         )
 
@@ -184,7 +189,7 @@ def test_local_variance_pair_against_enumeration(quad):
     lag = first * second * first - mean_pair**2
     var = second**2 - mean_pair**2
     brute = var + 2 * lag
-    assert local_variance(pair_product_function(), rho, quad) == pytest.approx(
+    assert at(local_variance_batch, pair_product_function(), rho, quad) == pytest.approx(
         brute, rel=1e-9
     )
 
@@ -206,7 +211,7 @@ def test_local_variance_pair_triple_loop_oracle(quad):
         inner2 = float(np.sum(g(a, n) * w))
         joint += w[a] * inner1 * inner2
     total += 2 * (joint - mean**2)
-    assert local_variance(pair_product_function(), rho, quad) == pytest.approx(
+    assert at(local_variance_batch, pair_product_function(), rho, quad) == pytest.approx(
         total, rel=1e-6
     )
 
@@ -307,7 +312,7 @@ def test_white_noise_variance_adjudication(bounds, quad):
     occ = configuration_batch(np.full((r, n), theta), rng)
     windows = occ[:, :-1].astype(float) * occ[:, 1:]
     sums = windows.sum(axis=1) / math.sqrt(n)
-    target = local_variance(g, theta, quad)
+    target = at(local_variance_batch, g, theta, quad)
     emp = sums.var(ddof=1)
     centered = (sums - sums.mean()) ** 2
     se = centered.std(ddof=1) / math.sqrt(r)

@@ -208,16 +208,20 @@ def test_numeric_error_exit_code(tmp_path):
 
 def test_quartic_polynomial_lln_is_exact(tmp_path):
     # eta1*eta2*eta3*eta4 needs no state grid: h(rho) = rho^4 exactly, so
-    # the limit is the integral of (2x)^4 over [0, 1]
+    # the limit is the integral of (2x)^4 over [0, 1]; the exact mixture
+    # mean behind the CLT centering has no window cap either
     quartic = base_config(
         g={"name": "custom-polynomial", "k": 4, "terms": [{"exps": [1, 1, 1, 1], "coef": 1.0}]},
         lln={"n_ladder": [100], "replicas": 10},
+        clt={"n_sites": 100, "replicas": 2000},
     )
     path = write_config(tmp_path, quartic, "quartic.json")
     code = main(["verify", "lln", "--config", path, "--out-dir", str(tmp_path / "q")])
     assert code in (EXIT_PASS, EXIT_VERDICT)
     summary = json.loads((tmp_path / "q" / "lln_summary.json").read_text())
     assert summary["limit"] == pytest.approx(16 / 5, rel=1e-9, abs=1e-9)
+    code = main(["verify", "clt", "--config", path, "--out-dir", str(tmp_path / "q")])
+    assert code in (EXIT_PASS, EXIT_VERDICT)
 
 
 def test_state_tables_over_budget_are_config_errors(tmp_path):

@@ -17,7 +17,7 @@ from geomix.core import (
     sample_ness,
     sample_parameter_profile,
 )
-from geomix.moments import theta_moment, theta_product_moment
+from geomix.moments import theta_product_moment
 
 
 def test_pmf_values():
@@ -123,6 +123,29 @@ def test_configuration_point_mass_at_zero():
     assert np.all(cfg.occupations == 0)
 
 
+def test_configuration_batch_matches_masked_reference():
+    # reference: the inverse-CDF transform applied only where theta > 0,
+    # with theta = 0 entries left at zero; the in-place version must give
+    # the same integers from the same uniforms
+    def masked(thetas, rng):
+        u = rng.random(thetas.shape)
+        out = np.zeros(thetas.shape, dtype=np.int64)
+        pos = thetas > 0.0
+        if np.any(pos):
+            log_p = np.log(thetas[pos]) - np.log1p(thetas[pos])
+            vals = np.ceil(np.log1p(-u[pos]) / log_p) - 1.0
+            out[pos] = np.maximum(vals, 0.0).astype(np.int64)
+        return out
+
+    thetas = np.linspace(0.0, 3.0, 7 * 40).reshape(7, 40)
+    thetas[:, :5] = 0.0
+    thetas[3] = 0.0
+    got = configuration_batch(thetas, RandomSeed(5, 2).generator())
+    assert got.dtype == np.int64
+    assert np.array_equal(got, masked(thetas, RandomSeed(5, 2).generator()))
+    assert np.all(got[:, :5] == 0) and np.all(got[3] == 0)
+
+
 def test_configuration_site_moments_given_profile(bounds):
     prof = sample_parameter_profile(8, bounds, RandomSeed(12, 0))
     rng = RandomSeed(12, 1).generator()
@@ -181,7 +204,7 @@ def test_ness_long_range_covariance(bounds):
     n, r = 50, 10**6
     exact = (
         theta_product_moment(1, [1] + [0] * (n - 2) + [1], n, bounds)
-        - theta_moment(1, n, 1, bounds) * theta_moment(n, n, 1, bounds)
+        - theta_product_moment(1, [1], n, bounds) * theta_product_moment(n, [1], n, bounds)
     )
     assert exact == pytest.approx(bounds.width**2 / ((n + 1) ** 2 * (n + 2)), rel=1e-9)
     assert exact > 0

@@ -6,7 +6,6 @@ import pytest
 from conftest import assert_within_se
 from geomix.core import (
     BoundaryParams,
-    Configuration,
     RandomSeed,
     configuration_batch,
     profile_batch,
@@ -14,28 +13,29 @@ from geomix.core import (
 from geomix.duality import (
     DualConfiguration,
     duality_expectation,
-    duality_polynomial,
     duality_polynomial_batch,
     le_deviation,
 )
-from geomix.moments import theta_moment
+from geomix.moments import theta_product_moment
 
 
 def test_polynomial_values():
-    eta = Configuration(np.array([3, 1, 0]))
-    assert duality_polynomial(eta, DualConfiguration({})) == 1.0
-    assert duality_polynomial(eta, DualConfiguration({1: 2})) == 3.0
-    assert duality_polynomial(eta, DualConfiguration({3: 1})) == 0.0
-    assert duality_polynomial(eta, DualConfiguration({1: 1, 2: 1})) == 3.0
+    eta = np.array([[3, 1, 0]])
+    assert duality_polynomial_batch(eta, DualConfiguration({}))[0] == 1.0
+    assert duality_polynomial_batch(eta, DualConfiguration({1: 2}))[0] == 3.0
+    assert duality_polynomial_batch(eta, DualConfiguration({3: 1}))[0] == 0.0
+    assert duality_polynomial_batch(eta, DualConfiguration({1: 1, 2: 1}))[0] == 3.0
 
 
 def test_polynomial_batch_matches_scalar():
+    # reference: the product of binomial coefficients, one row at a time
     rng = np.random.default_rng(2)
     occ = rng.integers(0, 8, size=(300, 6))
     xi = DualConfiguration({2: 2, 5: 1})
     batch = duality_polynomial_batch(occ, xi)
     for row in range(0, 300, 37):
-        assert batch[row] == duality_polynomial(Configuration(occ[row]), xi)
+        scalar = math.prod(math.comb(int(occ[row, s - 1]), m) for s, m in xi.multiplicities.items())
+        assert batch[row] == float(scalar)
 
 
 def test_dual_mass_cap():
@@ -48,7 +48,7 @@ def test_expectation_single_particle(bounds):
         for i in (1, n // 2, n):
             assert duality_expectation(
                 DualConfiguration({i: 1}), n, bounds
-            ) == pytest.approx(theta_moment(i, n, 1, bounds), rel=1e-12)
+            ) == pytest.approx(theta_product_moment(i, [1], n, bounds), rel=1e-12)
     assert duality_expectation(DualConfiguration({}), 5, bounds) == 1.0
 
 

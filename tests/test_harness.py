@@ -34,7 +34,6 @@ from geomix.harness import (
 )
 from geomix.moments import (
     geometric_raw_moment_coefficients,
-    theta_moment,
     theta_product_moment,
     theta_window_moments,
     uniform_orderstat_product_moment_exact,
@@ -107,7 +106,7 @@ def test_exact_window_mean_pair_and_square(bounds):
     )
     # E[eta^2 | theta] = theta + 2 theta^2, taken through the mixture
     g_sq = polynomial_function(1, {(2,): 1.0})
-    expected = theta_moment(4, 10, 1, bounds) + 2 * theta_moment(4, 10, 2, bounds)
+    expected = theta_product_moment(4, [1], 10, bounds) + 2 * theta_product_moment(4, [2], 10, bounds)
     assert exact_window_mean(g_sq, 4, 10, bounds) == pytest.approx(expected, rel=1e-12)
 
 
@@ -127,10 +126,10 @@ def test_exact_window_mean_small_case(bounds):
     # N=2 density field: E[field] = (E[Theta_1] phi(0) + E[Theta_2] phi(1/3)) / 2
     g = density_function()
     assert exact_window_mean(g, 1, 2, bounds) == pytest.approx(
-        theta_moment(1, 2, 1, bounds), rel=1e-12
+        theta_product_moment(1, [1], 2, bounds), rel=1e-12
     )
     mean = exact_field_mean(g, phi_identity(), 2, bounds)
-    expected = (theta_moment(1, 2, 1, bounds) * 0.0 + theta_moment(2, 2, 1, bounds) * (1 / 3)) / 2
+    expected = (theta_product_moment(1, [1], 2, bounds) * 0.0 + theta_product_moment(2, [1], 2, bounds) * (1 / 3)) / 2
     assert mean == pytest.approx(expected, rel=1e-12)
 
 
@@ -156,7 +155,7 @@ def test_exact_field_mean_degree_cap(bounds):
 
 @st.composite
 def small_polynomials(draw):
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
     exps = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(lambda e: sum(e) <= 4)
     # positive coefficients on nonnegative parameters: no cancellation, so
     # a relative tolerance is meaningful for every window
@@ -180,7 +179,7 @@ def test_window_means_match_exact_rationals(g, lo, width, n):
     lo_q, width_q = Fraction(bounds.theta_left), Fraction(bounds.width)
     uniform = {}
 
-    def theta_moment_exact(start, qs):
+    def exact_monomial_moment(start, qs):
         total = Fraction(0)
         for ls in itertools.product(*(range(q + 1) for q in qs)):
             coef = Fraction(1)
@@ -205,7 +204,7 @@ def test_window_means_match_exact_rationals(g, lo, width, n):
                 for c, q in zip(per_site, qs):
                     weight *= c[q]
                 if weight:
-                    mean += weight * theta_moment_exact(start, qs)
+                    mean += weight * exact_monomial_moment(start, qs)
         expected.append(float(mean))
     means = theta_window_moments(np.arange(1, n - g.k + 2), _theta_polynomial(g), n, bounds)
     np.testing.assert_allclose(means, expected, rtol=1e-12, atol=0.0)

@@ -12,7 +12,7 @@ from geomix.core import (
     indicator_vacuum_function,
 )
 from geomix.fields import TestFunction
-from geomix.harness import annealed_mc_estimate, homogeneous_mc_free_energy
+from geomix.harness import annealed_mc_estimate
 from geomix.ldp import (
     AnnealedResult,
     FreeEnergySpec,
@@ -26,7 +26,7 @@ from geomix.ldp import (
     path_rate,
     profile_rate,
     rate_function,
-    _rate_nodes,
+    _legendre,
 )
 
 
@@ -133,7 +133,10 @@ def test_transfer_against_direct_simulation():
     theta, lam, n = 1.0, 0.3, 200
     limit = free_energy_transfer(theta, lam, spec)
     finite = free_energy_finite_chain(theta, lam, spec, n)
-    est, se = homogeneous_mc_free_energy(g, lam, theta, n, 20000, RandomSeed(11, 5))
+    # equal reservoirs give the homogeneous product at theta
+    est, se = annealed_mc_estimate(
+        g, lam, n, BoundaryParams(theta, theta), 20000, RandomSeed(11, 5)
+    )
     assert abs(est - finite) <= 4 * se
     assert abs(limit - finite) <= 5.0 / n
 
@@ -359,7 +362,7 @@ def test_profile_rate_perturbed_target_strictly_positive():
             vals = u0 + (b.theta_right - u0) * t**a
             prof = MonotoneProfile(values=vals, bounds=b)
             thetas = np.interp(x, t, vals)
-            rates, _ = _rate_nodes(thetas, mux, spec)
+            rates = _legendre(thetas, mux, spec)[0]
             obj = float(w @ rates) + path_rate(prof)
             grid_best = min(grid_best, obj)
     assert res.value <= grid_best + 1e-6

@@ -7,15 +7,18 @@ import pytest
 from conftest import assert_within_se
 from geomix.core import RandomSeed, profile_batch
 from geomix.moments import (
-    geometric_binomial_moment,
-    geometric_raw_moment,
+    geometric_raw_moment_coefficients,
     stirling2,
-    theta_moment,
     theta_product_moment,
     uniform_orderstat_moment,
     uniform_orderstat_product_moment,
     uniform_orderstat_product_moment_exact,
 )
+
+
+def raw_moment(theta, p):
+    """E[eta^p] under the geometric law with mean theta."""
+    return float(np.polynomial.polynomial.polyval(theta, geometric_raw_moment_coefficients(p)))
 
 
 def _first_two_orderstat_integral(n, fun):
@@ -127,37 +130,39 @@ def test_theta_moment_first_power(bounds):
     for n in (3, 9, 50):
         for i in (1, n // 2 + 1, n):
             expected = bounds.theta_left + bounds.width * i / (n + 1)
-            assert theta_moment(i, n, 1, bounds) == pytest.approx(expected, rel=1e-12)
+            assert theta_product_moment(i, [1], n, bounds) == pytest.approx(expected, rel=1e-12)
 
 
 def test_theta_moment_zeroth_power(bounds):
-    assert theta_moment(4, 9, 0, bounds) == 1.0
+    assert theta_product_moment(4, [0], 9, bounds) == 1.0
 
 
 def test_theta_moment_reduces_to_uniform(unit_bounds):
     for p in range(5):
-        assert theta_moment(3, 7, p, unit_bounds) == pytest.approx(
+        assert theta_product_moment(3, [p], 7, unit_bounds) == pytest.approx(
             uniform_orderstat_moment(3, 7, p), rel=1e-12
         )
 
 
 def test_theta_moment_monotone_in_index(bounds):
     for p in (1, 2, 3):
-        vals = [theta_moment(i, 12, p, bounds) for i in range(1, 13)]
+        vals = [theta_product_moment(i, [p], 12, bounds) for i in range(1, 13)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_theta_moment_index_range(bounds):
     with pytest.raises(ValueError):
-        theta_moment(0, 5, 1, bounds)
+        theta_product_moment(0, [1], 5, bounds)
     with pytest.raises(ValueError):
-        theta_moment(6, 5, 1, bounds)
+        theta_product_moment(6, [1], 5, bounds)
 
 
 def test_theta_product_single_site_matches_theta_moment(bounds):
+    # E[Theta_i^p] with theta_left = 0 is width^p E[U_{i:N}^p]
+    assert bounds.theta_left == 0.0
     for p in range(4):
         assert theta_product_moment(2, [p], 6, bounds) == pytest.approx(
-            theta_moment(2, 6, p, bounds), rel=1e-12
+            bounds.width**p * uniform_orderstat_moment(2, 6, p), rel=1e-12
         )
 
 
@@ -196,25 +201,16 @@ def test_theta_product_against_monte_carlo(bounds):
         )
 
 
-def test_geometric_binomial_moment_values():
-    assert geometric_binomial_moment(2.0, 0) == 1.0
-    assert geometric_binomial_moment(2.0, 1) == 2.0
-    # series oracle: sum_n C(n,2) nu_1(n) with tail below 1e-12
-    n = np.arange(0, 90)
-    series = float(np.sum(n * (n - 1) / 2 * 0.5**(n + 1)))
-    assert geometric_binomial_moment(1.0, 2) == pytest.approx(series, abs=1e-10)
-
-
 def test_geometric_raw_moment_values():
-    assert geometric_raw_moment(2.0, 1) == 2.0
-    assert geometric_raw_moment(1.5, 0) == 1.0
+    assert raw_moment(2.0, 1) == 2.0
+    assert raw_moment(1.5, 0) == 1.0
     n = np.arange(0, 120, dtype=float)
     series = float(np.sum(n**2 * 0.5 ** (n + 1)))
-    assert geometric_raw_moment(1.0, 2) == pytest.approx(3.0, rel=1e-12)
-    assert geometric_raw_moment(1.0, 2) == pytest.approx(series, abs=1e-10)
+    assert raw_moment(1.0, 2) == pytest.approx(3.0, rel=1e-12)
+    assert raw_moment(1.0, 2) == pytest.approx(series, abs=1e-10)
     # variance theta (1 + theta)
     for theta in (0.5, 1.0, 2.5):
-        var = geometric_raw_moment(theta, 2) - theta**2
+        var = raw_moment(theta, 2) - theta**2
         assert var == pytest.approx(theta * (1 + theta), rel=1e-12)
 
 
@@ -223,12 +219,12 @@ def test_raw_moment_series_oracle_general():
     for theta, p in ((0.4, 3), (1.2, 4), (2.0, 5)):
         q = theta / (1 + theta)
         series = float(np.sum(n**p * (1 - q) * q**n))
-        assert geometric_raw_moment(theta, p) == pytest.approx(series, rel=1e-9)
+        assert raw_moment(theta, p) == pytest.approx(series, rel=1e-9)
 
 
 def test_moment_order_cap():
     with pytest.raises(ValueError):
-        geometric_raw_moment(1.0, 21)
+        raw_moment(1.0, 21)
 
 
 def test_stirling_triangle():
