@@ -653,10 +653,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        workers = args.workers
+        if workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
         cfg = load_config(args.config)
         seed = build_seed(cfg, args.seed)
         out_dir = Path(args.out_dir)
-        workers = max(1, int(args.workers))
         if args.command == "sample":
             return cmd_sample(cfg, out_dir, seed, args.verbose)
         if args.command == "verify":

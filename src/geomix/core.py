@@ -249,11 +249,13 @@ def profile_batch(
 
     Each row is the sorted affine image of n_sites standard uniforms, so
     row entry i-1 follows the Beta(i, n_sites+1-i) law rescaled to the
-    reservoir interval.
+    reservoir interval.  The affine map runs in place on the uniforms.
     """
     u = rng.random((size, n_sites))
     u.sort(axis=1)
-    return bounds.theta_left + bounds.width * u
+    u *= bounds.width
+    u += bounds.theta_left
+    return u
 
 
 def configuration_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -73,8 +73,13 @@ def field_values_batch(
 ) -> np.ndarray:
     """(1/N) * sum_i g(window at i) * phi(i/(N+1)) for each row of a
     (replicas, N) batch of configurations; a single (N,) configuration
-    gives a scalar."""
+    gives a scalar.
+
+    Each row is reduced on its own by numpy's pairwise sum, so a row's
+    value does not depend on how many rows come with it; a matrix-vector
+    product would group rows differently for different batch sizes.
+    """
     occ = np.asarray(occupations)
     n = occ.shape[-1]
     vals = np.asarray(g(*_windows(occ, g.k)), dtype=float)
-    return vals @ phi(_field_grid(n, g.k)) / n
+    return (vals * phi(_field_grid(n, g.k))).sum(axis=-1) / n

@@ -6,12 +6,20 @@ report effect sizes with standard errors rather than bare pass/fails.
 Central-limit runs are centered at the exact mixture mean assembled from
 closed-form moments (empirical centering would inflate the distributional
 distance at practical replica counts).
+
+A chunk of replicas is the stream unit: its size is fixed, and chunk c
+always draws from substream c.  Inside a chunk, rows are drawn and
+reduced in row blocks of about ``_BLOCK_BUDGET`` doubles, in order and on
+the chunk's generator, so the blocks' draws are the chunk's draws.  The
+row block is the cache and memory unit: its size is free to change and
+never moves an output byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -63,8 +71,10 @@ __all__ = [
     "annealed_mc_estimate",
 ]
 
-_CHUNK_BUDGET = 2**22  # doubles per sampling chunk; fixed so chunking is
-# independent of worker count and results stay replica-reproducible
+_CHUNK_BUDGET = 2**22  # doubles per sampling chunk, the stream unit; fixed so
+# chunking is independent of worker count and results stay replica-reproducible
+_BLOCK_BUDGET = 2**17  # doubles per row block inside a chunk, the cache and
+# memory unit (1 MiB); any value gives the same output bytes
 _MAX_POLY_DEGREE = 6
 
 
@@ -106,6 +116,14 @@ def _chunk_size(n_sites: int) -> int:
     return max(1, _CHUNK_BUDGET // max(n_sites, 1))
 
 
+def _row_blocks(count: int, n_sites: int):
+    """(start, stop) row ranges of one chunk, in order, each of about
+    ``_BLOCK_BUDGET`` doubles (at least one row)."""
+    rows = max(1, _BLOCK_BUDGET // max(n_sites, 1))
+    for start in range(0, count, rows):
+        yield start, min(start + rows, count)
+
+
 def _map_chunks(
     fn: Callable[[np.random.Generator, int], np.ndarray],
     replicas: int,
@@ -125,19 +143,37 @@ def _map_chunks(
         c, count = task
         return fn(seed.substream(c).generator(), count)
 
-    if workers == 1 or len(tasks) == 1:
-        parts = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, tasks))
-    return parts
+    # each thread holds a chunk, so threads beyond the chunks or the
+    # usable CPUs only add memory
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    max_workers = min(workers, len(tasks), cpus)
+    if max_workers <= 1:
+        return [run(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(run, tasks))
 
 
-def _ness_batch(
-    rng: np.random.Generator, count: int, n_sites: int, bounds: BoundaryParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _field_chunk(
+    rng: np.random.Generator,
+    count: int,
+    n_sites: int,
+    bounds: BoundaryParams,
+    g: LocalFunction,
+    phi: TestFunction,
+) -> np.ndarray:
+    """Field values of ``count`` steady-state replicas.  The whole profile
+    is drawn first, since the configuration uniforms follow all of it in
+    the stream; configurations and fields then run one row block at a
+    time."""
     thetas = profile_batch(n_sites, bounds, rng, count)
-    return thetas, configuration_batch(thetas, rng)
+    values = np.empty(count)
+    for lo, hi in _row_blocks(count, n_sites):
+        occ = configuration_batch(thetas[lo:hi], rng)
+        values[lo:hi] = field_values_batch(g, phi, occ)
+    return values
 
 
 def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -253,8 +289,7 @@ def run_lln(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> LlnRes
     for n in cfg.n_ladder:
 
         def fn(rng, count, n=n):
-            _, occ = _ness_batch(rng, count, n, cfg.bounds)
-            return np.abs(field_values_batch(cfg.g, cfg.phi, occ) - limit)
+            return np.abs(_field_chunk(rng, count, n, cfg.bounds, cfg.g, cfg.phi) - limit)
 
         devs = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers))
         rows.append(
@@ -301,8 +336,7 @@ def run_clt(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> CltRes
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
 
     def fn(rng, count):
-        _, occ = _ness_batch(rng, count, n, cfg.bounds)
-        return math.sqrt(n) * (field_values_batch(cfg.g, cfg.phi, occ) - mean)
+        return math.sqrt(n) * (_field_chunk(rng, count, n, cfg.bounds, cfg.g, cfg.phi) - mean)
 
     samples = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers))
     ks = ks_statistic(samples, normal_cdf(0.0, target.total))
@@ -353,9 +387,12 @@ def run_bridge(
     exact_means = theta_marginals(n, cfg.bounds)[0][idx - 1]
 
     def fn(rng, count):
-        thetas = profile_batch(n, cfg.bounds, rng, count)
-        v = math.sqrt(n) * (thetas[:, idx - 1] - exact_means)
-        return _bridge_moments(v)
+        # F-order, the layout of thetas[:, idx - 1]: the pairwise sums in
+        # _bridge_moments follow the memory layout
+        cols = np.empty((idx.size, count)).T
+        for lo, hi in _row_blocks(count, n):
+            cols[lo:hi] = profile_batch(n, cfg.bounds, rng, hi - lo)[:, idx - 1]
+        return _bridge_moments(math.sqrt(n) * (cols - exact_means))
 
     parts = _map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers)
     s1 = sum(p[0] for p in parts)
@@ -452,8 +489,12 @@ def run_concentration(
         union = min(1.0, float(variances.sum()) / eps**2) if eps > 0 else 1.0
 
         def fn(rng, count, n=n, eps=eps, exact_mean=exact_mean):
-            thetas = profile_batch(n, bounds, rng, count)
-            sup_dev = np.max(np.abs(thetas - exact_mean), axis=1)
+            sup_dev = np.empty(count)
+            for lo, hi in _row_blocks(count, n):
+                thetas = profile_batch(n, bounds, rng, hi - lo)
+                thetas -= exact_mean
+                np.abs(thetas, out=thetas)
+                thetas.max(axis=1, out=sup_dev[lo:hi])
             return (sup_dev >= eps).astype(float)
 
         hits = np.concatenate(_map_chunks(fn, replicas, n, seed.substream(n), workers))
@@ -554,8 +595,7 @@ def annealed_mc_estimate(
     geometric product at theta."""
 
     def fn(rng, count):
-        _, occ = _ness_batch(rng, count, n_sites, bounds)
-        return lam * n_sites * field_values_batch(g, phi_one(), occ)
+        return lam * n_sites * _field_chunk(rng, count, n_sites, bounds, g, phi_one())
 
     exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
     shift = float(exponents.max())

@@ -263,6 +263,36 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert summaries[0] == summaries[1] == summaries[2]
 
 
+@pytest.mark.parametrize(
+    "kind, section",
+    [
+        # N = 1000 and N = 5000 give three chunks each, so two workers share them
+        ("concentration", {"n_ladder": [10, 1000], "replicas": 10**4}),
+        ("bridge", {"n_sites": 5000, "replicas": 2000}),
+    ],
+)
+def test_worker_count_does_not_change_profile_run_bytes(tmp_path, kind, section):
+    path = write_config(tmp_path, base_config(**{kind: section}))
+    blobs = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        code = main(["verify", kind, "--config", path, "--out-dir", str(out), "--workers", str(w)])
+        assert code in (EXIT_PASS, EXIT_VERDICT)
+        blobs.append(
+            (out / f"{kind}_table.csv").read_bytes() + (out / f"{kind}_summary.json").read_bytes()
+        )
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_config_error(tmp_path, workers):
+    path = write_config(tmp_path, base_config(sample={"n_sites": 8}))
+    out = tmp_path / "out"
+    code = main(["sample", "--config", path, "--out-dir", str(out), "--workers", workers])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = base_config(sample={"n_sites": 8})
     path = write_config(tmp_path, cfg)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from geomix import harness
 from geomix.core import (
     BoundaryParams,
     RandomSeed,
@@ -20,6 +22,7 @@ from geomix.harness import (
     ExperimentConfig,
     SlopeFit,
     _theta_polynomial,
+    annealed_mc_estimate,
     check_profile_marginals,
     exact_field_mean,
     fit_log_slope,
@@ -281,6 +284,89 @@ def test_reproducible_across_worker_counts(bounds):
     samples = [run_clt(ExperimentConfig(workers=w, **clt_base)).samples for w in (1, 4, 8)]
     assert np.array_equal(samples[0], samples[1])
     assert np.array_equal(samples[0], samples[2])
+
+
+def _sampled_outputs(bounds, seed, workers):
+    """The outputs of every runner that draws in row blocks.  Non-integer
+    g and phi make the reductions' summation order visible."""
+    g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
+    base = dict(bounds=bounds, g=g, phi=phi_identity(), seed=seed, workers=workers)
+    lln = run_lln(ExperimentConfig(n_ladder=(50, 400), replicas=100, **base))
+    clt = run_clt(ExperimentConfig(n_ladder=(400,), replicas=2000, **base))
+    bridge = run_bridge(ExperimentConfig(n_ladder=(400,), replicas=2000, **base))
+    conc = run_concentration([10, 400], bounds, 10**4, seed, workers=workers)
+    annealed = annealed_mc_estimate(g, 0.5, 50, bounds, 2000, seed, workers=workers)
+    return lln.rows, clt.samples, bridge.empirical, bridge.standard_errors, conc.rows, annealed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_block_size_does_not_change_results(monkeypatch, bounds, seed, workers):
+    # a small chunk budget spreads each run over several chunks (streams);
+    # the block budget then ranges from one row per block (n_sites above
+    # the budget) over uneven blocks to one block per chunk
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
+    runs = []
+    for budget in (1, 1000, 2**40):
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", budget)
+        runs.append(_sampled_outputs(bounds, seed, workers))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got == want
+
+
+def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed):
+    opened = []
+
+    class RecordingPool:
+        """Records max_workers and runs the tasks in order; starts no thread."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    # N = 1000 and 10^4 replicas make three chunks
+    serial = run_concentration([1000], bounds, 10**4, seed, workers=1)
+    assert opened == []
+    for cpus, expected in ((64, [3]), (2, [2]), (1, [])):
+        affinity = lambda pid, c=cpus: set(range(c))
+        monkeypatch.setattr(harness.os, "sched_getaffinity", affinity, raising=False)
+        opened.clear()
+        assert run_concentration([1000], bounds, 10**4, seed, workers=10**6) == serial
+        assert opened == expected
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
+    # the bounds are well above the measured peaks (about 3, 1 and 37 MiB);
+    # with full-chunk temporaries the three runs peak at 97, 64 and 191 MiB
+    assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 8
+    base = dict(bounds=bounds, phi=phi_one(), seed=seed)
+    bridge = ExperimentConfig(n_ladder=(5000,), replicas=2000, g=density_function(), **base)
+    assert _peak_mib(lambda: run_bridge(bridge)) <= 8
+    # one 32 MiB chunk profile at N = 2 * 10^4, plus blocks
+    g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
+    clt = ExperimentConfig(n_ladder=(20000,), replicas=2000, g=g, **base)
+    assert _peak_mib(lambda: run_clt(clt)) <= 48
 
 
 def test_run_le_scaling_degenerate_report():
