@@ -196,8 +196,9 @@ def _geometric_weights(rhos: np.ndarray, m: int) -> np.ndarray:
     """(len(rhos), m+1) matrix of nu_rho(n); rho = 0 rows are (1, 0, ...)."""
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     p = rhos / (1.0 + rhos)
-    powers = p[:, None] ** np.arange(m + 1)[None, :]
-    return (1.0 - p)[:, None] * powers
+    weights = p[:, None] ** np.arange(m + 1)[None, :]
+    weights *= (1.0 - p)[:, None]
+    return weights
 
 
 def _weight_tables(thetas: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

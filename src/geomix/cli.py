@@ -480,14 +480,8 @@ def _ldp_spec(cfg: dict) -> FreeEnergySpec:
     g = build_g(cfg)
     if not g.bounded:
         raise ConfigError("ldp tasks require a bounded local function g")
-    kwargs = {}
-    if "lambda_domain" in sec:
-        kwargs["lambda_domain"] = tuple(float(v) for v in sec["lambda_domain"])
-    if "m_state" in sec:
-        kwargs["m_state"] = int(sec["m_state"])
-    if "eigen_tol" in sec:
-        kwargs["eigen_tol"] = float(sec["eigen_tol"])
-    return FreeEnergySpec(g=g, **kwargs)
+    fields = {"m_state": int, "eigen_tol": float}
+    return FreeEnergySpec(g=g, **{k: cast(sec[k]) for k, cast in fields.items() if k in sec})
 
 
 def _ldp_solver(cfg: dict) -> SolverConfig:

@@ -5,13 +5,14 @@ For a bounded local function g, the homogeneous free energy
 F(theta, lambda) is the exponential growth rate per site of
 E[exp(lambda * sum of shifted g)] under the geometric product at theta.
 One evaluator, :func:`free_energy`, returns F with its analytic lambda-
-and theta-derivatives: weighted geometric sums for k = 1, the left and
-right Perron vectors of a transfer kernel on (k-1)-site windows for
-k >= 2.  Level-1 rates follow by Legendre transform, the parameter-path
-rate J penalizes the log-slope of monotone profiles, and the two
-variational problems (annealed free energy, rate of a target profile)
-are solved by projected-gradient ascent/descent over discretized monotone
-profiles in the increment parametrization.
+and theta-derivatives: geometric masses on the level sets of g for
+k = 1, the left and right Perron vectors of a transfer kernel on
+(k-1)-site windows for k >= 2.  Level-1 rates follow by Legendre
+transform, solved by safeguarded secant steps in the logit of the tilted
+mean.  The parameter-path rate J penalizes the log-slope of monotone
+profiles, and the two variational problems (annealed free energy, rate
+of a target profile) are solved by projected-gradient ascent/descent
+over discretized monotone profiles in the increment parametrization.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 _POWER_ITERATION_CAP = 20_000
-_BISECTION_STEPS = 60
+_LEGENDRE_ITERATION_CAP = 100
 
 
 class NumericError(RuntimeError):
@@ -76,34 +77,28 @@ class FreeEnergySpec:
     """Free-energy evaluation settings for one bounded local function."""
 
     g: LocalFunction
-    lambda_domain: tuple[float, float] = (-8.0, 8.0)
     m_state: int = 128
     eigen_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.g.bounded:
             raise ValueError("free energies require a bounded local function")
-        if self.lambda_domain[0] >= self.lambda_domain[1]:
-            raise ValueError("lambda domain must be a non-trivial interval")
         if self.m_state < 1:
             raise ValueError("state truncation must be positive")
 
-    @property
-    def lambda_cap(self) -> float:
-        # keep exp(lam * bound) finite
-        return min(600.0 / max(float(self.g.bound), 1e-9), 1e6)
-
     def certified_lambda_caps(self, thetas: np.ndarray) -> np.ndarray:
         """Largest |lambda| per theta whose truncated tail stays certified:
-        exp(|lam| * bound) * (theta/(1+theta))**(m_state+1) <= tolerance."""
+        exp(|lam| * bound) * (theta/(1+theta))**(m_state+1) <= tolerance,
+        and exp(|lam| * bound) stays finite."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         p = thetas / (1.0 + thetas)
         bound = max(float(self.g.bound), 1e-9)
+        finite_cap = min(600.0 / bound, 1e6)
         with np.errstate(divide="ignore"):
             caps = (math.log(_TAIL_TOL) - (self.m_state + 1) * np.log(p)) / bound
-        caps = np.where(p == 0.0, self.lambda_cap, caps)
+        caps = np.where(p == 0.0, finite_cap, caps)
         # shave a rounding margin so evaluation at the cap stays certified
-        return np.clip(caps * (1.0 - 1e-9), 1.0, self.lambda_cap)
+        return np.clip(caps * (1.0 - 1e-9), 1.0, finite_cap)
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,9 @@ def _perron(
 
 class _FreeEnergyTable:
     """Per-theta state tables of the free-energy evaluator, built once and
-    evaluated at any number of lambda vectors paired with the thetas."""
+    evaluated at any number of lambda vectors paired with the thetas.  For
+    k = 1 they hold the masses of nu_theta and d nu_theta/d theta on each
+    level set of g, so one evaluation costs O(nodes * distinct values of g)."""
 
     def __init__(self, thetas: np.ndarray, spec: FreeEnergySpec) -> None:
         self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -240,18 +237,33 @@ class _FreeEnergyTable:
         self.spec = spec
         self.gvals = _g_grid(spec.g, spec.m_state)
         if spec.g.k == 1:
+            m = spec.m_state
             _check_cells(
-                self.thetas.size * (spec.m_state + 1),
-                f"the weight table of {self.thetas.size} nodes at truncation {spec.m_state}",
+                self.thetas.size * (m + 1),
+                f"the weight table of {self.thetas.size} nodes at truncation {m}",
             )
-            self.w, self.dw = _weight_tables(self.thetas, spec.m_state)
+            # runs of equal g, gathered by level; every level holds a run
+            self.levels, level_of = np.unique(self.gvals, return_inverse=True)
+            starts = np.flatnonzero(np.diff(level_of, prepend=-1))
+            order = np.argsort(level_of[starts], kind="stable")
+            firsts = np.searchsorted(level_of[starts][order], np.arange(self.levels.size))
+            w = _geometric_weights(self.thetas, m)
+            # summation by parts, exact at theta = 0: sum_n d nu(n)/d theta t(n)
+            # = (1-p) sum_n nu(n) (n+1) (t(n+1) - t(n)) with t(m+1) = 0, so for
+            # t a level indicator only the last state n of each run contributes
+            ends = np.append(starts[1:] - 1, m)
+            moved = w[:, ends] * (ends + 1.0) / (1.0 + self.thetas)[:, None]
+            d_runs = -np.diff(moved, axis=1, prepend=0.0)
+            runs = np.add.reduceat(w, starts, axis=1)
+            self.mass = np.add.reduceat(runs[:, order], firsts, axis=1)
+            self.d_mass = np.add.reduceat(d_runs[:, order], firsts, axis=1)
 
     def take(self, mask: np.ndarray) -> "_FreeEnergyTable":
-        """The table restricted to the nodes selected by mask."""
+        """The table restricted to the nodes selected by a mask or index array."""
         sub = copy.copy(self)
         sub.thetas = self.thetas[mask]
         if self.spec.g.k == 1:
-            sub.w, sub.dw = self.w[mask], self.dw[mask]
+            sub.mass, sub.d_mass = self.mass[mask], self.d_mass[mask]
         return sub
 
     def __call__(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,12 +271,13 @@ class _FreeEnergyTable:
         _check_tail(self.thetas, lams, self.spec)
         if self.spec.g.k == 1:
             # F = log Z, dF/dlambda the tilted mean of g, dF/dtheta the
-            # tilted sum of d nu/d theta, all over Z = sum nu * exp(lam g)
-            tilt = np.exp(lams[:, None] * self.gvals[None, :])
-            tilted = self.w * tilt
+            # tilted sum of d nu/d theta, all over Z = sum nu * exp(lam g);
+            # row-wise sums keep each node independent of the batch
+            tilt = np.exp(lams[:, None] * self.levels[None, :])
+            tilted = self.mass * tilt
             z = np.sum(tilted, axis=1)
-            f_theta = np.einsum("ij,ij->i", self.dw, tilt) / z
-            return np.log(z), tilted @ self.gvals / z, f_theta
+            f_lam = np.sum(tilted * self.levels, axis=1) / z
+            return np.log(z), f_lam, np.sum(self.d_mass * tilt, axis=1) / z
         rows = [_perron(t, l, self.gvals, self.spec) for t, l in zip(self.thetas, lams)]
         out = np.array(rows, dtype=float).reshape(lams.size, 3)
         return out[:, 0], out[:, 1], out[:, 2]
@@ -334,38 +347,50 @@ def _legendre(
     thetas: np.ndarray, xs: np.ndarray, spec: FreeEnergySpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sup_lam(lam*x - F) at paired (theta, x) nodes: (rate values,
-    maximizing lambdas, dF/dtheta there); +inf where x falls outside the
-    closure of the range of dF/dlambda.  The maximizer is found by bisection
-    on the increasing dF/dlambda within each node's certified lambda range;
-    lambda = 0, where the untruncated F vanishes, bounds every rate below by 0.
+    maximizing lambdas, dF/dtheta there); +inf where x falls outside
+    [g_lo, g_hi], the closure of the range of dF/dlambda.
+
+    With s = (dF/dlambda - g_lo)/(g_hi - g_lo), secant steps solve
+    logit(s(lam)) = logit(s(x)) from lam = 0, where the untruncated F
+    vanishes; the first slope, g_hi - g_lo, is exact for two-valued g.  A
+    step that is not finite or leaves the node's bracket in [-cap, cap]
+    is replaced by bisection.  At x = g_lo or g_hi the sup is approached
+    as lambda -> -+inf and bounded below by the value at the cap.
     """
     table = _FreeEnergyTable(thetas, spec)
     xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
     g_lo, g_hi = float(table.gvals.min()), float(table.gvals.max())
     caps = spec.certified_lambda_caps(table.thetas)
     interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
-    boundary = ~interior & (np.isclose(xs, g_lo) | np.isclose(xs, g_hi))
-    # on the boundary the sup is approached along lambda -> +-inf: take the
-    # certified cap (a tight lower bound; the tilt there concentrates the law)
-    lam = np.where(boundary, np.where(np.isclose(xs, g_hi), 1.0, -1.0) * caps, 0.0)
-    if np.any(interior):
-        inner, x, cap = table.take(interior), xs[interior], caps[interior]
-        lo = np.maximum(spec.lambda_domain[0], -cap)
-        hi = np.minimum(spec.lambda_domain[1], cap)
-        for bound_arr, expand in ((lo, -1.0), (hi, 1.0)):
-            for _ in range(60):
-                deriv = inner(bound_arr)[1]
-                bad = (deriv > x) if expand < 0 else (deriv < x)
-                bad &= np.abs(bound_arr) < cap
-                if not np.any(bad):
-                    break
-                bound_arr[bad] = np.clip(2.0 * bound_arr[bad] + expand, -cap[bad], cap[bad])
-        for _ in range(_BISECTION_STEPS):
-            mid = (lo + hi) / 2.0
-            below = inner(mid)[1] < x
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        lam[interior] = (lo + hi) / 2.0
+    boundary = ~interior & (xs >= g_lo) & (xs <= g_hi)
+    lam = np.where(boundary, np.where(xs >= (g_lo + g_hi) / 2.0, caps, -caps), 0.0)
+    idx = np.flatnonzero(interior)
+    nodes, x, hi = table.take(idx), xs[idx], caps[idx]
+    target, lo = np.log((x - g_lo) / (g_hi - x)), -hi
+    at, slope = np.zeros(idx.size), np.full(idx.size, g_hi - g_lo)
+    last_at = last_r = np.full(idx.size, np.nan)
+    for _ in range(_LEGENDRE_ITERATION_CAP):
+        if not idx.size:
+            break
+        d = nodes(at)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.log((d - g_lo) / (g_hi - d)) - target
+            secant = (r - last_r) / (at - last_at)
+        lo, hi = np.where(d < x, at, lo), np.where(d < x, hi, at)
+        slope = np.where(np.isfinite(secant) & (secant > 0.0), secant, slope)
+        nxt = at - r / slope
+        tol = 1e-12 * np.maximum(1.0, np.abs(at))
+        # test the step before the bracket, so that a rounding-level step converges
+        converged = np.abs(nxt - at) <= tol
+        nxt = np.where(converged | ((nxt > lo) & (nxt < hi)), nxt, (lo + hi) / 2.0)
+        done = converged | (hi - lo <= tol)
+        lam[idx[done]] = nxt[done]
+        keep = ~done
+        idx, nodes, x, target = idx[keep], nodes.take(keep), x[keep], target[keep]
+        lo, hi, slope = lo[keep], hi[keep], slope[keep]
+        at, last_at, last_r = nxt[keep], at[keep], r[keep]
+    if idx.size:
+        raise NumericError(f"Legendre solve did not converge at theta={nodes.thetas[0]}, x={x[0]}")
     f, _, f_theta = table(lam)
     rates = np.where(interior | boundary, np.maximum(lam * xs - f, 0.0), math.inf)
     return rates, lam, f_theta
@@ -454,10 +479,11 @@ class _ProfileParam:
         e[0] = 0.0
         return e
 
-    def random_starts(self, count: int, seed: int) -> list[np.ndarray]:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        starts = []
-        for _ in range(count):
+    def starts(self, solver: SolverConfig) -> list[np.ndarray]:
+        """The linear start, then multistart - 1 random ones from solver.seed."""
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(solver.seed)))
+        starts = [self.linear_start()]
+        for _ in range(solver.multistart - 1):
             raw = rng.exponential(size=self.m_cells + 1)
             raw[0] *= rng.random()  # keep the left endpoint low on average
             starts.append(raw / raw.sum() * self.budget)
@@ -593,12 +619,9 @@ def annealed_free_energy(
 
     objective = _path_objective(param, cell_nodes, phi, node_terms, j_sign=-1.0)
 
-    starts = [param.linear_start()] + param.random_starts(
-        max(solver.multistart - 1, 0), solver.seed
-    )
     results = []
     any_progress = False
-    for s in starts:
+    for s in param.starts(solver):
         val, e, progressed = _pgd(objective, s, param, solver, maximize=True)
         any_progress = any_progress or progressed
         results.append((val, e))
@@ -641,11 +664,8 @@ def profile_rate(
 
     objective = _path_objective(param, cell_nodes, mu_density, node_terms, j_sign=1.0)
 
-    starts = [param.linear_start()] + param.random_starts(
-        max(solver.multistart - 1, 0), solver.seed
-    )
     results = []
-    for s in starts:
+    for s in param.starts(solver):
         val, e, _ = _pgd(objective, s, param, solver, maximize=False)
         results.append((val, e))
     finite = [r for r in results if math.isfinite(r[0])]

@@ -13,10 +13,12 @@ from geomix.core import (
 )
 from geomix.fields import TestFunction
 from geomix.harness import annealed_mc_estimate
+import geomix.ldp as ldp_module
 from geomix.ldp import (
     AnnealedResult,
     FreeEnergySpec,
     MonotoneProfile,
+    NumericError,
     SolverConfig,
     annealed_free_energy,
     free_energy,
@@ -39,6 +41,14 @@ def make_pair_vacuum():
 
 def make_pair_vacuum_spec():
     return FreeEnergySpec(g=make_pair_vacuum())
+
+
+def make_capped_count():
+    # four values 0, 1/3, 2/3, 1: min(n, 3) / 3
+    def evaluator(n):
+        return np.minimum(np.asarray(n, dtype=float), 3.0) / 3.0
+
+    return LocalFunction(k=1, evaluator=evaluator, bounded=True, bound=1.0, name="capped-count")
 
 
 def free_energy_at(theta, lam, g):
@@ -174,6 +184,11 @@ def test_rate_outside_range_is_infinite(ind_spec):
     assert rate_function(1.0, -0.2, ind_spec) == math.inf
 
 
+def test_rate_just_outside_range_is_infinite(ind_spec):
+    assert rate_function(1.0, -1e-9, ind_spec) == math.inf
+    assert rate_function(1.0, 1 + 1e-9, ind_spec) == math.inf
+
+
 def test_rate_at_range_edge_is_log_inverse_mass(ind_spec):
     # x = 1 forces every site empty: rate -log nu_theta(0) = log(1+theta)
     assert rate_function(1.0, 1.0, ind_spec) == pytest.approx(math.log(2.0), abs=1e-6)
@@ -190,6 +205,78 @@ def test_legendre_consistency(ind_spec):
         ) / (2 * h)
         lhs = rate_function(theta, deriv, ind_spec) + free_energy_at(theta, lam, g)
         assert lhs == pytest.approx(lam * deriv, abs=1e-6)
+
+
+@pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
+def test_free_energy_does_not_depend_on_the_batch(make_g):
+    spec = FreeEnergySpec(g=make_g())
+    rng = np.random.default_rng(257)
+    thetas = rng.uniform(0.0, 3.0, 257)
+    lams = rng.uniform(-3.0, 3.0, 257)
+    batch = free_energy(thetas, lams, spec)
+    for i, (theta, lam) in enumerate(zip(thetas, lams)):
+        single = free_energy(theta, lam, spec)
+        for b, s in zip(batch, single):
+            assert b[i] == s[0]
+
+
+def bisection_legendre(thetas, xs, spec, steps=200):
+    """Oracle: bisect dF/dlambda = x over each node's certified lambda range."""
+    caps = spec.certified_lambda_caps(thetas)
+    lo, hi = -caps, caps.copy()
+    for _ in range(steps):
+        mid = (lo + hi) / 2.0
+        below = free_energy(thetas, mid, spec)[1] < xs
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    lam = (lo + hi) / 2.0
+    return lam * xs - free_energy(thetas, lam, spec)[0], lam
+
+
+@pytest.mark.parametrize(
+    "spec, x_range",
+    [
+        (FreeEnergySpec(g=make_capped_count()), (0.02, 0.98)),
+        (FreeEnergySpec(g=make_pair_vacuum(), m_state=64), (0.05, 0.8)),
+    ],
+    ids=["four-valued", "pair-vacuum"],
+)
+def test_legendre_matches_bisection(spec, x_range):
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(0.2, 2.0, 8)
+    xs = rng.uniform(*x_range, 8)
+    # next to the range edges the maximizer runs far out in lambda
+    xs[:2] = (1e-9, 1.0 - 1e-9)
+    rates, lams, _ = _legendre(thetas, xs, spec)
+    oracle_rates, oracle_lams = bisection_legendre(thetas, xs, spec)
+    assert np.all(np.isfinite(rates))
+    assert rates == pytest.approx(oracle_rates, abs=1e-12)
+    assert lams[2:] == pytest.approx(oracle_lams[2:], abs=1e-9)
+
+
+def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_spec, monkeypatch):
+    calls = []
+    evaluate = ldp_module._FreeEnergyTable.__call__
+
+    def counted(self, lams):
+        calls.append(self.thetas.size)
+        return evaluate(self, lams)
+
+    monkeypatch.setattr(ldp_module._FreeEnergyTable, "__call__", counted)
+    rng = np.random.default_rng(400)
+    thetas, xs = rng.uniform(0.0, 2.0, 400), rng.uniform(0.3, 0.95, 400)
+    rates = _legendre(thetas, xs, ind_spec)[0]
+    assert len(calls) <= 3
+    # closed form: the Bernoulli(1/(1+theta)) relative entropy of x
+    q = 1.0 / (1.0 + thetas)
+    expected = xs * np.log(xs / q) + (1 - xs) * np.log((1 - xs) / (1 - q))
+    assert rates == pytest.approx(expected, abs=1e-12)
+
+
+def test_legendre_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(ldp_module, "_LEGENDRE_ITERATION_CAP", 1)
+    spec = FreeEnergySpec(g=make_capped_count())
+    with pytest.raises(NumericError):
+        _legendre(np.array([1.0, 0.5]), np.array([0.4, 0.7]), spec)
 
 
 def test_path_rate_linear_is_exactly_zero(bounds):
