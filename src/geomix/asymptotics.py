@@ -10,9 +10,11 @@ parameter rho, this module computes
 
 and from these the law-of-large-numbers limit integral, the two
 central-limit variances (parameter-fluctuation part and white-noise part)
-and the bridge covariance kernel, by composite Gauss-Legendre quadrature.
-The 2-d variance integral is split along its diagonal, where the kernel
-min(s,t) - s*t has a kink.
+and the bridge covariance kernel.  All three integrals are 1-d composite
+Gauss-Legendre rules on the same nodes: the bridge double integral of
+(min(s,t) - s*t) a(s) a(t) equals the integral of (C(u) - C_bar)^2, with
+C(u) the integral of a over [u, 1], which has no kink.  The rules are
+exact when the integrands are polynomials of low degree on each panel.
 
 For polynomial g, h, h' and V are exact polynomials in rho built from the
 geometric raw moments E[eta^p]; only bounded, non-polynomial g is summed
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.fields import TestFunction
@@ -343,14 +345,15 @@ def _composite_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     ).ravel()
 
 
-def _refine(evaluate, quad: QuadratureSpec, label: str) -> float:
-    """Panel-doubling convergence: returns the refined value once stable."""
+def _refine(evaluate, quad: QuadratureSpec, label: str):
+    """Panel-doubling convergence: returns the refined value, a float or
+    an array, once every entry is stable."""
     panels = quad.panels
     prev = evaluate(panels)
     while panels <= _MAX_PANELS:
         panels *= 2
         cur = evaluate(panels)
-        if abs(cur - prev) <= quad.integral_tol * max(1.0, abs(cur)):
+        if np.all(np.abs(cur - prev) <= quad.integral_tol * np.maximum(1.0, np.abs(cur))):
             return cur
         prev = cur
     raise QuadratureError(f"{label}: panel doubling did not converge at {panels} panels")
@@ -372,54 +375,16 @@ def lln_limit(
     return _refine(evaluate, quad, "lln_limit")
 
 
-def _bridge_kernel(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """min(s,t) - s*t, the covariance of the Brownian bridge on [0, 1]."""
-    return np.minimum(s, t) - s * t
-
-
-def _sigma_bridge_at(
-    g: LocalFunction,
-    phi: TestFunction,
-    bounds: BoundaryParams,
-    quad: QuadratureSpec,
-    panels: int,
-) -> float:
-    """Double integral of (s^t - st) a(s) a(t), a = phi * h'(rho), at a
-    fixed panel count.  Off-diagonal panel pairs use the tensor rule; the
-    panel squares touching the diagonal are re-integrated as two
-    triangles, on which the kernel is smooth."""
-    nodes = quad.nodes_per_panel
-    x, w = _composite_nodes(panels, nodes)
-    a = phi(x) * homogeneous_mean_deriv_batch(g, bounds.density(x), quad)
-    wa = w * a
-    kernel = _bridge_kernel(x[:, None], x[None, :])
-    total = float(wa @ kernel @ wa)
-
-    # replace the diagonal-panel squares by triangle quadrature
-    xg, wg = leggauss(nodes)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    inner_pts = np.empty((panels, nodes, nodes))
-    inner_wts = np.empty((panels, nodes, nodes))
-    for p in range(panels):
-        alpha = edges[p]
-        sl = slice(p * nodes, (p + 1) * nodes)
-        total -= float(wa[sl] @ kernel[sl, sl] @ wa[sl])
-        t_nodes = x[sl]
-        half = (t_nodes - alpha) / 2.0
-        inner_pts[p] = alpha + half[:, None] * (xg[None, :] + 1.0)
-        inner_wts[p] = half[:, None] * wg[None, :]
-    a_inner = (
-        phi(inner_pts.ravel())
-        * homogeneous_mean_deriv_batch(g, bounds.density(inner_pts.ravel()), quad)
-    ).reshape(inner_pts.shape)
-    for p in range(panels):
-        sl = slice(p * nodes, (p + 1) * nodes)
-        t_nodes, t_wts = x[sl], w[sl]
-        s_pts, s_wts = inner_pts[p], inner_wts[p]
-        k_tri = _bridge_kernel(s_pts, t_nodes[:, None])
-        inner = np.sum(s_wts * k_tri * a_inner[p], axis=1)
-        total += 2.0 * float(t_wts @ (a[sl] * inner))
-    return total
+def _tail_matrix(nodes: int) -> np.ndarray:
+    """T[i, j] = integral over [t_i, 1] of the Lagrange basis polynomial
+    l_j on the Gauss-Legendre nodes t of [-1, 1].  T @ f integrates the
+    interpolant of f from each node to the right end, exactly when f has
+    degree <= nodes - 1."""
+    t, w = leggauss(nodes)
+    # Legendre coefficients of l_j by Gauss orthogonality, exact at this degree
+    coefs = (np.arange(nodes) + 0.5)[:, None] * (legvander(t, nodes - 1) * w[:, None]).T
+    anti = legint(coefs, axis=0)
+    return legval(1.0, anti)[None, :] - legval(t, anti).T
 
 
 def clt_variances(
@@ -431,29 +396,37 @@ def clt_variances(
     """Both central-limit variances of the fluctuation field of g.
 
     The parameter-fluctuation part is
-    width^2 * double-integral of (min(s,t) - st) phi(s) phi(t) h'(rho(s)) h'(rho(t));
-    the white-noise part is the integral of V(rho(x)) * phi(x)^2.
+    width^2 * double-integral of (min(s,t) - st) a(s) a(t), a = phi * h'(rho),
+    evaluated as width^2 * integral of (C(u) - C_bar)^2 with C(u) the
+    integral of a over [u, 1] and C_bar the integral of C; the white-noise
+    part is the integral of V(rho(x)) * phi(x)^2.  Both come from one
+    panel-doubling pass over the same nodes.
     """
-    if bounds.width == 0.0:
-        bridge = 0.0
-    else:
-        bridge = bounds.width**2 * _refine(
-            lambda p: _sigma_bridge_at(g, phi, bounds, quad, p), quad, "bridge variance"
-        )
+    nodes = quad.nodes_per_panel
+    tail = _tail_matrix(nodes)
 
-    def white_at(panels: int) -> float:
-        x, w = _composite_nodes(panels, quad.nodes_per_panel)
-        return float(w @ (local_variance_batch(g, bounds.density(x), quad) * phi(x) ** 2))
+    def evaluate(panels: int) -> np.ndarray:
+        x, w = _composite_nodes(panels, nodes)
+        rho, phi_x = bounds.density(x), phi(x)
+        a = (phi_x * homogeneous_mean_deriv_batch(g, rho, quad)).reshape(panels, nodes)
+        # C at the nodes: the panels to the right plus the rest of the own panel
+        pieces = np.sum(w.reshape(panels, nodes) * a, axis=1)
+        right = np.append(np.cumsum(pieces[:0:-1])[::-1], 0.0)
+        c = (right[:, None] + a @ tail.T / (2 * panels)).ravel()
+        c -= w @ c
+        return np.array([w @ c**2, w @ (local_variance_batch(g, rho, quad) * phi_x**2)])
 
-    white = _refine(white_at, quad, "white-noise variance")
+    bridge, white = _refine(evaluate, quad, "CLT variances")
     return CltVariances(
-        bridge_variance=max(bridge, 0.0) if bridge > -1e-10 else bridge,
-        white_noise_variance=max(white, 0.0) if white > -1e-10 else white,
+        bridge_variance=float(bounds.width**2 * bridge),
+        white_noise_variance=float(max(white, 0.0) if white > -1e-10 else white),
     )
 
 
-def bridge_covariance(s: float, t: float, bounds: BoundaryParams) -> float:
-    """width^2 * (min(s,t) - s*t), the parameter-fluctuation covariance."""
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
+def bridge_covariance(s, t, bounds: BoundaryParams) -> np.ndarray:
+    """width^2 * (min(s,t) - s*t), the parameter-fluctuation covariance,
+    elementwise over s and t in [0, 1] broadcast against each other."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if not (np.all((s >= 0.0) & (s <= 1.0)) and np.all((t >= 0.0) & (t <= 1.0))):
         raise ValueError("s and t must lie in [0, 1]")
-    return float(bounds.width**2 * _bridge_kernel(s, t))
+    return bounds.width**2 * (np.minimum(s, t) - s * t)

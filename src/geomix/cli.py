@@ -123,6 +123,8 @@ def build_bounds(cfg: dict) -> BoundaryParams:
 
 def build_seed(cfg: dict, override_master: int | None) -> RandomSeed:
     sec = cfg.get("seed", {})
+    if not isinstance(sec, dict):
+        raise ConfigError("config section 'seed' must be a table")
     master = int(sec.get("master", 0)) if override_master is None else int(override_master)
     return RandomSeed(master=master, stream=int(sec.get("stream", 0)))
 

@@ -48,6 +48,10 @@ class BoundaryParams:
     theta_right: float
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.theta_left) and np.isfinite(self.theta_right)):
+            raise ValueError(
+                f"reservoir parameters must be finite, got {self.theta_left}, {self.theta_right}"
+            )
         if self.theta_left < 0:
             raise ValueError(f"theta_left must be >= 0, got {self.theta_left}")
         if self.theta_right < self.theta_left:

@@ -29,7 +29,7 @@ import numpy as np
 from geomix.asymptotics import (
     CltVariances,
     QuadratureSpec,
-    _bridge_kernel,
+    bridge_covariance,
     clt_variances,
     lln_limit,
 )
@@ -80,7 +80,8 @@ _MAX_POLY_DEGREE = 6
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment settings; ``n_ladder`` must be increasing."""
+    """Shared experiment settings; ``n_ladder`` must be increasing from
+    N >= 1, and ``replicas`` at least 2 for the sample standard errors."""
 
     n_ladder: tuple[int, ...]
     replicas: int
@@ -93,10 +94,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         ladder = tuple(int(n) for n in self.n_ladder)
         object.__setattr__(self, "n_ladder", ladder)
-        if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("n_ladder must be a non-empty increasing sequence")
-        if self.replicas < 1:
-            raise ValueError("replicas must be positive")
+        if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ValueError("n_ladder must be a non-empty increasing sequence of N >= 1")
+        if self.replicas < 2:
+            raise ValueError("replicas must be >= 2")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -380,9 +381,13 @@ def run_bridge(
     if cfg.replicas < 2000:
         raise ValueError("covariance estimation needs at least 2000 replicas")
     grid = tuple(float(s) for s in (grid if grid is not None else (0.25, 0.5, 0.75)))
+    if not grid:
+        raise ValueError("the bridge grid must be non-empty")
+    points = np.array(grid)
+    analytic = bridge_covariance(points[:, None], points[None, :], cfg.bounds)
     n = cfg.n_ladder[-1]
     idx = np.array([int(math.floor(s * n)) for s in grid])
-    if np.any(idx < 1) or np.any(idx > n):
+    if np.any(idx < 1):
         raise ValueError("grid points map outside the chain")
     exact_means = theta_marginals(n, cfg.bounds)[0][idx - 1]
 
@@ -404,8 +409,6 @@ def run_bridge(
     cov *= r / (r - 1)
     var_of_cov = s4 / r - (s2 / r) ** 2
     se = np.sqrt(np.maximum(var_of_cov, 0.0) / r)
-    points = np.array(grid)
-    analytic = cfg.bounds.width**2 * _bridge_kernel(points[:, None], points[None, :])
     return BridgeResult(
         n_sites=n,
         grid=grid,
@@ -475,6 +478,8 @@ def run_concentration(
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
     ladder = [int(n) for n in n_ladder]
+    if not ladder or min(ladder) < 1:
+        raise ValueError("the concentration ladder must be non-empty with every N >= 1")
     if eps_schedule is None:
         eps_list = [n ** (-0.25) for n in ladder]
     elif callable(eps_schedule):

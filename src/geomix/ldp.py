@@ -118,6 +118,8 @@ class SolverConfig:
             raise ValueError("shrink factor must lie in (0, 1)")
         if self.grid_size < 2:
             raise ValueError("grid size must be >= 2")
+        if self.multistart < 1:
+            raise ValueError("multistart must be >= 1")
 
 
 def _default_delta_min(bounds: BoundaryParams) -> float:
@@ -228,7 +230,8 @@ class _FreeEnergyTable:
     """Per-theta state tables of the free-energy evaluator, built once and
     evaluated at any number of lambda vectors paired with the thetas.  For
     k = 1 they hold the masses of nu_theta and d nu_theta/d theta on each
-    level set of g, so one evaluation costs O(nodes * distinct values of g)."""
+    level set of g, in closed form per run of equal g, so building costs
+    O(nodes * runs) and one evaluation O(nodes * distinct values of g)."""
 
     def __init__(self, thetas: np.ndarray, spec: FreeEnergySpec) -> None:
         self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -247,14 +250,17 @@ class _FreeEnergyTable:
             starts = np.flatnonzero(np.diff(level_of, prepend=-1))
             order = np.argsort(level_of[starts], kind="stable")
             firsts = np.searchsorted(level_of[starts][order], np.arange(self.levels.size))
-            w = _geometric_weights(self.thetas, m)
+            ends = np.append(starts[1:] - 1, m)
+            p = (self.thetas / (1.0 + self.thetas))[:, None]
+            # run [a, b] holds p^a - p^(b+1) = p^a (1 - p^(b-a+1)), free of
+            # cancellation; log p = -inf at theta = 0 gives the mass 0^a
+            with np.errstate(divide="ignore"):
+                runs = p**starts * -np.expm1((ends - starts + 1) * np.log(p))
             # summation by parts, exact at theta = 0: sum_n d nu(n)/d theta t(n)
             # = (1-p) sum_n nu(n) (n+1) (t(n+1) - t(n)) with t(m+1) = 0, so for
             # t a level indicator only the last state n of each run contributes
-            ends = np.append(starts[1:] - 1, m)
-            moved = w[:, ends] * (ends + 1.0) / (1.0 + self.thetas)[:, None]
+            moved = p**ends * (1.0 - p) * (ends + 1.0) / (1.0 + self.thetas)[:, None]
             d_runs = -np.diff(moved, axis=1, prepend=0.0)
-            runs = np.add.reduceat(w, starts, axis=1)
             self.mass = np.add.reduceat(runs[:, order], firsts, axis=1)
             self.d_mass = np.add.reduceat(d_runs[:, order], firsts, axis=1)
 

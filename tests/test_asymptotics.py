@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import assert_within_se
+import geomix.asymptotics as asymptotics_module
 from geomix.asymptotics import (
     QuadratureError,
     QuadratureSpec,
@@ -32,6 +34,9 @@ from geomix.core import (
     polynomial_function,
 )
 from geomix.fields import phi_identity, phi_one
+
+# the g of the exact-clt benchmark workload, eta_1 eta_2 + eta_1^2 eta_2
+EXACT_CLT_G = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
 
 
 @pytest.fixture
@@ -139,8 +144,7 @@ def test_homogeneous_mean_deriv_exact_at_zero(quad):
     [
         density_function(),
         pair_product_function(),
-        # the g of the exact-clt benchmark workload
-        polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0}),
+        EXACT_CLT_G,
         polynomial_function(3, {(1, 0, 1): 1.0, (0, 2, 0): -0.5, (0, 0, 0): 2.0}),
     ],
     ids=lambda g: f"k{g.k}-deg{g.degree}",
@@ -295,12 +299,74 @@ def test_bridge_covariance_kernel(unit_bounds):
     assert bridge_covariance(0.2, 0.6, unit_bounds) == bridge_covariance(0.6, 0.2, unit_bounds)
     with pytest.raises(ValueError):
         bridge_covariance(-0.1, 0.5, unit_bounds)
+    # arrays broadcast elementwise, and one bad entry rejects the call
+    s = np.array([0.0, 0.25, 0.5, 1.0])
+    cov = bridge_covariance(s[:, None], s[None, :], unit_bounds)
+    for i, j in itertools.product(range(4), repeat=2):
+        assert cov[i, j] == bridge_covariance(s[i], s[j], unit_bounds)
+    for bad in ([0.5, 1.0005], [np.nan], [-1e-12, 0.5]):
+        with pytest.raises(ValueError):
+            bridge_covariance(np.array(bad), 0.5, unit_bounds)
 
 
-def test_bridge_kernel_positive_semidefinite():
+def test_bridge_kernel_positive_semidefinite(unit_bounds):
     s = np.linspace(0.0, 1.0, 41)
-    k = np.minimum.outer(s, s) - np.outer(s, s)
+    k = bridge_covariance(s[:, None], s[None, :], unit_bounds)
     assert np.linalg.eigvalsh(k).min() > -1e-10
+
+
+CLOSED_FORM_BRIDGES = [
+    # width^2 * double integral of (min(s,t) - st) a(s) a(t), a = phi * h'(rho)
+    (density_function(), phi_one(), (0.0, 2.0), 1 / 3),
+    (density_function(), phi_identity(), (0.0, 1.0), 1 / 45),
+    # h' = 4 rho + 6 rho^2 on rho = 2x
+    (EXACT_CLT_G, phi_one(), (0.0, 2.0), 14992 / 315),
+    # h' = -1/(1+rho)^2, so width * (C(u) - C_bar) = ln(3)/2 - 1/(1+2u)
+    (indicator_vacuum_function(), phi_one(), (0.0, 2.0), 1 / 3 - math.log(3) ** 2 / 4),
+]
+
+
+@pytest.mark.parametrize(
+    "g, phi, ends, exact", CLOSED_FORM_BRIDGES, ids=["density", "density-x", "exact-clt", "vacuum"]
+)
+def test_bridge_variance_closed_forms(g, phi, ends, exact):
+    bounds = BoundaryParams(*ends)
+    cv = clt_variances(g, phi, bounds, QuadratureSpec.for_bounds(bounds))
+    assert cv.bridge_variance == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "g, phi, ends, exact", CLOSED_FORM_BRIDGES[:3], ids=["density", "density-x", "exact-clt"]
+)
+def test_polynomial_variances_stop_after_one_doubling(monkeypatch, g, phi, ends, exact):
+    # the Gauss rule integrates the bridge and white-noise integrands of
+    # low-degree polynomial g exactly, so 16 and 32 panels already agree
+    evaluated = []
+    nodes = asymptotics_module._composite_nodes
+
+    def counted(panels, per_panel):
+        evaluated.append(panels)
+        return nodes(panels, per_panel)
+
+    monkeypatch.setattr(asymptotics_module, "_composite_nodes", counted)
+    bounds = BoundaryParams(*ends)
+    clt_variances(g, phi, bounds, QuadratureSpec.for_bounds(bounds))
+    assert evaluated == [16, 32]
+
+
+@pytest.mark.parametrize(
+    "g", [EXACT_CLT_G, indicator_vacuum_function()], ids=["exact-clt", "vacuum"]
+)
+def test_clt_variances_memory_is_linear_in_nodes(bounds, g):
+    # 256 panels are 1536 nodes: an n x n bridge kernel alone would be 18 MiB
+    quad = QuadratureSpec.for_bounds(bounds, panels=256)
+    tracemalloc.start()
+    try:
+        clt_variances(g, phi_identity(), bounds, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_white_noise_variance_adjudication(bounds, quad):

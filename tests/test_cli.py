@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,34 @@ def test_state_tables_over_budget_are_config_errors(tmp_path):
     )
     path = write_config(tmp_path, wide, "wide.json")
     assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "w")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        # non-finite reservoirs are refused before any kernel is built
+        (["verify", "clt"], {"bounds": {"theta_left": 0.0, "theta_right": math.inf},
+                             "clt": {"n_sites": 5000, "replicas": 2000}}),
+        (["sample"], {"bounds": {"theta_left": 0.0, "theta_right": math.nan},
+                      "sample": {"n_sites": 10}}),
+        (["verify", "concentration"], {"concentration": {"n_ladder": [0, 10], "replicas": 10000}}),
+        (["verify", "concentration"], {"concentration": {"n_ladder": [-5, 10], "replicas": 10000}}),
+        (["verify", "bridge"], {"bridge": {"n_sites": 500, "replicas": 2000, "grid": []}}),
+        (["verify", "bridge"], {"bridge": {"n_sites": 1000, "replicas": 2000, "grid": [1.0005]}}),
+        (["sample"], {"seed": [1], "sample": {"n_sites": 10}}),
+        (["verify", "lln"], {"lln": {"n_ladder": [100], "replicas": 1}}),
+        (["verify", "clt"], {"clt": {"n_sites": 0, "replicas": 2000}}),
+        (["ldp", "annealed"], {"g": {"name": "indicator-vacuum"},
+                               "ldp": {"solver": {"multistart": 0}}}),
+    ],
+    ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "empty-grid",
+         "grid-above-one", "seed-list", "one-replica", "zero-sites", "no-starts"],
+)
+def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides):
+    path = write_config(tmp_path, base_config(**overrides))
+    assert main([*command, "--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
 
 
 def test_missing_and_malformed_config(tmp_path):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geomix.asymptotics import QuadratureSpec
+from geomix.asymptotics import QuadratureSpec, _weight_tables
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
@@ -218,6 +218,22 @@ def test_free_energy_does_not_depend_on_the_batch(make_g):
         single = free_energy(theta, lam, spec)
         for b, s in zip(batch, single):
             assert b[i] == s[0]
+
+
+@pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
+def test_level_masses_match_the_weight_table(make_g):
+    # closed-form run masses against nu and d nu/d theta summed state by
+    # state over each level set of g, at theta = 0, a large theta and random ones
+    spec = FreeEnergySpec(g=make_g())
+    rng = np.random.default_rng(17)
+    thetas = np.concatenate(([0.0, 50.0], rng.uniform(0.0, 2.0, 200)))
+    table = ldp_module._FreeEnergyTable(thetas, spec)
+    w, dw = _weight_tables(thetas, spec.m_state)
+    gvals = table.gvals.ravel()
+    mass = np.stack([w[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
+    d_mass = np.stack([dw[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
+    np.testing.assert_allclose(table.mass, mass, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(table.d_mass, d_mass, rtol=0.0, atol=1e-15)
 
 
 def bisection_legendre(thetas, xs, spec, steps=200):
@@ -460,3 +476,5 @@ def test_solver_config_validation():
         SolverConfig(shrink_factor=1.5)
     with pytest.raises(ValueError):
         SolverConfig(grid_size=1)
+    with pytest.raises(ValueError):
+        SolverConfig(multistart=0)
