@@ -18,7 +18,9 @@ exact when the integrands are polynomials of low degree on each panel.
 
 For polynomial g, h, h' and V are exact polynomials in rho built from the
 geometric raw moments E[eta^p]; only bounded, non-polynomial g is summed
-over a truncated state grid, with certified tail bounds for h and h'.
+over a truncated state grid, at the smallest cutoff whose certified tail
+bounds for h, h' and V all fall below 1e-12.  The integrals double their
+panels until two rules agree to 1e-9.  Neither accuracy is a setting.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from geomix.moments import geometric_raw_moment_coefficients
 
 __all__ = [
     "QuadratureError",
-    "QuadratureSpec",
     "CltVariances",
     "geometric_tail_bound",
-    "truncation_for",
     "homogeneous_mean_batch",
     "homogeneous_mean_deriv_batch",
     "local_variance_batch",
@@ -49,6 +49,13 @@ __all__ = [
     "bridge_covariance",
 ]
 
+# composite Gauss-Legendre rules start at _FIRST_PANELS panels and double
+# until two rules agree to _INTEGRAL_TOL; bounded g is truncated where the
+# certified tails of h, h' and V fall below _TRUNCATION_TOL
+_FIRST_PANELS = 16
+_NODES_PER_PANEL = 6
+_INTEGRAL_TOL = 1e-9
+_TRUNCATION_TOL = 1e-12
 _MAX_PANELS = 4096
 _MAX_TRUNCATION = 200_000
 # largest state table built in one piece; k = 3 at truncation 256 needs
@@ -76,47 +83,35 @@ def _deriv_tail_bound(theta: float, m: int) -> float:
     return (m + 1) * p**m * (1.0 - p) ** 2
 
 
-def truncation_for(theta_max: float, tol: float = 1e-12) -> int:
-    """Smallest power-of-two-ish cutoff whose tails of nu_theta and of
-    d nu_theta/d theta are both certified below tol."""
+def _truncation(g: LocalFunction, theta_max: float) -> int:
+    """Smallest cutoff m = 16 * 2**j whose certified truncation errors of
+    h, h' and V of a bounded g are all at most _TRUNCATION_TOL.
+
+    States beyond m at any of k sites move h by at most bound * k * p**(m+1).
+    For h' each slot adds the tail of d nu/d theta, and a whole row of
+    d nu/d theta has total variation at most 2.  Each of the 2k-1
+    covariances in V spans at most 2k-1 sites and squares g, and its
+    product of means moves by at most 2k bound**2 p**(m+1).
+    """
+    if not g.bounded:
+        raise ValueError("cannot certify truncation: g is neither bounded nor polynomial")
+    k, bound = g.k, float(g.bound)
     m = 16
-    while max(geometric_tail_bound(theta_max, m), _deriv_tail_bound(theta_max, m)) > tol:
+    while True:
+        tail = geometric_tail_bound(theta_max, m)
+        errs = (
+            bound * k * tail,
+            bound * k * (_deriv_tail_bound(theta_max, m) + 2 * (k - 1) * tail),
+            bound**2 * (2 * k - 1) * (4 * k - 1) * tail,
+        )
+        if max(errs) <= _TRUNCATION_TOL:
+            return m
         m *= 2
         if m > _MAX_TRUNCATION:
             raise QuadratureError(
-                f"tail tolerance {tol} unattainable below cutoff {_MAX_TRUNCATION} "
-                f"for theta={theta_max}"
+                f"truncation tolerance {_TRUNCATION_TOL} unattainable below cutoff "
+                f"{_MAX_TRUNCATION} for theta={theta_max}"
             )
-    return m
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite-quadrature and state-truncation settings.
-
-    ``truncation`` is the per-site state cutoff for the geometric sums of
-    bounded, non-polynomial g (polynomial g is never truncated); the
-    constructor :meth:`for_bounds` chooses it from the certified tail
-    bound at the largest parameter in play.  ``integral_tol`` is the
-    panel-doubling convergence tolerance of the x-integrals.
-    """
-
-    panels: int = 16
-    nodes_per_panel: int = 6
-    truncation: int = 96
-    tail_tol: float = 1e-12
-    integral_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.panels < 1 or self.nodes_per_panel < 1 or self.truncation < 0:
-            raise ValueError("panels, nodes_per_panel and truncation must be positive")
-
-    @classmethod
-    def for_bounds(
-        cls, bounds: BoundaryParams, tail_tol: float = 1e-12, **kwargs
-    ) -> "QuadratureSpec":
-        m = truncation_for(bounds.theta_right, tail_tol)
-        return cls(truncation=m, tail_tol=tail_tol, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,8 @@ def _product_moment(exps) -> np.ndarray:
     """E[prod_j eta_j^{e_j}] under the homogeneous product, as coefficients in rho."""
     out = np.ones(1)
     for e in exps:
-        out = P.polymul(out, geometric_raw_moment_coefficients(int(e)))
+        if e:  # E[eta^0] = 1 adds nothing
+            out = P.polymul(out, geometric_raw_moment_coefficients(int(e)))
     return out
 
 
@@ -169,29 +165,6 @@ def _poly_variance(g: LocalFunction) -> np.ndarray:
             exps[m - 1 : m - 1 + k] += mov
             total = P.polyadd(total, c_ref * c_mov * _product_moment(exps))
     return total
-
-
-def _check_truncation(
-    g: LocalFunction, theta_max: float, quad: QuadratureSpec, deriv: bool = False
-) -> None:
-    """Certify the truncated grid sums of a bounded g for h, or for h'.
-
-    States beyond m at any of k sites move h by at most bound * k * p**(m+1).
-    For h' each slot adds the tail of d nu/d theta, and a whole row of
-    d nu/d theta has total variation at most 2.
-    """
-    if not g.bounded:
-        raise ValueError("cannot certify truncation: g is neither bounded nor polynomial")
-    m = quad.truncation
-    tail = geometric_tail_bound(theta_max, m)
-    if deriv:
-        tail = _deriv_tail_bound(theta_max, m) + 2 * (g.k - 1) * tail
-    err = float(g.bound) * g.k * tail
-    if err > quad.tail_tol:
-        raise QuadratureError(
-            f"truncation {m} leaves certified tail {err:.3e} above "
-            f"tolerance {quad.tail_tol:.3e} (theta={theta_max})"
-        )
 
 
 def _geometric_weights(rhos: np.ndarray, m: int) -> np.ndarray:
@@ -238,13 +211,11 @@ def _contract(grid: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     return t
 
 
-def _grid_mean(
-    g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec, deriv: bool = False
-) -> np.ndarray:
-    """h, or h' with ``deriv``, by truncated sums: the state grid
+def _grid_mean(g: LocalFunction, rhos: np.ndarray, m: int, deriv: bool = False) -> np.ndarray:
+    """h, or h' with ``deriv``, by sums truncated at m: the state grid
     contracted with nu_rho in every slot, and for h' the sum over slots j
     of the contraction with d nu_rho/d rho in slot j."""
-    k, m = g.k, quad.truncation
+    k = g.k
     grid = _g_grid(g, m)
     out = np.empty(rhos.size)
     chunk = max(1, 2**22 // max(grid.size, 1))
@@ -258,13 +229,13 @@ def _grid_mean(
     return out
 
 
-def _grid_local_variance(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """V by truncated sums: each covariance term conditions on the sites
-    the two windows share, which factorizes the product expectation."""
+def _grid_local_variance(g: LocalFunction, rhos: np.ndarray, m: int) -> np.ndarray:
+    """V by sums truncated at m: each covariance term conditions on the
+    sites the two windows share, which factorizes the product expectation."""
     k = g.k
-    grid = _g_grid(g, quad.truncation)
+    grid = _g_grid(g, m)
     out = np.zeros(rhos.size)
-    for i, w in enumerate(_geometric_weights(rhos, quad.truncation)):
+    for i, w in enumerate(_geometric_weights(rhos, m)):
 
         def conditional(shared):
             t = grid
@@ -273,9 +244,9 @@ def _grid_local_variance(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpe
             return t
 
         mean = float(conditional(()))
-        for m in range(1, 2 * k):
-            lo, hi = max(m, k), min(m + k - 1, 2 * k - 1)
-            joint = conditional(range(lo - k, hi - k + 1)) * conditional(range(lo - m, hi - m + 1))
+        for s in range(1, 2 * k):
+            lo, hi = max(s, k), min(s + k - 1, 2 * k - 1)
+            joint = conditional(range(lo - k, hi - k + 1)) * conditional(range(lo - s, hi - s + 1))
             for _ in range(joint.ndim):
                 joint = np.tensordot(joint, w, axes=([joint.ndim - 1], [0]))
             out[i] += float(joint) - mean * mean
@@ -289,35 +260,33 @@ def _rhos(rhos) -> np.ndarray:
     return rhos
 
 
-def _mean(g: LocalFunction, rhos, quad: QuadratureSpec, deriv: bool) -> np.ndarray:
+def _mean(g: LocalFunction, rhos, deriv: bool) -> np.ndarray:
     rhos = _rhos(rhos)
     if g.monomials is not None:
         h = _poly_mean(g)
         return P.polyval(rhos, P.polyder(h) if deriv else h)
-    _check_truncation(g, float(rhos.max(initial=0.0)), quad, deriv)
-    return _grid_mean(g, rhos, quad, deriv)
+    return _grid_mean(g, rhos, _truncation(g, float(rhos.max(initial=0.0))), deriv)
 
 
-def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     """h(rho) = E[g(eta_1, ..., eta_k)] under the homogeneous geometric
     product at each rho.
 
-    Exact for polynomial g.  Bounded g is summed over [0, truncation]^k,
-    with the truncation error certified against ``quad.tail_tol``.
+    Exact for polynomial g.  Bounded g is summed over [0, m]^k, with the
+    cutoff m chosen at the largest rho so that the truncation error is
+    certified below 1e-12.
     """
-    return _mean(g, rhos, quad, deriv=False)
+    return _mean(g, rhos, deriv=False)
 
 
-def homogeneous_mean_deriv_batch(
-    g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec
-) -> np.ndarray:
+def homogeneous_mean_deriv_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     """Derivative of t -> E[g | all parameters equal t] at each rho: exact
     for polynomial g, and for bounded g the truncated sum with d nu/d rho
     in one slot at a time (finite at rho = 0 too)."""
-    return _mean(g, rhos, quad, deriv=True)
+    return _mean(g, rhos, deriv=True)
 
 
-def local_variance_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+def local_variance_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     """Summed covariance of g between a reference window and its 2k-1 shifts.
 
     Under the homogeneous product at each rho, with the reference window on
@@ -330,13 +299,12 @@ def local_variance_batch(g: LocalFunction, rhos: np.ndarray, quad: QuadratureSpe
         return P.polyval(rhos, _poly_variance(g))
     if g.k > 3:
         raise ValueError("local variances of non-polynomial g are limited to k <= 3")
-    _check_truncation(g, float(rhos.max(initial=0.0)), quad)
-    return _grid_local_variance(g, rhos, quad)
+    return _grid_local_variance(g, rhos, _truncation(g, float(rhos.max(initial=0.0))))
 
 
-def _composite_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _composite_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1] split into equal panels."""
-    x, w = leggauss(nodes)
+    x, w = leggauss(_NODES_PER_PANEL)
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -345,15 +313,15 @@ def _composite_nodes(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     ).ravel()
 
 
-def _refine(evaluate, quad: QuadratureSpec, label: str):
+def _refine(evaluate, label: str):
     """Panel-doubling convergence: returns the refined value, a float or
     an array, once every entry is stable."""
-    panels = quad.panels
+    panels = _FIRST_PANELS
     prev = evaluate(panels)
     while panels <= _MAX_PANELS:
         panels *= 2
         cur = evaluate(panels)
-        if np.all(np.abs(cur - prev) <= quad.integral_tol * np.maximum(1.0, np.abs(cur))):
+        if np.all(np.abs(cur - prev) <= _INTEGRAL_TOL * np.maximum(1.0, np.abs(cur))):
             return cur
         prev = cur
     raise QuadratureError(f"{label}: panel doubling did not converge at {panels} panels")
@@ -363,16 +331,15 @@ def lln_limit(
     g: LocalFunction,
     phi: TestFunction,
     bounds: BoundaryParams,
-    quad: QuadratureSpec,
 ) -> float:
     """The almost-sure limit of the field: integral of h(rho(x)) * phi(x)."""
 
     def evaluate(panels: int) -> float:
-        x, w = _composite_nodes(panels, quad.nodes_per_panel)
-        vals = homogeneous_mean_batch(g, bounds.density(x), quad) * phi(x)
+        x, w = _composite_nodes(panels)
+        vals = homogeneous_mean_batch(g, bounds.density(x)) * phi(x)
         return float(w @ vals)
 
-    return _refine(evaluate, quad, "lln_limit")
+    return _refine(evaluate, "lln_limit")
 
 
 def _tail_matrix(nodes: int) -> np.ndarray:
@@ -391,7 +358,6 @@ def clt_variances(
     g: LocalFunction,
     phi: TestFunction,
     bounds: BoundaryParams,
-    quad: QuadratureSpec,
 ) -> CltVariances:
     """Both central-limit variances of the fluctuation field of g.
 
@@ -402,21 +368,21 @@ def clt_variances(
     part is the integral of V(rho(x)) * phi(x)^2.  Both come from one
     panel-doubling pass over the same nodes.
     """
-    nodes = quad.nodes_per_panel
+    nodes = _NODES_PER_PANEL
     tail = _tail_matrix(nodes)
 
     def evaluate(panels: int) -> np.ndarray:
-        x, w = _composite_nodes(panels, nodes)
+        x, w = _composite_nodes(panels)
         rho, phi_x = bounds.density(x), phi(x)
-        a = (phi_x * homogeneous_mean_deriv_batch(g, rho, quad)).reshape(panels, nodes)
+        a = (phi_x * homogeneous_mean_deriv_batch(g, rho)).reshape(panels, nodes)
         # C at the nodes: the panels to the right plus the rest of the own panel
         pieces = np.sum(w.reshape(panels, nodes) * a, axis=1)
         right = np.append(np.cumsum(pieces[:0:-1])[::-1], 0.0)
         c = (right[:, None] + a @ tail.T / (2 * panels)).ravel()
         c -= w @ c
-        return np.array([w @ c**2, w @ (local_variance_batch(g, rho, quad) * phi_x**2)])
+        return np.array([w @ c**2, w @ (local_variance_batch(g, rho) * phi_x**2)])
 
-    bridge, white = _refine(evaluate, quad, "CLT variances")
+    bridge, white = _refine(evaluate, "CLT variances")
     return CltVariances(
         bridge_variance=float(bounds.width**2 * bridge),
         white_noise_variance=float(max(white, 0.0) if white > -1e-10 else white),

@@ -14,6 +14,7 @@ Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -23,11 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geomix.asymptotics import (
-    QuadratureError,
-    QuadratureSpec,
-    homogeneous_mean_batch,
-)
+from geomix.asymptotics import QuadratureError, homogeneous_mean_batch
 from geomix.core import (
     BoundaryParams,
     RandomSeed,
@@ -477,44 +474,31 @@ def cmd_verify(
     return EXIT_PASS if passed else EXIT_VERDICT
 
 
-def _ldp_spec(cfg: dict) -> FreeEnergySpec:
-    sec = cfg.get("ldp", {})
+_LDP_KEYS = ("theta", "lambda_grid", "x_grid", "profile", "mu", "m_state", "solver")
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+
+
+def _known_table(table, keys: tuple[str, ...], where: str) -> dict:
+    """A config table that holds only keys some ldp task reads."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"config section '{where}' must be a table")
+    unknown = sorted(set(table) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in config section '{where}'")
+    return table
+
+
+def _ldp_spec(cfg: dict, sec: dict) -> FreeEnergySpec:
     g = build_g(cfg)
     if not g.bounded:
         raise ConfigError("ldp tasks require a bounded local function g")
-    fields = {"m_state": int, "eigen_tol": float}
-    return FreeEnergySpec(g=g, **{k: cast(sec[k]) for k, cast in fields.items() if k in sec})
+    if "m_state" in sec:
+        return FreeEnergySpec(g=g, m_state=int(sec["m_state"]))
+    return FreeEnergySpec(g=g)
 
 
-def _ldp_solver(cfg: dict) -> SolverConfig:
-    sec = cfg.get("ldp", {}).get("solver", {})
-    fields = {
-        "max_iterations": int,
-        "step_size": float,
-        "shrink_factor": float,
-        "tolerance": float,
-        "multistart": int,
-        "seed": int,
-        "grid_size": int,
-    }
-    kwargs = {k: cast(sec[k]) for k, cast in fields.items() if k in sec}
-    return SolverConfig(**kwargs)
-
-
-def _ldp_quadrature(cfg: dict, bounds: BoundaryParams) -> QuadratureSpec:
-    sec = cfg.get("ldp", {}).get("quadrature", {})
-    base = QuadratureSpec.for_bounds(bounds)
-    kwargs = {}
-    for key, cast in (
-        ("panels", int),
-        ("nodes_per_panel", int),
-        ("truncation", int),
-        ("tail_tol", float),
-        ("integral_tol", float),
-    ):
-        if key in sec:
-            kwargs[key] = cast(sec[key])
-    return QuadratureSpec(**{**base.__dict__, **kwargs}) if kwargs else base
+def _ldp_solver(sec: dict) -> SolverConfig:
+    return SolverConfig(**{k: int(v) for k, v in sec.get("solver", {}).items()})
 
 
 def _ldp_profile(cfg: dict, bounds: BoundaryParams) -> MonotoneProfile:
@@ -544,8 +528,9 @@ def cmd_ldp(
     bounds = build_bounds(cfg)
     if bounds.width <= 0:
         raise ConfigError("ldp tasks require theta_left < theta_right")
-    spec = _ldp_spec(cfg)
-    sec = cfg.get("ldp", {})
+    sec = _known_table(cfg.get("ldp", {}), _LDP_KEYS, "ldp")
+    _known_table(sec.get("solver", {}), _SOLVER_KEYS, "ldp.solver")
+    spec = _ldp_spec(cfg, sec)
     run = _Run(f"ldp-{task}", cfg, seed, out_dir)
     name = task.replace("-", "_")
     verdicts: dict = {}
@@ -574,12 +559,9 @@ def cmd_ldp(
         payload = {"path_rate": value}
         phi_sec = cfg.get("phi")
         if phi_sec is not None:
-            quad = _ldp_quadrature(cfg, bounds)
-            payload["inhom_free_energy"] = inhom_free_energy(
-                profile, build_phi(cfg), spec, quad
-            )
+            payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg), spec)
     elif task == "annealed":
-        solver = _ldp_solver(cfg)
+        solver = _ldp_solver(sec)
         result = annealed_free_energy(build_phi(cfg), spec, bounds, solver)
         run.csv(
             f"{name}_table.csv",
@@ -593,15 +575,14 @@ def cmd_ldp(
             )
         }
     else:  # profile-rate
-        solver = _ldp_solver(cfg)
+        solver = _ldp_solver(sec)
         mu_sec = sec.get("mu", {"name": "lln", "offset": 0.0})
         if mu_sec.get("name") == "lln":
             offset = float(mu_sec.get("offset", 0.0))
-            quad = _ldp_quadrature(cfg, bounds)
             g = spec.g
 
-            def mu_eval(x, g=g, quad=quad, bounds=bounds, offset=offset):
-                return homogeneous_mean_batch(g, bounds.density(x), quad) + offset
+            def mu_eval(x, g=g, bounds=bounds, offset=offset):
+                return homogeneous_mean_batch(g, bounds.density(x)) + offset
 
             mu = TestFunction(mu_eval, name="lln-profile")
         else:

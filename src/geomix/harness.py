@@ -28,7 +28,6 @@ import numpy as np
 
 from geomix.asymptotics import (
     CltVariances,
-    QuadratureSpec,
     bridge_covariance,
     clt_variances,
     lln_limit,
@@ -278,14 +277,12 @@ class LlnResult:
         return all(b < a for a, b in zip(devs, devs[1:]))
 
 
-def run_lln(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> LlnResult:
+def run_lln(cfg: ExperimentConfig) -> LlnResult:
     """Mean absolute deviation of the field from its limit, per ladder N."""
     if cfg.g.monomials is not None and (cfg.g.degree or 0) > _MAX_POLY_DEGREE:
         raise ValueError("polynomial degree cap exceeded for the moment hypotheses")
-    if quad is None:
-        quad = QuadratureSpec.for_bounds(cfg.bounds)
-    limit = lln_limit(cfg.g, cfg.phi, cfg.bounds, quad)
-    sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds, quad).total
+    limit = lln_limit(cfg.g, cfg.phi, cfg.bounds)
+    sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds).total
     rows = []
     for n in cfg.n_ladder:
 
@@ -319,7 +316,7 @@ class CltResult:
         return abs(self.sample_variance - self.target.total) <= 5.0 * self.variance_se
 
 
-def run_clt(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> CltResult:
+def run_clt(cfg: ExperimentConfig) -> CltResult:
     """Distribution of the rescaled fluctuation field at the largest N.
 
     Samples sqrt(N) * (X_N - exact mean) and compares them against the
@@ -331,9 +328,7 @@ def run_clt(cfg: ExperimentConfig, quad: QuadratureSpec | None = None) -> CltRes
     if cfg.replicas < 2000:
         raise ValueError("distributional tests need at least 2000 replicas")
     n = cfg.n_ladder[-1]
-    if quad is None:
-        quad = QuadratureSpec.for_bounds(cfg.bounds)
-    target = clt_variances(cfg.g, cfg.phi, cfg.bounds, quad)
+    target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
 
     def fn(rng, count):

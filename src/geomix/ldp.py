@@ -29,7 +29,6 @@ from numpy.polynomial.legendre import leggauss
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.asymptotics import (
     QuadratureError,
-    QuadratureSpec,
     _check_cells,
     _composite_nodes,
     _g_grid,
@@ -58,7 +57,15 @@ __all__ = [
 ]
 
 _POWER_ITERATION_CAP = 20_000
+_EIGEN_TOL = 1e-12
 _LEGENDRE_ITERATION_CAP = 100
+# projected gradient: first step, backtracking factor, and the move (relative
+# to the increment budget) below which an accepted step counts as converged
+_PGD_STEP = 0.25
+_PGD_SHRINK = 0.5
+_PGD_TOL = 1e-9
+# Gauss nodes per profile cell of the path objectives
+_CELL_NODES = 2
 
 
 class NumericError(RuntimeError):
@@ -74,11 +81,11 @@ _TAIL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FreeEnergySpec:
-    """Free-energy evaluation settings for one bounded local function."""
+    """A bounded local function and the state truncation its free energy
+    is evaluated at; ``m_state`` sets the certified lambda caps."""
 
     g: LocalFunction
     m_state: int = 128
-    eigen_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.g.bounded:
@@ -106,16 +113,11 @@ class SolverConfig:
     """Projected-gradient solver settings (exposed through the CLI)."""
 
     max_iterations: int = 4000
-    step_size: float = 0.25
-    shrink_factor: float = 0.5
-    tolerance: float = 1e-9
     multistart: int = 4
     seed: int = 0
     grid_size: int = 200
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
         if self.grid_size < 2:
             raise ValueError("grid size must be >= 2")
         if self.multistart < 1:
@@ -142,6 +144,8 @@ class MonotoneProfile:
             raise ValueError("monotone profiles require theta_left < theta_right")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("profile grid needs at least two values")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("profile values must be finite")
         if np.any(np.diff(vals) < -1e-12 * self.bounds.width):
             raise ValueError("profile values must be non-decreasing")
         if vals[0] < self.bounds.theta_left - 1e-9 * max(1.0, self.bounds.width):
@@ -170,6 +174,8 @@ class MonotoneProfile:
 def _check_tail(thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec) -> None:
     """Certify the state truncation at every (theta, lambda) node: the
     dropped mass exp(|lam| * bound) * (theta/(1+theta))**(m_state+1)."""
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda must be finite")
     p = thetas / (1.0 + thetas)
     errs = np.exp(np.abs(lams) * float(spec.g.bound)) * p ** (spec.m_state + 1)
     if np.any(errs > _TAIL_TOL):
@@ -212,7 +218,7 @@ def _perron(
         if not np.all((new_eigen > 0.0) & np.isfinite(new_eigen)):
             raise NumericError(f"degenerate transfer iterate at theta={theta}, lam={lam}")
         r, l = kr / new_eigen[0], kl / new_eigen[1]
-        if np.all(np.abs(new_eigen - eigen) <= spec.eigen_tol * np.maximum(1.0, new_eigen)):
+        if np.all(np.abs(new_eigen - eigen) <= _EIGEN_TOL * np.maximum(1.0, new_eigen)):
             break
         eigen = new_eigen
     else:
@@ -235,19 +241,19 @@ class _FreeEnergyTable:
 
     def __init__(self, thetas: np.ndarray, spec: FreeEnergySpec) -> None:
         self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        if np.any(self.thetas < 0):
-            raise ValueError("theta must be >= 0")
+        if not np.all(np.isfinite(self.thetas) & (self.thetas >= 0)):
+            raise ValueError("theta must be finite and >= 0")
         self.spec = spec
         self.gvals = _g_grid(spec.g, spec.m_state)
         if spec.g.k == 1:
             m = spec.m_state
-            _check_cells(
-                self.thetas.size * (m + 1),
-                f"the weight table of {self.thetas.size} nodes at truncation {m}",
-            )
             # runs of equal g, gathered by level; every level holds a run
             self.levels, level_of = np.unique(self.gvals, return_inverse=True)
             starts = np.flatnonzero(np.diff(level_of, prepend=-1))
+            _check_cells(
+                self.thetas.size * starts.size,
+                f"the run table of {self.thetas.size} nodes and {starts.size} runs",
+            )
             order = np.argsort(level_of[starts], kind="stable")
             firsts = np.searchsorted(level_of[starts][order], np.arange(self.levels.size))
             ends = np.append(starts[1:] - 1, m)
@@ -365,6 +371,8 @@ def _legendre(
     """
     table = _FreeEnergyTable(thetas, spec)
     xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     g_lo, g_hi = float(table.gvals.min()), float(table.gvals.max())
     caps = spec.certified_lambda_caps(table.thetas)
     interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
@@ -436,17 +444,16 @@ def inhom_free_energy(
     u: MonotoneProfile,
     phi: TestFunction,
     spec: FreeEnergySpec,
-    quad: QuadratureSpec,
 ) -> float:
     """Integral of x -> F(u(x), phi(x); g) with u piecewise linear.
 
     phi supplies the pointwise tilt strength."""
 
     def evaluate(panels: int) -> float:
-        x, w = _composite_nodes(panels, quad.nodes_per_panel)
+        x, w = _composite_nodes(panels)
         return float(w @ free_energy(u.interpolate(x), phi(x), spec)[0])
 
-    return _refine(evaluate, quad, "inhomogeneous free energy")
+    return _refine(evaluate, "inhomogeneous free energy")
 
 
 def _project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -496,9 +503,9 @@ class _ProfileParam:
         return starts
 
 
-def _cell_nodes(m_cells: int, nodes: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cell_nodes(m_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss nodes per profile cell: (x, weights, in-cell coordinates)."""
-    xg, wg = leggauss(nodes)
+    xg, wg = leggauss(_CELL_NODES)
     tau = (xg + 1.0) / 2.0
     cells = np.arange(m_cells)[:, None]
     x = ((cells + tau[None, :]) / m_cells).ravel()
@@ -508,7 +515,6 @@ def _cell_nodes(m_cells: int, nodes: int = 2) -> tuple[np.ndarray, np.ndarray, n
 
 def _path_objective(
     param: _ProfileParam,
-    cell_nodes: int,
     strength: TestFunction,
     node_terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     j_sign: float,
@@ -521,8 +527,8 @@ def _path_objective(
     parametrization.  A non-finite integrand gives the worst value, j_sign * inf.
     """
     m = param.m_cells
-    x, w, tau = _cell_nodes(m, cell_nodes)
-    tau_c = tau.reshape(m, cell_nodes)
+    x, w, tau = _cell_nodes(m)
+    tau_c = tau.reshape(m, _CELL_NODES)
     grid = np.arange(m + 1) / m
     sx = np.asarray(strength(x), dtype=float)
 
@@ -531,7 +537,7 @@ def _path_objective(
         node_vals, node_grads = node_terms(np.interp(x, grid, vals), sx)
         if not np.all(np.isfinite(node_vals)):
             return j_sign * math.inf, np.zeros(m + 1)
-        per_cell = (w * node_grads).reshape(m, cell_nodes)
+        per_cell = (w * node_grads).reshape(m, _CELL_NODES)
         grad_u = np.zeros(m + 1)
         grad_u[:-1] += np.sum(per_cell * (1.0 - tau_c), axis=1)
         grad_u[1:] += np.sum(per_cell * tau_c, axis=1)
@@ -557,7 +563,7 @@ def _pgd(
     sign = 1.0 if maximize else -1.0
     e = _project_capped_simplex(start, param.budget)
     value, grad = objective(e)
-    step = solver.step_size
+    step = _PGD_STEP
     progressed = False
     scale = max(param.budget, 1e-12)
     for _ in range(solver.max_iterations):
@@ -573,14 +579,12 @@ def _pgd(
                 e, value, grad = cand, cand_value, cand_grad
                 moved = True
                 progressed = True
-                step /= solver.shrink_factor
+                step /= _PGD_SHRINK
                 # converged: the step or the gain has hit numerical noise
-                if shift < solver.tolerance * scale or improvement <= 1e-13 * max(
-                    1.0, abs(value)
-                ):
+                if shift < _PGD_TOL * scale or improvement <= 1e-13 * max(1.0, abs(value)):
                     return value, e, progressed
                 break
-            step *= solver.shrink_factor
+            step *= _PGD_SHRINK
         if not moved:
             return value, e, progressed
     return value, e, progressed
@@ -605,7 +609,6 @@ def annealed_free_energy(
     spec: FreeEnergySpec,
     bounds: BoundaryParams,
     solver: SolverConfig,
-    cell_nodes: int = 2,
 ) -> AnnealedResult:
     """sup over monotone profiles of [integral of F(u(x), phi(x)) - J(u)].
 
@@ -623,7 +626,7 @@ def annealed_free_energy(
         f, _, f_theta = free_energy(thetas, lams, spec)
         return f, f_theta
 
-    objective = _path_objective(param, cell_nodes, phi, node_terms, j_sign=-1.0)
+    objective = _path_objective(param, phi, node_terms, j_sign=-1.0)
 
     results = []
     any_progress = False
@@ -651,7 +654,6 @@ def profile_rate(
     spec: FreeEnergySpec,
     bounds: BoundaryParams,
     solver: SolverConfig,
-    cell_nodes: int = 2,
 ) -> ProfileRateResult:
     """inf over monotone profiles of [integral of I(u(x), mu(x)) + J(u)].
 
@@ -668,7 +670,7 @@ def profile_rate(
         rates, _, f_theta = _legendre(thetas, mus, spec)
         return rates, -f_theta
 
-    objective = _path_objective(param, cell_nodes, mu_density, node_terms, j_sign=1.0)
+    objective = _path_objective(param, mu_density, node_terms, j_sign=1.0)
 
     results = []
     for s in param.starts(solver):

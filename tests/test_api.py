@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -31,3 +32,20 @@ def test_readme_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_config_block_runs(tmp_path):
+    # the README's config is accepted as written: verify reads its own
+    # section, and an ldp task (on the bounded g the ldp tasks require)
+    # accepts every key of its ldp table
+    from geomix.cli import EXIT_PASS, main
+
+    block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    cfg = json.loads(block.group(1))
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    assert main(["verify", "le-scaling", "--config", str(path), "--out-dir", out]) == EXIT_PASS
+    cfg["g"] = {"name": "indicator-vacuum"}
+    path.write_text(json.dumps(cfg))
+    assert main(["ldp", "free-energy", "--config", str(path), "--out-dir", out]) == EXIT_PASS

@@ -10,7 +10,6 @@ from conftest import assert_within_se
 import geomix.asymptotics as asymptotics_module
 from geomix.asymptotics import (
     QuadratureError,
-    QuadratureSpec,
     _grid_local_variance,
     _grid_mean,
     bridge_covariance,
@@ -20,7 +19,6 @@ from geomix.asymptotics import (
     homogeneous_mean_deriv_batch,
     lln_limit,
     local_variance_batch,
-    truncation_for,
 )
 from geomix.core import (
     BoundaryParams,
@@ -39,73 +37,60 @@ from geomix.fields import phi_identity, phi_one
 EXACT_CLT_G = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
 
 
-@pytest.fixture
-def quad(bounds):
-    return QuadratureSpec.for_bounds(bounds)
-
-
-def at(evaluator, g, rho, quad):
+def at(evaluator, g, rho):
     """One value of a batch evaluator of the homogeneous layer."""
-    return float(evaluator(g, np.array([rho]), quad)[0])
+    return float(evaluator(g, np.array([rho]))[0])
 
 
 def test_tail_bound_certifies_truncation():
-    m = truncation_for(2.0, 1e-12)
-    assert geometric_tail_bound(2.0, m) <= 1e-12
+    g = indicator_vacuum_function()
+    for theta in (2.0, 3.0):
+        assert geometric_tail_bound(theta, asymptotics_module._truncation(g, theta)) <= 1e-12
     assert geometric_tail_bound(0.0, 5) == 0.0
 
 
-def test_for_bounds_certifies_the_derivative_tail():
+def test_truncation_certifies_the_derivative_tail():
     # the cutoff certifies h' of bounded g as well as its mass tail; at
-    # theta_right = 0.2 the mass tail alone picks a cutoff (16) whose
+    # rho = 0.2 the mass tail alone picks a cutoff (16) whose
     # d nu/d theta tail is 4e-12
     g = indicator_vacuum_function()
     for theta in (0.2, 0.7, 1.8):
-        quad = QuadratureSpec.for_bounds(BoundaryParams(0.0, theta))
-        assert at(homogeneous_mean_deriv_batch, g, theta, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, g, theta) == pytest.approx(
             -1 / (1 + theta) ** 2, rel=1e-10
         )
-    bounds = BoundaryParams(0.0, 0.2)
-    var = clt_variances(g, phi_one(), bounds, QuadratureSpec.for_bounds(bounds))
+    var = clt_variances(g, phi_one(), BoundaryParams(0.0, 0.2))
     assert np.isfinite(var.total) and var.bridge_variance > 0
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=0)
-    spec = QuadratureSpec.for_bounds(BoundaryParams(0.0, 3.0))
-    assert geometric_tail_bound(3.0, spec.truncation) <= spec.tail_tol
-
-
-def test_homogeneous_mean_examples(quad):
+def test_homogeneous_mean_examples():
     for rho in (0.2, 1.0, 1.8):
-        assert at(homogeneous_mean_batch, density_function(), rho, quad) == pytest.approx(rho, rel=1e-10)
+        assert at(homogeneous_mean_batch, density_function(), rho) == pytest.approx(rho, rel=1e-10)
         # conditional independence: product of the two site means
-        assert at(homogeneous_mean_batch, pair_product_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_batch, pair_product_function(), rho) == pytest.approx(
             rho**2, rel=1e-10
         )
-        assert at(homogeneous_mean_batch, indicator_vacuum_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_batch, indicator_vacuum_function(), rho) == pytest.approx(
             1 / (1 + rho), rel=1e-12
         )
 
 
-def test_homogeneous_mean_unbounded_non_polynomial_rejected(quad):
+def test_homogeneous_mean_unbounded_non_polynomial_rejected():
     g = LocalFunction(k=1, evaluator=lambda n: np.exp(np.asarray(n, dtype=float)))
     with pytest.raises(ValueError):
-        at(homogeneous_mean_batch, g, 1.0, quad)
+        at(homogeneous_mean_batch, g, 1.0)
 
 
 def test_homogeneous_mean_truncation_error():
-    # only bounded g is truncated; polynomial g is exact at any truncation
-    tiny = QuadratureSpec(truncation=4, tail_tol=1e-12)
+    # only bounded g is truncated, and at rho = 1e6 its certified cutoff
+    # lies past 200,000; polynomial g is exact at any rho
     with pytest.raises(QuadratureError):
-        at(homogeneous_mean_batch, indicator_vacuum_function(), 2.0, tiny)
+        at(homogeneous_mean_batch, indicator_vacuum_function(), 1e6)
     with pytest.raises(QuadratureError):
-        at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 2.0, tiny)
-    assert at(homogeneous_mean_batch, density_function(), 2.0, tiny) == 2.0
+        at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 1e6)
+    assert at(homogeneous_mean_batch, density_function(), 1e6) == 1e6
 
 
-def test_homogeneous_mean_monte_carlo_consistency(quad, bounds):
+def test_homogeneous_mean_monte_carlo_consistency(bounds):
     # h(g, rho) equals the mixture mean at equal reservoirs, by simulation
     rho, r = 1.2, 10**5
     rng = RandomSeed(55, 0).generator()
@@ -113,28 +98,28 @@ def test_homogeneous_mean_monte_carlo_consistency(quad, bounds):
     vals = occ[:, 0].astype(float) * occ[:, 1]
     se = vals.std(ddof=1) / math.sqrt(r)
     assert_within_se(
-        vals.mean(), at(homogeneous_mean_batch, pair_product_function(), rho, quad), se, 4
+        vals.mean(), at(homogeneous_mean_batch, pair_product_function(), rho), se, 4
     )
 
 
-def test_homogeneous_mean_deriv_examples(quad):
+def test_homogeneous_mean_deriv_examples():
     for rho in (0.3, 1.0, 1.7):
-        assert at(homogeneous_mean_deriv_batch, density_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, density_function(), rho) == pytest.approx(
             1.0, abs=1e-7
         )
-        assert at(homogeneous_mean_deriv_batch, pair_product_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, pair_product_function(), rho) == pytest.approx(
             2 * rho, abs=1e-7
         )
-        assert at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), rho, quad) == pytest.approx(
+        assert at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), rho) == pytest.approx(
             -1 / (1 + rho) ** 2, abs=1e-7
         )
 
 
-def test_homogeneous_mean_deriv_exact_at_zero(quad):
+def test_homogeneous_mean_deriv_exact_at_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vacuum = at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 0.0, quad)
-        density = at(homogeneous_mean_deriv_batch, density_function(), 0.0, quad)
+        vacuum = at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 0.0)
+        density = at(homogeneous_mean_deriv_batch, density_function(), 0.0)
     assert vacuum == pytest.approx(-1.0, abs=1e-15)
     assert density == 1.0
 
@@ -155,32 +140,51 @@ def test_exact_layer_matches_grid_path(g):
     # to the same 1e-12 as h and V); at rho = 2 the cutoffs leave
     # sum_{n > m} n^d nu(n) below 2e-13 for every site degree d here
     rhos = np.array([0.0, 0.3, 1.0, 2.0])
-    grid_quad = QuadratureSpec(truncation=200 if g.k < 3 else 120)
+    m = 200 if g.k < 3 else 120
     exact = [
-        f(g, rhos, grid_quad)
+        f(g, rhos)
         for f in (homogeneous_mean_batch, homogeneous_mean_deriv_batch, local_variance_batch)
     ]
     grid = [
-        _grid_mean(g, rhos, grid_quad),
-        _grid_mean(g, rhos, grid_quad, deriv=True),
-        _grid_local_variance(g, rhos, grid_quad),
+        _grid_mean(g, rhos, m),
+        _grid_mean(g, rhos, m, deriv=True),
+        _grid_local_variance(g, rhos, m),
     ]
     for e, r in zip(exact, grid):
         np.testing.assert_allclose(e, r, rtol=1e-12, atol=1e-12)
 
 
-def test_local_variance_single_site(quad):
+def test_polynomial_variance_cost_is_linear_in_k(monkeypatch):
+    # eta_1 eta_k: every monomial pair has at most four non-zero site
+    # exponents, so skipping the zero ones leaves O(k) polymul calls for V
+    counts = {}
+    polymul = asymptotics_module.P.polymul
+
+    def counted(a, b):
+        counts[k] += 1
+        return polymul(a, b)
+
+    monkeypatch.setattr(asymptotics_module.P, "polymul", counted)
+    for k in (10, 20, 40):
+        counts[k] = 0
+        g = polynomial_function(k, {(1,) + (0,) * (k - 2) + (1,): 1.0})
+        local_variance_batch(g, np.array([1.0]))
+    assert counts[40] - counts[20] == 2 * (counts[20] - counts[10])
+    assert counts[40] <= 10 * 40
+
+
+def test_local_variance_single_site():
     for rho in (0.4, 1.0, 2.0):
-        assert at(local_variance_batch, density_function(), rho, quad) == pytest.approx(
+        assert at(local_variance_batch, density_function(), rho) == pytest.approx(
             rho * (1 + rho), rel=1e-10
         )
         p = 1 / (1 + rho)
-        assert at(local_variance_batch, indicator_vacuum_function(), rho, quad) == pytest.approx(
+        assert at(local_variance_batch, indicator_vacuum_function(), rho) == pytest.approx(
             p * (1 - p), rel=1e-10
         )
 
 
-def test_local_variance_pair_against_enumeration(quad):
+def test_local_variance_pair_against_enumeration():
     # brute-force covariance sum over the four-site window at cutoff 60
     rho = 1.0
     m = 60
@@ -193,12 +197,12 @@ def test_local_variance_pair_against_enumeration(quad):
     lag = first * second * first - mean_pair**2
     var = second**2 - mean_pair**2
     brute = var + 2 * lag
-    assert at(local_variance_batch, pair_product_function(), rho, quad) == pytest.approx(
+    assert at(local_variance_batch, pair_product_function(), rho) == pytest.approx(
         brute, rel=1e-9
     )
 
 
-def test_local_variance_pair_triple_loop_oracle(quad):
+def test_local_variance_pair_triple_loop_oracle():
     # fully independent enumeration of cov(g(eta_2, eta_3), g(eta_m, eta_m+1))
     rho, m = 0.8, 40
     n = np.arange(m + 1)
@@ -215,44 +219,34 @@ def test_local_variance_pair_triple_loop_oracle(quad):
         inner2 = float(np.sum(g(a, n) * w))
         joint += w[a] * inner1 * inner2
     total += 2 * (joint - mean**2)
-    assert at(local_variance_batch, pair_product_function(), rho, quad) == pytest.approx(
+    assert at(local_variance_batch, pair_product_function(), rho) == pytest.approx(
         total, rel=1e-6
     )
 
 
-def test_lln_limit_examples(bounds, quad):
-    assert lln_limit(density_function(), phi_one(), bounds, quad) == pytest.approx(
+def test_lln_limit_examples(bounds):
+    assert lln_limit(density_function(), phi_one(), bounds) == pytest.approx(
         (bounds.theta_left + bounds.theta_right) / 2, rel=1e-9
     )
     ub = BoundaryParams(0.0, 1.0)
-    assert lln_limit(density_function(), phi_identity(), ub, quad) == pytest.approx(
+    assert lln_limit(density_function(), phi_identity(), ub) == pytest.approx(
         1 / 3, rel=1e-9
     )
     eq = BoundaryParams(1.3, 1.3)
-    assert lln_limit(pair_product_function(), phi_one(), eq, quad) == pytest.approx(
+    assert lln_limit(pair_product_function(), phi_one(), eq) == pytest.approx(
         1.3**2, rel=1e-9
     )
 
 
-def test_lln_limit_panel_doubling_is_stable(bounds, quad):
-    base = lln_limit(density_function(), phi_identity(), bounds, quad)
-    finer = lln_limit(
-        density_function(),
-        phi_identity(),
-        bounds,
-        QuadratureSpec(
-            panels=2 * quad.panels,
-            nodes_per_panel=quad.nodes_per_panel,
-            truncation=quad.truncation,
-            tail_tol=quad.tail_tol,
-            integral_tol=quad.integral_tol,
-        ),
-    )
-    assert abs(base - finer) <= quad.integral_tol * max(1.0, abs(base))
+def test_lln_limit_panel_doubling_is_stable(bounds, monkeypatch):
+    base = lln_limit(density_function(), phi_identity(), bounds)
+    monkeypatch.setattr(asymptotics_module, "_FIRST_PANELS", 2 * asymptotics_module._FIRST_PANELS)
+    finer = lln_limit(density_function(), phi_identity(), bounds)
+    assert abs(base - finer) <= 1e-9 * max(1.0, abs(base))
 
 
-def test_clt_variances_density_flat_weight(bounds, quad):
-    cv = clt_variances(density_function(), phi_one(), bounds, quad)
+def test_clt_variances_density_flat_weight(bounds):
+    cv = clt_variances(density_function(), phi_one(), bounds)
     assert cv.bridge_variance == pytest.approx(bounds.width**2 / 12, rel=1e-8)
     # integral of rho (1 + rho) over the linear profile
     lo, hi = bounds.theta_left, bounds.theta_right
@@ -262,31 +256,31 @@ def test_clt_variances_density_flat_weight(bounds, quad):
     assert cv.total == cv.bridge_variance + cv.white_noise_variance
 
 
-def test_clt_variances_unit_interval(unit_bounds, quad):
-    cv = clt_variances(density_function(), phi_one(), unit_bounds, quad)
+def test_clt_variances_unit_interval(unit_bounds):
+    cv = clt_variances(density_function(), phi_one(), unit_bounds)
     assert cv.bridge_variance == pytest.approx(1 / 12, rel=1e-8)
     assert cv.white_noise_variance == pytest.approx(5 / 6, rel=1e-8)
 
 
-def test_clt_variance_bridge_with_ramp_weight(unit_bounds, quad):
+def test_clt_variance_bridge_with_ramp_weight(unit_bounds):
     # double integral of (s^t - st) s t over the square equals 1/45
-    cv = clt_variances(density_function(), phi_identity(), unit_bounds, quad)
+    cv = clt_variances(density_function(), phi_identity(), unit_bounds)
     assert cv.bridge_variance == pytest.approx(1 / 45, rel=1e-7)
 
 
-def test_clt_variances_vanishing_bridge_at_equilibrium(quad):
+def test_clt_variances_vanishing_bridge_at_equilibrium():
     eq = BoundaryParams(0.9, 0.9)
-    cv = clt_variances(density_function(), phi_one(), eq, quad)
+    cv = clt_variances(density_function(), phi_one(), eq)
     assert cv.bridge_variance == 0.0
     assert cv.white_noise_variance == pytest.approx(0.9 * 1.9, rel=1e-9)
 
 
-def test_variances_nonnegative_across_inputs(bounds, quad):
+def test_variances_nonnegative_across_inputs(bounds):
     for g, phi in itertools.product(
         (density_function(), indicator_vacuum_function(), pair_product_function()),
         (phi_one(), phi_identity()),
     ):
-        cv = clt_variances(g, phi, bounds, quad)
+        cv = clt_variances(g, phi, bounds)
         assert cv.bridge_variance >= 0.0
         assert cv.white_noise_variance >= 0.0
 
@@ -331,7 +325,7 @@ CLOSED_FORM_BRIDGES = [
 )
 def test_bridge_variance_closed_forms(g, phi, ends, exact):
     bounds = BoundaryParams(*ends)
-    cv = clt_variances(g, phi, bounds, QuadratureSpec.for_bounds(bounds))
+    cv = clt_variances(g, phi, bounds)
     assert cv.bridge_variance == pytest.approx(exact, rel=1e-14)
 
 
@@ -344,32 +338,31 @@ def test_polynomial_variances_stop_after_one_doubling(monkeypatch, g, phi, ends,
     evaluated = []
     nodes = asymptotics_module._composite_nodes
 
-    def counted(panels, per_panel):
+    def counted(panels):
         evaluated.append(panels)
-        return nodes(panels, per_panel)
+        return nodes(panels)
 
     monkeypatch.setattr(asymptotics_module, "_composite_nodes", counted)
-    bounds = BoundaryParams(*ends)
-    clt_variances(g, phi, bounds, QuadratureSpec.for_bounds(bounds))
+    clt_variances(g, phi, BoundaryParams(*ends))
     assert evaluated == [16, 32]
 
 
 @pytest.mark.parametrize(
     "g", [EXACT_CLT_G, indicator_vacuum_function()], ids=["exact-clt", "vacuum"]
 )
-def test_clt_variances_memory_is_linear_in_nodes(bounds, g):
+def test_clt_variances_memory_is_linear_in_nodes(bounds, g, monkeypatch):
     # 256 panels are 1536 nodes: an n x n bridge kernel alone would be 18 MiB
-    quad = QuadratureSpec.for_bounds(bounds, panels=256)
+    monkeypatch.setattr(asymptotics_module, "_FIRST_PANELS", 256)
     tracemalloc.start()
     try:
-        clt_variances(g, phi_identity(), bounds, quad)
+        clt_variances(g, phi_identity(), bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
 
 
-def test_white_noise_variance_adjudication(bounds, quad):
+def test_white_noise_variance_adjudication(bounds):
     # the summed window covariance must reproduce the conditional variance
     # growth (1/N) var(sum of shifted g | flat profile) by simulation
     theta, n, r = 1.0, 2000, 4000
@@ -378,7 +371,7 @@ def test_white_noise_variance_adjudication(bounds, quad):
     occ = configuration_batch(np.full((r, n), theta), rng)
     windows = occ[:, :-1].astype(float) * occ[:, 1:]
     sums = windows.sum(axis=1) / math.sqrt(n)
-    target = at(local_variance_batch, g, theta, quad)
+    target = at(local_variance_batch, g, theta)
     emp = sums.var(ddof=1)
     centered = (sums - sums.mean()) ** 2
     se = centered.std(ddof=1) / math.sqrt(r)

@@ -252,15 +252,53 @@ def test_state_tables_over_budget_are_config_errors(tmp_path):
         (["verify", "clt"], {"clt": {"n_sites": 0, "replicas": 2000}}),
         (["ldp", "annealed"], {"g": {"name": "indicator-vacuum"},
                                "ldp": {"solver": {"multistart": 0}}}),
+        # non-finite LDP inputs are refused, not written out as nan or inf
+        (["ldp", "free-energy"], {"g": {"name": "indicator-vacuum"},
+                                  "ldp": {"theta": math.nan, "lambda_grid": [0.5]}}),
+        (["ldp", "free-energy"], {"g": {"name": "indicator-vacuum"},
+                                  "ldp": {"theta": math.inf, "lambda_grid": [0.5]}}),
+        (["ldp", "rate"], {"g": {"name": "indicator-vacuum"},
+                           "ldp": {"theta": math.nan, "x_grid": [0.5]}}),
+        (["ldp", "rate"], {"g": {"name": "indicator-vacuum"},
+                           "ldp": {"theta": math.inf, "x_grid": [0.5]}}),
+        (["ldp", "free-energy"], {"g": {"name": "indicator-vacuum"},
+                                  "ldp": {"theta": 1.0, "lambda_grid": [0.5, math.nan]}}),
+        (["ldp", "rate"], {"g": {"name": "indicator-vacuum"},
+                           "ldp": {"theta": 1.0, "x_grid": [0.5, math.nan]}}),
+        (["ldp", "path-rate"], {"g": {"name": "indicator-vacuum"},
+                                "ldp": {"profile": {"values": [0.0, math.nan, 2.0]}}}),
     ],
     ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "empty-grid",
-         "grid-above-one", "seed-list", "one-replica", "zero-sites", "no-starts"],
+         "grid-above-one", "seed-list", "one-replica", "zero-sites", "no-starts",
+         "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
+         "nan-lambda", "nan-x", "nan-profile"],
 )
 def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     assert main([*command, "--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "ldp, key",
+    [
+        ({"theta": 1.0, "lambda_grid": [0.5], "quadrature": {"panels": 10**9}}, "quadrature"),
+        ({"theta": 1.0, "lambda_grid": [0.5], "eigen_tol": 1e-6}, "eigen_tol"),
+        ({"theta": 1.0, "lambda_grid": [0.5], "solver": {"multistarts": 1}}, "multistarts"),
+        ({"theta": 1.0, "lambda_grid": [0.5], "solver": {"step_size": 0.1}}, "step_size"),
+        ({"theta": 1.0, "lambda_grid": [0.5], "solver": {"shrink_factor": 0.9}}, "shrink_factor"),
+        ({"theta": 1.0, "lambda_grid": [0.5], "solver": {"tolerance": 1e-3}}, "tolerance"),
+    ],
+    ids=["quadrature", "eigen_tol", "multistarts", "step_size", "shrink_factor", "tolerance"],
+)
+def test_unread_ldp_keys_are_config_errors(tmp_path, capsys, ldp, key):
+    # a key no ldp task reads would otherwise be ignored without a word
+    path = write_config(tmp_path, base_config(g={"name": "indicator-vacuum"}, ldp=ldp))
+    code = main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
 
 
 def test_missing_and_malformed_config(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_se
-from geomix.asymptotics import QuadratureSpec, lln_limit
+from geomix.asymptotics import lln_limit
 from geomix.core import (
     RandomSeed,
     configuration_batch,
@@ -45,8 +45,7 @@ def test_field_value_is_weighted_mean():
 def test_field_value_monte_carlo_mean(bounds):
     # LLN anchor: the field mean at N = 10^4 approaches the limit integral
     n, r = 10**4, 50
-    quad = QuadratureSpec.for_bounds(bounds)
-    limit = lln_limit(density_function(), phi_one(), bounds, quad)
+    limit = lln_limit(density_function(), phi_one(), bounds)
     assert limit == pytest.approx((bounds.theta_left + bounds.theta_right) / 2)
     rng = RandomSeed(81, 0).generator()
     thetas = profile_batch(n, bounds, rng, r)

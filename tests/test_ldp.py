@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from geomix.asymptotics import QuadratureSpec, _weight_tables
+from geomix.asymptotics import _weight_tables
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
@@ -236,6 +237,30 @@ def test_level_masses_match_the_weight_table(make_g):
     np.testing.assert_allclose(table.d_mass, d_mass, rtol=0.0, atol=1e-15)
 
 
+def test_run_table_budget_counts_runs_not_states():
+    # indicator-vacuum has two runs at any m_state, so 400 nodes at 2**17
+    # build a (400, 2) table, bit-identical to two batches of 200
+    spec = FreeEnergySpec(g=indicator_vacuum_function(), m_state=2**17)
+    thetas = np.linspace(0.05, 2.0, 400)
+    lams = np.linspace(-1.0, 1.0, 400)
+    whole = free_energy(thetas, lams, spec)
+    halves = [free_energy(thetas[s], lams[s], spec) for s in (slice(0, 200), slice(200, 400))]
+    for w, a, b in zip(whole, *halves):
+        assert np.array_equal(w, np.concatenate([a, b]))
+    # n mod 2 has m_state + 1 runs: the 400 x 131073 table is refused unbuilt
+    parity = LocalFunction(
+        k=1, evaluator=lambda n: np.asarray(n) % 2.0, bounded=True, bound=1.0, name="parity"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cells"):
+            free_energy(thetas, lams, FreeEnergySpec(g=parity, m_state=2**17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def bisection_legendre(thetas, xs, spec, steps=200):
     """Oracle: bisect dF/dlambda = x over each node's certified lambda range."""
     caps = spec.certified_lambda_caps(thetas)
@@ -333,26 +358,23 @@ def test_monotone_profile_validation(bounds):
 
 
 def test_inhom_free_energy_zero_weight(bounds, ind_spec):
-    quad = QuadratureSpec.for_bounds(bounds)
     prof = MonotoneProfile.linear(bounds, 128)
-    assert abs(inhom_free_energy(prof, const_phi(0.0), ind_spec, quad)) < 1e-10
+    assert abs(inhom_free_energy(prof, const_phi(0.0), ind_spec)) < 1e-10
 
 
 def test_inhom_free_energy_constant_profile_reduction(ind_spec):
     b = BoundaryParams(0.5, 1.5)
-    quad = QuadratureSpec.for_bounds(b)
     # constant-value profile built directly on the grid (endpoint pinned)
     vals = np.full(129, b.theta_right)
     prof = MonotoneProfile(values=vals, bounds=b)
     lam = 0.4
-    assert inhom_free_energy(prof, const_phi(lam), ind_spec, quad) == pytest.approx(
+    assert inhom_free_energy(prof, const_phi(lam), ind_spec) == pytest.approx(
         free_energy_at(b.theta_right, lam, indicator_vacuum_function()), abs=1e-9
     )
 
 
 def test_inhom_free_energy_linear_profile_closed_form(bounds, ind_spec):
     lam = 0.6
-    quad = QuadratureSpec.for_bounds(bounds)
     prof = MonotoneProfile.linear(bounds, 2048)
     # high-resolution quadrature of the two-term closed-form integrand
     x, w = np.polynomial.legendre.leggauss(200)
@@ -360,7 +382,7 @@ def test_inhom_free_energy_linear_profile_closed_form(bounds, ind_spec):
     w = w / 2
     rho = bounds.density(x)
     oracle = float(np.sum(w * np.log((math.exp(lam) + rho) / (1 + rho))))
-    assert inhom_free_energy(prof, const_phi(lam), ind_spec, quad) == pytest.approx(
+    assert inhom_free_energy(prof, const_phi(lam), ind_spec) == pytest.approx(
         oracle, abs=1e-6
     )
 
@@ -377,9 +399,8 @@ def test_annealed_never_below_linear_benchmark(bounds, ind_spec):
     solver = SolverConfig(multistart=3, seed=5, grid_size=100, max_iterations=800)
     phi = TestFunction(lambda x: 0.3 * x, name="ramp")
     res = annealed_free_energy(phi, ind_spec, bounds, solver)
-    quad = QuadratureSpec.for_bounds(bounds)
     linear = MonotoneProfile.linear(bounds, 100)
-    benchmark = inhom_free_energy(linear, phi, ind_spec, quad) - path_rate(linear)
+    benchmark = inhom_free_energy(linear, phi, ind_spec) - path_rate(linear)
     assert res.value >= benchmark - 1e-8
     assert res.value >= max(res.start_values) - 1e-12
 
@@ -414,7 +435,6 @@ def test_annealed_rejects_equilibrium():
 
 
 def test_profile_rate_vanishes_at_lln_profile(bounds, ind_spec):
-    quad = QuadratureSpec.for_bounds(bounds)
 
     def mu(x):
         return 1.0 / (1.0 + bounds.density(x))
@@ -456,7 +476,7 @@ def test_profile_rate_perturbed_target_strictly_positive():
     m = solver.grid_size
     from geomix.ldp import _cell_nodes
 
-    x, w, _ = _cell_nodes(m, 2)
+    x, w, _ = _cell_nodes(m)
     mux = mu_tf(x)
     grid_best = math.inf
     for u0 in np.linspace(b.theta_left, b.theta_right - 0.05, 10):
@@ -472,8 +492,6 @@ def test_profile_rate_perturbed_target_strictly_positive():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(shrink_factor=1.5)
     with pytest.raises(ValueError):
         SolverConfig(grid_size=1)
     with pytest.raises(ValueError):
