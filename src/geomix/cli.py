@@ -27,6 +27,7 @@ import numpy as np
 from geomix.asymptotics import QuadratureError, homogeneous_mean_batch
 from geomix.core import (
     BoundaryParams,
+    LocalFunction,
     RandomSeed,
     density_function,
     indicator_vacuum_function,
@@ -45,7 +46,6 @@ from geomix.harness import (
     run_lln,
 )
 from geomix.ldp import (
-    FreeEnergySpec,
     MonotoneProfile,
     NumericError,
     OptimizationError,
@@ -107,6 +107,16 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _known_table(table, keys: tuple[str, ...], where: str) -> dict:
+    """A config table that holds only keys the CLI reads."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"config section '{where}' must be a table")
+    unknown = sorted(set(table) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in config section '{where}'")
+    return table
+
+
 def build_bounds(cfg: dict) -> BoundaryParams:
     sec = _section(cfg, "bounds")
     try:
@@ -118,10 +128,11 @@ def build_bounds(cfg: dict) -> BoundaryParams:
         raise ConfigError(f"invalid bounds: {exc}") from exc
 
 
+_SEED_KEYS = ("master", "stream")
+
+
 def build_seed(cfg: dict, override_master: int | None) -> RandomSeed:
-    sec = cfg.get("seed", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("config section 'seed' must be a table")
+    sec = _known_table(cfg.get("seed", {}), _SEED_KEYS, "seed")
     master = int(sec.get("master", 0)) if override_master is None else int(override_master)
     return RandomSeed(master=master, stream=int(sec.get("stream", 0)))
 
@@ -152,6 +163,15 @@ def build_g(cfg: dict):
         f"unknown local function '{name}'; choose density, pair-product, "
         "indicator-vacuum or custom-polynomial"
     )
+
+
+# the keys each test function reads
+_PHI_KEYS = {
+    "one": ("name",),
+    "x": ("name",),
+    "const": ("name", "value"),
+    "poly": ("name", "coefficients"),
+}
 
 
 def build_phi(cfg: dict, key: str = "phi") -> TestFunction:
@@ -474,50 +494,56 @@ def cmd_verify(
     return EXIT_PASS if passed else EXIT_VERDICT
 
 
-_LDP_KEYS = ("theta", "lambda_grid", "x_grid", "profile", "mu", "m_state", "solver")
+_LDP_KEYS = ("theta", "lambda_grid", "x_grid", "profile", "mu", "solver")
 _SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
+# the keys each kind of profile reads; a profile given by its values reads only those
+_PROFILE_KEYS = {
+    "linear": ("kind", "grid_size"),
+    "power": ("kind", "grid_size", "exponent"),
+    "values": ("values",),
+}
+# the keys each target density reads: the lln profile and an offset, or a test function
+_MU_KEYS = {"lln": ("name", "offset"), **_PHI_KEYS}
 
 
-def _known_table(table, keys: tuple[str, ...], where: str) -> dict:
-    """A config table that holds only keys some ldp task reads."""
-    if not isinstance(table, dict):
-        raise ConfigError(f"config section '{where}' must be a table")
-    unknown = sorted(set(table) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in config section '{where}'")
-    return table
+def _profile_kind(table: dict) -> str:
+    return "values" if "values" in table else table.get("kind", "linear")
 
 
-def _ldp_spec(cfg: dict, sec: dict) -> FreeEnergySpec:
+def _mu_kind(table: dict) -> str:
+    return table.get("name")
+
+
+def _kind_table(table, kind_of, keys: dict, where: str) -> tuple[str, dict]:
+    """A config table's kind, and the table, which holds only the keys that kind reads."""
+    kind = kind_of(_known_table(table, tuple(set().union(*keys.values())), where))
+    if kind not in keys:
+        raise ConfigError(
+            f"unknown kind {kind!r} in config section '{where}'; choose from {sorted(keys)}"
+        )
+    return kind, _known_table(table, keys[kind], where)
+
+
+def _ldp_g(cfg: dict) -> LocalFunction:
     g = build_g(cfg)
     if not g.bounded:
         raise ConfigError("ldp tasks require a bounded local function g")
-    if "m_state" in sec:
-        return FreeEnergySpec(g=g, m_state=int(sec["m_state"]))
-    return FreeEnergySpec(g=g)
+    return g
 
 
 def _ldp_solver(sec: dict) -> SolverConfig:
     return SolverConfig(**{k: int(v) for k, v in sec.get("solver", {}).items()})
 
 
-def _ldp_profile(cfg: dict, bounds: BoundaryParams) -> MonotoneProfile:
-    sec = cfg.get("ldp", {}).get("profile", {"kind": "linear"})
+def _ldp_profile(kind: str, sec: dict, bounds: BoundaryParams) -> MonotoneProfile:
+    if kind == "values":
+        return MonotoneProfile(values=np.asarray(sec["values"], dtype=float), bounds=bounds)
     m = int(sec.get("grid_size", 256))
-    if "values" in sec:
-        return MonotoneProfile(
-            values=np.asarray(sec["values"], dtype=float), bounds=bounds
-        )
-    kind = sec.get("kind", "linear")
     if kind == "linear":
         return MonotoneProfile.linear(bounds, m)
-    if kind == "power":
-        exponent = float(sec.get("exponent", 2.0))
-        t = np.arange(m + 1) / m
-        return MonotoneProfile(
-            values=bounds.theta_left + bounds.width * t**exponent, bounds=bounds
-        )
-    raise ConfigError(f"unknown profile kind '{kind}'")
+    t = np.arange(m + 1) / m
+    exponent = float(sec.get("exponent", 2.0))
+    return MonotoneProfile(values=bounds.theta_left + bounds.width * t**exponent, bounds=bounds)
 
 
 def cmd_ldp(
@@ -530,7 +556,11 @@ def cmd_ldp(
         raise ConfigError("ldp tasks require theta_left < theta_right")
     sec = _known_table(cfg.get("ldp", {}), _LDP_KEYS, "ldp")
     _known_table(sec.get("solver", {}), _SOLVER_KEYS, "ldp.solver")
-    spec = _ldp_spec(cfg, sec)
+    profile_kind, profile_sec = _kind_table(
+        sec.get("profile", {}), _profile_kind, _PROFILE_KEYS, "ldp.profile"
+    )
+    mu_kind, mu_sec = _kind_table(sec.get("mu", {"name": "lln"}), _mu_kind, _MU_KEYS, "ldp.mu")
+    g = _ldp_g(cfg)
     run = _Run(f"ldp-{task}", cfg, seed, out_dir)
     name = task.replace("-", "_")
     verdicts: dict = {}
@@ -539,17 +569,17 @@ def cmd_ldp(
     if task == "free-energy":
         theta = float(_require(sec, "theta", "ldp"))
         lam_grid = [float(v) for v in _require(sec, "lambda_grid", "ldp")]
-        values, _, _ = free_energy(theta, lam_grid, spec)
+        values, _, _ = free_energy(theta, lam_grid, g)
         run.csv(f"{name}_table.csv", ["lambda", "free_energy"], zip(lam_grid, values))
         payload = {"theta": theta}
     elif task == "rate":
         theta = float(_require(sec, "theta", "ldp"))
         x_grid = [float(v) for v in _require(sec, "x_grid", "ldp")]
-        values = [rate_function(theta, x, spec) for x in x_grid]
+        values = [rate_function(theta, x, g) for x in x_grid]
         run.csv(f"{name}_table.csv", ["x", "rate"], zip(x_grid, values))
         payload = {"theta": theta}
     elif task == "path-rate":
-        profile = _ldp_profile(cfg, bounds)
+        profile = _ldp_profile(profile_kind, profile_sec, bounds)
         value = path_rate(profile)
         run.csv(
             f"{name}_table.csv",
@@ -559,15 +589,9 @@ def cmd_ldp(
         payload = {"path_rate": value}
         phi_sec = cfg.get("phi")
         if phi_sec is not None:
-            payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg), spec)
+            payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg), g)
     elif task == "annealed":
-        solver = _ldp_solver(sec)
-        result = annealed_free_energy(build_phi(cfg), spec, bounds, solver)
-        run.csv(
-            f"{name}_table.csv",
-            ["grid_x", "theta"],
-            zip(result.argmax.abscissae, result.argmax.values),
-        )
+        result = annealed_free_energy(build_phi(cfg), g, bounds, _ldp_solver(sec))
         payload = {"value": result.value, "start_values": list(result.start_values)}
         verdicts = {
             "at_least_linear_benchmark": bool(
@@ -575,11 +599,8 @@ def cmd_ldp(
             )
         }
     else:  # profile-rate
-        solver = _ldp_solver(sec)
-        mu_sec = sec.get("mu", {"name": "lln", "offset": 0.0})
-        if mu_sec.get("name") == "lln":
+        if mu_kind == "lln":
             offset = float(mu_sec.get("offset", 0.0))
-            g = spec.g
 
             def mu_eval(x, g=g, bounds=bounds, offset=offset):
                 return homogeneous_mean_batch(g, bounds.density(x)) + offset
@@ -587,14 +608,15 @@ def cmd_ldp(
             mu = TestFunction(mu_eval, name="lln-profile")
         else:
             mu = build_phi({"mu": mu_sec}, key="mu")
-        result = profile_rate(mu, spec, bounds, solver)
+        result = profile_rate(mu, g, bounds, _ldp_solver(sec))
+        payload = {"value": result.value, "start_values": list(result.start_values)}
+        verdicts = {"non_negative": bool(result.value >= -1e-9)}
+    if task in ("annealed", "profile-rate"):
         run.csv(
             f"{name}_table.csv",
             ["grid_x", "theta"],
-            zip(result.argmin.abscissae, result.argmin.values),
+            zip(result.profile.abscissae, result.profile.values),
         )
-        payload = {"value": result.value, "start_values": list(result.start_values)}
-        verdicts = {"non_negative": bool(result.value >= -1e-9)}
 
     run.summary(f"{name}_summary.json", verdicts=verdicts, payload=payload)
     run.manifest(f"{name}_manifest.json")

@@ -458,17 +458,18 @@ def run_concentration(
     bounds: BoundaryParams,
     replicas: int,
     seed: RandomSeed,
-    eps_schedule: Callable[[int], float] | Sequence[float] | None = None,
+    eps_schedule: Sequence[float] | None = None,
     workers: int = 1,
 ) -> ConcentrationResult:
     """Empirical tail of the maximal parameter deviation, per ladder N.
 
     Reports P(max_i |Theta_i - E Theta_i| >= eps(N)) next to the
     Chebyshev union bound computed from the verified order-statistic
-    variance i(N+1-i) width^2 / ((N+1)^2 (N+2)).  With the default
-    schedule eps(N) = N^(-1/4) the empirical tail vanishes along the
-    ladder even though that union bound does not (it is O(1) and clipped
-    at 1), so the bound column is diagnostic only.
+    variance i(N+1-i) width^2 / ((N+1)^2 (N+2)).  ``eps_schedule`` lists
+    one eps per ladder N.  With the default eps(N) = N^(-1/4) the
+    empirical tail vanishes along the ladder even though that union bound
+    does not (it is O(1) and clipped at 1), so the bound column is
+    diagnostic only.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
@@ -477,8 +478,6 @@ def run_concentration(
         raise ValueError("the concentration ladder must be non-empty with every N >= 1")
     if eps_schedule is None:
         eps_list = [n ** (-0.25) for n in ladder]
-    elif callable(eps_schedule):
-        eps_list = [float(eps_schedule(n)) for n in ladder]
     else:
         eps_list = [float(e) for e in eps_schedule]
         if len(eps_list) != len(ladder):

@@ -11,8 +11,9 @@ k = 1, the left and right Perron vectors of a transfer kernel on
 transform, solved by safeguarded secant steps in the logit of the tilted
 mean.  The parameter-path rate J penalizes the log-slope of monotone
 profiles, and the two variational problems (annealed free energy, rate
-of a target profile) are solved by projected-gradient ascent/descent
-over discretized monotone profiles in the increment parametrization.
+of a target profile) are solved by one projected-gradient solver, in
+ascent or descent, over discretized monotone profiles in the increment
+parametrization.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from geomix.fields import TestFunction
 __all__ = [
     "NumericError",
     "OptimizationError",
-    "FreeEnergySpec",
     "SolverConfig",
     "MonotoneProfile",
     "free_energy",
@@ -52,10 +52,12 @@ __all__ = [
     "inhom_free_energy",
     "annealed_free_energy",
     "profile_rate",
-    "AnnealedResult",
-    "ProfileRateResult",
+    "VariationalResult",
 ]
 
+# free energies sum the states n = 0..128 at every site; a fixed truncation
+# keeps each node's lambda cap, and so its value, independent of its batch
+_M_STATE = 128
 _POWER_ITERATION_CAP = 20_000
 _EIGEN_TOL = 1e-12
 _LEGENDRE_ITERATION_CAP = 100
@@ -66,6 +68,8 @@ _PGD_SHRINK = 0.5
 _PGD_TOL = 1e-9
 # Gauss nodes per profile cell of the path objectives
 _CELL_NODES = 2
+# least profile increment, relative to the width, of a finite path rate
+_DELTA_MIN = 1e-8
 
 
 class NumericError(RuntimeError):
@@ -73,39 +77,31 @@ class NumericError(RuntimeError):
 
 
 class OptimizationError(RuntimeError):
-    """Every solver start failed to make line-search progress."""
+    """Every solver start hit an infeasible profile."""
 
 
 _TAIL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FreeEnergySpec:
-    """A bounded local function and the state truncation its free energy
-    is evaluated at; ``m_state`` sets the certified lambda caps."""
+def _state_grid(g: LocalFunction) -> np.ndarray:
+    """g on the state grid [0, _M_STATE]^k; free energies need a bounded g."""
+    if not g.bounded:
+        raise ValueError("free energies require a bounded local function")
+    return _g_grid(g, _M_STATE)
 
-    g: LocalFunction
-    m_state: int = 128
 
-    def __post_init__(self) -> None:
-        if not self.g.bounded:
-            raise ValueError("free energies require a bounded local function")
-        if self.m_state < 1:
-            raise ValueError("state truncation must be positive")
-
-    def certified_lambda_caps(self, thetas: np.ndarray) -> np.ndarray:
-        """Largest |lambda| per theta whose truncated tail stays certified:
-        exp(|lam| * bound) * (theta/(1+theta))**(m_state+1) <= tolerance,
-        and exp(|lam| * bound) stays finite."""
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        p = thetas / (1.0 + thetas)
-        bound = max(float(self.g.bound), 1e-9)
-        finite_cap = min(600.0 / bound, 1e6)
-        with np.errstate(divide="ignore"):
-            caps = (math.log(_TAIL_TOL) - (self.m_state + 1) * np.log(p)) / bound
-        caps = np.where(p == 0.0, finite_cap, caps)
-        # shave a rounding margin so evaluation at the cap stays certified
-        return np.clip(caps * (1.0 - 1e-9), 1.0, finite_cap)
+def _lambda_caps(thetas: np.ndarray, g: LocalFunction) -> np.ndarray:
+    """Largest |lambda| per theta whose truncated tail stays certified:
+    exp(|lam| * bound) * (theta/(1+theta))**(_M_STATE+1) <= tolerance,
+    and exp(|lam| * bound) stays finite."""
+    p = thetas / (1.0 + thetas)
+    bound = max(float(g.bound), 1e-9)
+    finite_cap = min(600.0 / bound, 1e6)
+    with np.errstate(divide="ignore"):
+        caps = (math.log(_TAIL_TOL) - (_M_STATE + 1) * np.log(p)) / bound
+    caps = np.where(p == 0.0, finite_cap, caps)
+    # shave a rounding margin so evaluation at the cap stays certified
+    return np.clip(caps * (1.0 - 1e-9), 1.0, finite_cap)
 
 
 @dataclass(frozen=True)
@@ -124,14 +120,10 @@ class SolverConfig:
             raise ValueError("multistart must be >= 1")
 
 
-def _default_delta_min(bounds: BoundaryParams) -> float:
-    return 1e-8 * bounds.width
-
-
 @dataclass(frozen=True, eq=False)
 class MonotoneProfile:
     """Non-decreasing parameter path on the uniform grid j/M, ending at
-    theta_right.  Strict increase (increments >= delta_min) is required
+    theta_right.  Strict increase (increments >= 1e-8 * width) is required
     only where a finite path rate is needed."""
 
     values: np.ndarray
@@ -171,24 +163,22 @@ class MonotoneProfile:
         return cls(values=vals, bounds=bounds)
 
 
-def _check_tail(thetas: np.ndarray, lams: np.ndarray, spec: FreeEnergySpec) -> None:
+def _check_tail(thetas: np.ndarray, lams: np.ndarray, g: LocalFunction) -> None:
     """Certify the state truncation at every (theta, lambda) node: the
-    dropped mass exp(|lam| * bound) * (theta/(1+theta))**(m_state+1)."""
+    dropped mass exp(|lam| * bound) * (theta/(1+theta))**(_M_STATE+1)."""
     if not np.all(np.isfinite(lams)):
         raise ValueError("lambda must be finite")
     p = thetas / (1.0 + thetas)
-    errs = np.exp(np.abs(lams) * float(spec.g.bound)) * p ** (spec.m_state + 1)
+    errs = np.exp(np.abs(lams) * float(g.bound)) * p ** (_M_STATE + 1)
     if np.any(errs > _TAIL_TOL):
         worst = int(np.argmax(errs))
         raise QuadratureError(
-            f"state truncation {spec.m_state} leaves tail {errs[worst]:.2e} at "
+            f"state truncation {_M_STATE} leaves tail {errs[worst]:.2e} at "
             f"theta={thetas[worst]}, lambda={lams[worst]}"
         )
 
 
-def _perron(
-    theta: float, lam: float, gvals: np.ndarray, spec: FreeEnergySpec
-) -> tuple[float, float, float]:
+def _perron(theta: float, lam: float, gvals: np.ndarray) -> tuple[float, float, float]:
     """(log Lambda, d log Lambda/d lambda, d log Lambda/d theta) for the
     leading eigenvalue Lambda of the transfer kernel.
 
@@ -199,8 +189,7 @@ def _perron(
     left Perron vectors r, l together, and the derivatives follow from
     Hellmann-Feynman: d Lambda = <l, dK r> / <l, r>.
     """
-    k = max(gvals.ndim, 2)
-    m = spec.m_state
+    k, m = max(gvals.ndim, 2), _M_STATE
     gk = np.broadcast_to(gvals.reshape(gvals.shape + (1,) * (k - gvals.ndim)), (m + 1,) * k)
     w, dw = _weight_tables(np.array([theta]), m)
     last = (1,) * (k - 1) + (m + 1,)
@@ -239,14 +228,13 @@ class _FreeEnergyTable:
     level set of g, in closed form per run of equal g, so building costs
     O(nodes * runs) and one evaluation O(nodes * distinct values of g)."""
 
-    def __init__(self, thetas: np.ndarray, spec: FreeEnergySpec) -> None:
+    def __init__(self, thetas: np.ndarray, g: LocalFunction) -> None:
         self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(self.thetas) & (self.thetas >= 0)):
             raise ValueError("theta must be finite and >= 0")
-        self.spec = spec
-        self.gvals = _g_grid(spec.g, spec.m_state)
-        if spec.g.k == 1:
-            m = spec.m_state
+        self.g = g
+        self.gvals = _state_grid(g)
+        if g.k == 1:
             # runs of equal g, gathered by level; every level holds a run
             self.levels, level_of = np.unique(self.gvals, return_inverse=True)
             starts = np.flatnonzero(np.diff(level_of, prepend=-1))
@@ -256,7 +244,7 @@ class _FreeEnergyTable:
             )
             order = np.argsort(level_of[starts], kind="stable")
             firsts = np.searchsorted(level_of[starts][order], np.arange(self.levels.size))
-            ends = np.append(starts[1:] - 1, m)
+            ends = np.append(starts[1:] - 1, _M_STATE)
             p = (self.thetas / (1.0 + self.thetas))[:, None]
             # run [a, b] holds p^a - p^(b+1) = p^a (1 - p^(b-a+1)), free of
             # cancellation; log p = -inf at theta = 0 gives the mass 0^a
@@ -274,14 +262,14 @@ class _FreeEnergyTable:
         """The table restricted to the nodes selected by a mask or index array."""
         sub = copy.copy(self)
         sub.thetas = self.thetas[mask]
-        if self.spec.g.k == 1:
+        if self.g.k == 1:
             sub.mass, sub.d_mass = self.mass[mask], self.d_mass[mask]
         return sub
 
     def __call__(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lams = np.broadcast_to(np.asarray(lams, dtype=float), self.thetas.shape)
-        _check_tail(self.thetas, lams, self.spec)
-        if self.spec.g.k == 1:
+        _check_tail(self.thetas, lams, self.g)
+        if self.g.k == 1:
             # F = log Z, dF/dlambda the tilted mean of g, dF/dtheta the
             # tilted sum of d nu/d theta, all over Z = sum nu * exp(lam g);
             # row-wise sums keep each node independent of the batch
@@ -290,59 +278,56 @@ class _FreeEnergyTable:
             z = np.sum(tilted, axis=1)
             f_lam = np.sum(tilted * self.levels, axis=1) / z
             return np.log(z), f_lam, np.sum(self.d_mass * tilt, axis=1) / z
-        rows = [_perron(t, l, self.gvals, self.spec) for t, l in zip(self.thetas, lams)]
+        rows = [_perron(t, l, self.gvals) for t, l in zip(self.thetas, lams)]
         out = np.array(rows, dtype=float).reshape(lams.size, 3)
         return out[:, 0], out[:, 1], out[:, 2]
 
 
-def free_energy(
-    thetas, lams, spec: FreeEnergySpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def free_energy(thetas, lams, g: LocalFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F(theta, lambda), dF/dlambda and dF/dtheta at paired nodes (thetas
     and lams broadcast against each other).
 
-    For k = 1, F = log sum_n exp(lam * g(n)) nu_theta(n) is a truncated
-    sum; for k >= 2 it is the log of the leading transfer-kernel
-    eigenvalue, with derivatives from the Perron vectors.  Every node's
-    truncation tail is certified against exp(|lam| * bound) times the
-    geometric tail.
+    g must be bounded.  For k = 1, F = log sum_n exp(lam * g(n))
+    nu_theta(n) is a sum truncated at n = 128; for k >= 2 it is the log of
+    the leading transfer-kernel eigenvalue, with derivatives from the
+    Perron vectors.  Every node's truncation tail is certified against
+    exp(|lam| * bound) times the geometric tail.
     """
     thetas, lams = np.broadcast_arrays(
         np.atleast_1d(np.asarray(thetas, dtype=float)), np.asarray(lams, dtype=float)
     )
-    return _FreeEnergyTable(thetas, spec)(lams)
+    return _FreeEnergyTable(thetas, g)(lams)
 
 
-def free_energy_transfer(theta: float, lam: float, spec: FreeEnergySpec) -> float:
+def free_energy_transfer(theta: float, lam: float, g: LocalFunction) -> float:
     """Free energy of g via the leading transfer-kernel eigenvalue (power
     iteration; single-site g is lifted to a two-site kernel, which
     reproduces the k = 1 sum of :func:`free_energy`)."""
-    _check_tail(np.array([theta]), np.array([lam]), spec)
-    return _perron(theta, lam, _g_grid(spec.g, spec.m_state), spec)[0]
+    gvals = _state_grid(g)
+    _check_tail(np.array([theta]), np.array([lam]), g)
+    return _perron(theta, lam, gvals)[0]
 
 
-def free_energy_finite_chain(
-    theta: float, lam: float, spec: FreeEnergySpec, n_sites: int
-) -> float:
+def free_energy_finite_chain(theta: float, lam: float, g: LocalFunction, n_sites: int) -> float:
     """Exact (1/N) log E[exp(lam * sum of shifted g)] on a finite chain.
 
     Repeated application of the transfer kernel (with running
     renormalization) against the window marginal; the large-N limit of
     this quantity is :func:`free_energy_transfer`.
     """
-    g = spec.g
     if g.k == 1:
         # all N windows tilt independently, so the per-site value is exact
-        return float(free_energy(theta, lam, spec)[0][0])
+        return float(free_energy(theta, lam, g)[0][0])
     k = g.k
     if n_sites < k:
         raise ValueError(f"chain of {n_sites} sites is shorter than the window {k}")
-    _check_tail(np.array([theta]), np.array([lam]), spec)
-    w = _geometric_weights(np.array([theta]), spec.m_state)[0]
-    t = np.exp(lam * _g_grid(g, spec.m_state)) * w
+    gvals = _state_grid(g)
+    _check_tail(np.array([theta]), np.array([lam]), g)
+    w = _geometric_weights(np.array([theta]), _M_STATE)[0]
+    t = np.exp(lam * gvals) * w
     letters = string.ascii_lowercase[:k]
     sub = f"{letters},{letters[1:]}->{letters[:-1]}"
-    v = np.ones((spec.m_state + 1,) * (k - 1))
+    v = np.ones((_M_STATE + 1,) * (k - 1))
     log_total = 0.0
     for _ in range(n_sites - k + 1):
         v = np.einsum(sub, t, v)
@@ -356,7 +341,7 @@ def free_energy_finite_chain(
 
 
 def _legendre(
-    thetas: np.ndarray, xs: np.ndarray, spec: FreeEnergySpec
+    thetas: np.ndarray, xs: np.ndarray, g: LocalFunction
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sup_lam(lam*x - F) at paired (theta, x) nodes: (rate values,
     maximizing lambdas, dF/dtheta there); +inf where x falls outside
@@ -369,12 +354,12 @@ def _legendre(
     is replaced by bisection.  At x = g_lo or g_hi the sup is approached
     as lambda -> -+inf and bounded below by the value at the cap.
     """
-    table = _FreeEnergyTable(thetas, spec)
+    table = _FreeEnergyTable(thetas, g)
     xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
     g_lo, g_hi = float(table.gvals.min()), float(table.gvals.max())
-    caps = spec.certified_lambda_caps(table.thetas)
+    caps = _lambda_caps(table.thetas, g)
     interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
     boundary = ~interior & (xs >= g_lo) & (xs <= g_hi)
     lam = np.where(boundary, np.where(xs >= (g_lo + g_hi) / 2.0, caps, -caps), 0.0)
@@ -410,48 +395,42 @@ def _legendre(
     return rates, lam, f_theta
 
 
-def rate_function(theta: float, x: float, spec: FreeEnergySpec) -> float:
+def rate_function(theta: float, x: float, g: LocalFunction) -> float:
     """Level-1 rate sup_lambda (lambda * x - F(theta, lambda)).
 
     Returns +inf when x lies outside the closure of the range of
     dF/dlambda (equivalently outside the value range of g).
     """
-    return float(_legendre(np.array([theta]), np.array([x]), spec)[0][0])
+    return float(_legendre(np.array([theta]), np.array([x]), g)[0][0])
 
 
-def path_rate(u: MonotoneProfile, delta_min: float | None = None) -> float:
+def path_rate(u: MonotoneProfile) -> float:
     """Log-slope rate of a monotone profile:
     -(1/M) * sum_j log(M * (u_{j+1} - u_j) / width).
 
     Exactly zero for the linear profile from theta_left; +inf when any
-    increment falls below delta_min (default 1e-8 * width), in particular
-    for any non-strictly-increasing discretization.
+    increment falls below 1e-8 * width, in particular for any
+    non-strictly-increasing discretization.
     """
     width = u.bounds.width
-    if delta_min is None:
-        delta_min = _default_delta_min(u.bounds)
     incs = np.diff(u.values)
     if np.any(incs < 0):
         raise ValueError("profile increments must be non-negative")
-    # rounding slack so solver output sitting exactly at delta_min passes
-    if np.any(incs < delta_min * (1.0 - 1e-9)):
+    # rounding slack so solver output sitting exactly at the least increment passes
+    if np.any(incs < _DELTA_MIN * width * (1.0 - 1e-9)):
         return math.inf
     m = u.m_cells
     return float(-np.sum(np.log(m * incs / width)) / m)
 
 
-def inhom_free_energy(
-    u: MonotoneProfile,
-    phi: TestFunction,
-    spec: FreeEnergySpec,
-) -> float:
+def inhom_free_energy(u: MonotoneProfile, phi: TestFunction, g: LocalFunction) -> float:
     """Integral of x -> F(u(x), phi(x); g) with u piecewise linear.
 
     phi supplies the pointwise tilt strength."""
 
     def evaluate(panels: int) -> float:
         x, w = _composite_nodes(panels)
-        return float(w @ free_energy(u.interpolate(x), phi(x), spec)[0])
+        return float(w @ free_energy(u.interpolate(x), phi(x), g)[0])
 
     return _refine(evaluate, "inhomogeneous free energy")
 
@@ -474,7 +453,10 @@ class _ProfileParam:
 
     bounds: BoundaryParams
     m_cells: int
-    delta_min: float
+
+    @property
+    def delta_min(self) -> float:
+        return _DELTA_MIN * self.bounds.width
 
     @property
     def budget(self) -> float:
@@ -557,14 +539,13 @@ def _pgd(
     start: np.ndarray,
     param: _ProfileParam,
     solver: SolverConfig,
-    maximize: bool,
-) -> tuple[float, np.ndarray, bool]:
-    """Projected gradient with backtracking; returns (value, e, progressed)."""
-    sign = 1.0 if maximize else -1.0
+    sign: float,
+) -> tuple[float, np.ndarray]:
+    """Projected gradient with backtracking, ascent for sign = 1 and descent
+    for sign = -1; accepts only improvements and returns (value, e)."""
     e = _project_capped_simplex(start, param.budget)
     value, grad = objective(e)
     step = _PGD_STEP
-    progressed = False
     scale = max(param.budget, 1e-12)
     for _ in range(solver.max_iterations):
         moved = False
@@ -578,110 +559,91 @@ def _pgd(
                 shift = float(np.max(np.abs(cand - e)))
                 e, value, grad = cand, cand_value, cand_grad
                 moved = True
-                progressed = True
                 step /= _PGD_SHRINK
                 # converged: the step or the gain has hit numerical noise
                 if shift < _PGD_TOL * scale or improvement <= 1e-13 * max(1.0, abs(value)):
-                    return value, e, progressed
+                    return value, e
                 break
             step *= _PGD_SHRINK
         if not moved:
-            return value, e, progressed
-    return value, e, progressed
+            return value, e
+    return value, e
 
 
 @dataclass(frozen=True)
-class AnnealedResult:
+class VariationalResult:
+    """Optimum over monotone profiles, the profile that attains it, and the
+    value each solver start reached."""
+
     value: float
-    argmax: MonotoneProfile
+    profile: MonotoneProfile
     start_values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ProfileRateResult:
-    value: float
-    argmin: MonotoneProfile
-    start_values: tuple[float, ...]
-
-
-def annealed_free_energy(
-    phi: TestFunction,
-    spec: FreeEnergySpec,
+def _optimize_profile(
+    strength: TestFunction,
+    node_terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     bounds: BoundaryParams,
     solver: SolverConfig,
-) -> AnnealedResult:
-    """sup over monotone profiles of [integral of F(u(x), phi(x)) - J(u)].
-
-    Projected-gradient ascent in the increment parametrization with a
-    linear-profile start plus random multistarts; the free energy and its
-    theta-derivative come from one :func:`free_energy` call per iterate,
-    the path-rate gradient is analytic.  The reported value is never below
-    the linear-profile benchmark.
-    """
+    sign: float,
+) -> VariationalResult:
+    """sup (sign = 1) or inf (sign = -1) over monotone profiles of
+    [integral of node_terms along u - sign * J(u)], by projected gradient
+    from the linear start and multistart - 1 random ones; the best finite
+    start wins."""
     if bounds.width <= 0.0:
-        raise ValueError("the annealed problem requires theta_left < theta_right")
-    param = _ProfileParam(bounds, solver.grid_size, _default_delta_min(bounds))
-
-    def node_terms(thetas: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, _, f_theta = free_energy(thetas, lams, spec)
-        return f, f_theta
-
-    objective = _path_objective(param, phi, node_terms, j_sign=-1.0)
-
-    results = []
-    any_progress = False
-    for s in param.starts(solver):
-        val, e, progressed = _pgd(objective, s, param, solver, maximize=True)
-        any_progress = any_progress or progressed
-        results.append((val, e))
-    benchmark_value = objective(param.linear_start())[0]
-    best_value, best_e = max(results, key=lambda r: r[0])
-    if not any_progress and best_value < benchmark_value - 1e-12:
-        raise OptimizationError(
-            f"no solver start progressed; start values {[r[0] for r in results]}"
-        )
-    if best_value < benchmark_value:
-        best_value, best_e = benchmark_value, param.linear_start()
-    return AnnealedResult(
-        value=best_value,
-        argmax=MonotoneProfile(values=param.to_values(best_e), bounds=bounds),
+        raise ValueError("the variational problems require theta_left < theta_right")
+    param = _ProfileParam(bounds, solver.grid_size)
+    objective = _path_objective(param, strength, node_terms, j_sign=-sign)
+    results = [_pgd(objective, s, param, solver, sign) for s in param.starts(solver)]
+    finite = [r for r in results if math.isfinite(r[0])]
+    if not finite:
+        raise OptimizationError("every solver start hit an infeasible profile")
+    value, e = max(finite, key=lambda r: sign * r[0])
+    return VariationalResult(
+        value=value,
+        profile=MonotoneProfile(values=param.to_values(e), bounds=bounds),
         start_values=tuple(r[0] for r in results),
     )
 
 
-def profile_rate(
-    mu_density: TestFunction,
-    spec: FreeEnergySpec,
+def annealed_free_energy(
+    phi: TestFunction,
+    g: LocalFunction,
     bounds: BoundaryParams,
     solver: SolverConfig,
-) -> ProfileRateResult:
+) -> VariationalResult:
+    """sup over monotone profiles of [integral of F(u(x), phi(x)) - J(u)].
+
+    The free energy and its theta-derivative come from one
+    :func:`free_energy` call per iterate; the path-rate gradient is
+    analytic.  The linear start is the first iterate and only improvements
+    are accepted, so the value is never below the linear profile's, up to
+    the rounding of that start's projection.
+    """
+
+    def node_terms(thetas: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, _, f_theta = free_energy(thetas, lams, g)
+        return f, f_theta
+
+    return _optimize_profile(phi, node_terms, bounds, solver, sign=1.0)
+
+
+def profile_rate(
+    mu_density: TestFunction,
+    g: LocalFunction,
+    bounds: BoundaryParams,
+    solver: SolverConfig,
+) -> VariationalResult:
     """inf over monotone profiles of [integral of I(u(x), mu(x)) + J(u)].
 
     The gradient of the rate integral uses the envelope identity
     dI/dtheta = -dF/dtheta, with the analytic dF/dtheta evaluated at the
     maximizing lambda of each node.
     """
-    if bounds.width <= 0.0:
-        raise ValueError("the profile-rate problem requires theta_left < theta_right")
-    param = _ProfileParam(bounds, solver.grid_size, _default_delta_min(bounds))
 
     def node_terms(thetas: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # envelope identity: dI/dtheta = -dF/dtheta at the maximizing lambda
-        rates, _, f_theta = _legendre(thetas, mus, spec)
+        rates, _, f_theta = _legendre(thetas, mus, g)
         return rates, -f_theta
 
-    objective = _path_objective(param, mu_density, node_terms, j_sign=1.0)
-
-    results = []
-    for s in param.starts(solver):
-        val, e, _ = _pgd(objective, s, param, solver, maximize=False)
-        results.append((val, e))
-    finite = [r for r in results if math.isfinite(r[0])]
-    if not finite:
-        raise OptimizationError("every solver start hit an infeasible target density")
-    best_value, best_e = min(finite, key=lambda r: r[0])
-    return ProfileRateResult(
-        value=best_value,
-        argmin=MonotoneProfile(values=param.to_values(best_e), bounds=bounds),
-        start_values=tuple(r[0] for r in results),
-    )
+    return _optimize_profile(mu_density, node_terms, bounds, solver, sign=-1.0)

@@ -31,7 +31,6 @@ from geomix.harness import (
     run_lln,
 )
 from geomix.ldp import (
-    FreeEnergySpec,
     MonotoneProfile,
     SolverConfig,
     annealed_free_energy,
@@ -234,27 +233,26 @@ def test_criterion_6_local_equilibrium_scaling():
 def test_criterion_7_ldp_consistency():
     started = time.time()
     g = indicator_vacuum_function()
-    spec = FreeEnergySpec(g=g)
     checks = {}
 
     checks["zero-tilt free energy"] = all(
-        abs(free_energy(theta, 0.0, spec)[0][0]) < 1e-8 for theta in (0.0, 0.5, 1.0, 2.0)
+        abs(free_energy(theta, 0.0, g)[0][0]) < 1e-8 for theta in (0.0, 0.5, 1.0, 2.0)
     )
 
     lams = np.linspace(-2.5, 2.5, 41)
     convex_ok = True
     for theta in (0.3, 1.0, 2.0):
-        vals = free_energy(theta, lams, spec)[0]
+        vals = free_energy(theta, lams, g)[0]
         if (vals[2:] - 2 * vals[1:-1] + vals[:-2]).min() < -1e-9:
             convex_ok = False
     checks["lambda convexity"] = convex_ok
 
     checks["rate vanishes at the mean"] = all(
-        abs(rate_function(theta, 1 / (1 + theta), spec)) < 1e-8 for theta in (0.5, 1.0, 2.0)
+        abs(rate_function(theta, 1 / (1 + theta), g)) < 1e-8 for theta in (0.5, 1.0, 2.0)
     )
 
     checks["transfer reduction"] = all(
-        abs(free_energy_transfer(theta, lam, spec) - free_energy(theta, lam, spec)[0][0]) < 1e-8
+        abs(free_energy_transfer(theta, lam, g) - free_energy(theta, lam, g)[0][0]) < 1e-8
         for theta, lam in ((0.7, 0.5), (1.0, -0.8), (1.9, 1.2))
     )
 
@@ -269,18 +267,18 @@ def test_criterion_7_ldp_consistency():
 
     zero_res = annealed_free_energy(
         TestFunction(lambda x: np.zeros_like(x), name="zero"),
-        spec,
+        g,
         BOUNDS,
         SolverConfig(multistart=2, seed=3, grid_size=256, max_iterations=400),
     )
     checks["annealed at zero weight"] = abs(zero_res.value) < 1e-10 and np.allclose(
-        zero_res.argmax.values, MonotoneProfile.linear(BOUNDS, 256).values, atol=1e-7
+        zero_res.profile.values, MonotoneProfile.linear(BOUNDS, 256).values, atol=1e-7
     )
 
     lam = 0.2
     res = annealed_free_energy(
         TestFunction(lambda x: np.full_like(x, lam), name="const"),
-        spec,
+        g,
         BOUNDS,
         SolverConfig(multistart=3, seed=9, max_iterations=3000),
     )

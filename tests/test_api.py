@@ -49,3 +49,22 @@ def test_readme_config_block_runs(tmp_path):
     cfg["g"] = {"name": "indicator-vacuum"}
     path.write_text(json.dumps(cfg))
     assert main(["ldp", "free-energy", "--config", str(path), "--out-dir", out]) == EXIT_PASS
+
+
+def test_readme_config_keys_match_the_cli():
+    # the README config shows every key the CLI reads in these tables, and
+    # only those
+    from geomix import cli
+
+    block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    cfg = json.loads(block.group(1))
+    ldp = cfg["ldp"]
+    shown = {
+        "seed": (cfg["seed"], cli._SEED_KEYS),
+        "ldp": (ldp, cli._LDP_KEYS),
+        "ldp.solver": (ldp["solver"], cli._SOLVER_KEYS),
+        "ldp.profile": (ldp["profile"], cli._PROFILE_KEYS[ldp["profile"]["kind"]]),
+        "ldp.mu": (ldp["mu"], cli._MU_KEYS[ldp["mu"]["name"]]),
+    }
+    for where, (table, keys) in shown.items():
+        assert sorted(table) == sorted(keys), where

@@ -197,11 +197,12 @@ def test_ldp_requires_bounded_g(tmp_path):
 
 
 def test_numeric_error_exit_code(tmp_path):
-    # an absurdly small state truncation cannot certify its tail
+    # the 128-state truncation cannot certify its tail at theta = 5,
+    # lambda = 6: e^6 * (5/6)^129 = 2.5e-8 is above the 1e-9 limit
     cfg = base_config(
         bounds={"theta_left": 0.0, "theta_right": 5.0},
         g={"name": "indicator-vacuum"},
-        ldp={"theta": 5.0, "lambda_grid": [6.0], "m_state": 3},
+        ldp={"theta": 5.0, "lambda_grid": [6.0]},
     )
     path = write_config(tmp_path, cfg)
     assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
@@ -225,14 +226,17 @@ def test_quartic_polynomial_lln_is_exact(tmp_path):
     assert code in (EXIT_PASS, EXIT_VERDICT)
 
 
-def test_state_tables_over_budget_are_config_errors(tmp_path):
-    # an LDP state truncation of 10^8 is refused before anything is allocated
+def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
+    # the LDP state truncation is fixed: a config cannot ask for 10^8 states
     wide = base_config(
         g={"name": "indicator-vacuum"},
         ldp={"theta": 1.0, "lambda_grid": [0.5], "m_state": 10**8},
     )
     path = write_config(tmp_path, wide, "wide.json")
-    assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "w")]) == EXIT_CONFIG
+    out = tmp_path / "w"
+    assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "unknown key(s) ['m_state']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -299,6 +303,27 @@ def test_unread_ldp_keys_are_config_errors(tmp_path, capsys, ldp, key):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        (["sample"], {"seed": {"mastr": 5}, "sample": {"n_sites": 10}}),
+        (["ldp", "path-rate"], {"g": {"name": "indicator-vacuum"},
+                                "ldp": {"profile": {"kind": "power", "exponnent": 3.0}}}),
+        (["ldp", "profile-rate"], {"g": {"name": "indicator-vacuum"},
+                                   "ldp": {"mu": {"name": "lln", "ofset": -0.05}}}),
+    ],
+    ids=["seed", "ldp.profile", "ldp.mu"],
+)
+def test_misspelt_table_keys_are_config_errors(tmp_path, capsys, command, overrides):
+    # each would otherwise run at the key's default: master 0, exponent 2, offset 0
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "out"
+    assert main([*command, "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "unknown key" in err
+    assert not out.exists()
 
 
 def test_missing_and_malformed_config(tmp_path):

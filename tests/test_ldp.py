@@ -16,11 +16,10 @@ from geomix.fields import TestFunction
 from geomix.harness import annealed_mc_estimate
 import geomix.ldp as ldp_module
 from geomix.ldp import (
-    AnnealedResult,
-    FreeEnergySpec,
     MonotoneProfile,
     NumericError,
     SolverConfig,
+    VariationalResult,
     annealed_free_energy,
     free_energy,
     free_energy_finite_chain,
@@ -40,10 +39,6 @@ def make_pair_vacuum():
     return LocalFunction(k=2, evaluator=evaluator, bounded=True, bound=1.0, name="pair-vacuum")
 
 
-def make_pair_vacuum_spec():
-    return FreeEnergySpec(g=make_pair_vacuum())
-
-
 def make_capped_count():
     # four values 0, 1/3, 2/3, 1: min(n, 3) / 3
     def evaluator(n):
@@ -53,7 +48,7 @@ def make_capped_count():
 
 
 def free_energy_at(theta, lam, g):
-    return float(free_energy(theta, lam, FreeEnergySpec(g=g))[0][0])
+    return float(free_energy(theta, lam, g)[0][0])
 
 
 def const_phi(value, name="const"):
@@ -61,18 +56,18 @@ def const_phi(value, name="const"):
 
 
 @pytest.fixture
-def ind_spec():
-    return FreeEnergySpec(g=indicator_vacuum_function())
+def ind_g():
+    return indicator_vacuum_function()
 
 
-def test_site_free_energy_closed_form(ind_spec):
+def test_site_free_energy_closed_form(ind_g):
     g = indicator_vacuum_function()
     for theta, lam in ((0.5, 0.3), (1.0, 0.7), (2.0, -1.1)):
         expected = math.log((math.exp(lam) + theta) / (1 + theta))
         assert free_energy_at(theta, lam, g) == pytest.approx(expected, abs=1e-12)
 
 
-def test_site_free_energy_vanishes_at_zero_tilt(ind_spec):
+def test_site_free_energy_vanishes_at_zero_tilt(ind_g):
     for theta in (0.0, 0.5, 2.0):
         assert abs(free_energy_at(theta, 0.0, indicator_vacuum_function())) < 1e-8
 
@@ -92,30 +87,30 @@ def test_site_free_energy_of_constant_is_linear():
 def test_free_energy_requires_bounded_g():
     from geomix.core import density_function
 
-    with pytest.raises(ValueError):
-        FreeEnergySpec(g=density_function())
+    for evaluate in (free_energy, rate_function, free_energy_transfer):
+        with pytest.raises(ValueError, match="bounded"):
+            evaluate(1.0, 0.5, density_function())
 
 
-def test_transfer_stochastic_kernel_at_zero_tilt(ind_spec):
-    assert abs(free_energy_transfer(1.0, 0.0, ind_spec)) < 1e-10
-    spec2 = FreeEnergySpec(g=make_pair_vacuum())
-    assert abs(free_energy_transfer(1.3, 0.0, spec2)) < 1e-10
+def test_transfer_stochastic_kernel_at_zero_tilt(ind_g):
+    assert abs(free_energy_transfer(1.0, 0.0, ind_g)) < 1e-10
+    assert abs(free_energy_transfer(1.3, 0.0, make_pair_vacuum())) < 1e-10
 
 
-def test_transfer_reduces_to_site_form(ind_spec):
+def test_transfer_reduces_to_site_form(ind_g):
     g = indicator_vacuum_function()
     for theta, lam in ((0.7, 0.5), (1.0, -0.8), (1.9, 1.2)):
         assert abs(
-            free_energy_transfer(theta, lam, ind_spec) - free_energy_at(theta, lam, g)
+            free_energy_transfer(theta, lam, ind_g) - free_energy_at(theta, lam, g)
         ) < 1e-8
 
 
-def test_free_energy_closed_forms_including_theta_zero(ind_spec):
+def test_free_energy_closed_forms_including_theta_zero(ind_g):
     # indicator-vacuum: F = log((e^lam + theta)/(1 + theta)) with
     # dF/dlambda = e^lam/(e^lam + theta), dF/dtheta = 1/(e^lam + theta) - 1/(1 + theta)
     thetas = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 1.0])
     lams = np.array([-1.5, 0.0, 2.0, 0.3, 0.7, -1.1, -6.0])
-    f, f_lam, f_theta = free_energy(thetas, lams, ind_spec)
+    f, f_lam, f_theta = free_energy(thetas, lams, ind_g)
     e = np.exp(lams)
     assert f == pytest.approx(np.log((e + thetas) / (1 + thetas)), abs=1e-12)
     assert f_lam == pytest.approx(e / (e + thetas), abs=1e-12)
@@ -123,15 +118,15 @@ def test_free_energy_closed_forms_including_theta_zero(ind_spec):
 
 
 def test_transfer_derivatives_match_central_differences():
-    spec = make_pair_vacuum_spec()
+    g = make_pair_vacuum()
     thetas = np.array([0.4, 1.0, 1.8])
     lams = np.array([-0.9, 0.3, 1.2])
-    f, f_lam, f_theta = free_energy(thetas, lams, spec)
+    f, f_lam, f_theta = free_energy(thetas, lams, g)
     h = 1e-5
     for i, (theta, lam) in enumerate(zip(thetas, lams)):
-        assert f[i] == free_energy_transfer(theta, lam, spec)
-        d_lam = (free_energy_transfer(theta, lam + h, spec) - free_energy_transfer(theta, lam - h, spec)) / (2 * h)
-        d_theta = (free_energy_transfer(theta + h, lam, spec) - free_energy_transfer(theta - h, lam, spec)) / (2 * h)
+        assert f[i] == free_energy_transfer(theta, lam, g)
+        d_lam = (free_energy_transfer(theta, lam + h, g) - free_energy_transfer(theta, lam - h, g)) / (2 * h)
+        d_theta = (free_energy_transfer(theta + h, lam, g) - free_energy_transfer(theta - h, lam, g)) / (2 * h)
         assert f_lam[i] == pytest.approx(d_lam, abs=1e-8)
         assert f_theta[i] == pytest.approx(d_theta, abs=1e-8)
 
@@ -140,10 +135,9 @@ def test_transfer_against_direct_simulation():
     # the finite-chain kernel value sits inside the Monte Carlo band;
     # the power-iteration limit differs from it by O(1/N)
     g = make_pair_vacuum()
-    spec = FreeEnergySpec(g=g)
     theta, lam, n = 1.0, 0.3, 200
-    limit = free_energy_transfer(theta, lam, spec)
-    finite = free_energy_finite_chain(theta, lam, spec, n)
+    limit = free_energy_transfer(theta, lam, g)
+    finite = free_energy_finite_chain(theta, lam, g, n)
     # equal reservoirs give the homogeneous product at theta
     est, se = annealed_mc_estimate(
         g, lam, n, BoundaryParams(theta, theta), 20000, RandomSeed(11, 5)
@@ -152,7 +146,7 @@ def test_transfer_against_direct_simulation():
     assert abs(limit - finite) <= 5.0 / n
 
 
-def test_lambda_convexity(ind_spec):
+def test_lambda_convexity(ind_g):
     lams = np.linspace(-3.0, 3.0, 41)
     for theta in (0.4, 1.0, 2.0):
         vals = np.array(
@@ -162,40 +156,40 @@ def test_lambda_convexity(ind_spec):
         assert second.min() >= -1e-9
 
 
-def test_rate_vanishes_at_the_mean(ind_spec):
+def test_rate_vanishes_at_the_mean(ind_g):
     for theta in (0.5, 1.0, 2.0):
         mean = 1 / (1 + theta)
-        assert abs(rate_function(theta, mean, ind_spec)) < 1e-8
+        assert abs(rate_function(theta, mean, ind_g)) < 1e-8
 
 
-def test_rate_nonnegative(ind_spec):
+def test_rate_nonnegative(ind_g):
     for x in np.linspace(0.05, 0.95, 10):
-        assert rate_function(1.0, float(x), ind_spec) >= -1e-12
+        assert rate_function(1.0, float(x), ind_g) >= -1e-12
 
 
-def test_rate_bernoulli_closed_form(ind_spec):
+def test_rate_bernoulli_closed_form(ind_g):
     # sup_lam(3 lam / 4 - log((e^lam + 1)/2)) is the Bernoulli(1/2)
     # relative entropy of 3/4
     expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-    assert rate_function(1.0, 0.75, ind_spec) == pytest.approx(expected, abs=1e-8)
+    assert rate_function(1.0, 0.75, ind_g) == pytest.approx(expected, abs=1e-8)
 
 
-def test_rate_outside_range_is_infinite(ind_spec):
-    assert rate_function(1.0, 1.5, ind_spec) == math.inf
-    assert rate_function(1.0, -0.2, ind_spec) == math.inf
+def test_rate_outside_range_is_infinite(ind_g):
+    assert rate_function(1.0, 1.5, ind_g) == math.inf
+    assert rate_function(1.0, -0.2, ind_g) == math.inf
 
 
-def test_rate_just_outside_range_is_infinite(ind_spec):
-    assert rate_function(1.0, -1e-9, ind_spec) == math.inf
-    assert rate_function(1.0, 1 + 1e-9, ind_spec) == math.inf
+def test_rate_just_outside_range_is_infinite(ind_g):
+    assert rate_function(1.0, -1e-9, ind_g) == math.inf
+    assert rate_function(1.0, 1 + 1e-9, ind_g) == math.inf
 
 
-def test_rate_at_range_edge_is_log_inverse_mass(ind_spec):
+def test_rate_at_range_edge_is_log_inverse_mass(ind_g):
     # x = 1 forces every site empty: rate -log nu_theta(0) = log(1+theta)
-    assert rate_function(1.0, 1.0, ind_spec) == pytest.approx(math.log(2.0), abs=1e-6)
+    assert rate_function(1.0, 1.0, ind_g) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
-def test_legendre_consistency(ind_spec):
+def test_legendre_consistency(ind_g):
     # I(theta, F'(lambda)) + F(lambda) = lambda F'(lambda)
     g = indicator_vacuum_function()
     theta = 1.2
@@ -204,19 +198,19 @@ def test_legendre_consistency(ind_spec):
         deriv = (
             free_energy_at(theta, lam + h, g) - free_energy_at(theta, lam - h, g)
         ) / (2 * h)
-        lhs = rate_function(theta, deriv, ind_spec) + free_energy_at(theta, lam, g)
+        lhs = rate_function(theta, deriv, ind_g) + free_energy_at(theta, lam, g)
         assert lhs == pytest.approx(lam * deriv, abs=1e-6)
 
 
 @pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
 def test_free_energy_does_not_depend_on_the_batch(make_g):
-    spec = FreeEnergySpec(g=make_g())
+    g = make_g()
     rng = np.random.default_rng(257)
     thetas = rng.uniform(0.0, 3.0, 257)
     lams = rng.uniform(-3.0, 3.0, 257)
-    batch = free_energy(thetas, lams, spec)
+    batch = free_energy(thetas, lams, g)
     for i, (theta, lam) in enumerate(zip(thetas, lams)):
-        single = free_energy(theta, lam, spec)
+        single = free_energy(theta, lam, g)
         for b, s in zip(batch, single):
             assert b[i] == s[0]
 
@@ -225,11 +219,10 @@ def test_free_energy_does_not_depend_on_the_batch(make_g):
 def test_level_masses_match_the_weight_table(make_g):
     # closed-form run masses against nu and d nu/d theta summed state by
     # state over each level set of g, at theta = 0, a large theta and random ones
-    spec = FreeEnergySpec(g=make_g())
     rng = np.random.default_rng(17)
     thetas = np.concatenate(([0.0, 50.0], rng.uniform(0.0, 2.0, 200)))
-    table = ldp_module._FreeEnergyTable(thetas, spec)
-    w, dw = _weight_tables(thetas, spec.m_state)
+    table = ldp_module._FreeEnergyTable(thetas, make_g())
+    w, dw = _weight_tables(thetas, ldp_module._M_STATE)
     gvals = table.gvals.ravel()
     mass = np.stack([w[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
     d_mass = np.stack([dw[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
@@ -238,63 +231,62 @@ def test_level_masses_match_the_weight_table(make_g):
 
 
 def test_run_table_budget_counts_runs_not_states():
-    # indicator-vacuum has two runs at any m_state, so 400 nodes at 2**17
-    # build a (400, 2) table, bit-identical to two batches of 200
-    spec = FreeEnergySpec(g=indicator_vacuum_function(), m_state=2**17)
-    thetas = np.linspace(0.05, 2.0, 400)
-    lams = np.linspace(-1.0, 1.0, 400)
-    whole = free_energy(thetas, lams, spec)
-    halves = [free_energy(thetas[s], lams[s], spec) for s in (slice(0, 200), slice(200, 400))]
+    # indicator-vacuum has two runs, so 300 000 nodes build a (300000, 2)
+    # table, bit-identical to two batches of 150 000, where a table over
+    # the 129 states would hold 3.9e7 cells, above the 2**25 budget
+    n = 300_000
+    thetas = np.linspace(0.05, 2.0, n)
+    lams = np.linspace(-1.0, 1.0, n)
+    g = indicator_vacuum_function()
+    whole = free_energy(thetas, lams, g)
+    halves = [free_energy(thetas[s], lams[s], g) for s in (slice(0, n // 2), slice(n // 2, n))]
     for w, a, b in zip(whole, *halves):
         assert np.array_equal(w, np.concatenate([a, b]))
-    # n mod 2 has m_state + 1 runs: the 400 x 131073 table is refused unbuilt
+    # n mod 2 has 129 runs: the 300000 x 129 run table is refused unbuilt
     parity = LocalFunction(
         k=1, evaluator=lambda n: np.asarray(n) % 2.0, bounded=True, bound=1.0, name="parity"
     )
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="cells"):
-            free_energy(thetas, lams, FreeEnergySpec(g=parity, m_state=2**17))
+            free_energy(thetas, lams, parity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
 
 
-def bisection_legendre(thetas, xs, spec, steps=200):
+def bisection_legendre(thetas, xs, g, steps=200):
     """Oracle: bisect dF/dlambda = x over each node's certified lambda range."""
-    caps = spec.certified_lambda_caps(thetas)
+    caps = ldp_module._lambda_caps(thetas, g)
     lo, hi = -caps, caps.copy()
     for _ in range(steps):
         mid = (lo + hi) / 2.0
-        below = free_energy(thetas, mid, spec)[1] < xs
+        below = free_energy(thetas, mid, g)[1] < xs
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     lam = (lo + hi) / 2.0
-    return lam * xs - free_energy(thetas, lam, spec)[0], lam
+    return lam * xs - free_energy(thetas, lam, g)[0], lam
 
 
 @pytest.mark.parametrize(
-    "spec, x_range",
-    [
-        (FreeEnergySpec(g=make_capped_count()), (0.02, 0.98)),
-        (FreeEnergySpec(g=make_pair_vacuum(), m_state=64), (0.05, 0.8)),
-    ],
+    "g, x_range",
+    [(make_capped_count(), (0.02, 0.98)), (make_pair_vacuum(), (0.05, 0.8))],
     ids=["four-valued", "pair-vacuum"],
 )
-def test_legendre_matches_bisection(spec, x_range):
+def test_legendre_matches_bisection(g, x_range):
     rng = np.random.default_rng(31)
     thetas = rng.uniform(0.2, 2.0, 8)
     xs = rng.uniform(*x_range, 8)
     # next to the range edges the maximizer runs far out in lambda
     xs[:2] = (1e-9, 1.0 - 1e-9)
-    rates, lams, _ = _legendre(thetas, xs, spec)
-    oracle_rates, oracle_lams = bisection_legendre(thetas, xs, spec)
+    rates, lams, _ = _legendre(thetas, xs, g)
+    oracle_rates, oracle_lams = bisection_legendre(thetas, xs, g)
     assert np.all(np.isfinite(rates))
     assert rates == pytest.approx(oracle_rates, abs=1e-12)
     assert lams[2:] == pytest.approx(oracle_lams[2:], abs=1e-9)
 
 
-def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_spec, monkeypatch):
+def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_g, monkeypatch):
     calls = []
     evaluate = ldp_module._FreeEnergyTable.__call__
 
@@ -305,7 +297,7 @@ def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_spec, monkeyp
     monkeypatch.setattr(ldp_module._FreeEnergyTable, "__call__", counted)
     rng = np.random.default_rng(400)
     thetas, xs = rng.uniform(0.0, 2.0, 400), rng.uniform(0.3, 0.95, 400)
-    rates = _legendre(thetas, xs, ind_spec)[0]
+    rates = _legendre(thetas, xs, ind_g)[0]
     assert len(calls) <= 3
     # closed form: the Bernoulli(1/(1+theta)) relative entropy of x
     q = 1.0 / (1.0 + thetas)
@@ -315,9 +307,8 @@ def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_spec, monkeyp
 
 def test_legendre_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(ldp_module, "_LEGENDRE_ITERATION_CAP", 1)
-    spec = FreeEnergySpec(g=make_capped_count())
     with pytest.raises(NumericError):
-        _legendre(np.array([1.0, 0.5]), np.array([0.4, 0.7]), spec)
+        _legendre(np.array([1.0, 0.5]), np.array([0.4, 0.7]), make_capped_count())
 
 
 def test_path_rate_linear_is_exactly_zero(bounds):
@@ -357,23 +348,23 @@ def test_monotone_profile_validation(bounds):
         MonotoneProfile(values=np.array([0.0, 1.0, 1.9]), bounds=bounds)
 
 
-def test_inhom_free_energy_zero_weight(bounds, ind_spec):
+def test_inhom_free_energy_zero_weight(bounds, ind_g):
     prof = MonotoneProfile.linear(bounds, 128)
-    assert abs(inhom_free_energy(prof, const_phi(0.0), ind_spec)) < 1e-10
+    assert abs(inhom_free_energy(prof, const_phi(0.0), ind_g)) < 1e-10
 
 
-def test_inhom_free_energy_constant_profile_reduction(ind_spec):
+def test_inhom_free_energy_constant_profile_reduction(ind_g):
     b = BoundaryParams(0.5, 1.5)
     # constant-value profile built directly on the grid (endpoint pinned)
     vals = np.full(129, b.theta_right)
     prof = MonotoneProfile(values=vals, bounds=b)
     lam = 0.4
-    assert inhom_free_energy(prof, const_phi(lam), ind_spec) == pytest.approx(
+    assert inhom_free_energy(prof, const_phi(lam), ind_g) == pytest.approx(
         free_energy_at(b.theta_right, lam, indicator_vacuum_function()), abs=1e-9
     )
 
 
-def test_inhom_free_energy_linear_profile_closed_form(bounds, ind_spec):
+def test_inhom_free_energy_linear_profile_closed_form(bounds, ind_g):
     lam = 0.6
     prof = MonotoneProfile.linear(bounds, 2048)
     # high-resolution quadrature of the two-term closed-form integrand
@@ -382,37 +373,37 @@ def test_inhom_free_energy_linear_profile_closed_form(bounds, ind_spec):
     w = w / 2
     rho = bounds.density(x)
     oracle = float(np.sum(w * np.log((math.exp(lam) + rho) / (1 + rho))))
-    assert inhom_free_energy(prof, const_phi(lam), ind_spec) == pytest.approx(
+    assert inhom_free_energy(prof, const_phi(lam), ind_g) == pytest.approx(
         oracle, abs=1e-6
     )
 
 
-def test_annealed_zero_weight_returns_linear(bounds, ind_spec):
+def test_annealed_zero_weight_returns_linear(bounds, ind_g):
     solver = SolverConfig(multistart=2, seed=3, grid_size=256, max_iterations=500)
-    res = annealed_free_energy(const_phi(0.0), ind_spec, bounds, solver)
-    assert isinstance(res, AnnealedResult)
+    res = annealed_free_energy(const_phi(0.0), ind_g, bounds, solver)
+    assert isinstance(res, VariationalResult)
     assert abs(res.value) < 1e-12
-    assert np.allclose(res.argmax.values, MonotoneProfile.linear(bounds, 256).values, atol=1e-7)
+    assert np.allclose(res.profile.values, MonotoneProfile.linear(bounds, 256).values, atol=1e-7)
 
 
-def test_annealed_never_below_linear_benchmark(bounds, ind_spec):
+def test_annealed_never_below_linear_benchmark(bounds, ind_g):
     solver = SolverConfig(multistart=3, seed=5, grid_size=100, max_iterations=800)
     phi = TestFunction(lambda x: 0.3 * x, name="ramp")
-    res = annealed_free_energy(phi, ind_spec, bounds, solver)
+    res = annealed_free_energy(phi, ind_g, bounds, solver)
     linear = MonotoneProfile.linear(bounds, 100)
-    benchmark = inhom_free_energy(linear, phi, ind_spec) - path_rate(linear)
+    benchmark = inhom_free_energy(linear, phi, ind_g) - path_rate(linear)
     assert res.value >= benchmark - 1e-8
     assert res.value >= max(res.start_values) - 1e-12
 
 
-def test_annealed_small_tilt_matches_oracles(bounds, ind_spec):
+def test_annealed_small_tilt_matches_oracles(bounds, ind_g):
     # quantile reparametrization collapses the variational problem in the
     # single-site case: sup = log( (1/w) integral of exp(F(theta)) dtheta ),
     # and the finite-chain expectation is exactly N-independent, so the
     # Monte Carlo estimate is unbiased for the limit
     lam = 0.2
     solver = SolverConfig(multistart=3, seed=9, max_iterations=3000)
-    res = annealed_free_energy(const_phi(lam), ind_spec, bounds, solver)
+    res = annealed_free_energy(const_phi(lam), ind_g, bounds, solver)
     closed = math.log(
         (bounds.width + (math.exp(lam) - 1) * math.log((1 + bounds.theta_right) / (1 + bounds.theta_left)))
         / bounds.width
@@ -428,24 +419,24 @@ def test_annealed_rejects_equilibrium():
     with pytest.raises(ValueError):
         annealed_free_energy(
             const_phi(0.1),
-            FreeEnergySpec(g=indicator_vacuum_function()),
+            indicator_vacuum_function(),
             BoundaryParams(1.0, 1.0),
             SolverConfig(),
         )
 
 
-def test_profile_rate_vanishes_at_lln_profile(bounds, ind_spec):
+def test_profile_rate_vanishes_at_lln_profile(bounds, ind_g):
 
     def mu(x):
         return 1.0 / (1.0 + bounds.density(x))
 
     solver = SolverConfig(multistart=2, seed=4, max_iterations=200)
-    res = profile_rate(TestFunction(mu, name="lln"), ind_spec, bounds, solver)
+    res = profile_rate(TestFunction(mu, name="lln"), ind_g, bounds, solver)
     assert 0.0 <= res.value <= 1e-4
-    assert np.max(np.abs(res.argmin.values - MonotoneProfile.linear(bounds, solver.grid_size).values)) < 0.05
+    assert np.max(np.abs(res.profile.values - MonotoneProfile.linear(bounds, solver.grid_size).values)) < 0.05
 
 
-def test_profile_rate_near_left_reservoir_zero_is_finite(bounds, ind_spec):
+def test_profile_rate_near_left_reservoir_zero_is_finite(bounds, ind_g):
     # theta_left = 0 puts profile nodes at theta ~ 1e-9 with lambda ~ -16,
     # where a theta-stencil reaching below zero turned F into NaN
     def mu(x):
@@ -454,7 +445,7 @@ def test_profile_rate_near_left_reservoir_zero_is_finite(bounds, ind_spec):
     solver = SolverConfig(grid_size=20, multistart=2, seed=0, max_iterations=300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = profile_rate(TestFunction(mu, name="lln-shifted"), ind_spec, bounds, solver)
+        res = profile_rate(TestFunction(mu, name="lln-shifted"), ind_g, bounds, solver)
     assert math.isfinite(res.value)
     assert all(math.isfinite(v) for v in res.start_values)
 
@@ -462,14 +453,14 @@ def test_profile_rate_near_left_reservoir_zero_is_finite(bounds, ind_spec):
 def test_profile_rate_perturbed_target_strictly_positive():
     # keep the shifted target inside the value range of g
     b = BoundaryParams(1.0, 3.0)
-    spec = FreeEnergySpec(g=indicator_vacuum_function())
+    g = indicator_vacuum_function()
     solver = SolverConfig(multistart=2, seed=8, grid_size=60, max_iterations=400)
 
     def mu(x):
         return 1.0 / (1.0 + b.density(x)) + 0.1
 
     mu_tf = TestFunction(mu, name="shifted")
-    res = profile_rate(mu_tf, spec, b, solver)
+    res = profile_rate(mu_tf, g, b, solver)
     assert res.value > 1e-3
 
     # weak oracle: dense grid over the two-parameter power-profile family
@@ -485,7 +476,7 @@ def test_profile_rate_perturbed_target_strictly_positive():
             vals = u0 + (b.theta_right - u0) * t**a
             prof = MonotoneProfile(values=vals, bounds=b)
             thetas = np.interp(x, t, vals)
-            rates = _legendre(thetas, mux, spec)[0]
+            rates = _legendre(thetas, mux, g)[0]
             obj = float(w @ rates) + path_rate(prof)
             grid_best = min(grid_best, obj)
     assert res.value <= grid_best + 1e-6
