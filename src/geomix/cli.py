@@ -94,99 +94,162 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_config(cfg).encode("ascii")).hexdigest()
 
 
-def _section(cfg: dict, key: str) -> dict:
-    sec = cfg.get(key)
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{key}' is missing or not a table")
-    return sec
+_REQUIRED = object()  # a key with no default: reading it when absent is a ConfigError
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing '{key}' in config section '{where}'")
-    return section[key]
+@dataclasses.dataclass(frozen=True)
+class _Spec:
+    """The declaration of one config table.
+
+    ``kinds`` maps each kind of the table (None for a plain table) to its
+    keys, and each key to its default, to ``_REQUIRED`` or to the ``_Spec``
+    of a nested table; a default of None leaves the value to the library.
+    A kinded table's kind is its value at ``kind_key``, else the kind named
+    by one of its keys (a profile given by its values), else
+    ``default_kind``.  ``absent`` is read when the config leaves the table
+    out; ``each`` declares a list of such tables.
+    """
+
+    kinds: dict
+    kind_key: str | None = None
+    default_kind: object = _REQUIRED
+    absent: object = _REQUIRED
+    each: bool = False
 
 
-def _known_table(table, keys: tuple[str, ...], where: str) -> dict:
-    """A config table that holds only keys the CLI reads."""
-    if not isinstance(table, dict):
-        raise ConfigError(f"config section '{where}' must be a table")
-    unknown = sorted(set(table) - set(keys))
+def _keys(*required: str, **defaults) -> dict:
+    return {**dict.fromkeys(required, _REQUIRED), **defaults}
+
+
+def _table(*required: str, absent=_REQUIRED, each: bool = False, **defaults) -> _Spec:
+    return _Spec({None: _keys(*required, **defaults)}, absent=absent, each=each)
+
+
+_NAMED_G = {
+    "density": density_function,
+    "pair-product": pair_product_function,
+    "indicator-vacuum": indicator_vacuum_function,
+}
+_PHI_KINDS = {
+    "one": _keys("name"),
+    "x": _keys("name"),
+    "const": _keys("name", "value"),
+    "poly": _keys("name", "coefficients"),
+}
+_G_KINDS = {
+    **{name: _keys("name") for name in _NAMED_G},
+    "custom-polynomial": _keys("name", "k", terms=_table("exps", "coef", each=True)),
+}
+_PROFILE_KINDS = {
+    "linear": _keys(kind="linear", grid_size=256),
+    "power": _keys("kind", grid_size=256, exponent=2.0),
+    "values": _keys("values"),
+}
+# every table the CLI reads, and each key once
+_CONFIG = _table(
+    bounds=_table("theta_left", "theta_right"),
+    seed=_table(master=0, stream=0, absent={}),
+    g=_Spec(_G_KINDS, "name"),
+    phi=_Spec(_PHI_KINDS, "name"),
+    sample=_table("n_sites"),
+    lln=_table("n_ladder", "replicas"),
+    clt=_table("n_sites", "replicas"),
+    bridge=_table("n_sites", "replicas", grid=None),
+    le_scaling=_table("x", "p_vec", "n_ladder"),
+    concentration=_table("n_ladder", "replicas", eps=None),
+    ldp=_table(
+        "theta",
+        "lambda_grid",
+        "x_grid",
+        profile=_Spec(_PROFILE_KINDS, "kind", default_kind="linear", absent={}),
+        # the lln profile and an offset, or a test function
+        mu=_Spec({"lln": _keys("name", offset=0.0), **_PHI_KINDS}, "name", absent={"name": "lln"}),
+        solver=_table(absent={}, **{f.name: f.default for f in dataclasses.fields(SolverConfig)}),
+        absent={},
+    ),
+)
+
+
+def _name(where: str) -> str:
+    return f"config section '{where}'" if where else "the config"
+
+
+class _Table(dict):
+    """A config table as read: its declared keys, defaults filled in, and
+    its kind.  Reading a required key the config leaves out is a ConfigError."""
+
+    def __init__(self, where: str, kind):
+        super().__init__()
+        self.where = where
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing '{key}' in {_name(self.where)}")
+
+
+def _read(raw, spec: _Spec, where: str):
+    """Read a config table, and the tables nested in it, against its
+    declaration: refuse every key its kind does not declare and fill in
+    the defaults.  One call on the root reads the whole config."""
+    if spec.each:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{_name(where)} must be a list of tables")
+        return [_read(item, dataclasses.replace(spec, each=False), where) for item in raw]
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{_name(where)} must be a table")
+    kind = None
+    if spec.kind_key is not None:
+        named = next((k for k in spec.kinds if k in raw), spec.default_kind)
+        kind = raw.get(spec.kind_key, named)
+        if kind is _REQUIRED:
+            raise ConfigError(f"missing '{spec.kind_key}' in {_name(where)}")
+        if not isinstance(kind, str) or kind not in spec.kinds:
+            raise ConfigError(
+                f"unknown {spec.kind_key} {kind!r} in {_name(where)}; "
+                f"choose from {sorted(spec.kinds)}"
+            )
+    keys = spec.kinds[kind]
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in config section '{where}'")
+        raise ConfigError(f"unknown key(s) {unknown} in {_name(where)}")
+    table = _Table(where, kind)
+    for key, decl in keys.items():
+        nested = isinstance(decl, _Spec)
+        value = raw[key] if key in raw else decl.absent if nested else decl
+        if value is not _REQUIRED:
+            table[key] = _read(value, decl, f"{where}.{key}" if where else key) if nested else value
     return table
 
 
-def build_bounds(cfg: dict) -> BoundaryParams:
-    sec = _section(cfg, "bounds")
+def build_bounds(bounds: _Table) -> BoundaryParams:
+    return BoundaryParams(float(bounds["theta_left"]), float(bounds["theta_right"]))
+
+
+def build_seed(seed: _Table, override_master: int | None) -> RandomSeed:
+    master = int(seed["master"]) if override_master is None else int(override_master)
+    return RandomSeed(master=master, stream=int(seed["stream"]))
+
+
+def build_g(g: _Table) -> LocalFunction:
+    if g.kind in _NAMED_G:
+        return _NAMED_G[g.kind]()
+    k = int(g["k"])
     try:
-        return BoundaryParams(
-            float(_require(sec, "theta_left", "bounds")),
-            float(_require(sec, "theta_right", "bounds")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid bounds: {exc}") from exc
+        monos = {tuple(int(e) for e in t["exps"]): float(t["coef"]) for t in g["terms"]}
+    except TypeError as exc:
+        raise ConfigError("custom-polynomial terms need a list 'exps' and a number 'coef'") from exc
+    return polynomial_function(k, monos, name="custom-polynomial")
 
 
-_SEED_KEYS = ("master", "stream")
-
-
-def build_seed(cfg: dict, override_master: int | None) -> RandomSeed:
-    sec = _known_table(cfg.get("seed", {}), _SEED_KEYS, "seed")
-    master = int(sec.get("master", 0)) if override_master is None else int(override_master)
-    return RandomSeed(master=master, stream=int(sec.get("stream", 0)))
-
-
-def build_g(cfg: dict):
-    sec = _section(cfg, "g")
-    name = _require(sec, "name", "g")
-    if name == "density":
-        return density_function()
-    if name == "pair-product":
-        return pair_product_function()
-    if name == "indicator-vacuum":
-        return indicator_vacuum_function()
-    if name == "custom-polynomial":
-        k = int(_require(sec, "k", "g"))
-        terms = _require(sec, "terms", "g")
-        try:
-            monos = {tuple(int(e) for e in t["exps"]): float(t["coef"]) for t in terms}
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(
-                "custom-polynomial terms must be objects with 'exps' and 'coef'"
-            ) from exc
-        try:
-            return polynomial_function(k, monos, name="custom-polynomial")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"unknown local function '{name}'; choose density, pair-product, "
-        "indicator-vacuum or custom-polynomial"
-    )
-
-
-# the keys each test function reads
-_PHI_KEYS = {
-    "one": ("name",),
-    "x": ("name",),
-    "const": ("name", "value"),
-    "poly": ("name", "coefficients"),
-}
-
-
-def build_phi(cfg: dict, key: str = "phi") -> TestFunction:
-    sec = _section(cfg, key)
-    name = _require(sec, "name", key)
-    if name == "one":
+def build_phi(phi: _Table) -> TestFunction:
+    if phi.kind == "one":
         return phi_one()
-    if name == "x":
+    if phi.kind == "x":
         return phi_identity()
-    if name == "const":
-        value = float(_require(sec, "value", key))
+    if phi.kind == "const":
+        value = float(phi["value"])
         return TestFunction(lambda x, v=value: np.full_like(x, v), name="const")
-    if name == "poly":
-        return phi_polynomial(_require(sec, "coefficients", key))
-    raise ConfigError(f"unknown test function '{name}'; choose one, x, const or poly")
+    return phi_polynomial(phi["coefficients"])
 
 
 def _format(value) -> str:
@@ -229,7 +292,9 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 class _Run:
-    """Collects outputs and writes the manifest at the end."""
+    """Collects outputs and writes the manifest at the end.  The output
+    directory is made at the first write, so a run that fails before it
+    leaves nothing behind."""
 
     def __init__(self, command: str, cfg: dict, seed: RandomSeed, out_dir: Path):
         self.command = command
@@ -239,17 +304,18 @@ class _Run:
         self.digest = config_digest(cfg)
         self.outputs: list[str] = []
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        out_dir.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
 
     def csv(self, name: str, header: list[str], rows) -> None:
-        path = self.out_dir / name
-        write_csv(path, self.digest, header, rows)
+        write_csv(self._path(name), self.digest, header, rows)
         self.outputs.append(name)
 
     def summary(self, name: str, verdicts: dict, payload: dict) -> None:
-        path = self.out_dir / name
         write_json(
-            path,
+            self._path(name),
             {
                 "command": self.command,
                 "config": self.cfg,
@@ -262,9 +328,8 @@ class _Run:
         self.outputs.append(name)
 
     def manifest(self, name: str) -> None:
-        path = self.out_dir / name
         write_json(
-            path,
+            self._path(name),
             {
                 "command": self.command,
                 "config_digest": self.digest,
@@ -276,14 +341,9 @@ class _Run:
         )
 
 
-def cmd_sample(cfg: dict, out_dir: Path, seed: RandomSeed, verbose: bool) -> int:
-    bounds = build_bounds(cfg)
-    sec = _section(cfg, "sample")
-    n_sites = int(_require(sec, "n_sites", "sample"))
-    if n_sites < 1:
-        raise ConfigError("sample.n_sites must be >= 1")
-    run = _Run("sample", cfg, seed, out_dir)
-    profile, configuration = sample_ness(n_sites, bounds, seed)
+def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
+    n_sites = int(cfg["sample"]["n_sites"])
+    profile, configuration = sample_ness(n_sites, build_bounds(cfg["bounds"]), run.seed)
     rows = [
         (i + 1, profile.values[i], int(configuration.occupations[i]))
         for i in range(n_sites)
@@ -296,22 +356,26 @@ def cmd_sample(cfg: dict, out_dir: Path, seed: RandomSeed, verbose: bool) -> int
     )
     run.manifest("sample_manifest.json")
     if verbose:
-        print(f"wrote {n_sites} sites to {out_dir / 'sample_table.csv'}")
+        print(f"wrote {n_sites} sites to {run.out_dir / 'sample_table.csv'}")
     return EXIT_PASS
 
 
-def _verify_lln(cfg, run, seed, workers):
-    sec = _section(cfg, "lln")
-    exp = ExperimentConfig(
-        n_ladder=tuple(int(n) for n in _require(sec, "n_ladder", "lln")),
-        replicas=int(_require(sec, "replicas", "lln")),
-        bounds=build_bounds(cfg),
-        g=build_g(cfg),
-        phi=build_phi(cfg),
-        seed=seed,
+def _experiment(cfg, run, workers, n_ladder, replicas, g=None, phi=None) -> ExperimentConfig:
+    """A Monte Carlo run's settings; g and phi are the config's unless given."""
+    return ExperimentConfig(
+        n_ladder=n_ladder,
+        replicas=int(replicas),
+        bounds=build_bounds(cfg["bounds"]),
+        g=build_g(cfg["g"]) if g is None else g,
+        phi=build_phi(cfg["phi"]) if phi is None else phi,
+        seed=run.seed,
         workers=workers,
     )
-    result = run_lln(exp)
+
+
+def _verify_lln(cfg, run, workers):
+    lln = cfg["lln"]
+    result = run_lln(_experiment(cfg, run, workers, lln["n_ladder"], lln["replicas"]))
     threshold = result.final_threshold()
     passed = result.decreasing and result.rows[-1][1] < threshold
     run.csv(
@@ -331,21 +395,9 @@ def _verify_lln(cfg, run, seed, workers):
     return passed, verdicts, payload
 
 
-def _verify_clt(cfg, run, seed, workers):
-    sec = _section(cfg, "clt")
-    replicas = int(_require(sec, "replicas", "clt"))
-    if replicas < 2000:
-        raise ConfigError("clt.replicas must be >= 2000 for the distributional test")
-    exp = ExperimentConfig(
-        n_ladder=(int(_require(sec, "n_sites", "clt")),),
-        replicas=replicas,
-        bounds=build_bounds(cfg),
-        g=build_g(cfg),
-        phi=build_phi(cfg),
-        seed=seed,
-        workers=workers,
-    )
-    result = run_clt(exp)
+def _verify_clt(cfg, run, workers):
+    clt = cfg["clt"]
+    result = run_clt(_experiment(cfg, run, workers, (clt["n_sites"],), clt["replicas"]))
     passed = result.ks_pass and result.variance_pass
     run.csv(
         "clt_table.csv",
@@ -367,19 +419,12 @@ def _verify_clt(cfg, run, seed, workers):
     return passed, verdicts, payload
 
 
-def _verify_bridge(cfg, run, seed, workers):
-    sec = _section(cfg, "bridge")
-    exp = ExperimentConfig(
-        n_ladder=(int(_require(sec, "n_sites", "bridge")),),
-        replicas=int(_require(sec, "replicas", "bridge")),
-        bounds=build_bounds(cfg),
-        g=density_function(),
-        phi=phi_one(),
-        seed=seed,
-        workers=workers,
+def _verify_bridge(cfg, run, workers):
+    bridge = cfg["bridge"]
+    exp = _experiment(
+        cfg, run, workers, (bridge["n_sites"],), bridge["replicas"], density_function(), phi_one()
     )
-    grid = sec.get("grid", [0.25, 0.5, 0.75])
-    result = run_bridge(exp, grid)
+    result = run_bridge(exp, bridge["grid"])
     rows = []
     for a, s in enumerate(result.grid):
         for b_idx, t in enumerate(result.grid):
@@ -402,13 +447,10 @@ def _verify_bridge(cfg, run, seed, workers):
     return passed, {"within_three_se": passed}, {"max_deviation_in_se": max_dev}
 
 
-def _verify_le_scaling(cfg, run, seed, workers):
-    sec = _section(cfg, "le_scaling")
+def _verify_le_scaling(cfg, run, workers):
+    le = cfg["le_scaling"]
     result = run_le_scaling(
-        float(_require(sec, "x", "le_scaling")),
-        [int(p) for p in _require(sec, "p_vec", "le_scaling")],
-        [int(n) for n in _require(sec, "n_ladder", "le_scaling")],
-        build_bounds(cfg),
+        float(le["x"]), le["p_vec"], le["n_ladder"], build_bounds(cfg["bounds"])
     )
     run.csv("le_scaling_table.csv", ["n_sites", "deviation"], result.rows)
     if result.degenerate:
@@ -426,15 +468,12 @@ def _verify_le_scaling(cfg, run, seed, workers):
     return slope_ok and r2_ok, {"slope_in_band": slope_ok, "r_squared_ok": r2_ok}, payload
 
 
-def _verify_concentration(cfg, run, seed, workers):
-    sec = _section(cfg, "concentration")
-    bounds = build_bounds(cfg)
-    ladder = [int(n) for n in _require(sec, "n_ladder", "concentration")]
-    replicas = int(_require(sec, "replicas", "concentration"))
-    if replicas < 10**4:
-        raise ConfigError("concentration.replicas must be >= 10000")
+def _verify_concentration(cfg, run, workers):
+    conc = cfg["concentration"]
+    bounds = build_bounds(cfg["bounds"])
+    replicas = int(conc["replicas"])
     result = run_concentration(
-        ladder, bounds, replicas, seed, eps_schedule=sec.get("eps"), workers=workers
+        conc["n_ladder"], bounds, replicas, run.seed, eps_schedule=conc["eps"], workers=workers
     )
     run.csv(
         "concentration_table.csv",
@@ -444,7 +483,7 @@ def _verify_concentration(cfg, run, seed, workers):
     final_tail = result.rows[-1][2]
     passed = result.tail_nonincreasing and final_tail <= 1e-2
     marginals = check_profile_marginals(
-        min(10, ladder[0]), bounds, min(replicas, 10**5), seed.substream(777), workers
+        min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed.substream(777), workers
     )
     payload = {
         "final_tail": final_tail,
@@ -477,13 +516,8 @@ _VERIFY_DISPATCH = {
 }
 
 
-def cmd_verify(
-    kind: str, cfg: dict, out_dir: Path, seed: RandomSeed, workers: int, verbose: bool
-) -> int:
-    if kind not in _VERIFY_DISPATCH:
-        raise ConfigError(f"unknown verify kind '{kind}'; choose from {VERIFY_KINDS}")
-    run = _Run(f"verify-{kind}", cfg, seed, out_dir)
-    passed, verdicts, payload = _VERIFY_DISPATCH[kind](cfg, run, seed, workers)
+def cmd_verify(kind: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
+    passed, verdicts, payload = _VERIFY_DISPATCH[kind](cfg, run, workers)
     name = kind.replace("-", "_")
     run.summary(f"{name}_summary.json", verdicts=verdicts, payload=payload)
     run.manifest(f"{name}_manifest.json")
@@ -494,92 +528,44 @@ def cmd_verify(
     return EXIT_PASS if passed else EXIT_VERDICT
 
 
-_LDP_KEYS = ("theta", "lambda_grid", "x_grid", "profile", "mu", "solver")
-_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
-# the keys each kind of profile reads; a profile given by its values reads only those
-_PROFILE_KEYS = {
-    "linear": ("kind", "grid_size"),
-    "power": ("kind", "grid_size", "exponent"),
-    "values": ("values",),
-}
-# the keys each target density reads: the lln profile and an offset, or a test function
-_MU_KEYS = {"lln": ("name", "offset"), **_PHI_KEYS}
-
-
-def _profile_kind(table: dict) -> str:
-    return "values" if "values" in table else table.get("kind", "linear")
-
-
-def _mu_kind(table: dict) -> str:
-    return table.get("name")
-
-
-def _kind_table(table, kind_of, keys: dict, where: str) -> tuple[str, dict]:
-    """A config table's kind, and the table, which holds only the keys that kind reads."""
-    kind = kind_of(_known_table(table, tuple(set().union(*keys.values())), where))
-    if kind not in keys:
-        raise ConfigError(
-            f"unknown kind {kind!r} in config section '{where}'; choose from {sorted(keys)}"
-        )
-    return kind, _known_table(table, keys[kind], where)
-
-
-def _ldp_g(cfg: dict) -> LocalFunction:
-    g = build_g(cfg)
-    if not g.bounded:
-        raise ConfigError("ldp tasks require a bounded local function g")
-    return g
-
-
-def _ldp_solver(sec: dict) -> SolverConfig:
-    return SolverConfig(**{k: int(v) for k, v in sec.get("solver", {}).items()})
-
-
-def _ldp_profile(kind: str, sec: dict, bounds: BoundaryParams) -> MonotoneProfile:
-    if kind == "values":
-        return MonotoneProfile(values=np.asarray(sec["values"], dtype=float), bounds=bounds)
-    m = int(sec.get("grid_size", 256))
-    if kind == "linear":
+def _ldp_profile(profile: _Table, bounds: BoundaryParams) -> MonotoneProfile:
+    if profile.kind == "values":
+        return MonotoneProfile(values=np.asarray(profile["values"], dtype=float), bounds=bounds)
+    m = int(profile["grid_size"])
+    if profile.kind == "linear":
         return MonotoneProfile.linear(bounds, m)
     t = np.arange(m + 1) / m
-    exponent = float(sec.get("exponent", 2.0))
+    exponent = float(profile["exponent"])
     return MonotoneProfile(values=bounds.theta_left + bounds.width * t**exponent, bounds=bounds)
 
 
-def cmd_ldp(
-    task: str, cfg: dict, out_dir: Path, seed: RandomSeed, workers: int, verbose: bool
-) -> int:
-    if task not in LDP_TASKS:
-        raise ConfigError(f"unknown ldp task '{task}'; choose from {LDP_TASKS}")
-    bounds = build_bounds(cfg)
+def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
+    bounds = build_bounds(cfg["bounds"])
     if bounds.width <= 0:
         raise ConfigError("ldp tasks require theta_left < theta_right")
-    sec = _known_table(cfg.get("ldp", {}), _LDP_KEYS, "ldp")
-    _known_table(sec.get("solver", {}), _SOLVER_KEYS, "ldp.solver")
-    profile_kind, profile_sec = _kind_table(
-        sec.get("profile", {}), _profile_kind, _PROFILE_KEYS, "ldp.profile"
-    )
-    mu_kind, mu_sec = _kind_table(sec.get("mu", {"name": "lln"}), _mu_kind, _MU_KEYS, "ldp.mu")
-    g = _ldp_g(cfg)
-    run = _Run(f"ldp-{task}", cfg, seed, out_dir)
+    ldp = cfg["ldp"]
+    solver = SolverConfig(**{k: int(v) for k, v in ldp["solver"].items()})
+    g = build_g(cfg["g"])
+    if not g.bounded:
+        raise ConfigError("ldp tasks require a bounded local function g")
     name = task.replace("-", "_")
     verdicts: dict = {}
     payload: dict = {}
 
     if task == "free-energy":
-        theta = float(_require(sec, "theta", "ldp"))
-        lam_grid = [float(v) for v in _require(sec, "lambda_grid", "ldp")]
+        theta = float(ldp["theta"])
+        lam_grid = [float(v) for v in ldp["lambda_grid"]]
         values, _, _ = free_energy(theta, lam_grid, g)
         run.csv(f"{name}_table.csv", ["lambda", "free_energy"], zip(lam_grid, values))
         payload = {"theta": theta}
     elif task == "rate":
-        theta = float(_require(sec, "theta", "ldp"))
-        x_grid = [float(v) for v in _require(sec, "x_grid", "ldp")]
+        theta = float(ldp["theta"])
+        x_grid = [float(v) for v in ldp["x_grid"]]
         values = [rate_function(theta, x, g) for x in x_grid]
         run.csv(f"{name}_table.csv", ["x", "rate"], zip(x_grid, values))
         payload = {"theta": theta}
     elif task == "path-rate":
-        profile = _ldp_profile(profile_kind, profile_sec, bounds)
+        profile = _ldp_profile(ldp["profile"], bounds)
         value = path_rate(profile)
         run.csv(
             f"{name}_table.csv",
@@ -587,11 +573,10 @@ def cmd_ldp(
             zip(profile.abscissae, profile.values),
         )
         payload = {"path_rate": value}
-        phi_sec = cfg.get("phi")
-        if phi_sec is not None:
-            payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg), g)
+        if "phi" in cfg:
+            payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg["phi"]), g)
     elif task == "annealed":
-        result = annealed_free_energy(build_phi(cfg), g, bounds, _ldp_solver(sec))
+        result = annealed_free_energy(build_phi(cfg["phi"]), g, bounds, solver)
         payload = {"value": result.value, "start_values": list(result.start_values)}
         verdicts = {
             "at_least_linear_benchmark": bool(
@@ -599,16 +584,17 @@ def cmd_ldp(
             )
         }
     else:  # profile-rate
-        if mu_kind == "lln":
-            offset = float(mu_sec.get("offset", 0.0))
+        mu_table = ldp["mu"]
+        if mu_table.kind == "lln":
+            offset = float(mu_table["offset"])
 
             def mu_eval(x, g=g, bounds=bounds, offset=offset):
                 return homogeneous_mean_batch(g, bounds.density(x)) + offset
 
             mu = TestFunction(mu_eval, name="lln-profile")
         else:
-            mu = build_phi({"mu": mu_sec}, key="mu")
-        result = profile_rate(mu, g, bounds, _ldp_solver(sec))
+            mu = build_phi(mu_table)
+        result = profile_rate(mu, g, bounds, solver)
         payload = {"value": result.value, "start_values": list(result.start_values)}
         verdicts = {"non_negative": bool(result.value >= -1e-9)}
     if task in ("annealed", "profile-rate"):
@@ -655,14 +641,17 @@ def main(argv: list[str] | None = None) -> int:
         workers = args.workers
         if workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {workers}")
-        cfg = load_config(args.config)
-        seed = build_seed(cfg, args.seed)
+        raw = load_config(args.config)
+        cfg = _read(raw, _CONFIG, "")
+        seed = build_seed(cfg["seed"], args.seed)
         out_dir = Path(args.out_dir)
         if args.command == "sample":
-            return cmd_sample(cfg, out_dir, seed, args.verbose)
+            return cmd_sample(cfg, _Run("sample", raw, seed, out_dir), args.verbose)
         if args.command == "verify":
-            return cmd_verify(args.kind, cfg, out_dir, seed, workers, args.verbose)
-        return cmd_ldp(args.task, cfg, out_dir, seed, workers, args.verbose)
+            run = _Run(f"verify-{args.kind}", raw, seed, out_dir)
+            return cmd_verify(args.kind, cfg, run, workers, args.verbose)
+        run = _Run(f"ldp-{args.task}", raw, seed, out_dir)
+        return cmd_ldp(args.task, cfg, run, workers, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

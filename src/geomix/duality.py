@@ -115,6 +115,8 @@ def le_deviation(
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
     powers = [int(p) for p in powers]
+    if sum(powers) < 1:  # else E[D] = 1 = rho^0 at every N, trivially
+        raise ValueError("the dual window must hold at least one particle")
     k = len(powers)
     base = int(math.floor(x * n_sites))
     if base + k > n_sites:

@@ -77,6 +77,13 @@ _BLOCK_BUDGET = 2**17  # doubles per row block inside a chunk, the cache and
 _MAX_POLY_DEGREE = 6
 
 
+def _ladder(n_ladder: Sequence[int]) -> tuple[int, ...]:
+    ladder = tuple(int(n) for n in n_ladder)
+    if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("n_ladder must be a non-empty increasing sequence of N >= 1")
+    return ladder
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared experiment settings; ``n_ladder`` must be increasing from
@@ -91,10 +98,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        ladder = tuple(int(n) for n in self.n_ladder)
-        object.__setattr__(self, "n_ladder", ladder)
-        if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("n_ladder must be a non-empty increasing sequence of N >= 1")
+        object.__setattr__(self, "n_ladder", _ladder(self.n_ladder))
         if self.replicas < 2:
             raise ValueError("replicas must be >= 2")
         if self.workers < 1:
@@ -465,17 +469,15 @@ def run_concentration(
 
     Reports P(max_i |Theta_i - E Theta_i| >= eps(N)) next to the
     Chebyshev union bound computed from the verified order-statistic
-    variance i(N+1-i) width^2 / ((N+1)^2 (N+2)).  ``eps_schedule`` lists
-    one eps per ladder N.  With the default eps(N) = N^(-1/4) the
-    empirical tail vanishes along the ladder even though that union bound
-    does not (it is O(1) and clipped at 1), so the bound column is
-    diagnostic only.
+    variance i(N+1-i) width^2 / ((N+1)^2 (N+2)), along a ladder increasing
+    from N >= 1, with one eps per N in ``eps_schedule``.  With the default
+    eps(N) = N^(-1/4) the empirical tail vanishes along the ladder even
+    though that union bound does not (it is O(1) and clipped at 1), so the
+    bound column is diagnostic only.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
-    ladder = [int(n) for n in n_ladder]
-    if not ladder or min(ladder) < 1:
-        raise ValueError("the concentration ladder must be non-empty with every N >= 1")
+    ladder = _ladder(n_ladder)
     if eps_schedule is None:
         eps_list = [n ** (-0.25) for n in ladder]
     else:

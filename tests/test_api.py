@@ -52,19 +52,17 @@ def test_readme_config_block_runs(tmp_path):
 
 
 def test_readme_config_keys_match_the_cli():
-    # the README config shows every key the CLI reads in these tables, and
-    # only those
+    # every table of the README config shows exactly the keys the CLI
+    # declares for it (for its kind, in a kinded table)
     from geomix import cli
 
+    def check(raw, spec, where):
+        table = cli._read(raw, spec, where)
+        keys = spec.kinds[table.kind]
+        assert sorted(raw) == sorted(keys), where or "root"
+        for key, decl in keys.items():
+            if isinstance(decl, cli._Spec):
+                check(raw[key], decl, f"{where}.{key}" if where else key)
+
     block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    cfg = json.loads(block.group(1))
-    ldp = cfg["ldp"]
-    shown = {
-        "seed": (cfg["seed"], cli._SEED_KEYS),
-        "ldp": (ldp, cli._LDP_KEYS),
-        "ldp.solver": (ldp["solver"], cli._SOLVER_KEYS),
-        "ldp.profile": (ldp["profile"], cli._PROFILE_KEYS[ldp["profile"]["kind"]]),
-        "ldp.mu": (ldp["mu"], cli._MU_KEYS[ldp["mu"]["name"]]),
-    }
-    for where, (table, keys) in shown.items():
-        assert sorted(table) == sorted(keys), where
+    check(json.loads(block.group(1)), cli._CONFIG, "")

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geomix import cli
 from geomix.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -14,6 +17,10 @@ from geomix.cli import (
     config_digest,
     main,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path: Path, cfg: dict, name: str = "config.json") -> str:
@@ -206,6 +213,7 @@ def test_numeric_error_exit_code(tmp_path):
     )
     path = write_config(tmp_path, cfg)
     assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
+    assert not (tmp_path / "y").exists()
 
 
 def test_quartic_polynomial_lln_is_exact(tmp_path):
@@ -249,6 +257,8 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
                       "sample": {"n_sites": 10}}),
         (["verify", "concentration"], {"concentration": {"n_ladder": [0, 10], "replicas": 10000}}),
         (["verify", "concentration"], {"concentration": {"n_ladder": [-5, 10], "replicas": 10000}}),
+        # the tail verdict reads the ladder in order
+        (["verify", "concentration"], {"concentration": {"n_ladder": [1000, 10], "replicas": 10000}}),
         (["verify", "bridge"], {"bridge": {"n_sites": 500, "replicas": 2000, "grid": []}}),
         (["verify", "bridge"], {"bridge": {"n_sites": 1000, "replicas": 2000, "grid": [1.0005]}}),
         (["sample"], {"seed": [1], "sample": {"n_sites": 10}}),
@@ -271,17 +281,22 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
                            "ldp": {"theta": 1.0, "x_grid": [0.5, math.nan]}}),
         (["ldp", "path-rate"], {"g": {"name": "indicator-vacuum"},
                                 "ldp": {"profile": {"values": [0.0, math.nan, 2.0]}}}),
+        # a dual window without particles has E[D] = 1 = rho^0 at every N
+        (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [], "n_ladder": [128, 256, 512]}}),
+        (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [0], "n_ladder": [128, 256, 512]}}),
     ],
-    ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "empty-grid",
-         "grid-above-one", "seed-list", "one-replica", "zero-sites", "no-starts",
+    ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "ladder-decreasing",
+         "empty-grid", "grid-above-one", "seed-list", "one-replica", "zero-sites", "no-starts",
          "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
-         "nan-lambda", "nan-x", "nan-profile"],
+         "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles"],
 )
 def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))
-    assert main([*command, "--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert main([*command, "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -306,24 +321,55 @@ def test_unread_ldp_keys_are_config_errors(tmp_path, capsys, ldp, key):
 
 
 @pytest.mark.parametrize(
-    "command, overrides",
+    "command, overrides, key",
     [
-        (["sample"], {"seed": {"mastr": 5}, "sample": {"n_sites": 10}}),
+        (["sample"], {"seed": {"mastr": 5}, "sample": {"n_sites": 10}}, "mastr"),
         (["ldp", "path-rate"], {"g": {"name": "indicator-vacuum"},
-                                "ldp": {"profile": {"kind": "power", "exponnent": 3.0}}}),
+                                "ldp": {"profile": {"kind": "power", "exponnent": 3.0}}},
+         "exponnent"),
         (["ldp", "profile-rate"], {"g": {"name": "indicator-vacuum"},
-                                   "ldp": {"mu": {"name": "lln", "ofset": -0.05}}}),
+                                   "ldp": {"mu": {"name": "lln", "ofset": -0.05}}}, "ofset"),
+        (["sample"], {"sed": {"master": 5}, "sample": {"n_sites": 10}}, "sed"),
+        (["verify", "concentration"],
+         {"concentration": {"n_ladder": [10, 100], "replicas": 10000, "epz": [0.5, 0.5]}}, "epz"),
+        (["verify", "bridge"], {"bridge": {"n_sites": 500, "replicas": 2000, "gird": [0.5]}},
+         "gird"),
+        (["sample"], {"bounds": {"theta_left": 0.0, "theta_right": 1.0, "theta_rigth": 2.0},
+                      "sample": {"n_sites": 10}}, "theta_rigth"),
+        (["verify", "lln"], {"g": {"name": "density", "k": 2},
+                             "lln": {"n_ladder": [100], "replicas": 10}}, "k"),
+        (["sample"], {"sample": {"n_sites": 10, "n_sits": 20}}, "n_sits"),
     ],
-    ids=["seed", "ldp.profile", "ldp.mu"],
+    ids=["seed", "ldp.profile", "ldp.mu", "sed", "epz", "gird", "theta_rigth", "g.k", "n_sits"],
 )
-def test_misspelt_table_keys_are_config_errors(tmp_path, capsys, command, overrides):
-    # each would otherwise run at the key's default: master 0, exponent 2, offset 0
+def test_misspelt_table_keys_are_config_errors(tmp_path, capsys, command, overrides, key):
+    # each would otherwise run without the key: at master 0, exponent 2,
+    # offset 0, the default eps and grid, theta_right 1, 10 sites
     path = write_config(tmp_path, base_config(**overrides))
     out = tmp_path / "out"
     assert main([*command, "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "unknown key" in err
+    assert err.startswith("config error") and f"unknown key(s) ['{key}']" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["demo.json", "demo_ldp.json"])
+def test_committed_configs_read_as_written(name):
+    # every table of the shipped configs holds only declared keys
+    cli._read(json.loads((CONFIGS / name).read_text()), cli._CONFIG, "")
+
+
+def test_benchmark_configs_read_as_written(monkeypatch):
+    # the configs the benchmark writes at its default seed, with its
+    # workload module loaded from source without writing bytecode
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name, build in workloads.WORKLOADS.items():
+        for cfg in build(workloads.DEFAULT_SEED, 2).configs.values():
+            cli._read(cfg, cli._CONFIG, name)
 
 
 def test_missing_and_malformed_config(tmp_path):
