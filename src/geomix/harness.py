@@ -13,6 +13,12 @@ reduced in row blocks of about ``_BLOCK_BUDGET`` doubles, in order and on
 the chunk's generator, so the blocks' draws are the chunk's draws.  The
 row block is the cache and memory unit: its size is free to change and
 never moves an output byte.
+
+Each reduction draws only what it reads.  The field runs draw whole
+profiles and configurations.  ``run_bridge`` draws the order statistics at
+its grid ranks alone, from |grid| + 1 Gamma spacings per replica.
+``run_concentration`` draws whole uniform rows, screens them by bin
+counts, and sorts only the rows the screen leaves undecided.
 """
 
 from __future__ import annotations
@@ -75,6 +81,11 @@ _CHUNK_BUDGET = 2**22  # doubles per sampling chunk, the stream unit; fixed so
 _BLOCK_BUDGET = 2**17  # doubles per row block inside a chunk, the cache and
 # memory unit (1 MiB); any value gives the same output bytes
 _MAX_POLY_DEGREE = 6
+_SCREEN_BINS = 64  # cap on the bins of the concentration screen, a power of two
+# the screen's rounding margin, relative to theta_right: the sort path's
+# deviation and the screen's bound lie within 6 and 5 units of
+# 2^-53 * theta_right of their exact values, and 2^-48 is 32 such units
+_SCREEN_MARGIN = 2.0**-48
 
 
 def _ladder(n_ladder: Sequence[int]) -> tuple[int, ...]:
@@ -120,10 +131,14 @@ def _chunk_size(n_sites: int) -> int:
     return max(1, _CHUNK_BUDGET // max(n_sites, 1))
 
 
+def _block_rows(n_sites: int) -> int:
+    return max(1, _BLOCK_BUDGET // max(n_sites, 1))
+
+
 def _row_blocks(count: int, n_sites: int):
     """(start, stop) row ranges of one chunk, in order, each of about
     ``_BLOCK_BUDGET`` doubles (at least one row)."""
-    rows = max(1, _BLOCK_BUDGET // max(n_sites, 1))
+    rows = _block_rows(n_sites)
     for start in range(0, count, rows):
         yield start, min(start + rows, count)
 
@@ -372,10 +387,18 @@ def run_bridge(
 ) -> BridgeResult:
     """Empirical covariance of the rescaled parameter fluctuations.
 
-    For grid points s, t the covariance of sqrt(N)(Theta_{floor(sN)} - mean)
-    is compared against the kernel width^2 * (min(s,t) - s*t).  Centering
-    uses the exact order-statistic means; standard errors come from the
-    empirical fourth moments.
+    For grid points s in [1/N, 1), the covariance of
+    sqrt(N)(Theta_{floor(sN)} - mean) is compared against the kernel
+    width^2 * (min(s,t) - s*t).  Centering uses the exact order-statistic
+    means; standard errors come from the empirical fourth moments.  At
+    s = 1 the maximum's scaled variance is O(1/N) against a kernel of 0,
+    so that point is refused.
+
+    Only the order statistics at the grid ranks r_1 < ... < r_m are drawn:
+    with S the partial sums of independent Gamma(r_1), Gamma(r_2 - r_1),
+    ..., Gamma(N + 1 - r_m) spacings, (U_(r_1), ..., U_(r_m)) has the law
+    of (S_1, ..., S_m) / S_{m+1} (Devroye 1986, ch. V).  A replica costs
+    |grid| + 1 Gamma draws, whatever N.
     """
     if cfg.replicas < 2000:
         raise ValueError("covariance estimation needs at least 2000 replicas")
@@ -386,17 +409,19 @@ def run_bridge(
     analytic = bridge_covariance(points[:, None], points[None, :], cfg.bounds)
     n = cfg.n_ladder[-1]
     idx = np.array([int(math.floor(s * n)) for s in grid])
-    if np.any(idx < 1):
-        raise ValueError("grid points map outside the chain")
-    exact_means = theta_marginals(n, cfg.bounds)[0][idx - 1]
+    if np.any(idx < 1) or np.any(idx >= n):
+        raise ValueError(f"bridge grid points must lie in [1/N, 1) for N = {n}")
+    ranks, columns = np.unique(idx, return_inverse=True)
+    shapes = np.diff(ranks, prepend=0, append=n + 1).astype(float)
+    # the arithmetic of theta_marginals, at the grid ranks only
+    exact_means = cfg.bounds.theta_left + cfg.bounds.width * idx / (n + 1)
 
     def fn(rng, count):
-        # F-order, the layout of thetas[:, idx - 1]: the pairwise sums in
-        # _bridge_moments follow the memory layout
-        cols = np.empty((idx.size, count)).T
-        for lo, hi in _row_blocks(count, n):
-            cols[lo:hi] = profile_batch(n, cfg.bounds, rng, hi - lo)[:, idx - 1]
-        return _bridge_moments(math.sqrt(n) * (cols - exact_means))
+        sums = np.cumsum(rng.standard_gamma(shapes, size=(count, shapes.size)), axis=1)
+        thetas = sums[:, columns] / sums[:, -1:]
+        thetas *= cfg.bounds.width
+        thetas += cfg.bounds.theta_left
+        return _bridge_moments(math.sqrt(n) * (thetas - exact_means))
 
     parts = _map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers)
     s1 = sum(p[0] for p in parts)
@@ -446,6 +471,37 @@ def run_le_scaling(
     return LeScalingResult(rows=rows, fit=fit)
 
 
+def _below_eps(
+    u: np.ndarray, eps: float, bounds: BoundaryParams, bins_out: np.ndarray
+) -> np.ndarray:
+    """Rows of unsorted uniforms whose sup deviation is surely below eps.
+
+    The sorted row's rank-j entry sits in the bin that holds it, so its
+    deviation width * |U_(j) - j/(N+1)| is at most the gap between that
+    bin's far edge and the first or last rank the cumulative bin counts
+    give it.  With B a power of two, floor(u * B) is exact.  An empty
+    bin's gaps never exceed those of its occupied neighbours, so every
+    bin enters the max.  A False row may still fall below eps; only the
+    sort path decides it.
+    """
+    rows, n = u.shape
+    n_bins = min(_SCREEN_BINS, 1 << (n.bit_length() - 1))
+    np.multiply(u, n_bins, out=bins_out, casting="unsafe")
+    bins_out += np.arange(0, rows * n_bins, n_bins)[:, None]
+    counts = np.bincount(bins_out.ravel(), minlength=rows * n_bins)
+    # ranks[:, k] = C_{k+1} / (N+1), with C_k the count of the bins below k
+    ranks = counts.reshape(rows, n_bins).cumsum(axis=1, dtype=float)
+    ranks /= n + 1
+    edges = np.arange(n_bins + 1) / n_bins
+    # bin k's last rank, C_{k+1}, exceeds its lower edge k/B by at most
+    # C_{k+1}/(N+1) - k/B; its first rank, C_k + 1, falls short of its upper
+    # edge by at most (k+1)/B - (C_k + 1)/(N+1), with C_0 = 0 as the initial
+    below = (ranks - edges[:-1]).max(axis=1)
+    above = (edges[2:] - ranks[:, :-1]).max(axis=1, initial=edges[1]) - 1.0 / (n + 1)
+    bound = bounds.width * np.maximum(below, above)
+    return bound + _SCREEN_MARGIN * bounds.theta_right < eps
+
+
 @dataclass(frozen=True)
 class ConcentrationResult:
     rows: tuple[tuple[int, float, float, float, float], ...]
@@ -474,6 +530,12 @@ def run_concentration(
     eps(N) = N^(-1/4) the empirical tail vanishes along the ladder even
     though that union bound does not (it is O(1) and clipped at 1), so the
     bound column is diagnostic only.
+
+    Each row of uniforms is first binned into B = min(64, 2^floor(log2 N))
+    bins.  The cumulative bin counts bound the rank range of each bin, and
+    so the row's sup deviation; a row whose bound stays below eps by a
+    rounding margin is no hit.  Only the rows left undecided are sorted
+    and reduced exactly, so the hits are those of sorting every row.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
@@ -490,13 +552,23 @@ def run_concentration(
         union = min(1.0, float(variances.sum()) / eps**2) if eps > 0 else 1.0
 
         def fn(rng, count, n=n, eps=eps, exact_mean=exact_mean):
-            sup_dev = np.empty(count)
+            hits = np.zeros(count)
+            # one buffer per chunk for the uniforms and one for their bins:
+            # fresh block-sized temporaries would fault their pages in anew
+            u_buf = np.empty((min(count, _block_rows(n)), n))
+            bin_buf = np.empty(u_buf.shape, dtype=np.intp)
             for lo, hi in _row_blocks(count, n):
-                thetas = profile_batch(n, bounds, rng, hi - lo)
+                u = rng.random(out=u_buf[: hi - lo])
+                undecided = np.flatnonzero(~_below_eps(u, eps, bounds, bin_buf[: hi - lo]))
+                # profile_batch's sort and affine map, on the undecided rows
+                thetas = u[undecided]
+                thetas.sort(axis=1)
+                thetas *= bounds.width
+                thetas += bounds.theta_left
                 thetas -= exact_mean
                 np.abs(thetas, out=thetas)
-                thetas.max(axis=1, out=sup_dev[lo:hi])
-            return (sup_dev >= eps).astype(float)
+                hits[lo + undecided] = thetas.max(axis=1) >= eps
+            return hits
 
         hits = np.concatenate(_map_chunks(fn, replicas, n, seed.substream(n), workers))
         p = float(hits.mean())

@@ -395,13 +395,17 @@ def _legendre(
     return rates, lam, f_theta
 
 
-def rate_function(theta: float, x: float, g: LocalFunction) -> float:
-    """Level-1 rate sup_lambda (lambda * x - F(theta, lambda)).
+def rate_function(theta: float, x, g: LocalFunction):
+    """Level-1 rate sup_lambda (lambda * x - F(theta, lambda)) at a scalar
+    x (a float back) or at every entry of an array x (an array of its
+    shape back, from one Legendre solve).
 
-    Returns +inf when x lies outside the closure of the range of
+    The rate is +inf where x lies outside the closure of the range of
     dF/dlambda (equivalently outside the value range of g).
     """
-    return float(_legendre(np.array([theta]), np.array([x]), g)[0][0])
+    xs = np.asarray(x, dtype=float)
+    rates = _legendre(np.full(xs.size, float(theta)), xs.ravel(), g)[0]
+    return float(rates[0]) if xs.ndim == 0 else rates.reshape(xs.shape)
 
 
 def path_rate(u: MonotoneProfile) -> float:

@@ -261,6 +261,8 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         (["verify", "concentration"], {"concentration": {"n_ladder": [1000, 10], "replicas": 10000}}),
         (["verify", "bridge"], {"bridge": {"n_sites": 500, "replicas": 2000, "grid": []}}),
         (["verify", "bridge"], {"bridge": {"n_sites": 1000, "replicas": 2000, "grid": [1.0005]}}),
+        # s = 1 picks the maximum, whose scaled variance is O(1/N) against a kernel of 0
+        (["verify", "bridge"], {"bridge": {"n_sites": 1000, "replicas": 2000, "grid": [0.5, 1.0]}}),
         (["sample"], {"seed": [1], "sample": {"n_sites": 10}}),
         (["verify", "lln"], {"lln": {"n_ladder": [100], "replicas": 1}}),
         (["verify", "clt"], {"clt": {"n_sites": 0, "replicas": 2000}}),
@@ -286,7 +288,7 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [0], "n_ladder": [128, 256, 512]}}),
     ],
     ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "ladder-decreasing",
-         "empty-grid", "grid-above-one", "seed-list", "one-replica", "zero-sites", "no-starts",
+         "empty-grid", "grid-above-one", "grid-at-one", "seed-list", "one-replica", "zero-sites", "no-starts",
          "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
          "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles"],
 )

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from conftest import assert_within_se
 from geomix import harness
+from geomix.asymptotics import bridge_covariance
 from geomix.core import (
     BoundaryParams,
     RandomSeed,
     density_function,
     pair_product_function,
     polynomial_function,
+    profile_batch,
 )
 from geomix.fields import phi_identity, phi_one
 from geomix.harness import (
@@ -37,6 +40,7 @@ from geomix.harness import (
 )
 from geomix.moments import (
     geometric_raw_moment_coefficients,
+    theta_marginals,
     theta_product_moment,
     theta_window_moments,
     uniform_orderstat_product_moment_exact,
@@ -360,6 +364,9 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     # the bounds are well above the measured peaks (about 3, 1 and 37 MiB);
     # with full-chunk temporaries the three runs peak at 97, 64 and 191 MiB
     assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 8
+    # at N = 10 the screen's bin tables have as many entries as the block
+    # (about 5 MiB); 64 bins at any N would make them 6.4 times the block
+    assert _peak_mib(lambda: run_concentration([10], bounds, 2 * 10**4, seed)) <= 8
     base = dict(bounds=bounds, phi=phi_one(), seed=seed)
     bridge = ExperimentConfig(n_ladder=(5000,), replicas=2000, g=density_function(), **base)
     assert _peak_mib(lambda: run_bridge(bridge)) <= 8
@@ -367,6 +374,94 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
     clt = ExperimentConfig(n_ladder=(20000,), replicas=2000, g=g, **base)
     assert _peak_mib(lambda: run_clt(clt)) <= 48
+
+
+def test_bridge_memory_and_cost_do_not_grow_with_n(bounds, seed):
+    # a row of 10^9 profile draws would take 8 GB; the Gamma spacings draw
+    # |grid| + 1 variates per replica (about 2 MiB and 1 s here)
+    cfg = ExperimentConfig(
+        n_ladder=(10**9,), replicas=2000, bounds=bounds,
+        g=density_function(), phi=phi_one(), seed=seed,
+    )
+    assert _peak_mib(lambda: run_bridge(cfg)) <= 8
+
+
+def test_gamma_bridge_matches_the_order_statistics(monkeypatch, bounds, seed):
+    # N = 7 and an unsorted grid with a duplicate: ranks 5, 1, 1
+    columns = []
+    moments = harness._bridge_moments
+    monkeypatch.setattr(harness, "_bridge_moments", lambda v: columns.append(v) or moments(v))
+    n, grid, replicas = 7, (0.75, 0.25, 0.25), 20000
+    cfg = ExperimentConfig(
+        n_ladder=(n,), replicas=replicas, bounds=bounds,
+        g=density_function(), phi=phi_one(), seed=seed,
+    )
+    res = run_bridge(cfg, grid)
+    idx = np.array([5, 1, 1]) - 1
+    mean, var = theta_marginals(n, bounds)
+    thetas = np.concatenate(columns) / math.sqrt(n) + mean[idx]
+    assert thetas.shape == (replicas, 3)
+    assert np.array_equal(thetas[:, 1], thetas[:, 2])
+    emp_mean = thetas.mean(axis=0)
+    emp_var = thetas.var(axis=0, ddof=1)
+    mu4 = ((thetas - emp_mean) ** 4).mean(axis=0)
+    assert_within_se(emp_mean, mean[idx], np.sqrt(emp_var / replicas), 5, "means")
+    assert_within_se(emp_var, var[idx], np.sqrt((mu4 - emp_var**2) / replicas), 5, "variances")
+    # the joint law: N Cov(Theta_i, Theta_j) = N i (N+1-j) width^2 / ((N+1)^2 (N+2)), i <= j
+    i, j = np.minimum.outer(idx + 1, idx + 1), np.maximum.outer(idx + 1, idx + 1)
+    exact_cov = n * i * (n + 1 - j) * bounds.width**2 / ((n + 1) ** 2 * (n + 2))
+    assert_within_se(res.empirical, exact_cov, res.standard_errors, 5, "covariances")
+    points = np.array(grid)
+    assert np.array_equal(res.analytic, bridge_covariance(points[:, None], points[None, :], bounds))
+
+
+def _sort_path_sups(n, bounds, replicas, seed):
+    """Each replica's sup deviation as the sort path computes it, on the
+    chunk plan and streams of run_concentration."""
+    mean = theta_marginals(n, bounds)[0]
+
+    def fn(rng, count):
+        return np.abs(profile_batch(n, bounds, rng, count) - mean).max(axis=1)
+
+    return np.concatenate(harness._map_chunks(fn, replicas, n, seed.substream(n), 1))
+
+
+@pytest.mark.parametrize("cap", [64, 2**12])
+def test_concentration_screen_counts_ties_as_hits(monkeypatch, bounds, seed, cap):
+    # every row's sup is >= the least sup, and exactly one row reaches the
+    # largest: the screen must leave those rows to the sort path
+    monkeypatch.setattr(harness, "_SCREEN_BINS", cap)
+    n, replicas = 1000, 10**4
+    sups = _sort_path_sups(n, bounds, replicas, seed)
+    assert np.unique(sups).size == replicas
+    for eps, tail in ((sups.min(), 1.0), (sups.max(), 1 / replicas)):
+        assert run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2] == tail
+
+
+def test_concentration_screen_bin_cap_does_not_change_results(monkeypatch, bounds, seed):
+    # a cap of one bin decides no row at these eps, so every row takes the
+    # sort path: that run is the oracle
+    decided = {}
+    below_eps = harness._below_eps
+
+    def counting_screen(*args):
+        screened = below_eps(*args)
+        decided[cap] += int(screened.sum())
+        return screened
+
+    monkeypatch.setattr(harness, "_below_eps", counting_screen)
+    ladder = [10, 100, 1000]
+    runs = {}
+    for cap in (1, 2, 64, 2**12):
+        monkeypatch.setattr(harness, "_SCREEN_BINS", cap)
+        decided[cap] = 0
+        runs[cap] = [
+            run_concentration(ladder, bounds, 10**4, seed, eps_schedule=eps).rows
+            for eps in (None, [2.0 / math.sqrt(n) for n in ladder])
+        ]
+    assert decided[1] == 0 and decided[64] > 0 and decided[2**12] > 0
+    for cap in (2, 64, 2**12):
+        assert runs[cap] == runs[1]
 
 
 def test_run_le_scaling_degenerate_report():

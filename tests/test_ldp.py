@@ -216,6 +216,18 @@ def test_free_energy_does_not_depend_on_the_batch(make_g):
 
 
 @pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
+def test_rate_over_an_x_grid_is_the_per_x_loop(make_g):
+    # the 39-point x grid of the benchmark's rate op, the range edges and
+    # points outside it: one Legendre solve over the grid is bitwise the
+    # per-x loop
+    g = make_g()
+    xs = [round(0.025 * i, 3) for i in range(1, 40)] + [0.0, 1.0, -0.1, 1.1]
+    for theta in (0.0, 0.3, 1.0, 5.0):
+        loop = np.array([rate_function(theta, x, g) for x in xs])
+        assert np.array_equal(rate_function(theta, xs, g), loop)
+
+
+@pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
 def test_level_masses_match_the_weight_table(make_g):
     # closed-form run masses against nu and d nu/d theta summed state by
     # state over each level set of g, at theta = 0, a large theta and random ones
