@@ -55,7 +55,7 @@ from geomix.ldp import (
     inhom_free_energy,
     path_rate,
     profile_rate,
-    rate_function,
+    rate_function_batch,
 )
 
 __all__ = ["main", "ConfigError", "load_config", "config_digest"]
@@ -561,7 +561,7 @@ def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> i
     elif task == "rate":
         theta = float(ldp["theta"])
         x_grid = [float(v) for v in ldp["x_grid"]]
-        values = rate_function(theta, x_grid, g)
+        values = rate_function_batch(theta, x_grid, g)
         run.csv(f"{name}_table.csv", ["x", "rate"], zip(x_grid, values))
         payload = {"theta": theta}
     elif task == "path-rate":

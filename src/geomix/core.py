@@ -32,6 +32,7 @@ __all__ = [
     "sample_configuration",
     "sample_ness",
     "profile_batch",
+    "sorted_profile",
     "configuration_batch",
 ]
 
@@ -253,9 +254,15 @@ def profile_batch(
 
     Each row is the sorted affine image of n_sites standard uniforms, so
     row entry i-1 follows the Beta(i, n_sites+1-i) law rescaled to the
-    reservoir interval.  The affine map runs in place on the uniforms.
+    reservoir interval.
     """
-    u = rng.random((size, n_sites))
+    return sorted_profile(rng.random((size, n_sites)), bounds)
+
+
+def sorted_profile(u: np.ndarray, bounds: BoundaryParams) -> np.ndarray:
+    """Parameter profiles from rows of standard uniforms: each row is
+    sorted and mapped affinely onto the reservoir interval, in place on
+    ``u``, which is returned."""
     u.sort(axis=1)
     u *= bounds.width
     u += bounds.theta_left

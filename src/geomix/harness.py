@@ -44,6 +44,7 @@ from geomix.core import (
     RandomSeed,
     configuration_batch,
     profile_batch,
+    sorted_profile,
 )
 from geomix.duality import le_deviation
 from geomix.fields import TestFunction, field_values_batch, phi_one
@@ -398,7 +399,9 @@ def run_bridge(
     with S the partial sums of independent Gamma(r_1), Gamma(r_2 - r_1),
     ..., Gamma(N + 1 - r_m) spacings, (U_(r_1), ..., U_(r_m)) has the law
     of (S_1, ..., S_m) / S_{m+1} (Devroye 1986, ch. V).  A replica costs
-    |grid| + 1 Gamma draws, whatever N.
+    |grid| + 1 Gamma draws and |grid|^2 moment products, whatever N, and
+    the chunks are sized by that width, so neither cost nor memory grows
+    with N.
     """
     if cfg.replicas < 2000:
         raise ValueError("covariance estimation needs at least 2000 replicas")
@@ -423,7 +426,8 @@ def run_bridge(
         thetas += cfg.bounds.theta_left
         return _bridge_moments(math.sqrt(n) * (thetas - exact_means))
 
-    parts = _map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers)
+    # a replica holds its spacings and its |grid|^2 products, not N sites
+    parts = _map_chunks(fn, cfg.replicas, shapes.size + idx.size**2, cfg.seed, cfg.workers)
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
     s4 = sum(p[2] for p in parts)
@@ -471,6 +475,18 @@ def run_le_scaling(
     return LeScalingResult(rows=rows, fit=fit)
 
 
+def _screen_bins(n: int) -> int:
+    return min(_SCREEN_BINS, 1 << (n.bit_length() - 1))
+
+
+def _screen_floor(n: int, bounds: BoundaryParams) -> float:
+    """The least bound plus margin that ``_below_eps`` gives any row: the
+    last bin holds rank N, whose deviation bound is at least
+    1/B - 1/(N+1).  At eps up to this floor the screen decides nothing."""
+    floor = 1.0 / _screen_bins(n) - 1.0 / (n + 1)
+    return bounds.width * floor + _SCREEN_MARGIN * bounds.theta_right
+
+
 def _below_eps(
     u: np.ndarray, eps: float, bounds: BoundaryParams, bins_out: np.ndarray
 ) -> np.ndarray:
@@ -485,7 +501,7 @@ def _below_eps(
     sort path decides it.
     """
     rows, n = u.shape
-    n_bins = min(_SCREEN_BINS, 1 << (n.bit_length() - 1))
+    n_bins = _screen_bins(n)
     np.multiply(u, n_bins, out=bins_out, casting="unsafe")
     bins_out += np.arange(0, rows * n_bins, n_bins)[:, None]
     counts = np.bincount(bins_out.ravel(), minlength=rows * n_bins)
@@ -535,7 +551,10 @@ def run_concentration(
     bins.  The cumulative bin counts bound the rank range of each bin, and
     so the row's sup deviation; a row whose bound stays below eps by a
     rounding margin is no hit.  Only the rows left undecided are sorted
-    and reduced exactly, so the hits are those of sorting every row.
+    and reduced exactly, so the hits are those of sorting every row.  The
+    screen is skipped at an eps that no row's bound can reach, and for the
+    rest of a chunk once a block leaves most of its rows undecided: there
+    it would cost more than the sorts it saves.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
@@ -557,17 +576,20 @@ def run_concentration(
             # fresh block-sized temporaries would fault their pages in anew
             u_buf = np.empty((min(count, _block_rows(n)), n))
             bin_buf = np.empty(u_buf.shape, dtype=np.intp)
+            screen = _screen_floor(n, bounds) < eps
             for lo, hi in _row_blocks(count, n):
                 u = rng.random(out=u_buf[: hi - lo])
-                undecided = np.flatnonzero(~_below_eps(u, eps, bounds, bin_buf[: hi - lo]))
-                # profile_batch's sort and affine map, on the undecided rows
-                thetas = u[undecided]
-                thetas.sort(axis=1)
-                thetas *= bounds.width
-                thetas += bounds.theta_left
+                rows = np.arange(lo, hi)
+                if screen:
+                    undecided = ~_below_eps(u, eps, bounds, bin_buf[: hi - lo])
+                    u, rows = u[undecided], rows[undecided]
+                    # binning a row costs about half of sorting it: once a
+                    # block leaves most rows undecided, the chunk is sorted
+                    screen = 2 * rows.size <= hi - lo
+                thetas = sorted_profile(u, bounds)
                 thetas -= exact_mean
                 np.abs(thetas, out=thetas)
-                hits[lo + undecided] = thetas.max(axis=1) >= eps
+                hits[rows] = thetas.max(axis=1) >= eps
             return hits
 
         hits = np.concatenate(_map_chunks(fn, replicas, n, seed.substream(n), workers))

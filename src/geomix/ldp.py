@@ -48,6 +48,7 @@ __all__ = [
     "free_energy_transfer",
     "free_energy_finite_chain",
     "rate_function",
+    "rate_function_batch",
     "path_rate",
     "inhom_free_energy",
     "annealed_free_energy",
@@ -395,17 +396,23 @@ def _legendre(
     return rates, lam, f_theta
 
 
-def rate_function(theta: float, x, g: LocalFunction):
-    """Level-1 rate sup_lambda (lambda * x - F(theta, lambda)) at a scalar
-    x (a float back) or at every entry of an array x (an array of its
-    shape back, from one Legendre solve).
+def rate_function(theta: float, x: float, g: LocalFunction) -> float:
+    """Level-1 rate sup_lambda (lambda * x - F(theta, lambda)).
 
-    The rate is +inf where x lies outside the closure of the range of
+    Returns +inf when x lies outside the closure of the range of
     dF/dlambda (equivalently outside the value range of g).
     """
-    xs = np.asarray(x, dtype=float)
-    rates = _legendre(np.full(xs.size, float(theta)), xs.ravel(), g)[0]
-    return float(rates[0]) if xs.ndim == 0 else rates.reshape(xs.shape)
+    return float(_legendre(np.array([theta]), np.array([x]), g)[0][0])
+
+
+def rate_function_batch(theta: float, xs, g: LocalFunction) -> np.ndarray:
+    """``rate_function`` at every x of ``xs``, from one Legendre solve.
+
+    The values are those of ``rate_function`` at each x alone.  The solve
+    tabulates |xs| nodes at once, so the run-table budget caps |xs|.
+    """
+    xs = np.asarray(xs, dtype=float).ravel()
+    return _legendre(np.full(xs.size, float(theta)), xs, g)[0]
 
 
 def path_rate(u: MonotoneProfile) -> float:

@@ -376,14 +376,39 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     assert _peak_mib(lambda: run_clt(clt)) <= 48
 
 
-def test_bridge_memory_and_cost_do_not_grow_with_n(bounds, seed):
+def test_bridge_memory_and_cost_do_not_grow_with_n(monkeypatch, bounds, seed):
     # a row of 10^9 profile draws would take 8 GB; the Gamma spacings draw
-    # |grid| + 1 variates per replica (about 2 MiB and 1 s here)
+    # |grid| + 1 variates per replica (about 2 MiB here)
+    def config(n):
+        return ExperimentConfig(
+            n_ladder=(n,), replicas=2000, bounds=bounds,
+            g=density_function(), phi=phi_one(), seed=seed,
+        )
+
+    assert _peak_mib(lambda: run_bridge(config(10**9))) <= 8
+    # the chunks, and so the draws per chunk, are the same at every N
+    chunks = {}
+    moments = harness._bridge_moments
+    for n in (100, 10**9):
+        chunks[n] = []
+        monkeypatch.setattr(
+            harness, "_bridge_moments", lambda v, n=n: chunks[n].append(v.shape) or moments(v)
+        )
+        run_bridge(config(n))
+    assert chunks[100] == chunks[10**9] == [(2000, 3)]
+
+
+def test_bridge_memory_is_bounded_by_the_chunk_budget(monkeypatch, bounds, seed):
+    # a 64-point grid makes 4096 moment products per replica: 2000 replicas
+    # in one piece would hold two 62.5 MiB tables, and chunks sized by the
+    # products hold two of at most 2 MiB
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)
     cfg = ExperimentConfig(
-        n_ladder=(10**9,), replicas=2000, bounds=bounds,
+        n_ladder=(1000,), replicas=2000, bounds=bounds,
         g=density_function(), phi=phi_one(), seed=seed,
     )
-    assert _peak_mib(lambda: run_bridge(cfg)) <= 8
+    grid = [(j + 1) / 65 for j in range(64)]
+    assert _peak_mib(lambda: run_bridge(cfg, grid)) <= 8
 
 
 def test_gamma_bridge_matches_the_order_statistics(monkeypatch, bounds, seed):
@@ -462,6 +487,23 @@ def test_concentration_screen_bin_cap_does_not_change_results(monkeypatch, bound
     assert decided[1] == 0 and decided[64] > 0 and decided[2**12] > 0
     for cap in (2, 64, 2**12):
         assert runs[cap] == runs[1]
+
+
+def test_concentration_screen_is_skipped_where_it_cannot_pay(monkeypatch, bounds, seed):
+    screened = []
+    below_eps = harness._below_eps
+    monkeypatch.setattr(
+        harness, "_below_eps", lambda u, *args: screened.append(u.shape[0]) or below_eps(u, *args)
+    )
+    n = 1000
+    # no row's bound falls below width * (1/64 - 1/1001) = 0.0293, so at
+    # eps = 0.02 the screen could decide no row and is never run
+    run_concentration([n], bounds, 10**4, seed, eps_schedule=[0.02])
+    assert screened == []
+    # at eps = 2/sqrt(N) it decides about one row in eight: each of the
+    # three chunks screens its first block of 131 rows and sorts the rest
+    run_concentration([n], bounds, 10**4, seed, eps_schedule=[2 / math.sqrt(n)])
+    assert screened == [131, 131, 131]
 
 
 def test_run_le_scaling_degenerate_report():
