@@ -504,6 +504,10 @@ def test_concentration_screen_is_skipped_where_it_cannot_pay(monkeypatch, bounds
     # three chunks screens its first block of 131 rows and sorts the rest
     run_concentration([n], bounds, 10**4, seed, eps_schedule=[2 / math.sqrt(n)])
     assert screened == [131, 131, 131]
+    # at the default eps it decides every row, so every block is screened
+    screened.clear()
+    run_concentration([n], bounds, 10**4, seed)
+    assert sum(screened) == 10**4
 
 
 def test_run_le_scaling_degenerate_report():
