@@ -97,17 +97,38 @@ def config_digest(cfg: dict) -> str:
 _REQUIRED = object()  # a key with no default: reading it when absent is a ConfigError
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON type of each leaf key, by the words that name it in an error
+_INT, _NUM, _STR = "an integer", "a number", "a string"
+_INTS, _NUMS = "a list of integers", "a list of numbers"
+_IS_TYPE = {
+    _INT: _integer,
+    _NUM: _number,
+    _STR: lambda value: isinstance(value, str),
+    _INTS: lambda value: isinstance(value, list) and all(map(_integer, value)),
+    _NUMS: lambda value: isinstance(value, list) and all(map(_number, value)),
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class _Spec:
     """The declaration of one config table.
 
     ``kinds`` maps each kind of the table (None for a plain table) to its
-    keys, and each key to its default, to ``_REQUIRED`` or to the ``_Spec``
-    of a nested table; a default of None leaves the value to the library.
-    A kinded table's kind is its value at ``kind_key``, else the kind named
-    by one of its keys (a profile given by its values), else
-    ``default_kind``.  ``absent`` is read when the config leaves the table
-    out; ``each`` declares a list of such tables.
+    keys, and each key to its JSON type, to a (type, default) pair or to
+    the ``_Spec`` of a nested table; a key without a default is required,
+    and a default of None leaves the value to the library.  A kinded
+    table's kind is its value at ``kind_key``, else the kind named by one
+    of its keys (a profile given by its values), else ``default_kind``.
+    ``absent`` is read when the config leaves the table out; ``each``
+    declares a list of such tables.
     """
 
     kinds: dict
@@ -117,12 +138,8 @@ class _Spec:
     each: bool = False
 
 
-def _keys(*required: str, **defaults) -> dict:
-    return {**dict.fromkeys(required, _REQUIRED), **defaults}
-
-
-def _table(*required: str, absent=_REQUIRED, each: bool = False, **defaults) -> _Spec:
-    return _Spec({None: _keys(*required, **defaults)}, absent=absent, each=each)
+def _table(absent=_REQUIRED, each: bool = False, **keys) -> _Spec:
+    return _Spec({None: keys}, absent=absent, each=each)
 
 
 _NAMED_G = {
@@ -131,40 +148,50 @@ _NAMED_G = {
     "indicator-vacuum": indicator_vacuum_function,
 }
 _PHI_KINDS = {
-    "one": _keys("name"),
-    "x": _keys("name"),
-    "const": _keys("name", "value"),
-    "poly": _keys("name", "coefficients"),
+    "one": {"name": _STR},
+    "x": {"name": _STR},
+    "const": {"name": _STR, "value": _NUM},
+    "poly": {"name": _STR, "coefficients": _NUMS},
 }
 _G_KINDS = {
-    **{name: _keys("name") for name in _NAMED_G},
-    "custom-polynomial": _keys("name", "k", terms=_table("exps", "coef", each=True)),
+    **{name: {"name": _STR} for name in _NAMED_G},
+    "custom-polynomial": {
+        "name": _STR,
+        "k": _INT,
+        "terms": _table(exps=_INTS, coef=_NUM, each=True),
+    },
 }
 _PROFILE_KINDS = {
-    "linear": _keys(kind="linear", grid_size=256),
-    "power": _keys("kind", grid_size=256, exponent=2.0),
-    "values": _keys("values"),
+    "linear": {"kind": (_STR, "linear"), "grid_size": (_INT, 256)},
+    "power": {"kind": _STR, "grid_size": (_INT, 256), "exponent": (_NUM, 2.0)},
+    "values": {"values": _NUMS},
 }
 # every table the CLI reads, and each key once
 _CONFIG = _table(
-    bounds=_table("theta_left", "theta_right"),
-    seed=_table(master=0, stream=0, absent={}),
+    bounds=_table(theta_left=_NUM, theta_right=_NUM),
+    seed=_table(master=(_INT, 0), stream=(_INT, 0), absent={}),
     g=_Spec(_G_KINDS, "name"),
     phi=_Spec(_PHI_KINDS, "name"),
-    sample=_table("n_sites"),
-    lln=_table("n_ladder", "replicas"),
-    clt=_table("n_sites", "replicas"),
-    bridge=_table("n_sites", "replicas", grid=None),
-    le_scaling=_table("x", "p_vec", "n_ladder"),
-    concentration=_table("n_ladder", "replicas", eps=None),
+    sample=_table(n_sites=_INT),
+    lln=_table(n_ladder=_INTS, replicas=_INT),
+    clt=_table(n_sites=_INT, replicas=_INT),
+    bridge=_table(n_sites=_INT, replicas=_INT, grid=(_NUMS, None)),
+    le_scaling=_table(x=_NUM, p_vec=_INTS, n_ladder=_INTS),
+    concentration=_table(n_ladder=_INTS, replicas=_INT, eps=(_NUMS, None)),
     ldp=_table(
-        "theta",
-        "lambda_grid",
-        "x_grid",
+        theta=_NUM,
+        lambda_grid=_NUMS,
+        x_grid=_NUMS,
         profile=_Spec(_PROFILE_KINDS, "kind", default_kind="linear", absent={}),
         # the lln profile and an offset, or a test function
-        mu=_Spec({"lln": _keys("name", offset=0.0), **_PHI_KINDS}, "name", absent={"name": "lln"}),
-        solver=_table(absent={}, **{f.name: f.default for f in dataclasses.fields(SolverConfig)}),
+        mu=_Spec(
+            {"lln": {"name": _STR, "offset": (_NUM, 0.0)}, **_PHI_KINDS},
+            "name",
+            absent={"name": "lln"},
+        ),
+        solver=_table(
+            absent={}, **{f.name: (_INT, f.default) for f in dataclasses.fields(SolverConfig)}
+        ),
         absent={},
     ),
 )
@@ -214,10 +241,17 @@ def _read(raw, spec: _Spec, where: str):
         raise ConfigError(f"unknown key(s) {unknown} in {_name(where)}")
     table = _Table(where, kind)
     for key, decl in keys.items():
+        path = f"{where}.{key}" if where else key
         nested = isinstance(decl, _Spec)
-        value = raw[key] if key in raw else decl.absent if nested else decl
-        if value is not _REQUIRED:
-            table[key] = _read(value, decl, f"{where}.{key}" if where else key) if nested else value
+        json_type, default = decl if isinstance(decl, tuple) else (decl, _REQUIRED)
+        value = raw.get(key, decl.absent if nested else default)
+        if value is _REQUIRED:
+            continue
+        if nested:
+            value = _read(value, decl, path)
+        elif not (value is None and default is None or _IS_TYPE[json_type](value)):
+            raise ConfigError(f"'{path}' must be {json_type}, got {json.dumps(value)}")
+        table[key] = value
     return table
 
 
@@ -233,12 +267,8 @@ def build_seed(seed: _Table, override_master: int | None) -> RandomSeed:
 def build_g(g: _Table) -> LocalFunction:
     if g.kind in _NAMED_G:
         return _NAMED_G[g.kind]()
-    k = int(g["k"])
-    try:
-        monos = {tuple(int(e) for e in t["exps"]): float(t["coef"]) for t in g["terms"]}
-    except TypeError as exc:
-        raise ConfigError("custom-polynomial terms need a list 'exps' and a number 'coef'") from exc
-    return polynomial_function(k, monos, name="custom-polynomial")
+    monos = {tuple(t["exps"]): t["coef"] for t in g["terms"]}
+    return polynomial_function(g["k"], monos, name="custom-polynomial")
 
 
 def build_phi(phi: _Table) -> TestFunction:
@@ -482,8 +512,9 @@ def _verify_concentration(cfg, run, workers):
     )
     final_tail = result.rows[-1][2]
     passed = result.tail_nonincreasing and final_tail <= 1e-2
+    # substream 0: run_concentration keys each ladder N >= 1 as substream N
     marginals = check_profile_marginals(
-        min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed.substream(777), workers
+        min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed.substream(0), workers
     )
     payload = {
         "final_tail": final_tail,

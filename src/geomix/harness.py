@@ -17,8 +17,8 @@ never moves an output byte.
 Each reduction draws only what it reads.  The field runs draw whole
 profiles and configurations.  ``run_bridge`` draws the order statistics at
 its grid ranks alone, from |grid| + 1 Gamma spacings per replica.
-``run_concentration`` draws whole uniform rows, screens them by bin
-counts, and sorts only the rows the screen leaves undecided.
+``run_concentration`` draws each replica's bin counts, screens them, and
+draws and sorts whole rows only where the counts leave the row undecided.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ _CHUNK_BUDGET = 2**22  # doubles per sampling chunk, the stream unit; fixed so
 _BLOCK_BUDGET = 2**17  # doubles per row block inside a chunk, the cache and
 # memory unit (1 MiB); any value gives the same output bytes
 _MAX_POLY_DEGREE = 6
-_SCREEN_BINS = 64  # cap on the bins of the concentration screen, a power of two
 # the screen's rounding margin, relative to theta_right: the sort path's
 # deviation and the screen's bound lie within 6 and 5 units of
 # 2^-53 * theta_right of their exact values, and 2^-48 is 32 such units
 _SCREEN_MARGIN = 2.0**-48
+_BIN_COST = 16  # row points that cost as much to draw and sort as one bin's
+# count, a binomial draw (about 14 on a 2-core Xeon VM with numpy 2.4)
 
 
 def _ladder(n_ladder: Sequence[int]) -> tuple[int, ...]:
@@ -475,38 +476,33 @@ def run_le_scaling(
     return LeScalingResult(rows=rows, fit=fit)
 
 
-def _screen_bins(n: int) -> int:
-    return min(_SCREEN_BINS, 1 << (n.bit_length() - 1))
+def _screen_bins(n: int, eps: float, width: float) -> int:
+    """Bins B of the concentration screen at N sites: the least power of
+    two up to N / ``_BIN_COST`` whose typical bound width * (1/B + 1/sqrt(N))
+    is within eps, else 1.  One bin's counts are the trivial N: they draw
+    nothing, and decide a row only where eps exceeds every deviation."""
+    b = 1
+    while _BIN_COST * b <= n:
+        if width * (1.0 / b + 1.0 / math.sqrt(n)) <= eps:
+            return b
+        b *= 2
+    return 1
 
 
-def _screen_floor(n: int, bounds: BoundaryParams) -> float:
-    """The least bound plus margin that ``_below_eps`` gives any row: the
-    last bin holds rank N, whose deviation bound is at least
-    1/B - 1/(N+1).  At eps up to this floor the screen decides nothing."""
-    floor = 1.0 / _screen_bins(n) - 1.0 / (n + 1)
-    return bounds.width * floor + _SCREEN_MARGIN * bounds.theta_right
+def _below_eps(counts: np.ndarray, n: int, eps, bounds: BoundaryParams) -> np.ndarray:
+    """Rows whose sup deviation is surely below eps, from their bin counts.
 
-
-def _below_eps(
-    u: np.ndarray, eps: float, bounds: BoundaryParams, bins_out: np.ndarray
-) -> np.ndarray:
-    """Rows of unsorted uniforms whose sup deviation is surely below eps.
-
-    The sorted row's rank-j entry sits in the bin that holds it, so its
-    deviation width * |U_(j) - j/(N+1)| is at most the gap between that
-    bin's far edge and the first or last rank the cumulative bin counts
-    give it.  With B a power of two, floor(u * B) is exact.  An empty
-    bin's gaps never exceed those of its occupied neighbours, so every
-    bin enters the max.  A False row may still fall below eps; only the
-    sort path decides it.
+    ``counts`` holds each row's counts of its N uniforms in the B equal
+    bins of [0, 1].  The sorted row's rank-j entry lies in the closed bin
+    that holds it, so its deviation width * |U_(j) - j/(N+1)| is at most
+    the gap between that bin's far edge and the first or last rank the
+    cumulative counts give it.  An empty bin's gaps never exceed those of
+    its occupied neighbours, so every bin enters the max.  A False row
+    may still fall below eps; only its sorted points decide it.
     """
-    rows, n = u.shape
-    n_bins = _screen_bins(n)
-    np.multiply(u, n_bins, out=bins_out, casting="unsafe")
-    bins_out += np.arange(0, rows * n_bins, n_bins)[:, None]
-    counts = np.bincount(bins_out.ravel(), minlength=rows * n_bins)
+    n_bins = counts.shape[1]
     # ranks[:, k] = C_{k+1} / (N+1), with C_k the count of the bins below k
-    ranks = counts.reshape(rows, n_bins).cumsum(axis=1, dtype=float)
+    ranks = counts.cumsum(axis=1, dtype=float)
     ranks /= n + 1
     edges = np.arange(n_bins + 1) / n_bins
     # bin k's last rank, C_{k+1}, exceeds its lower edge k/B by at most
@@ -547,14 +543,14 @@ def run_concentration(
     though that union bound does not (it is O(1) and clipped at 1), so the
     bound column is diagnostic only.
 
-    Each row of uniforms is first binned into B = min(64, 2^floor(log2 N))
-    bins.  The cumulative bin counts bound the rank range of each bin, and
-    so the row's sup deviation; a row whose bound stays below eps by a
-    rounding margin is no hit.  Only the rows left undecided are sorted
-    and reduced exactly, so the hits are those of sorting every row.  The
-    screen is skipped at an eps that no row's bound can reach, and for the
-    rest of a chunk once a block leaves most of its rows undecided: there
-    it would cost more than the sorts it saves.
+    N uniforms are, in law, their multinomial counts in B equal bins and
+    then independent uniform points inside each bin (Devroye 1986, ch. V).
+    Each chunk first draws every row's counts, B = ``_screen_bins``; they
+    bound the row's sup deviation, and a row whose bound stays below eps
+    by a rounding margin is no hit.  Only the rows left undecided draw
+    their points, bin k's at (k + U)/B, and are sorted and reduced, so
+    the hits are those of sorting every row.  At B = 1 a row draws the
+    uniforms of the unscreened sort path.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
@@ -567,29 +563,31 @@ def run_concentration(
             raise ValueError("eps schedule length must match the ladder")
     rows = []
     for n, eps in zip(ladder, eps_list):
-        exact_mean, variances = theta_marginals(n, bounds)
-        union = min(1.0, float(variances.sum()) / eps**2) if eps > 0 else 1.0
+        # sum_i Var[Theta_i] = width^2 N / (6 (N+1)), in closed form
+        union = min(1.0, bounds.width**2 * n / (6 * (n + 1)) / eps**2) if eps > 0 else 1.0
+        n_bins = _screen_bins(n, eps, bounds.width)
 
-        def fn(rng, count, n=n, eps=eps, exact_mean=exact_mean):
+        def fn(rng, count, n=n, eps=eps, n_bins=n_bins):
+            counts = rng.multinomial(n, np.full(n_bins, 1.0 / n_bins), size=count)
+            fill = np.flatnonzero(~_below_eps(counts, n, eps, bounds))
             hits = np.zeros(count)
-            # one buffer per chunk for the uniforms and one for their bins:
-            # fresh block-sized temporaries would fault their pages in anew
-            u_buf = np.empty((min(count, _block_rows(n)), n))
-            bin_buf = np.empty(u_buf.shape, dtype=np.intp)
-            screen = _screen_floor(n, bounds) < eps
-            for lo, hi in _row_blocks(count, n):
+            if fill.size == 0:  # nothing N sites long is allocated
+                return hits
+            # the arithmetic of theta_marginals, for the means alone
+            exact_mean = bounds.theta_left + bounds.width * np.arange(1, n + 1) / (n + 1)
+            # one buffer per chunk: fresh blocks would fault their pages in anew
+            u_buf = np.empty((min(fill.size, _block_rows(n)), n))
+            for lo, hi in _row_blocks(fill.size, n):
                 u = rng.random(out=u_buf[: hi - lo])
-                rows = np.arange(lo, hi)
-                if screen:
-                    undecided = ~_below_eps(u, eps, bounds, bin_buf[: hi - lo])
-                    u, rows = u[undecided], rows[undecided]
-                    # binning a row costs about half of sorting it: once a
-                    # block leaves most rows undecided, the chunk is sorted
-                    screen = 2 * rows.size <= hi - lo
+                if n_bins > 1:
+                    # bin k's points at (k + U)/B, in the bin order of the counts
+                    bins = np.tile(np.arange(n_bins, dtype=float), hi - lo)
+                    u += np.repeat(bins, counts[fill[lo:hi]].ravel()).reshape(u.shape)
+                    u /= n_bins
                 thetas = sorted_profile(u, bounds)
                 thetas -= exact_mean
                 np.abs(thetas, out=thetas)
-                hits[rows] = thetas.max(axis=1) >= eps
+                hits[fill[lo:hi]] = thetas.max(axis=1) >= eps
             return hits
 
         hits = np.concatenate(_map_chunks(fn, replicas, n, seed.substream(n), workers))

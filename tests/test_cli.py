@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geomix import cli
+from geomix.core import RandomSeed
 from geomix.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -353,6 +354,42 @@ def test_misspelt_table_keys_are_config_errors(tmp_path, capsys, command, overri
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"unknown key(s) ['{key}']" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        (["sample"], {"sample": {"n_sites": None}}, "sample.n_sites"),
+        (["verify", "lln"], {"lln": {"n_ladder": 100, "replicas": 10}}, "lln.n_ladder"),
+        (["verify", "concentration"],
+         {"concentration": {"n_ladder": [10, 100], "replicas": 10000, "eps": 0.5}},
+         "concentration.eps"),
+        (["verify", "clt"], {"clt": {"n_sites": 100, "replicas": True}}, "clt.replicas"),
+        (["verify", "lln"], {"lln": {"n_ladder": [100, "1000"], "replicas": 10}}, "lln.n_ladder"),
+    ],
+    ids=["null-for-int", "int-for-list", "float-for-list", "bool-for-int", "string-in-list"],
+)
+def test_wrong_value_types_are_config_errors(tmp_path, capsys, command, overrides, key):
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "out"
+    assert main([*command, "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: '{key}' must be") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_concentration_and_marginal_check_draw_distinct_streams(tmp_path, monkeypatch):
+    # the ladder's N keys substream N, so a ladder holding the marginal
+    # check's stream index would draw both from one stream
+    keys = []
+    generator = RandomSeed.generator
+    monkeypatch.setattr(RandomSeed, "generator", lambda seed: keys.append(seed) or generator(seed))
+    cfg = base_config(concentration={"n_ladder": [10, 777], "replicas": 10**4})
+    path = write_config(tmp_path, cfg)
+    code = main(["verify", "concentration", "--config", path, "--out-dir", str(tmp_path / "out")])
+    assert code in (EXIT_PASS, EXIT_VERDICT)
+    # one chunk at N = 10, two at N = 777, one for the marginal check
+    assert len(keys) == 4 and len(set(keys)) == 4
 
 
 @pytest.mark.parametrize("name", ["demo.json", "demo_ldp.json"])

@@ -19,6 +19,7 @@ from geomix.core import (
     pair_product_function,
     polynomial_function,
     profile_batch,
+    sorted_profile,
 )
 from geomix.fields import phi_identity, phi_one
 from geomix.harness import (
@@ -451,63 +452,138 @@ def _sort_path_sups(n, bounds, replicas, seed):
     return np.concatenate(harness._map_chunks(fn, replicas, n, seed.substream(n), 1))
 
 
-@pytest.mark.parametrize("cap", [64, 2**12])
-def test_concentration_screen_counts_ties_as_hits(monkeypatch, bounds, seed, cap):
-    # every row's sup is >= the least sup, and exactly one row reaches the
-    # largest: the screen must leave those rows to the sort path
-    monkeypatch.setattr(harness, "_SCREEN_BINS", cap)
+def _spy_concentration(monkeypatch):
+    """Records each chunk's bin counts and screen verdicts, and each
+    filled block's points before and after sorting, in draw order."""
+    seen = {"counts": [], "below": [], "points": [], "sorted": []}
+    below_eps = harness._below_eps
+
+    def screen(counts, *args):
+        below = below_eps(counts, *args)
+        seen["counts"].append(counts.copy())
+        seen["below"].append(below)
+        return below
+
+    def sort(u, bounds):
+        seen["points"].append(u.copy())
+        thetas = sorted_profile(u, bounds)
+        seen["sorted"].append(thetas.copy())
+        return thetas
+
+    monkeypatch.setattr(harness, "_below_eps", screen)
+    monkeypatch.setattr(harness, "sorted_profile", sort)
+    return {key: lambda key=key: np.concatenate(seen[key]) for key in seen}
+
+
+def _bin_floors(counts):
+    """Each point's bin floor k/B, in the bin order of its row's counts."""
+    rows, n_bins = counts.shape
+    floors = np.repeat(np.tile(np.arange(n_bins) / n_bins, rows), counts.ravel())
+    return floors.reshape(rows, -1)
+
+
+def test_concentration_screen_is_sound_on_the_run_counts(monkeypatch, bounds, seed):
+    # every row, the decided ones too, is filled from the test's own
+    # generator: no decided row reaches eps, and at eps equal to its own
+    # sup no row is decided, so the fill's >= counts that tie as a hit
+    below_eps = harness._below_eps
+    seen = _spy_concentration(monkeypatch)
     n, replicas = 1000, 10**4
+    eps = n**-0.25
+    n_bins = harness._screen_bins(n, eps, bounds.width)
+    run_concentration([n], bounds, replicas, seed)
+    counts, below = seen["counts"](), seen["below"]()
+    assert n_bins == 32 and counts.shape == (replicas, n_bins)
+    assert np.all(counts.sum(axis=1) == n) and below.sum() > 0.99 * replicas
+    mean = theta_marginals(n, bounds)[0]
+
+    def fill_sups(offsets):
+        """Each row's sup with its points at (k + offsets(shape)) / B."""
+        sups = np.empty(replicas)
+        for lo in range(0, replicas, 500):
+            floors = _bin_floors(counts[lo : lo + 500])
+            u = floors + offsets(floors.shape) / n_bins
+            sups[lo : lo + 500] = np.abs(sorted_profile(u, bounds) - mean).max(axis=1)
+        return sups
+
+    random = fill_sups(np.random.default_rng(5).random)
+    assert random[below].max() < eps
+    # a row's bound is the sup of the fill with every point on its bin's
+    # lower edge, or of the fill with every point on its upper edge
+    for sups in (random, fill_sups(np.zeros), fill_sups(np.ones)):
+        assert not below_eps(counts, n, sups, bounds).any()
+
+
+def test_concentration_with_one_bin_is_the_sort_path(monkeypatch, bounds, seed):
+    # at eps = 2/sqrt(N) the rule picks one bin, so every row draws and
+    # sorts the uniforms of the unscreened sort path, bit for bit
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)  # four chunks
+    n, replicas = 100, 10**4
+    eps = 2 / math.sqrt(n)
+    assert harness._screen_bins(n, eps, bounds.width) == 1
     sups = _sort_path_sups(n, bounds, replicas, seed)
+    seen = _spy_concentration(monkeypatch)
+    tail = run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2]
+    filled = np.abs(seen["sorted"]() - theta_marginals(n, bounds)[0]).max(axis=1)
+    assert np.array_equal(filled, sups)
+    assert tail == np.mean(sups >= eps)
+    # ties are hits: every row's sup is >= the least sup, and exactly one
+    # row reaches the largest
+    monkeypatch.setattr(harness, "_screen_bins", lambda *args: 1)
     assert np.unique(sups).size == replicas
     for eps, tail in ((sups.min(), 1.0), (sups.max(), 1 / replicas)):
         assert run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2] == tail
 
 
-def test_concentration_screen_bin_cap_does_not_change_results(monkeypatch, bounds, seed):
-    # a cap of one bin decides no row at these eps, so every row takes the
-    # sort path: that run is the oracle
-    decided = {}
-    below_eps = harness._below_eps
-
-    def counting_screen(*args):
-        screened = below_eps(*args)
-        decided[cap] += int(screened.sum())
-        return screened
-
-    monkeypatch.setattr(harness, "_below_eps", counting_screen)
-    ladder = [10, 100, 1000]
-    runs = {}
-    for cap in (1, 2, 64, 2**12):
-        monkeypatch.setattr(harness, "_SCREEN_BINS", cap)
-        decided[cap] = 0
-        runs[cap] = [
-            run_concentration(ladder, bounds, 10**4, seed, eps_schedule=eps).rows
-            for eps in (None, [2.0 / math.sqrt(n) for n in ladder])
-        ]
-    assert decided[1] == 0 and decided[64] > 0 and decided[2**12] > 0
-    for cap in (2, 64, 2**12):
-        assert runs[cap] == runs[1]
+def test_concentration_fill_keeps_each_row_counts(monkeypatch, bounds, seed):
+    # only the undecided rows are filled, each point inside the closed bin
+    # its row's counts give it
+    seen = _spy_concentration(monkeypatch)
+    n, eps = 1000, 0.13
+    n_bins = harness._screen_bins(n, eps, bounds.width)
+    run_concentration([n], bounds, 10**4, seed, eps_schedule=[eps])
+    counts, below, points = seen["counts"](), seen["below"](), seen["points"]()
+    assert n_bins == 32 and 0 < below.sum() < below.size
+    assert points.shape == ((~below).sum(), n)
+    floors = _bin_floors(counts[~below])
+    assert np.all(floors <= points) and np.all(points <= floors + 1 / n_bins)
 
 
-def test_concentration_screen_is_skipped_where_it_cannot_pay(monkeypatch, bounds, seed):
-    screened = []
-    below_eps = harness._below_eps
+def test_concentration_tail_law_does_not_depend_on_the_bins(monkeypatch, bounds, seed):
+    # eight bins decide some rows and fill the rest; one bin sorts them all
+    n, eps, replicas = 100, 0.25, 10**6
+    results = []
+    for n_bins in (8, 1):
+        monkeypatch.setattr(harness, "_screen_bins", lambda *args, b=n_bins: b)
+        results.append(run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0])
+    (_, _, binned, se_binned, _), (_, _, sorted_tail, se_sorted, _) = results
+    assert_within_se(binned, sorted_tail, math.hypot(se_binned, se_sorted), 5, "tails")
+
+
+def test_concentration_counts_alone_decide_a_large_n(monkeypatch, bounds, seed):
+    # at N = 10^7 a row of points would take 80 MB; the counts decide every
+    # row, so nothing N sites long is drawn or built
+    filled = []
     monkeypatch.setattr(
-        harness, "_below_eps", lambda u, *args: screened.append(u.shape[0]) or below_eps(u, *args)
+        harness, "sorted_profile", lambda u, b: filled.append(u.shape) or sorted_profile(u, b)
     )
-    n = 1000
-    # no row's bound falls below width * (1/64 - 1/1001) = 0.0293, so at
-    # eps = 0.02 the screen could decide no row and is never run
-    run_concentration([n], bounds, 10**4, seed, eps_schedule=[0.02])
-    assert screened == []
-    # at eps = 2/sqrt(N) it decides about one row in eight: each of the
-    # three chunks screens its first block of 131 rows and sorts the rest
-    run_concentration([n], bounds, 10**4, seed, eps_schedule=[2 / math.sqrt(n)])
-    assert screened == [131, 131, 131]
-    # at the default eps it decides every row, so every block is screened
-    screened.clear()
-    run_concentration([n], bounds, 10**4, seed)
-    assert sum(screened) == 10**4
+    assert _peak_mib(lambda: run_concentration([10**7], bounds, 10**4, seed)) <= 8
+    assert filled == []
+
+
+def test_concentration_bins_and_union_bound(bounds, seed):
+    # B is the least power of two up to N/16 whose typical bound
+    # width * (1/B + 1/sqrt(N)) is within eps, else 1
+    def rule(n, eps):
+        return harness._screen_bins(n, eps, bounds.width)
+
+    assert [rule(n, n**-0.25) for n in (10, 100, 1000, 10**4, 10**7)] == [1, 1, 32, 32, 128]
+    # at N = 1000 and eps = 0.12 only 64 > N/16 bins would do
+    assert [rule(1000, 2 / math.sqrt(1000)), rule(1000, 0.12), rule(10**4, 0.12)] == [1, 1, 32]
+    # the closed-form union bound is the sum of the order-statistic variances
+    res = run_concentration([10, 100], bounds, 10**4, seed, eps_schedule=[1.0, 1.5])
+    for n, eps, _, _, union in res.rows:
+        assert union == pytest.approx(theta_marginals(n, bounds)[1].sum() / eps**2, rel=1e-12)
 
 
 def test_run_le_scaling_degenerate_report():
