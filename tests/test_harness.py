@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -512,6 +513,49 @@ def test_concentration_screen_is_sound_on_the_run_counts(monkeypatch, bounds, se
     # lower edge, or of the fill with every point on its upper edge
     for sups in (random, fill_sups(np.zeros), fill_sups(np.ones)):
         assert not below_eps(counts, n, sups, bounds).any()
+
+
+@pytest.mark.parametrize("n_bins", [64, 2**12])
+def test_concentration_screen_counts_ties_as_hits(monkeypatch, bounds, seed, n_bins):
+    # at eps = 0 every row is filled; the screen decides no row at eps equal
+    # to its own sup, so at eps = the least sup every row is filled with the
+    # same points again and every row is a hit
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)  # small count blocks
+    monkeypatch.setattr(harness, "_screen_bins", lambda *args: n_bins)
+    below_eps = harness._below_eps
+    n, replicas = 1000, 10**4
+    mean = theta_marginals(n, bounds)[0]
+
+    def run(eps):
+        """Each chunk's counts, as a digest, and each row's sup; every row
+        is filled and a hit, and none is decided at eps equal to its sup."""
+        counts, sups, block = [], [], []
+
+        def screen(chunk_counts, *args):
+            counts.append(chunk_counts)
+            return below_eps(chunk_counts, *args)
+
+        def sort(u, b):
+            thetas = sorted_profile(u, b)
+            block.append(np.abs(thetas - mean).max(axis=1))
+            if sum(map(len, block)) == len(counts[-1]):  # the chunk's last rows
+                sups.append(np.concatenate(block))
+                block.clear()
+                assert not below_eps(counts[-1], n, sups[-1], bounds).any()
+                # one chunk of counts is held at a time
+                counts[-1] = (counts[-1].shape, hashlib.sha256(counts[-1]).hexdigest())
+            return thetas
+
+        monkeypatch.setattr(harness, "_below_eps", screen)
+        monkeypatch.setattr(harness, "sorted_profile", sort)
+        assert run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2] == 1.0
+        return counts, np.concatenate(sups)
+
+    counts, sups = run(0.0)
+    assert sum(shape[0] for shape, _ in counts) == replicas and counts[0][0][1] == n_bins
+    assert np.unique(sups).size == replicas
+    counts_again, sups_again = run(sups.min())
+    assert counts_again == counts and np.array_equal(sups_again, sups)
 
 
 def test_concentration_with_one_bin_is_the_sort_path(monkeypatch, bounds, seed):
