@@ -84,7 +84,11 @@ class RandomSeed:
     Identical pairs reproduce identical output; distinct pairs give
     statistically independent streams (Philox keyed through a
     ``SeedSequence``).  Use :meth:`substream` to derive per-replica or
-    per-purpose streams from a base seed.
+    per-purpose streams from a base seed.  Philox is counter-based: a
+    stream's n-th word is reached by setting its counter, without drawing
+    the words before it.  The harness's stream layout relies on that (a
+    chunk's configuration draws follow its profile draws, and are reached
+    by counter offset).
     """
 
     master: int
@@ -99,6 +103,22 @@ class RandomSeed:
 
     def substream(self, index: int) -> "RandomSeed":
         return RandomSeed(self.master, _mix64(self.stream, index))
+
+
+def _after_draws(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A generator that continues the fresh Philox ``rng`` after its first
+    ``draws`` 64-bit words (one word per ``random()`` double); ``rng``
+    does not move.  One Philox counter step makes four words, so the copy
+    starts its counter at draws // 4 and draws the remaining words: O(1)
+    for any ``draws``."""
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "Philox":
+        raise ValueError(f"counter offsets need a Philox generator, got {state['bit_generator']}")
+    if state["state"]["counter"].any():
+        raise ValueError("counter offsets need a generator that has not drawn yet")
+    bits = np.random.Philox(counter=draws // 4, key=state["state"]["key"])
+    bits.random_raw(draws % 4)
+    return np.random.Generator(bits)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,13 +9,16 @@ distance at practical replica counts).
 
 A chunk of replicas is the stream unit: its size is fixed, and chunk c
 always draws from substream c.  Inside a chunk, rows are drawn and
-reduced in row blocks of about ``_BLOCK_BUDGET`` doubles, in order and on
-the chunk's generator, so the blocks' draws are the chunk's draws.  The
-row block is the cache and memory unit: its size is free to change and
-never moves an output byte.
+reduced in row blocks of about ``_BLOCK_BUDGET`` doubles, in order, so
+the blocks' draws are the chunk's draws.  The row block is the cache and
+memory unit: its size is free to change and never moves an output byte.
 
 Each reduction draws only what it reads.  The field runs draw whole
-profiles and configurations.  ``run_bridge`` draws the order statistics at
+profiles and configurations: in a chunk's stream all of the chunk's
+profile draws come first, then all of its configuration draws.  A second
+generator reaches the configuration draws by Philox counter offset, so
+each block draws its profile rows and its configuration together and no
+chunk-wide profile is held.  ``run_bridge`` draws the order statistics at
 its grid ranks alone, from |grid| + 1 Gamma spacings per replica.
 ``run_concentration`` draws each replica's bin counts, screens them, and
 draws and sorts whole rows only where the counts leave the row undecided.
@@ -42,6 +45,7 @@ from geomix.core import (
     BoundaryParams,
     LocalFunction,
     RandomSeed,
+    _after_draws,
     configuration_batch,
     profile_batch,
     sorted_profile,
@@ -185,15 +189,26 @@ def _field_chunk(
     g: LocalFunction,
     phi: TestFunction,
 ) -> np.ndarray:
-    """Field values of ``count`` steady-state replicas.  The whole profile
-    is drawn first, since the configuration uniforms follow all of it in
-    the stream; configurations and fields then run one row block at a
-    time."""
-    thetas = profile_batch(n_sites, bounds, rng, count)
+    """Field values of ``count`` steady-state replicas, one row block at a
+    time.  In the chunk's stream the ``count * n_sites`` profile draws come
+    first and the configuration draws follow them.  Each block draws its
+    profile rows from ``rng`` and its configuration from a second
+    generator that starts at the configuration draws by counter offset,
+    so the blocks' draws are the chunk's draws."""
+    occ_rng = _after_draws(rng, count * n_sites)
     values = np.empty(count)
+    # one buffer per chunk: fresh blocks would fault their pages in anew
+    u_buf = np.empty((min(count, _block_rows(n_sites)), n_sites))
+    # glibc hands freed heap back to the system above twice the largest
+    # mmap-ed array freed so far; with only block-sized arrays that bar
+    # stays near one block, below a block's temporaries, which then fault
+    # in anew in every block.  Freeing one untouched array of four blocks,
+    # which holds no resident page, lifts the bar above them (glibc lifts
+    # it no higher than 32 MiB, so a larger array would only reserve).
+    np.empty(min(4 * u_buf.size, 2**21))
     for lo, hi in _row_blocks(count, n_sites):
-        occ = configuration_batch(thetas[lo:hi], rng)
-        values[lo:hi] = field_values_batch(g, phi, occ)
+        thetas = sorted_profile(rng.random(out=u_buf[: hi - lo]), bounds)
+        values[lo:hi] = field_values_batch(g, phi, configuration_batch(thetas, occ_rng))
     return values
 
 

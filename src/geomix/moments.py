@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _MAX_STIRLING_ORDER = 20
+_WINDOW_BUDGET = 2**16  # (start, site) cells per block of window starts; each
+# start's row is summed on its own, so any value gives the same bits
 
 
 def _check_exponents(exps: Sequence[int]) -> np.ndarray:
@@ -84,13 +86,20 @@ def _window_log_moment(n: int, starts: np.ndarray, exps: np.ndarray) -> np.ndarr
     Only the k sites of the window carry exponents, so the partial-sum
     product collapses: sites before the window contribute lgamma(s),
     sites after it contribute lgamma(L+n+1) - lgamma(L+s+k) with L the
-    total exponent.  Cost is O(k) per start, independent of n; the
-    caller keeps every window inside 1..n.
+    total exponent.  Cost is O(k) per start, independent of n, and the
+    starts run in blocks of about ``_WINDOW_BUDGET`` cells, so memory does
+    not grow with the number of starts times k; the caller keeps every
+    window inside 1..n.
     """
     k = exps.size
     partial = np.cumsum(exps, dtype=np.int64)
     total = int(partial[-1])
-    inside = np.sum(np.log(partial + (starts[:, None] + np.arange(k))), axis=1)
+    inside = np.empty(starts.size)
+    rows = max(1, _WINDOW_BUDGET // k)
+    for lo in range(0, starts.size, rows):
+        block = starts[lo : lo + rows, None] + np.arange(k)
+        block += partial
+        inside[lo : lo + rows] = np.sum(np.log(block), axis=1)
     before = np.array([math.lgamma(s) for s in starts.tolist()])
     ends = np.array([math.lgamma(s + total + k) for s in starts.tolist()])
     return math.lgamma(n + 1) - (before + inside + (math.lgamma(total + n + 1) - ends))

@@ -10,6 +10,7 @@ from geomix.core import (
     Configuration,
     ParameterProfile,
     RandomSeed,
+    _after_draws,
     configuration_batch,
     geometric_pmf,
     profile_batch,
@@ -69,6 +70,23 @@ def test_identical_seeds_reproduce_bitwise(bounds):
     assert np.array_equal(c1.occupations, c2.occupations)
     p3, _ = sample_ness(200, bounds, RandomSeed(99, 5))
     assert not np.array_equal(p1.values, p3.values)
+
+
+@pytest.mark.parametrize("draws", [0, 1, 2, 3, 4, 5, 10**5 + 3])
+def test_after_draws_continues_the_stream(draws):
+    source = RandomSeed(99, 4).generator()
+    positioned = _after_draws(source, draws)
+    source.random(draws)
+    assert np.array_equal(positioned.random(9), source.random(9))
+
+
+def test_after_draws_refuses_other_generators():
+    with pytest.raises(ValueError, match="Philox"):
+        _after_draws(np.random.default_rng(1), 4)
+    drawn = RandomSeed(99, 4).generator()
+    drawn.random()
+    with pytest.raises(ValueError, match="not drawn"):
+        _after_draws(drawn, 4)
 
 
 def test_profile_type_rejects_unsorted(bounds):

@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from conftest import assert_within_se
-from geomix import harness
+from geomix import harness, moments
 from geomix.asymptotics import bridge_covariance
 from geomix.core import (
     BoundaryParams,
     RandomSeed,
+    configuration_batch,
     density_function,
     pair_product_function,
     polynomial_function,
     profile_batch,
     sorted_profile,
 )
-from geomix.fields import phi_identity, phi_one
+from geomix.fields import field_values_batch, phi_identity, phi_one
 from geomix.harness import (
     ExperimentConfig,
     SlopeFit,
@@ -162,6 +163,41 @@ def test_exact_field_mean_degree_cap(bounds):
         exact_field_mean(g, phi_one(), 10, bounds)
 
 
+def _unblocked_window_log_moment(n, starts, exps):
+    """The window log-moment with one starts x k table for all starts."""
+    k = exps.size
+    partial = np.cumsum(exps, dtype=np.int64)
+    total = int(partial[-1])
+    inside = np.sum(np.log(partial + (starts[:, None] + np.arange(k))), axis=1)
+    before = np.array([math.lgamma(s) for s in starts.tolist()])
+    ends = np.array([math.lgamma(s + total + k) for s in starts.tolist()])
+    return math.lgamma(n + 1) - (before + inside + (math.lgamma(total + n + 1) - ends))
+
+
+def _wide_pair(k):
+    """eta_1 eta_k, a polynomial whose windows span k sites."""
+    return polynomial_function(k, {(1,) + (0,) * (k - 2) + (1,): 1.0})
+
+
+@pytest.mark.parametrize(
+    "g", [polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0}), _wide_pair(800)], ids=["k2", "k800"]
+)
+def test_window_moments_in_blocks_match_one_table(monkeypatch, bounds, g):
+    n = 20000
+    starts = np.arange(1, n - g.k + 2)
+    poly = _theta_polynomial(g)
+    blocked = theta_window_moments(starts, poly, n, bounds)
+    monkeypatch.setattr(moments, "_window_log_moment", _unblocked_window_log_moment)
+    assert np.array_equal(blocked, theta_window_moments(starts, poly, n, bounds))
+
+
+def test_window_moment_memory_does_not_grow_with_k(bounds):
+    # one starts x k table at N = 2 * 10^4 peaks at 235 MiB for k = 800;
+    # blocks of starts hold about 2.6 MiB
+    g = _wide_pair(800)
+    assert _peak_mib(lambda: exact_field_mean(g, phi_one(), 20000, bounds)) <= 8
+
+
 @st.composite
 def small_polynomials(draw):
     k = draw(st.integers(1, 4))
@@ -292,6 +328,51 @@ def test_reproducible_across_worker_counts(bounds):
     assert np.array_equal(samples[0], samples[2])
 
 
+def _whole_chunk_profile(rng, count, n_sites, bounds, g, phi):
+    """The field chunk drawn in stream order on one generator: the
+    chunk's whole profile, then each block's configuration."""
+    thetas = profile_batch(n_sites, bounds, rng, count)
+    values = np.empty(count)
+    for lo, hi in harness._row_blocks(count, n_sites):
+        occ = configuration_batch(thetas[lo:hi], rng)
+        values[lo:hi] = field_values_batch(g, phi, occ)
+    return values
+
+
+# count * n_sites % 4 is 0, 1, 2 and 3; blocks of 3 rows leave uneven last blocks
+@pytest.mark.parametrize("count, n_sites", [(8, 100), (5, 101), (10, 101), (7, 101)])
+def test_field_chunk_draws_the_stream_of_the_whole_chunk_profile(
+    monkeypatch, bounds, seed, count, n_sites
+):
+    monkeypatch.setattr(harness, "_BLOCK_BUDGET", 3 * n_sites)
+    g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
+    got = harness._field_chunk(seed.generator(), count, n_sites, bounds, g, phi_identity())
+    want = _whole_chunk_profile(seed.generator(), count, n_sites, bounds, g, phi_identity())
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_field_runs_match_the_whole_chunk_profile(monkeypatch, bounds, seed, workers):
+    # several chunks per run, with every count * N % 4, and uneven blocks
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
+    monkeypatch.setattr(harness, "_BLOCK_BUDGET", 1000)
+    g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
+    base = dict(bounds=bounds, g=g, phi=phi_identity(), seed=seed, workers=workers)
+
+    def outputs():
+        lln = run_lln(ExperimentConfig(n_ladder=(51, 411), replicas=101, **base))
+        clt = run_clt(ExperimentConfig(n_ladder=(411,), replicas=2000, **base))
+        annealed = annealed_mc_estimate(g, 0.5, 51, bounds, 2000, seed, workers=workers)
+        return lln.rows, clt.samples, annealed
+
+    got = outputs()
+    monkeypatch.setattr(harness, "_field_chunk", _whole_chunk_profile)
+    want = outputs()
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
 def _sampled_outputs(bounds, seed, workers):
     """The outputs of every runner that draws in row blocks.  Non-integer
     g and phi make the reductions' summation order visible."""
@@ -363,8 +444,9 @@ def _peak_mib(fn) -> float:
 
 
 def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
-    # the bounds are well above the measured peaks (about 3, 1 and 37 MiB);
-    # with full-chunk temporaries the three runs peak at 97, 64 and 191 MiB
+    # the bounds are well above the measured peaks (about 3, 1, 1, 6 and
+    # 4 MiB); with full-chunk temporaries the runs peak at 97, 64, 191 and
+    # (at the bridge's N) 64 MiB
     assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 8
     # at N = 10 the screen's bin tables have as many entries as the block
     # (about 5 MiB); 64 bins at any N would make them 6.4 times the block
@@ -372,10 +454,13 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     base = dict(bounds=bounds, phi=phi_one(), seed=seed)
     bridge = ExperimentConfig(n_ladder=(5000,), replicas=2000, g=density_function(), **base)
     assert _peak_mib(lambda: run_bridge(bridge)) <= 8
-    # one 32 MiB chunk profile at N = 2 * 10^4, plus blocks
+    # the field runs hold one row block at a time, not the chunk's 32 MiB
+    # profile (37 and 34 MiB peaks when they did)
     g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
     clt = ExperimentConfig(n_ladder=(20000,), replicas=2000, g=g, **base)
-    assert _peak_mib(lambda: run_clt(clt)) <= 48
+    assert _peak_mib(lambda: run_clt(clt)) <= 8
+    lln = ExperimentConfig(n_ladder=(10**5,), replicas=100, g=density_function(), **base)
+    assert _peak_mib(lambda: run_lln(lln)) <= 8
 
 
 def test_bridge_memory_and_cost_do_not_grow_with_n(monkeypatch, bounds, seed):
