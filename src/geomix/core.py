@@ -169,10 +169,14 @@ class LocalFunction:
 
     ``evaluator`` receives the k window coordinates as separate arguments
     and must be numpy-vectorized (each argument may be a scalar or an
-    array of window values).  ``monomials`` optionally records a
-    polynomial representation {exponent tuple -> coefficient}; it enables
-    exact mixture expectations in the harness and is filled automatically
-    by :func:`polynomial_function`.
+    array of window values).  Occupations arrive as exact integer counts:
+    float64 arrays in the field runs, int64 arrays from
+    :func:`configuration_batch`, so an evaluator must accept both.  The
+    field runs weight a returned array that owns its data in place, so an
+    evaluator returns a fresh array, never one it keeps.  ``monomials``
+    optionally records a polynomial representation {exponent tuple ->
+    coefficient}; it enables exact mixture expectations in the harness
+    and is filled automatically by :func:`polynomial_function`.
     """
 
     k: int
@@ -213,15 +217,31 @@ def polynomial_function(
             raise ValueError(f"invalid exponent tuple {exps} for k={k}")
 
     def evaluator(*window):
+        # each window is cast to float once and each (site, exponent) power
+        # is taken once; the products and the sum then run in place in the
+        # order coef * eta_1^e_1 * ... * eta_k^e_k, monomials summed in order
+        window = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in window))
+        powers: dict[tuple[int, int], np.ndarray] = {}
         acc = None
         for exps, coef in monos.items():
-            term = coef * np.ones_like(np.asarray(window[0], dtype=float))
+            term = None
             for j, e in enumerate(exps):
-                if e:
-                    term = term * np.asarray(window[j], dtype=float) ** e
-            acc = term if acc is None else acc + term
+                if not e:
+                    continue
+                if (j, e) not in powers:
+                    powers[j, e] = window[j] if e == 1 else window[j] ** e
+                if term is None:
+                    term = powers[j, e] * coef
+                else:
+                    term *= powers[j, e]
+            if term is None:
+                term = np.full(window[0].shape, coef)
+            if acc is None:
+                acc = term
+            else:
+                acc += term
         if acc is None:
-            acc = np.zeros_like(np.asarray(window[0], dtype=float))
+            acc = np.zeros(window[0].shape)
         return acc
 
     return LocalFunction(k=k, evaluator=evaluator, monomials=monos, name=name)
@@ -289,16 +309,12 @@ def sorted_profile(u: np.ndarray, bounds: BoundaryParams) -> np.ndarray:
     return u
 
 
-def configuration_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Geometric occupation numbers, one per entry of ``thetas``.
-
-    Inverse-CDF transform of a single uniform draw per site:
-    eta = ceil(log(1-u)/log(theta/(1+theta))) - 1, clipped at zero.  At
-    theta = 0 the log is -inf, so the quotient is 0 and eta is the point
-    mass at zero.  The steps run in place on the uniforms.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    u = rng.random(thetas.shape)
+def _geometric_counts(thetas: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Geometric occupation numbers as exact float counts, from one standard
+    uniform per site: eta = ceil(log(1-u)/log(theta/(1+theta))) - 1, clipped
+    at zero.  At theta = 0 the log is -inf, so the quotient is 0 and eta is
+    the point mass at zero.  The steps run in place on ``u``, which is
+    returned."""
     with np.errstate(divide="ignore"):
         log_p = np.log(thetas)
     log_p -= np.log1p(thetas)
@@ -308,7 +324,16 @@ def configuration_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndar
     np.ceil(u, out=u)
     u -= 1.0
     np.maximum(u, 0.0, out=u)
-    return u.astype(np.int64)
+    return u
+
+
+def configuration_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Geometric occupation numbers (int64), one per entry of ``thetas``,
+    by the inverse-CDF transform of one ``rng.random`` draw per site.  The
+    field runs apply the same transform to their own reused buffer and
+    keep the counts as float64; both hold the same integers."""
+    thetas = np.asarray(thetas, dtype=float)
+    return _geometric_counts(thetas, rng.random(thetas.shape)).astype(np.int64)
 
 
 def sample_parameter_profile(

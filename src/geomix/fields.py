@@ -77,9 +77,17 @@ def field_values_batch(
 
     Each row is reduced on its own by numpy's pairwise sum, so a row's
     value does not depend on how many rows come with it; a matrix-vector
-    product would group rows differently for different batch sizes.
+    product would group rows differently for different batch sizes.  The
+    phi weights are applied in place when g returns an array that owns its
+    data and has the product's shape; a view, of the configuration say,
+    is never written.
     """
     occ = np.asarray(occupations)
     n = occ.shape[-1]
+    weights = phi(_field_grid(n, g.k))
     vals = np.asarray(g(*_windows(occ, g.k)), dtype=float)
-    return (vals * phi(_field_grid(n, g.k))).sum(axis=-1) / n
+    if vals.flags.owndata and vals.flags.writeable and vals.shape[-1:] == weights.shape:
+        vals *= weights
+    else:
+        vals = vals * weights
+    return vals.sum(axis=-1) / n

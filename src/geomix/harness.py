@@ -18,10 +18,15 @@ profiles and configurations: in a chunk's stream all of the chunk's
 profile draws come first, then all of its configuration draws.  A second
 generator reaches the configuration draws by Philox counter offset, so
 each block draws its profile rows and its configuration together and no
-chunk-wide profile is held.  ``run_bridge`` draws the order statistics at
-its grid ranks alone, from |grid| + 1 Gamma spacings per replica.
-``run_concentration`` draws each replica's bin counts, screens them, and
-draws and sorts whole rows only where the counts leave the row undecided.
+chunk-wide profile is held.  Each block's configuration stays in its
+reused buffer as exact float64 counts (the transform of
+``configuration_batch`` without its int64 cast), which is what g reads.
+``check_profile_marginals`` adds the powers of each block's profile rows
+to running sums, in the order of one sum over the chunk.  ``run_bridge``
+draws the order statistics at its grid ranks alone, from |grid| + 1
+Gamma spacings per replica.  ``run_concentration`` draws each replica's
+bin counts, screens them, and draws and sorts whole rows only where the
+counts leave the row undecided.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ from geomix.core import (
     LocalFunction,
     RandomSeed,
     _after_draws,
-    configuration_batch,
-    profile_batch,
+    _geometric_counts,
     sorted_profile,
 )
 from geomix.duality import le_deviation
@@ -197,18 +201,25 @@ def _field_chunk(
     so the blocks' draws are the chunk's draws."""
     occ_rng = _after_draws(rng, count * n_sites)
     values = np.empty(count)
-    # one buffer per chunk: fresh blocks would fault their pages in anew
-    u_buf = np.empty((min(count, _block_rows(n_sites)), n_sites))
+    rows = min(count, _block_rows(n_sites))
     # glibc hands freed heap back to the system above twice the largest
     # mmap-ed array freed so far; with only block-sized arrays that bar
-    # stays near one block, below a block's temporaries, which then fault
-    # in anew in every block.  Freeing one untouched array of four blocks,
-    # which holds no resident page, lifts the bar above them (glibc lifts
-    # it no higher than 32 MiB, so a larger array would only reserve).
-    np.empty(min(4 * u_buf.size, 2**21))
+    # stays near one block, below a block's temporaries (about three
+    # blocks for a two-monomial g), which then fault in anew in every
+    # block.  Freeing one untouched array of four blocks, which holds no
+    # resident page, lifts the bar above them (glibc lifts it no higher
+    # than 32 MiB, so a larger array would only reserve).  Freed first, it
+    # also keeps the two buffers below on the heap, where the next chunk
+    # reuses their pages.
+    np.empty(min(4 * rows * n_sites, 2**21))
+    # the profile rows and the uniforms that become the counts, one buffer
+    # each per chunk: fresh blocks would fault their pages in anew
+    theta_buf = np.empty((rows, n_sites))
+    occ_buf = np.empty_like(theta_buf)
     for lo, hi in _row_blocks(count, n_sites):
-        thetas = sorted_profile(rng.random(out=u_buf[: hi - lo]), bounds)
-        values[lo:hi] = field_values_batch(g, phi, configuration_batch(thetas, occ_rng))
+        thetas = sorted_profile(rng.random(out=theta_buf[: hi - lo]), bounds)
+        occ = _geometric_counts(thetas, occ_rng.random(out=occ_buf[: hi - lo]))
+        values[lo:hi] = field_values_batch(g, phi, occ)
     return values
 
 
@@ -651,15 +662,19 @@ def check_profile_marginals(
     """
 
     def fn(rng, count):
-        thetas = profile_batch(n_sites, bounds, rng, count)
-        return np.stack(
-            [
-                thetas.sum(axis=0),
-                (thetas**2).sum(axis=0),
-                (thetas**3).sum(axis=0),
-                (thetas**4).sum(axis=0),
-            ]
-        )
+        # power sums over the chunk's rows, one row block at a time.  numpy
+        # sums axis 0 one row after another, so folding the running sums
+        # into a block's first row continues the whole chunk's sums exactly
+        sums = np.zeros((4, n_sites))
+        u_buf = np.empty((min(count, _block_rows(n_sites)), n_sites))
+        for lo, hi in _row_blocks(count, n_sites):
+            thetas = sorted_profile(rng.random(out=u_buf[: hi - lo]), bounds)
+            for p in (4, 3, 2, 1):  # the first power last: it is thetas itself
+                power = thetas**p if p > 1 else thetas
+                power[0] += sums[p - 1]
+                power.sum(axis=0, out=sums[p - 1])
+                del power  # one power at a time
+        return sums
 
     parts = _map_chunks(fn, replicas, n_sites, seed, workers)
     sums = sum(parts)

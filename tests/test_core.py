@@ -11,6 +11,7 @@ from geomix.core import (
     ParameterProfile,
     RandomSeed,
     _after_draws,
+    _geometric_counts,
     configuration_batch,
     geometric_pmf,
     profile_batch,
@@ -162,6 +163,21 @@ def test_configuration_batch_matches_masked_reference():
     assert got.dtype == np.int64
     assert np.array_equal(got, masked(thetas, RandomSeed(5, 2).generator()))
     assert np.all(got[:, :5] == 0) and np.all(got[3] == 0)
+
+
+def test_float_counts_are_the_configuration_batch_counts():
+    # the field runs' float counts and configuration_batch's int64 counts
+    # come from the same transform of the same uniforms; theta = 0 columns
+    # and a theta = 0 row are the point mass at zero
+    thetas = np.linspace(0.0, 50.0, 9 * 300).reshape(9, 300)
+    thetas[:, :7] = 0.0
+    thetas[4] = 0.0
+    got = _geometric_counts(thetas, RandomSeed(6, 1).generator().random(thetas.shape))
+    want = configuration_batch(thetas, RandomSeed(6, 1).generator())
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want.astype(float))
+    assert np.all(got[:, :7] == 0) and np.all(got[4] == 0)
+    assert not np.signbit(got).any()
 
 
 def test_configuration_site_moments_given_profile(bounds):

@@ -6,6 +6,7 @@ import pytest
 from conftest import assert_within_se
 from geomix.asymptotics import lln_limit
 from geomix.core import (
+    LocalFunction,
     RandomSeed,
     configuration_batch,
     density_function,
@@ -71,6 +72,67 @@ def test_field_linearity_in_g_and_phi():
     assert field_values_batch(g1, phi_mix, eta) == pytest.approx(
         a * field_values_batch(g1, phi1, eta) + b * field_values_batch(g1, phi2, eta), rel=1e-12
     )
+
+
+def _per_monomial(monos, *window):
+    """The polynomial evaluator's arithmetic one monomial at a time: a
+    float cast, a power and a product per site and monomial, in the order
+    coef * eta_1^e_1 * ... * eta_k^e_k, monomials summed in order."""
+    acc = None
+    for exps, coef in monos.items():
+        term = coef * np.ones_like(np.asarray(window[0], dtype=float))
+        for j, e in enumerate(exps):
+            if e:
+                term = term * np.asarray(window[j], dtype=float) ** e
+        acc = term if acc is None else acc + term
+    if acc is None:
+        acc = np.zeros_like(np.asarray(window[0], dtype=float))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "k, terms",
+    [
+        (1, {(1,): 1.0}),
+        (1, {(3,): -0.7, (0,): 2.5, (1,): 1.3}),
+        (2, {(1, 1): 1.0, (2, 1): 1.0}),
+        # zero exponents, a constant, a repeated power and a power of a
+        # site that another monomial takes to a different exponent
+        (2, {(2, 0): -1.25, (0, 0): 0.3, (2, 2): 0.1, (1, 2): -3.0, (0, 2): 1.7}),
+        (3, {(1, 0, 2): 0.6, (0, 0, 0): -2.0, (2, 1, 1): 1.0 / 3.0, (0, 3, 0): -0.45}),
+        (3, {(0, 0, 0): 4.0}),
+        (2, {}),
+    ],
+)
+@pytest.mark.parametrize("phi", [phi_one(), phi_identity()], ids=["one", "x"])
+def test_polynomial_evaluator_matches_the_per_monomial_arithmetic(k, terms, phi):
+    # integer counts as int64 and as float64, and non-integer values that
+    # make a reordered product or sum round differently
+    g = polynomial_function(k, terms)
+    rng = np.random.default_rng(14)
+    counts = rng.geometric(0.3, size=(5, 301)) - 1
+    for occ in (counts, counts.astype(float), rng.random((5, 301)) * 4.0):
+        windows = [occ[:, j : occ.shape[1] - k + 1 + j] for j in range(k)]
+        want = _per_monomial(g.monomials, *windows)
+        assert np.array_equal(g(*windows), want)
+        n = occ.shape[1]
+        field = (want * phi(np.arange(n - k + 1) / (n + 1))).sum(axis=-1) / n
+        assert np.array_equal(field_values_batch(g, phi, occ), field)
+        assert np.array_equal(field_values_batch(g, phi, occ[2]), field[2])
+    # scalar windows give the scalar value
+    assert float(g(*range(2, 2 + k))) == float(_per_monomial(g.monomials, *range(2, 2 + k)))
+
+
+def test_field_weights_do_not_write_the_evaluator_input():
+    # an evaluator that returns its own (float) window: the weights must
+    # not be applied in place on the caller's configuration
+    occ = np.arange(1.0, 9.0)
+    keep = occ.copy()
+    g = LocalFunction(k=1, evaluator=lambda n: n)
+    assert field_values_batch(g, phi_identity(), occ) == pytest.approx(
+        float(np.sum(keep * np.arange(8) / 9) / 8), rel=1e-15
+    )
+    assert np.array_equal(occ, keep)
 
 
 def test_block_average_tracks_local_density(bounds):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -742,6 +743,65 @@ def test_run_bridge_small(bounds, seed):
     assert res.empirical.shape == (3, 3)
     assert res.max_deviation_in_se() <= 4.0
     assert np.allclose(res.analytic, res.analytic.T)
+
+
+def _whole_chunk_marginal_sums(n_sites, bounds, replicas, seed):
+    """The marginal check's power sums with each chunk's profile drawn
+    whole and summed over axis 0 at once, chunk by chunk."""
+    chunk = harness._chunk_size(n_sites)
+    parts = []
+    for c, lo in enumerate(range(0, replicas, chunk)):
+        rng = seed.substream(c).generator()
+        thetas = profile_batch(n_sites, bounds, rng, min(chunk, replicas - lo))
+        parts.append(np.stack([(thetas**p).sum(axis=0) for p in (1, 2, 3, 4)]))
+    return parts
+
+
+@pytest.mark.parametrize("chunk_budget, block_budget", [(None, None), (2**14, 1000)])
+def test_marginal_sums_in_row_blocks_match_the_whole_chunk(
+    monkeypatch, bounds, chunk_budget, block_budget
+):
+    # the default budgets at the verify input (one chunk of 10^5 rows, in
+    # blocks of 13107), then several chunks of 1638 rows in uneven blocks
+    if chunk_budget is not None:
+        monkeypatch.setattr(harness, "_CHUNK_BUDGET", chunk_budget)
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", block_budget)
+    seed = RandomSeed(11, 0)
+    real = harness._map_chunks
+    parts = []
+
+    def recording(*args):
+        parts.extend(real(*args))
+        return parts
+
+    monkeypatch.setattr(harness, "_map_chunks", recording)
+    check_profile_marginals(10, bounds, 10**5, seed)
+    want = _whole_chunk_marginal_sums(10, bounds, 10**5, seed)
+    assert len(parts) == len(want)
+    for got_part, want_part in zip(parts, want):
+        assert np.array_equal(got_part, want_part)
+
+
+def test_marginal_check_memory_is_one_block(bounds):
+    # the whole-chunk profile and its powers peaked at 16 MiB
+    peak = _peak_mib(lambda: check_profile_marginals(10, bounds, 10**5, RandomSeed(11, 0)))
+    assert peak <= 4
+
+
+@pytest.mark.parametrize("g", [density_function(), pair_product_function()], ids=["density", "pair"])
+def test_field_runs_at_zero_reservoirs_raise_no_warning(g, seed):
+    # theta = 0 everywhere: log(0) = -inf in the count transform, then a
+    # finite log over -inf; every count and deviation is exactly zero
+    cfg = ExperimentConfig(
+        n_ladder=(10, 1000), replicas=50, bounds=BoundaryParams(0.0, 0.0),
+        g=g, phi=phi_identity(), seed=seed, workers=2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_lln(cfg)
+        value, _ = annealed_mc_estimate(g, 0.5, 100, BoundaryParams(0.0, 0.0), 50, seed)
+    assert res.rows == ((10, 0.0, 0.0), (1000, 0.0, 0.0))
+    assert value == 0.0
 
 
 def test_marginal_check_rules_out_competing_variance(bounds, seed):
