@@ -13,7 +13,7 @@ order statistics of independent uniforms on the reservoir interval
 * the deterministic objects of the limit theorems: law-of-large-numbers
   limits, central-limit variances and the bridge covariance kernel
   (:mod:`geomix.asymptotics`),
-* duality polynomials and exact local-equilibrium deviations
+* exact local-equilibrium deviations from self-duality
   (:mod:`geomix.duality`),
 * large-deviation free energies and rate functions with variational
   solvers (:mod:`geomix.ldp`),

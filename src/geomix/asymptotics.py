@@ -17,16 +17,17 @@ C(u) the integral of a over [u, 1], which has no kink.  The rules are
 exact when the integrands are polynomials of low degree on each panel.
 
 For polynomial g, h, h' and V are exact polynomials in rho built from the
-geometric raw moments E[eta^p]; only bounded, non-polynomial g is summed
-over a truncated state grid, at the smallest cutoff whose certified tail
-bounds for h, h' and V all fall below 1e-12.  The integrals double their
-panels until two rules agree to 1e-9.  Neither accuracy is a setting.
+geometric raw moments E[eta^p].  A non-polynomial g must declare its
+saturation c (it reads each occupation n only through min(n, c)); its h,
+h' and V are exact sums over the state grid [0, c]^k, whose last state
+of each site carries the whole geometric tail n >= c.  The integrals
+double their panels until two rules agree to 1e-9, which is not a
+setting.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ from geomix.moments import geometric_raw_moment_coefficients
 __all__ = [
     "QuadratureError",
     "CltVariances",
-    "geometric_tail_bound",
     "homogeneous_mean_batch",
     "homogeneous_mean_deriv_batch",
     "local_variance_batch",
@@ -50,68 +50,17 @@ __all__ = [
 ]
 
 # composite Gauss-Legendre rules start at _FIRST_PANELS panels and double
-# until two rules agree to _INTEGRAL_TOL; bounded g is truncated where the
-# certified tails of h, h' and V fall below _TRUNCATION_TOL
+# until two rules agree to _INTEGRAL_TOL
 _FIRST_PANELS = 16
 _NODES_PER_PANEL = 6
 _INTEGRAL_TOL = 1e-9
-_TRUNCATION_TOL = 1e-12
 _MAX_PANELS = 4096
-_MAX_TRUNCATION = 200_000
-# largest state table built in one piece; k = 3 at truncation 256 needs
-# 257**3 ~ 1.7e7 cells, k = 4 at the same truncation would need 4.4e9
+# largest state table built in one piece, checked before it is allocated
 _CELL_BUDGET = 2**25
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a truncation or panel-doubling tolerance is unattainable."""
-
-
-def geometric_tail_bound(theta: float, m: int) -> float:
-    """The geometric tail mass sum_{n > m} nu_theta(n) = (theta/(1+theta))**(m+1)."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    return (theta / (1.0 + theta)) ** (m + 1)
-
-
-def _deriv_tail_bound(theta: float, m: int) -> float:
-    """sum_{n > m} |d nu_theta(n)/d theta|.  For m >= theta the terms are
-    positive and sum to (m+1) p**m (1-p)**2 with p = theta/(1+theta)."""
-    if m < theta:
-        return math.inf
-    p = theta / (1.0 + theta)
-    return (m + 1) * p**m * (1.0 - p) ** 2
-
-
-def _truncation(g: LocalFunction, theta_max: float) -> int:
-    """Smallest cutoff m = 16 * 2**j whose certified truncation errors of
-    h, h' and V of a bounded g are all at most _TRUNCATION_TOL.
-
-    States beyond m at any of k sites move h by at most bound * k * p**(m+1).
-    For h' each slot adds the tail of d nu/d theta, and a whole row of
-    d nu/d theta has total variation at most 2.  Each of the 2k-1
-    covariances in V spans at most 2k-1 sites and squares g, and its
-    product of means moves by at most 2k bound**2 p**(m+1).
-    """
-    if not g.bounded:
-        raise ValueError("cannot certify truncation: g is neither bounded nor polynomial")
-    k, bound = g.k, float(g.bound)
-    m = 16
-    while True:
-        tail = geometric_tail_bound(theta_max, m)
-        errs = (
-            bound * k * tail,
-            bound * k * (_deriv_tail_bound(theta_max, m) + 2 * (k - 1) * tail),
-            bound**2 * (2 * k - 1) * (4 * k - 1) * tail,
-        )
-        if max(errs) <= _TRUNCATION_TOL:
-            return m
-        m *= 2
-        if m > _MAX_TRUNCATION:
-            raise QuadratureError(
-                f"truncation tolerance {_TRUNCATION_TOL} unattainable below cutoff "
-                f"{_MAX_TRUNCATION} for theta={theta_max}"
-            )
+    """Raised when panel doubling does not converge."""
 
 
 @dataclass(frozen=True)
@@ -167,27 +116,25 @@ def _poly_variance(g: LocalFunction) -> np.ndarray:
     return total
 
 
-def _geometric_weights(rhos: np.ndarray, m: int) -> np.ndarray:
-    """(len(rhos), m+1) matrix of nu_rho(n); rho = 0 rows are (1, 0, ...)."""
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    p = rhos / (1.0 + rhos)
-    weights = p[:, None] ** np.arange(m + 1)[None, :]
-    weights *= (1.0 - p)[:, None]
-    return weights
+def _weight_tables(thetas: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of the states 0..c of a site saturated at c, and their
+    theta-derivatives, one row per theta.
 
-
-def _weight_tables(thetas: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """nu_theta(n) and its theta-derivative on n = 0..m, one row per theta.
-
-    d nu_theta(n)/d theta = (1-p)^2 (n p^{n-1} - (n+1) p^n), written as
-    (1-p) (n nu(n-1) - (n+1) nu(n)) so that it stays finite at theta = 0.
+    With p = theta/(1+theta), state n < c has mass nu_theta(n) = (1-p) p^n
+    and state c the whole tail P(eta >= c) = p^c.  The derivatives are
+    (1-p) (n nu(n-1) - (n+1) nu(n)) for n < c and (1-p) c nu(c-1) for the
+    tail, finite at theta = 0 too.
     """
-    w = _geometric_weights(thetas, m)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     p = thetas / (1.0 + thetas)
-    n = np.arange(m + 1)
+    n = np.arange(c + 1)
+    w = p[:, None] ** n[None, :]
+    w[:, :c] *= (1.0 - p)[:, None]
     prev = np.zeros_like(w)
     prev[:, 1:] = w[:, :-1]
-    return w, (1.0 - p)[:, None] * (n * prev - (n + 1) * w)
+    outflow = (n + 1) * w
+    outflow[:, c] = 0.0
+    return w, (1.0 - p)[:, None] * (n * prev - outflow)
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -196,11 +143,27 @@ def _check_cells(cells: int, what: str) -> None:
         raise ValueError(f"{what} needs {cells:.3e} cells, above the budget {_CELL_BUDGET:.3e}")
 
 
-def _g_grid(g: LocalFunction, m: int) -> np.ndarray:
-    """g on the full state grid [0, m]^k."""
-    _check_cells((m + 1) ** g.k, f"the k={g.k} state grid at truncation {m}")
-    axes = np.meshgrid(*([np.arange(m + 1)] * g.k), indexing="ij")
-    return np.asarray(g(*axes), dtype=float)
+def _g_grid(g: LocalFunction) -> np.ndarray:
+    """g on the state grid [0, c]^k of its saturation c.
+
+    g is evaluated on [0, c+1]^k, and refused unless index c+1 repeats
+    index c along every axis."""
+    c = g.saturation
+    if c is None:
+        raise ValueError(
+            f"{g.name} declares no saturation c; exact state sums need g to read "
+            "each occupation n only through min(n, c)"
+        )
+    _check_cells((c + 2) ** g.k, f"the k={g.k} state grid at saturation {c}")
+    axes = np.meshgrid(*([np.arange(c + 2)] * g.k), indexing="ij")
+    grid = np.broadcast_to(np.asarray(g(*axes), dtype=float), axes[0].shape)
+    for axis in range(g.k):
+        if not np.array_equal(grid.take(c, axis=axis), grid.take(c + 1, axis=axis)):
+            raise ValueError(
+                f"{g.name} changes between n = {c} and n = {c + 1} on axis {axis}: "
+                f"it does not saturate at c = {c}"
+            )
+    return grid[(slice(0, c + 1),) * g.k]
 
 
 def _contract(grid: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
@@ -211,31 +174,32 @@ def _contract(grid: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     return t
 
 
-def _grid_mean(g: LocalFunction, rhos: np.ndarray, m: int, deriv: bool = False) -> np.ndarray:
-    """h, or h' with ``deriv``, by sums truncated at m: the state grid
-    contracted with nu_rho in every slot, and for h' the sum over slots j
-    of the contraction with d nu_rho/d rho in slot j."""
-    k = g.k
-    grid = _g_grid(g, m)
-    out = np.empty(rhos.size)
+def _grid_mean(grid: np.ndarray, w: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
+    """h, or h' when ``dw`` is given: the k-site state grid contracted with
+    the state masses w in every slot, and for h' the sum over slots j of
+    the contraction with their derivatives dw in slot j; one value per row
+    of the (nodes, states) tables."""
+    k = grid.ndim
+    out = np.empty(w.shape[0])
     chunk = max(1, 2**22 // max(grid.size, 1))
-    for lo in range(0, rhos.size, chunk):
+    for lo in range(0, out.size, chunk):
         sl = slice(lo, lo + chunk)
-        if not deriv:
-            out[sl] = _contract(grid, [_geometric_weights(rhos[sl], m)] * k)
-            continue
-        w, dw = _weight_tables(rhos[sl], m)
-        out[sl] = sum(_contract(grid, [dw if i == j else w for i in range(k)]) for j in range(k))
+        if dw is None:
+            out[sl] = _contract(grid, [w[sl]] * k)
+        else:
+            out[sl] = sum(
+                _contract(grid, [dw[sl] if i == j else w[sl] for i in range(k)]) for j in range(k)
+            )
     return out
 
 
-def _grid_local_variance(g: LocalFunction, rhos: np.ndarray, m: int) -> np.ndarray:
-    """V by sums truncated at m: each covariance term conditions on the
-    sites the two windows share, which factorizes the product expectation."""
-    k = g.k
-    grid = _g_grid(g, m)
-    out = np.zeros(rhos.size)
-    for i, w in enumerate(_geometric_weights(rhos, m)):
+def _grid_local_variance(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """V from the k-site state grid and one row of state masses per node:
+    each covariance term conditions on the sites the two windows share,
+    which factorizes the product expectation."""
+    k = grid.ndim
+    out = np.zeros(weights.shape[0])
+    for i, w in enumerate(weights):
 
         def conditional(shared):
             t = grid
@@ -265,23 +229,24 @@ def _mean(g: LocalFunction, rhos, deriv: bool) -> np.ndarray:
     if g.monomials is not None:
         h = _poly_mean(g)
         return P.polyval(rhos, P.polyder(h) if deriv else h)
-    return _grid_mean(g, rhos, _truncation(g, float(rhos.max(initial=0.0))), deriv)
+    grid = _g_grid(g)
+    w, dw = _weight_tables(rhos, g.saturation)
+    return _grid_mean(grid, w, dw if deriv else None)
 
 
 def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     """h(rho) = E[g(eta_1, ..., eta_k)] under the homogeneous geometric
     product at each rho.
 
-    Exact for polynomial g.  Bounded g is summed over [0, m]^k, with the
-    cutoff m chosen at the largest rho so that the truncation error is
-    certified below 1e-12.
+    Exact for polynomial g, and for g saturating at c an exact sum over
+    [0, c]^k.
     """
     return _mean(g, rhos, deriv=False)
 
 
 def homogeneous_mean_deriv_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     """Derivative of t -> E[g | all parameters equal t] at each rho: exact
-    for polynomial g, and for bounded g the truncated sum with d nu/d rho
+    for polynomial g, and for saturating g the state sum with d nu/d rho
     in one slot at a time (finite at rho = 0 too)."""
     return _mean(g, rhos, deriv=True)
 
@@ -292,14 +257,13 @@ def local_variance_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     Under the homogeneous product at each rho, with the reference window on
     sites k..2k-1 and moving windows m..m+k-1 for m = 1..2k-1:
     V(rho) = sum_m cov(g(reference), g(window m)).  Exact for polynomial
-    g; bounded g is summed over the truncated state grid (k <= 3).
+    g, and for saturating g an exact sum over its state grid.
     """
     rhos = _rhos(rhos)
     if g.monomials is not None:
         return P.polyval(rhos, _poly_variance(g))
-    if g.k > 3:
-        raise ValueError("local variances of non-polynomial g are limited to k <= 3")
-    return _grid_local_variance(g, rhos, _truncation(g, float(rhos.max(initial=0.0))))
+    grid = _g_grid(g)
+    return _grid_local_variance(grid, _weight_tables(rhos, g.saturation)[0])
 
 
 def _composite_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:

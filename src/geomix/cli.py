@@ -577,8 +577,8 @@ def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> i
     ldp = cfg["ldp"]
     solver = SolverConfig(**{k: int(v) for k, v in ldp["solver"].items()})
     g = build_g(cfg["g"])
-    if not g.bounded:
-        raise ConfigError("ldp tasks require a bounded local function g")
+    if g.saturation is None:
+        raise ConfigError("ldp tasks require a saturating local function g")
     name = task.replace("-", "_")
     verdicts: dict = {}
     payload: dict = {}

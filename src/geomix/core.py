@@ -177,20 +177,27 @@ class LocalFunction:
     optionally records a polynomial representation {exponent tuple ->
     coefficient}; it enables exact mixture expectations in the harness
     and is filled automatically by :func:`polynomial_function`.
+
+    ``saturation`` declares an integer c >= 0 such that g reads each
+    occupation n only through min(n, c): indicator-vacuum has c = 1 and a
+    constant c = 0.  The states n >= c of a site then merge into one state
+    of mass (theta/(1+theta))**c, so free energies, rate functions and the
+    limit objects of a non-polynomial g are exact sums over [0, c]^k;
+    those need c declared.
     """
 
     k: int
     evaluator: Callable[..., np.ndarray]
-    bounded: bool = False
-    bound: float | None = None
+    saturation: int | None = None
     monomials: Mapping[tuple[int, ...], float] | None = None
     name: str = "local"
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("dependence-set size k must be >= 1")
-        if self.bounded and self.bound is None:
-            raise ValueError("bounded local functions must declare a bound")
+        c = self.saturation
+        if c is not None and (isinstance(c, bool) or not isinstance(c, int) or c < 0):
+            raise ValueError(f"saturation must be an integer >= 0, got {c!r}")
         if self.monomials is not None:
             for exps in self.monomials:
                 if len(exps) != self.k:
@@ -258,14 +265,12 @@ def pair_product_function() -> LocalFunction:
 
 
 def indicator_vacuum_function() -> LocalFunction:
-    """g(eta) = 1 if the first window site is empty, else 0. Bounded by 1."""
+    """g(eta) = 1 if the first window site is empty, else 0; saturates at c = 1."""
 
     def evaluator(n1):
         return (np.asarray(n1) == 0).astype(float)
 
-    return LocalFunction(
-        k=1, evaluator=evaluator, bounded=True, bound=1.0, name="indicator-vacuum"
-    )
+    return LocalFunction(k=1, evaluator=evaluator, saturation=1, name="indicator-vacuum")
 
 
 def geometric_pmf(theta: float, n) -> np.ndarray | float:

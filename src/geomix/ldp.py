@@ -1,18 +1,21 @@
 """Large-deviation machinery: free energies, rate functions, and the two
 variational problems for the mixture measure.
 
-For a bounded local function g, the homogeneous free energy
-F(theta, lambda) is the exponential growth rate per site of
-E[exp(lambda * sum of shifted g)] under the geometric product at theta.
-One evaluator, :func:`free_energy`, returns F with its analytic lambda-
-and theta-derivatives: geometric masses on the level sets of g for
-k = 1, the left and right Perron vectors of a transfer kernel on
-(k-1)-site windows for k >= 2.  Level-1 rates follow by Legendre
-transform, solved by safeguarded secant steps in the logit of the tilted
-mean.  The parameter-path rate J penalizes the log-slope of monotone
-profiles, and the two variational problems (annealed free energy, rate
-of a target profile) are solved by one projected-gradient solver, in
-ascent or descent, over discretized monotone profiles in the increment
+For a local function g that saturates at c (it reads each occupation n
+only through min(n, c)), the homogeneous free energy F(theta, lambda) is
+the exponential growth rate per site of E[exp(lambda * sum of shifted g)]
+under the geometric product at theta.  Each site then has the c + 1
+states 0..c, the last one carrying the whole geometric tail n >= c, so
+every sum below is exact and finite.  One evaluator, :func:`free_energy`,
+returns F with its analytic lambda- and theta-derivatives: geometric
+masses on the level sets of g for k = 1, the left and right Perron
+vectors of a transfer kernel on the (c+1)^(k-1) states of a (k-1)-site
+window for k >= 2.  Level-1 rates follow by Legendre transform, solved
+by safeguarded secant steps in the logit of the tilted mean.  The
+parameter-path rate J penalizes the log-slope of monotone profiles, and
+the two variational problems (annealed free energy, rate of a target
+profile) are solved by one projected-gradient solver, in ascent or
+descent, over discretized monotone profiles in the increment
 parametrization.
 """
 
@@ -29,11 +32,9 @@ from numpy.polynomial.legendre import leggauss
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.asymptotics import (
-    QuadratureError,
     _check_cells,
     _composite_nodes,
     _g_grid,
-    _geometric_weights,
     _refine,
     _weight_tables,
 )
@@ -45,8 +46,6 @@ __all__ = [
     "SolverConfig",
     "MonotoneProfile",
     "free_energy",
-    "free_energy_transfer",
-    "free_energy_finite_chain",
     "rate_function",
     "rate_function_batch",
     "path_rate",
@@ -56,9 +55,6 @@ __all__ = [
     "VariationalResult",
 ]
 
-# free energies sum the states n = 0..128 at every site; a fixed truncation
-# keeps each node's lambda cap, and so its value, independent of its batch
-_M_STATE = 128
 _POWER_ITERATION_CAP = 20_000
 _EIGEN_TOL = 1e-12
 _LEGENDRE_ITERATION_CAP = 100
@@ -74,35 +70,12 @@ _DELTA_MIN = 1e-8
 
 
 class NumericError(RuntimeError):
-    """Power iteration or root finding failed to converge."""
+    """Power iteration or root finding failed to converge, or exp(lambda * g)
+    left the floating-point range."""
 
 
 class OptimizationError(RuntimeError):
     """Every solver start hit an infeasible profile."""
-
-
-_TAIL_TOL = 1e-9
-
-
-def _state_grid(g: LocalFunction) -> np.ndarray:
-    """g on the state grid [0, _M_STATE]^k; free energies need a bounded g."""
-    if not g.bounded:
-        raise ValueError("free energies require a bounded local function")
-    return _g_grid(g, _M_STATE)
-
-
-def _lambda_caps(thetas: np.ndarray, g: LocalFunction) -> np.ndarray:
-    """Largest |lambda| per theta whose truncated tail stays certified:
-    exp(|lam| * bound) * (theta/(1+theta))**(_M_STATE+1) <= tolerance,
-    and exp(|lam| * bound) stays finite."""
-    p = thetas / (1.0 + thetas)
-    bound = max(float(g.bound), 1e-9)
-    finite_cap = min(600.0 / bound, 1e6)
-    with np.errstate(divide="ignore"):
-        caps = (math.log(_TAIL_TOL) - (_M_STATE + 1) * np.log(p)) / bound
-    caps = np.where(p == 0.0, finite_cap, caps)
-    # shave a rounding margin so evaluation at the cap stays certified
-    return np.clip(caps * (1.0 - 1e-9), 1.0, finite_cap)
 
 
 @dataclass(frozen=True)
@@ -164,42 +137,26 @@ class MonotoneProfile:
         return cls(values=vals, bounds=bounds)
 
 
-def _check_tail(thetas: np.ndarray, lams: np.ndarray, g: LocalFunction) -> None:
-    """Certify the state truncation at every (theta, lambda) node: the
-    dropped mass exp(|lam| * bound) * (theta/(1+theta))**(_M_STATE+1)."""
-    if not np.all(np.isfinite(lams)):
-        raise ValueError("lambda must be finite")
-    p = thetas / (1.0 + thetas)
-    errs = np.exp(np.abs(lams) * float(g.bound)) * p ** (_M_STATE + 1)
-    if np.any(errs > _TAIL_TOL):
-        worst = int(np.argmax(errs))
-        raise QuadratureError(
-            f"state truncation {_M_STATE} leaves tail {errs[worst]:.2e} at "
-            f"theta={thetas[worst]}, lambda={lams[worst]}"
-        )
-
-
 def _perron(theta: float, lam: float, gvals: np.ndarray) -> tuple[float, float, float]:
     """(log Lambda, d log Lambda/d lambda, d log Lambda/d theta) for the
-    leading eigenvalue Lambda of the transfer kernel.
+    leading eigenvalue Lambda of the transfer kernel of a g with k >= 2.
 
-    The kernel acts on (k-1)-site windows,
+    The kernel acts on (k-1)-site windows of the saturated states 0..c,
     K(w, w') = nu_theta(n_k) * exp(lam * g(n_1, ..., n_k)) for
-    w = (n_1..n_{k-1}), w' = (n_2..n_k); single-site functions are lifted
-    to a two-site kernel.  One power iteration converges the right and
-    left Perron vectors r, l together, and the derivatives follow from
-    Hellmann-Feynman: d Lambda = <l, dK r> / <l, r>.
+    w = (n_1..n_{k-1}), w' = (n_2..n_k), with the tail mass p^c in state c.
+    One power iteration converges the right and left Perron vectors r, l
+    together, and the derivatives follow from Hellmann-Feynman:
+    d Lambda = <l, dK r> / <l, r>.
     """
-    k, m = max(gvals.ndim, 2), _M_STATE
-    gk = np.broadcast_to(gvals.reshape(gvals.shape + (1,) * (k - gvals.ndim)), (m + 1,) * k)
-    w, dw = _weight_tables(np.array([theta]), m)
-    last = (1,) * (k - 1) + (m + 1,)
-    tilt = np.exp(lam * gk)
+    k, states = gvals.ndim, gvals.shape[0]
+    w, dw = _weight_tables(np.array([theta]), states - 1)
+    last = (1,) * (k - 1) + (states,)
+    tilt = np.exp(lam * gvals)
     t = tilt * w[0].reshape(last)
     letters = string.ascii_lowercase[:k]
     right = f"{letters},{letters[1:]}->{letters[:-1]}"
     left = f"{letters[:-1]},{letters}->{letters[1:]}"
-    r = np.full((m + 1,) * (k - 1), 1.0 / (m + 1) ** (k - 1))
+    r = np.full((states,) * (k - 1), 1.0 / states ** (k - 1))
     l = r.copy()
     eigen = np.full(2, np.nan)
     for _ in range(_POWER_ITERATION_CAP):
@@ -217,7 +174,7 @@ def _perron(theta: float, lam: float, gvals: np.ndarray) -> tuple[float, float, 
         )
     pair = f"{letters[:-1]},{letters},{letters[1:]}->"
     norm = float(np.einsum(pair, l, t, r))  # Lambda * <l, r>
-    d_lam = float(np.einsum(pair, l, t * gk, r)) / norm
+    d_lam = float(np.einsum(pair, l, t * gvals, r)) / norm
     d_theta = float(np.einsum(pair, l, tilt * dw[0].reshape(last), r)) / norm
     return math.log(new_eigen[0]), d_lam, d_theta
 
@@ -226,15 +183,16 @@ class _FreeEnergyTable:
     """Per-theta state tables of the free-energy evaluator, built once and
     evaluated at any number of lambda vectors paired with the thetas.  For
     k = 1 they hold the masses of nu_theta and d nu_theta/d theta on each
-    level set of g, in closed form per run of equal g, so building costs
-    O(nodes * runs) and one evaluation O(nodes * distinct values of g)."""
+    level set of g, in closed form per run of equal g on the states 0..c,
+    the last run reaching to infinity, so building costs O(nodes * runs)
+    and one evaluation O(nodes * distinct values of g)."""
 
     def __init__(self, thetas: np.ndarray, g: LocalFunction) -> None:
         self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(self.thetas) & (self.thetas >= 0)):
             raise ValueError("theta must be finite and >= 0")
         self.g = g
-        self.gvals = _state_grid(g)
+        self.gvals = _g_grid(g)
         if g.k == 1:
             # runs of equal g, gathered by level; every level holds a run
             self.levels, level_of = np.unique(self.gvals, return_inverse=True)
@@ -245,17 +203,20 @@ class _FreeEnergyTable:
             )
             order = np.argsort(level_of[starts], kind="stable")
             firsts = np.searchsorted(level_of[starts][order], np.arange(self.levels.size))
-            ends = np.append(starts[1:] - 1, _M_STATE)
             p = (self.thetas / (1.0 + self.thetas))[:, None]
             # run [a, b] holds p^a - p^(b+1) = p^a (1 - p^(b-a+1)), free of
-            # cancellation; log p = -inf at theta = 0 gives the mass 0^a
+            # cancellation, and the last run, which reaches to infinity, p^a;
+            # log p = -inf at theta = 0 gives the mass 0^a
+            runs = p**starts
             with np.errstate(divide="ignore"):
-                runs = p**starts * -np.expm1((ends - starts + 1) * np.log(p))
+                runs[:, :-1] *= -np.expm1(np.diff(starts) * np.log(p))
             # summation by parts, exact at theta = 0: sum_n d nu(n)/d theta t(n)
-            # = (1-p) sum_n nu(n) (n+1) (t(n+1) - t(n)) with t(m+1) = 0, so for
-            # t a level indicator only the last state n of each run contributes
+            # = (1-p) sum_n nu(n) (n+1) (t(n+1) - t(n)), so for t a level
+            # indicator only the state before each run and the last state of
+            # each run contribute; the last run has no last state
+            ends = starts[1:] - 1
             moved = p**ends * (1.0 - p) * (ends + 1.0) / (1.0 + self.thetas)[:, None]
-            d_runs = -np.diff(moved, axis=1, prepend=0.0)
+            d_runs = -np.diff(moved, axis=1, prepend=0.0, append=0.0)
             self.mass = np.add.reduceat(runs[:, order], firsts, axis=1)
             self.d_mass = np.add.reduceat(d_runs[:, order], firsts, axis=1)
 
@@ -269,14 +230,23 @@ class _FreeEnergyTable:
 
     def __call__(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lams = np.broadcast_to(np.asarray(lams, dtype=float), self.thetas.shape)
-        _check_tail(self.thetas, lams, self.g)
+        if not np.all(np.isfinite(lams)):
+            raise ValueError("lambda must be finite")
         if self.g.k == 1:
             # F = log Z, dF/dlambda the tilted mean of g, dF/dtheta the
             # tilted sum of d nu/d theta, all over Z = sum nu * exp(lam g);
             # row-wise sums keep each node independent of the batch
-            tilt = np.exp(lams[:, None] * self.levels[None, :])
-            tilted = self.mass * tilt
-            z = np.sum(tilted, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                tilt = np.exp(lams[:, None] * self.levels[None, :])
+                tilted = self.mass * tilt
+                z = np.sum(tilted, axis=1)
+            finite = (z > 0.0) & (z < math.inf)
+            if not np.all(finite):
+                bad = int(np.argmin(finite))
+                raise NumericError(
+                    f"exp(lambda * g) leaves the floating-point range at "
+                    f"theta={self.thetas[bad]}, lambda={lams[bad]}"
+                )
             f_lam = np.sum(tilted * self.levels, axis=1) / z
             return np.log(z), f_lam, np.sum(self.d_mass * tilt, axis=1) / z
         rows = [_perron(t, l, self.gvals) for t, l in zip(self.thetas, lams)]
@@ -288,57 +258,16 @@ def free_energy(thetas, lams, g: LocalFunction) -> tuple[np.ndarray, np.ndarray,
     """F(theta, lambda), dF/dlambda and dF/dtheta at paired nodes (thetas
     and lams broadcast against each other).
 
-    g must be bounded.  For k = 1, F = log sum_n exp(lam * g(n))
-    nu_theta(n) is a sum truncated at n = 128; for k >= 2 it is the log of
-    the leading transfer-kernel eigenvalue, with derivatives from the
-    Perron vectors.  Every node's truncation tail is certified against
-    exp(|lam| * bound) times the geometric tail.
+    g must declare its saturation c.  For k = 1, F = log sum_n
+    exp(lam * g(n)) nu_theta(n) is an exact sum over the level sets of g;
+    for k >= 2 it is the log of the leading eigenvalue of the transfer
+    kernel on the saturated states, with derivatives from the Perron
+    vectors.
     """
     thetas, lams = np.broadcast_arrays(
         np.atleast_1d(np.asarray(thetas, dtype=float)), np.asarray(lams, dtype=float)
     )
     return _FreeEnergyTable(thetas, g)(lams)
-
-
-def free_energy_transfer(theta: float, lam: float, g: LocalFunction) -> float:
-    """Free energy of g via the leading transfer-kernel eigenvalue (power
-    iteration; single-site g is lifted to a two-site kernel, which
-    reproduces the k = 1 sum of :func:`free_energy`)."""
-    gvals = _state_grid(g)
-    _check_tail(np.array([theta]), np.array([lam]), g)
-    return _perron(theta, lam, gvals)[0]
-
-
-def free_energy_finite_chain(theta: float, lam: float, g: LocalFunction, n_sites: int) -> float:
-    """Exact (1/N) log E[exp(lam * sum of shifted g)] on a finite chain.
-
-    Repeated application of the transfer kernel (with running
-    renormalization) against the window marginal; the large-N limit of
-    this quantity is :func:`free_energy_transfer`.
-    """
-    if g.k == 1:
-        # all N windows tilt independently, so the per-site value is exact
-        return float(free_energy(theta, lam, g)[0][0])
-    k = g.k
-    if n_sites < k:
-        raise ValueError(f"chain of {n_sites} sites is shorter than the window {k}")
-    gvals = _state_grid(g)
-    _check_tail(np.array([theta]), np.array([lam]), g)
-    w = _geometric_weights(np.array([theta]), _M_STATE)[0]
-    t = np.exp(lam * gvals) * w
-    letters = string.ascii_lowercase[:k]
-    sub = f"{letters},{letters[1:]}->{letters[:-1]}"
-    v = np.ones((_M_STATE + 1,) * (k - 1))
-    log_total = 0.0
-    for _ in range(n_sites - k + 1):
-        v = np.einsum(sub, t, v)
-        norm = float(v.sum())
-        log_total += math.log(norm)
-        v /= norm
-    marginal = w
-    for _ in range(k - 2):
-        marginal = np.multiply.outer(marginal, w)
-    return (log_total + math.log(float(np.sum(marginal * v)))) / n_sites
 
 
 def _legendre(
@@ -349,23 +278,24 @@ def _legendre(
     [g_lo, g_hi], the closure of the range of dF/dlambda.
 
     With s = (dF/dlambda - g_lo)/(g_hi - g_lo), secant steps solve
-    logit(s(lam)) = logit(s(x)) from lam = 0, where the untruncated F
-    vanishes; the first slope, g_hi - g_lo, is exact for two-valued g.  A
-    step that is not finite or leaves the node's bracket in [-cap, cap]
-    is replaced by bisection.  At x = g_lo or g_hi the sup is approached
-    as lambda -> -+inf and bounded below by the value at the cap.
+    logit(s(lam)) = logit(s(x)) from lam = 0, where F vanishes; the first
+    slope, g_hi - g_lo, is exact for two-valued g.  A step that is not
+    finite or leaves the node's bracket in [-cap, cap] is replaced by
+    bisection; cap = 600 / max|g| keeps exp(lam * g) finite.  At x = g_lo
+    or g_hi the sup is approached as lambda -> -+inf, and the value at the
+    cap is returned as its lower estimate.
     """
     table = _FreeEnergyTable(thetas, g)
     xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
     g_lo, g_hi = float(table.gvals.min()), float(table.gvals.max())
-    caps = _lambda_caps(table.thetas, g)
+    cap = 600.0 / (max(abs(g_lo), abs(g_hi)) or 1.0)
     interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
     boundary = ~interior & (xs >= g_lo) & (xs <= g_hi)
-    lam = np.where(boundary, np.where(xs >= (g_lo + g_hi) / 2.0, caps, -caps), 0.0)
+    lam = np.where(boundary, np.where(xs >= (g_lo + g_hi) / 2.0, cap, -cap), 0.0)
     idx = np.flatnonzero(interior)
-    nodes, x, hi = table.take(idx), xs[idx], caps[idx]
+    nodes, x, hi = table.take(idx), xs[idx], np.full(idx.size, cap)
     target, lo = np.log((x - g_lo) / (g_hi - x)), -hi
     at, slope = np.zeros(idx.size), np.full(idx.size, g_hi - g_lo)
     last_at = last_r = np.full(idx.size, np.nan)

@@ -35,7 +35,6 @@ from geomix.ldp import (
     SolverConfig,
     annealed_free_energy,
     free_energy,
-    free_energy_transfer,
     path_rate,
     rate_function,
 )
@@ -44,6 +43,7 @@ from geomix.moments import (
     uniform_orderstat_product_moment,
     uniform_orderstat_product_moment_exact,
 )
+from oracles import free_energy_transfer
 
 BOUNDS = BoundaryParams(0.0, 2.0)
 

@@ -9,12 +9,10 @@ import pytest
 from conftest import assert_within_se
 import geomix.asymptotics as asymptotics_module
 from geomix.asymptotics import (
-    QuadratureError,
     _grid_local_variance,
     _grid_mean,
     bridge_covariance,
     clt_variances,
-    geometric_tail_bound,
     homogeneous_mean_batch,
     homogeneous_mean_deriv_batch,
     lln_limit,
@@ -32,6 +30,7 @@ from geomix.core import (
     polynomial_function,
 )
 from geomix.fields import phi_identity, phi_one
+from oracles import geometric_tables, truncated_grid
 
 # the g of the exact-clt benchmark workload, eta_1 eta_2 + eta_1^2 eta_2
 EXACT_CLT_G = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
@@ -42,17 +41,16 @@ def at(evaluator, g, rho):
     return float(evaluator(g, np.array([rho]))[0])
 
 
-def test_tail_bound_certifies_truncation():
-    g = indicator_vacuum_function()
-    for theta in (2.0, 3.0):
-        assert geometric_tail_bound(theta, asymptotics_module._truncation(g, theta)) <= 1e-12
-    assert geometric_tail_bound(0.0, 5) == 0.0
+def make_capped_count():
+    # min(n, 3) / 3, saturating at c = 3
+    def evaluator(n):
+        return np.minimum(np.asarray(n, dtype=float), 3.0) / 3.0
+
+    return LocalFunction(k=1, evaluator=evaluator, saturation=3, name="capped-count")
 
 
-def test_truncation_certifies_the_derivative_tail():
-    # the cutoff certifies h' of bounded g as well as its mass tail; at
-    # rho = 0.2 the mass tail alone picks a cutoff (16) whose
-    # d nu/d theta tail is 4e-12
+def test_indicator_derivative_exact_at_small_rho():
+    # h' of indicator-vacuum is an exact sum over the states 0 and n >= 1
     g = indicator_vacuum_function()
     for theta in (0.2, 0.7, 1.8):
         assert at(homogeneous_mean_deriv_batch, g, theta) == pytest.approx(
@@ -81,13 +79,35 @@ def test_homogeneous_mean_unbounded_non_polynomial_rejected():
 
 
 def test_homogeneous_mean_truncation_error():
-    # only bounded g is truncated, and at rho = 1e6 its certified cutoff
-    # lies past 200,000; polynomial g is exact at any rho
-    with pytest.raises(QuadratureError):
-        at(homogeneous_mean_batch, indicator_vacuum_function(), 1e6)
-    with pytest.raises(QuadratureError):
-        at(homogeneous_mean_deriv_batch, indicator_vacuum_function(), 1e6)
+    # polynomial g is exact at any rho
     assert at(homogeneous_mean_batch, density_function(), 1e6) == 1e6
+
+
+def test_indicator_limit_objects_exact_at_large_rho():
+    # the tail state n >= 1 makes h, h' and V finite sums at any rho
+    g, rho = indicator_vacuum_function(), 1e6
+    p = rho / (1 + rho)
+    assert at(homogeneous_mean_batch, g, rho) == pytest.approx(1 / (1 + rho), rel=0, abs=1e-12)
+    assert at(homogeneous_mean_deriv_batch, g, rho) == pytest.approx(
+        -1 / (1 + rho) ** 2, rel=1e-9, abs=1e-12
+    )
+    assert at(local_variance_batch, g, rho) == pytest.approx(p * (1 - p), rel=0, abs=1e-12)
+    var = clt_variances(g, phi_one(), BoundaryParams(5e5, 1e6))
+    assert np.isfinite(var.total) and var.bridge_variance > 0
+
+
+def test_capped_count_limit_objects_closed_forms():
+    # min(n, 3): E = p + p^2 + p^3 (sum of P(n >= j)), E[min^2] = p + 3p^2 + 5p^3;
+    # windows of one site share only themselves, so V is the variance
+    g = make_capped_count()
+    rhos = np.array([0.0, 0.3, 1.0, 2.0, 50.0])
+    p = rhos / (1 + rhos)
+    mean = (p + p**2 + p**3) / 3
+    d_mean = (1 - p) ** 2 * (1 + 2 * p + 3 * p**2) / 3
+    var = (p + 3 * p**2 + 5 * p**3) / 9 - mean**2
+    np.testing.assert_allclose(homogeneous_mean_batch(g, rhos), mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(homogeneous_mean_deriv_batch(g, rhos), d_mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(local_variance_batch(g, rhos), var, rtol=0, atol=1e-14)
 
 
 def test_homogeneous_mean_monte_carlo_consistency(bounds):
@@ -145,10 +165,11 @@ def test_exact_layer_matches_grid_path(g):
         f(g, rhos)
         for f in (homogeneous_mean_batch, homogeneous_mean_deriv_batch, local_variance_batch)
     ]
+    states, (w, dw) = truncated_grid(g, m), geometric_tables(rhos, m)
     grid = [
-        _grid_mean(g, rhos, m),
-        _grid_mean(g, rhos, m, deriv=True),
-        _grid_local_variance(g, rhos, m),
+        _grid_mean(states, w),
+        _grid_mean(states, w, dw),
+        _grid_local_variance(states, w),
     ]
     for e, r in zip(exact, grid):
         np.testing.assert_allclose(e, r, rtol=1e-12, atol=1e-12)

@@ -204,17 +204,81 @@ def test_ldp_requires_bounded_g(tmp_path):
     assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+def read_table(path: Path) -> list[list[float]]:
+    """The rows of a CSV table below its manifest comment and header."""
+    lines = path.read_text().splitlines()[2:]
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
 def test_numeric_error_exit_code(tmp_path):
-    # the 128-state truncation cannot certify its tail at theta = 5,
-    # lambda = 6: e^6 * (5/6)^129 = 2.5e-8 is above the 1e-9 limit
+    # a target profile of 1.5 lies outside the range [0, 1] of
+    # indicator-vacuum, so every solver start meets an infinite rate
+    cfg = base_config(
+        g={"name": "indicator-vacuum"},
+        ldp={
+            "mu": {"name": "const", "value": 1.5},
+            "solver": {"multistart": 1, "grid_size": 20, "max_iterations": 50},
+        },
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["ldp", "profile-rate", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
+    assert not (tmp_path / "y").exists()
+
+
+def test_free_energy_far_in_the_tilt(tmp_path):
+    # F = log((e^lam + theta)/(1 + theta)) holds far in the tilt too
     cfg = base_config(
         bounds={"theta_left": 0.0, "theta_right": 5.0},
         g={"name": "indicator-vacuum"},
         ldp={"theta": 5.0, "lambda_grid": [6.0]},
     )
     path = write_config(tmp_path, cfg)
-    assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
-    assert not (tmp_path / "y").exists()
+    out = tmp_path / "f"
+    assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
+    [[lam, value]] = read_table(out / "free_energy_table.csv")
+    assert value == pytest.approx(math.log((math.exp(6.0) + 5.0) / 6.0), abs=1e-12)
+
+
+def test_ldp_tasks_at_large_theta(tmp_path):
+    # at theta = 50 the states n >= 1 hold mass 50/51; they form one tail
+    # state, so F and the rate are exact there as at small theta
+    cfg = base_config(
+        bounds={"theta_left": 0.0, "theta_right": 50.0},
+        g={"name": "indicator-vacuum"},
+        ldp={"theta": 50.0, "lambda_grid": [-1.0, 0.0, 1.0], "x_grid": [1 / 51, 0.5]},
+    )
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "t"
+    assert main(["ldp", "free-energy", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
+    for lam, value in read_table(out / "free_energy_table.csv"):
+        assert value == pytest.approx(math.log((math.exp(lam) + 50.0) / 51.0), abs=1e-12)
+    assert main(["ldp", "rate", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
+    (_, at_mean), (_, half) = read_table(out / "rate_table.csv")
+    assert at_mean == pytest.approx(0.0, abs=1e-12)
+    # the Bernoulli(1/51) relative entropy of 1/2
+    assert half == pytest.approx(0.5 * math.log(25.5) + 0.5 * math.log(25.5 / 50.0), abs=1e-12)
+
+
+def test_indicator_limit_layer_at_large_theta(tmp_path, capsys):
+    # h(rho) = 1/(1+rho) is an exact two-state sum up to rho = 1e6.  The
+    # left reservoir sits at 1e3: from theta_left = 0 the integrand
+    # 1/(1 + 1e6 x) is too steep at x = 0 for the uniform panels
+    cfg = base_config(
+        bounds={"theta_left": 1e3, "theta_right": 1e6},
+        g={"name": "indicator-vacuum"},
+        lln={"n_ladder": [1000, 10000], "replicas": 100},
+        clt={"n_sites": 1000, "replicas": 2000},
+    )
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "l"
+    code = main(["verify", "lln", "--config", path, "--out-dir", str(out)])
+    assert code in (EXIT_PASS, EXIT_VERDICT)
+    summary = json.loads((out / "lln_summary.json").read_text())
+    assert summary["limit"] == pytest.approx(math.log((1 + 1e6) / (1 + 1e3)) / (1e6 - 1e3), abs=1e-9)
+    # the CLT variances are computed too; the exact mixture mean that
+    # centres the CLT field is then refused, as for any non-polynomial g
+    assert main(["verify", "clt", "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "exact mixture means require a polynomial" in capsys.readouterr().err
 
 
 def test_quartic_polynomial_lln_is_exact(tmp_path):

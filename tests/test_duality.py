@@ -10,13 +10,9 @@ from geomix.core import (
     configuration_batch,
     profile_batch,
 )
-from geomix.duality import (
-    DualConfiguration,
-    duality_expectation,
-    duality_polynomial_batch,
-    le_deviation,
-)
+from geomix.duality import le_deviation
 from geomix.moments import theta_product_moment
+from oracles import DualConfiguration, duality_expectation, duality_polynomial_batch
 
 
 def test_polynomial_values():
@@ -38,9 +34,13 @@ def test_polynomial_batch_matches_scalar():
         assert batch[row] == float(scalar)
 
 
-def test_dual_mass_cap():
+def test_dual_mass_cap(bounds):
     with pytest.raises(ValueError):
         DualConfiguration({1: 21})
+    with pytest.raises(ValueError, match="dual mass"):
+        le_deviation(0.5, [20, 1], 100, bounds)
+    with pytest.raises(ValueError, match="multiplicities"):
+        le_deviation(0.5, [2, -1], 100, bounds)
 
 
 def test_expectation_single_particle(bounds):

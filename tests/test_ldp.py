@@ -1,11 +1,9 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from geomix.asymptotics import _weight_tables
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
@@ -22,8 +20,6 @@ from geomix.ldp import (
     VariationalResult,
     annealed_free_energy,
     free_energy,
-    free_energy_finite_chain,
-    free_energy_transfer,
     inhom_free_energy,
     path_rate,
     profile_rate,
@@ -31,13 +27,14 @@ from geomix.ldp import (
     rate_function_batch,
     _legendre,
 )
+from oracles import free_energy_finite_chain, free_energy_transfer, geometric_tables
 
 
 def make_pair_vacuum():
     def evaluator(a, b):
         return ((np.asarray(a) == 0) & (np.asarray(b) == 0)).astype(float)
 
-    return LocalFunction(k=2, evaluator=evaluator, bounded=True, bound=1.0, name="pair-vacuum")
+    return LocalFunction(k=2, evaluator=evaluator, saturation=1, name="pair-vacuum")
 
 
 def make_capped_count():
@@ -45,7 +42,7 @@ def make_capped_count():
     def evaluator(n):
         return np.minimum(np.asarray(n, dtype=float), 3.0) / 3.0
 
-    return LocalFunction(k=1, evaluator=evaluator, bounded=True, bound=1.0, name="capped-count")
+    return LocalFunction(k=1, evaluator=evaluator, saturation=3, name="capped-count")
 
 
 def free_energy_at(theta, lam, g):
@@ -77,8 +74,7 @@ def test_site_free_energy_of_constant_is_linear():
     g = LocalFunction(
         k=1,
         evaluator=lambda n: np.full_like(np.asarray(n, dtype=float), 0.7),
-        bounded=True,
-        bound=0.7,
+        saturation=0,
         name="const",
     )
     for lam in (-2.0, 0.4, 3.0):
@@ -88,9 +84,32 @@ def test_site_free_energy_of_constant_is_linear():
 def test_free_energy_requires_bounded_g():
     from geomix.core import density_function
 
-    for evaluate in (free_energy, rate_function, free_energy_transfer):
-        with pytest.raises(ValueError, match="bounded"):
+    for evaluate in (free_energy, rate_function):
+        with pytest.raises(ValueError, match="saturation"):
             evaluate(1.0, 0.5, density_function())
+
+
+@pytest.mark.parametrize(
+    "evaluator, k",
+    [
+        (lambda n: np.asarray(n) % 2.0, 1),
+        # saturates on the first axis only
+        (lambda a, b: (np.asarray(a) == 0) * (np.asarray(b) % 2.0), 2),
+    ],
+    ids=["parity", "second-axis"],
+)
+def test_wrong_saturation_is_refused(evaluator, k):
+    g = LocalFunction(k=k, evaluator=evaluator, saturation=1, name="unsaturated")
+    with pytest.raises(ValueError, match="does not saturate"):
+        free_energy(1.0, 0.5, g)
+    with pytest.raises(ValueError, match="does not saturate"):
+        rate_function(1.0, 0.5, g)
+
+
+@pytest.mark.parametrize("c", [-1, 1.5, True, "2"])
+def test_saturation_must_be_a_non_negative_integer(c):
+    with pytest.raises(ValueError, match="saturation"):
+        LocalFunction(k=1, evaluator=lambda n: np.minimum(n, 1), saturation=c)
 
 
 def test_transfer_stochastic_kernel_at_zero_tilt(ind_g):
@@ -108,9 +127,10 @@ def test_transfer_reduces_to_site_form(ind_g):
 
 def test_free_energy_closed_forms_including_theta_zero(ind_g):
     # indicator-vacuum: F = log((e^lam + theta)/(1 + theta)) with
-    # dF/dlambda = e^lam/(e^lam + theta), dF/dtheta = 1/(e^lam + theta) - 1/(1 + theta)
-    thetas = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 1.0])
-    lams = np.array([-1.5, 0.0, 2.0, 0.3, 0.7, -1.1, -6.0])
+    # dF/dlambda = e^lam/(e^lam + theta), dF/dtheta = 1/(e^lam + theta) - 1/(1 + theta);
+    # the tail state n >= 1 carries mass p exactly, at large theta too
+    thetas = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 1.0, 50.0, 50.0, 50.0, 1e6, 1e6, 1e6])
+    lams = np.array([-1.5, 0.0, 2.0, 0.3, 0.7, -1.1, -6.0, -6.0, 0.0, 6.0, -1.0, 0.5, 6.0])
     f, f_lam, f_theta = free_energy(thetas, lams, ind_g)
     e = np.exp(lams)
     assert f == pytest.approx(np.log((e + thetas) / (1 + thetas)), abs=1e-12)
@@ -125,7 +145,7 @@ def test_transfer_derivatives_match_central_differences():
     f, f_lam, f_theta = free_energy(thetas, lams, g)
     h = 1e-5
     for i, (theta, lam) in enumerate(zip(thetas, lams)):
-        assert f[i] == free_energy_transfer(theta, lam, g)
+        assert f[i] == pytest.approx(free_energy_transfer(theta, lam, g), abs=1e-12)
         d_lam = (free_energy_transfer(theta, lam + h, g) - free_energy_transfer(theta, lam - h, g)) / (2 * h)
         d_theta = (free_energy_transfer(theta + h, lam, g) - free_energy_transfer(theta - h, lam, g)) / (2 * h)
         assert f_lam[i] == pytest.approx(d_lam, abs=1e-8)
@@ -158,7 +178,7 @@ def test_lambda_convexity(ind_g):
 
 
 def test_rate_vanishes_at_the_mean(ind_g):
-    for theta in (0.5, 1.0, 2.0):
+    for theta in (0.5, 1.0, 2.0, 50.0):
         mean = 1 / (1 + theta)
         assert abs(rate_function(theta, mean, ind_g)) < 1e-8
 
@@ -231,12 +251,14 @@ def test_rate_over_an_x_grid_is_the_per_x_loop(make_g):
 @pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
 def test_level_masses_match_the_weight_table(make_g):
     # closed-form run masses against nu and d nu/d theta summed state by
-    # state over each level set of g, at theta = 0, a large theta and random ones
+    # state over each level set of g, at theta = 0, a large theta and random
+    # ones; at theta = 50 the states n > 4000 hold (50/51)**4001 < 1e-34
     rng = np.random.default_rng(17)
     thetas = np.concatenate(([0.0, 50.0], rng.uniform(0.0, 2.0, 200)))
     table = ldp_module._FreeEnergyTable(thetas, make_g())
-    w, dw = _weight_tables(thetas, ldp_module._M_STATE)
-    gvals = table.gvals.ravel()
+    cutoff = 4000
+    w, dw = geometric_tables(thetas, cutoff)
+    gvals = make_g()(np.arange(cutoff + 1))
     mass = np.stack([w[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
     d_mass = np.stack([dw[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
     np.testing.assert_allclose(table.mass, mass, rtol=1e-14, atol=0.0)
@@ -245,8 +267,7 @@ def test_level_masses_match_the_weight_table(make_g):
 
 def test_run_table_budget_counts_runs_not_states():
     # indicator-vacuum has two runs, so 300 000 nodes build a (300000, 2)
-    # table, bit-identical to two batches of 150 000, where a table over
-    # the 129 states would hold 3.9e7 cells, above the 2**25 budget
+    # table, bit-identical to two batches of 150 000
     n = 300_000
     thetas = np.linspace(0.05, 2.0, n)
     lams = np.linspace(-1.0, 1.0, n)
@@ -255,24 +276,11 @@ def test_run_table_budget_counts_runs_not_states():
     halves = [free_energy(thetas[s], lams[s], g) for s in (slice(0, n // 2), slice(n // 2, n))]
     for w, a, b in zip(whole, *halves):
         assert np.array_equal(w, np.concatenate([a, b]))
-    # n mod 2 has 129 runs: the 300000 x 129 run table is refused unbuilt
-    parity = LocalFunction(
-        k=1, evaluator=lambda n: np.asarray(n) % 2.0, bounded=True, bound=1.0, name="parity"
-    )
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="cells"):
-            free_energy(thetas, lams, parity)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
 
 
-def bisection_legendre(thetas, xs, g, steps=200):
-    """Oracle: bisect dF/dlambda = x over each node's certified lambda range."""
-    caps = ldp_module._lambda_caps(thetas, g)
-    lo, hi = -caps, caps.copy()
+def bisection_legendre(thetas, xs, g, bracket, steps=200):
+    """Oracle: bisect dF/dlambda = x over lambda in [-bracket, bracket]."""
+    lo, hi = np.full(thetas.size, -bracket), np.full(thetas.size, bracket)
     for _ in range(steps):
         mid = (lo + hi) / 2.0
         below = free_energy(thetas, mid, g)[1] < xs
@@ -293,7 +301,8 @@ def test_legendre_matches_bisection(g, x_range):
     # next to the range edges the maximizer runs far out in lambda
     xs[:2] = (1e-9, 1.0 - 1e-9)
     rates, lams, _ = _legendre(thetas, xs, g)
-    oracle_rates, oracle_lams = bisection_legendre(thetas, xs, g)
+    # |g| <= 1, so exp(lambda * g) stays finite on [-600, 600]
+    oracle_rates, oracle_lams = bisection_legendre(thetas, xs, g, bracket=600.0)
     assert np.all(np.isfinite(rates))
     assert rates == pytest.approx(oracle_rates, abs=1e-12)
     assert lams[2:] == pytest.approx(oracle_lams[2:], abs=1e-9)
@@ -316,6 +325,12 @@ def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_g, monkeypatc
     q = 1.0 / (1.0 + thetas)
     expected = xs * np.log(xs / q) + (1 - xs) * np.log((1 - xs) / (1 - q))
     assert rates == pytest.approx(expected, abs=1e-12)
+
+
+def test_free_energy_overflow_raises(ind_g):
+    # exp(800) overflows a double; F = 800 - log(2) is not computed as inf
+    with pytest.raises(NumericError, match="floating-point range"):
+        free_energy(1.0, 800.0, ind_g)
 
 
 def test_legendre_iteration_cap_raises(monkeypatch):
