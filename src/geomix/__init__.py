@@ -5,8 +5,8 @@ whose site parameters are themselves random: they are distributed as the
 order statistics of independent uniforms on the reservoir interval
 [theta_left, theta_right].  The package provides
 
-* seeded samplers for the parameter profile and the occupation
-  configuration (:mod:`geomix.core`),
+* seeded batch samplers for the parameter profiles and the occupation
+  configurations, one replica per row (:mod:`geomix.core`),
 * closed-form moments of uniform order statistics and of geometric
   marginals (:mod:`geomix.moments`),
 * fields of local functions on configurations (:mod:`geomix.fields`),
@@ -23,26 +23,18 @@ order statistics of independent uniforms on the reservoir interval
 
 from geomix.core import (
     BoundaryParams,
-    Configuration,
     LocalFunction,
-    ParameterProfile,
     RandomSeed,
-    geometric_pmf,
-    sample_configuration,
-    sample_ness,
-    sample_parameter_profile,
+    configuration_batch,
+    profile_batch,
 )
 
 __all__ = [
     "BoundaryParams",
-    "Configuration",
     "LocalFunction",
-    "ParameterProfile",
     "RandomSeed",
-    "geometric_pmf",
-    "sample_configuration",
-    "sample_ness",
-    "sample_parameter_profile",
+    "configuration_batch",
+    "profile_batch",
 ]
 
 __version__ = "0.1.0"

@@ -29,11 +29,12 @@ from geomix.core import (
     BoundaryParams,
     LocalFunction,
     RandomSeed,
+    configuration_batch,
     density_function,
     indicator_vacuum_function,
     pair_product_function,
     polynomial_function,
-    sample_ness,
+    profile_batch,
 )
 from geomix.fields import TestFunction, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
@@ -102,12 +103,14 @@ def _integer(value) -> bool:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # a finite double: json reads NaN and Infinity, and an integer can lie
+    # beyond the double range
+    return (_integer(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 # the JSON type of each leaf key, by the words that name it in an error
-_INT, _NUM, _STR = "an integer", "a number", "a string"
-_INTS, _NUMS = "a list of integers", "a list of numbers"
+_INT, _NUM, _STR = "an integer", "a finite number", "a string"
+_INTS, _NUMS = "a list of integers", "a list of finite numbers"
 _IS_TYPE = {
     _INT: _integer,
     _NUM: _number,
@@ -373,15 +376,16 @@ class _Run:
 
 def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
     n_sites = int(cfg["sample"]["n_sites"])
-    profile, configuration = sample_ness(n_sites, build_bounds(cfg["bounds"]), run.seed)
-    rows = [
-        (i + 1, profile.values[i], int(configuration.occupations[i]))
-        for i in range(n_sites)
-    ]
+    if n_sites < 1:
+        raise ConfigError(f"sample.n_sites must be >= 1, got {n_sites}")
+    bounds = build_bounds(cfg["bounds"])
+    thetas = profile_batch(n_sites, bounds, run.seed.substream(0).generator(), 1)[0]
+    etas = configuration_batch(thetas, run.seed.substream(1).generator())
+    rows = [(i + 1, thetas[i], int(etas[i])) for i in range(n_sites)]
     run.csv("sample_table.csv", ["site", "theta", "eta"], rows)
     run.summary(
         "sample_summary.json",
-        verdicts={"sorted": bool(np.all(np.diff(profile.values) >= 0))},
+        verdicts={"sorted": bool(np.all(np.diff(thetas) >= 0))},
         payload={"n_sites": n_sites},
     )
     run.manifest("sample_manifest.json")

@@ -1,13 +1,15 @@
-"""Probabilistic building blocks: geometric marginals, ordered parameter
-profiles, and the mixture sampler.
+"""Probabilistic building blocks: reservoir bounds, seeded streams, local
+functions, and the two batch samplers of the mixture.
 
 A steady-state sample is produced in two layers.  First the local
 parameters (Theta_1, ..., Theta_N) are drawn as the order statistics of N
-independent uniforms on [theta_left, theta_right].  Second, conditionally
-on that profile, site i receives an independent geometric number of
-particles with mean Theta_i.  All sampling is driven by counter-based
-streams so that results are bit-reproducible for a given seed, replica by
-replica, regardless of how work is scheduled.
+independent uniforms on [theta_left, theta_right] (:func:`profile_batch`).
+Second, conditionally on that profile, site i receives an independent
+geometric number of particles with mean Theta_i
+(:func:`configuration_batch`).  Both take a batch of replicas, one per
+row.  All sampling is driven by counter-based streams so that results are
+bit-reproducible for a given seed, replica by replica, regardless of how
+work is scheduled.
 """
 
 from __future__ import annotations
@@ -20,17 +22,11 @@ import numpy as np
 __all__ = [
     "BoundaryParams",
     "RandomSeed",
-    "ParameterProfile",
-    "Configuration",
     "LocalFunction",
     "density_function",
     "pair_product_function",
     "indicator_vacuum_function",
     "polynomial_function",
-    "geometric_pmf",
-    "sample_parameter_profile",
-    "sample_configuration",
-    "sample_ness",
     "profile_batch",
     "sorted_profile",
     "configuration_batch",
@@ -119,48 +115,6 @@ def _after_draws(rng: np.random.Generator, draws: int) -> np.random.Generator:
     bits = np.random.Philox(counter=draws // 4, key=state["state"]["key"])
     bits.random_raw(draws % 4)
     return np.random.Generator(bits)
-
-
-@dataclass(frozen=True, eq=False)
-class ParameterProfile:
-    """A sorted realization of the N local parameters."""
-
-    values: np.ndarray
-    bounds: BoundaryParams
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("profile values must be a non-empty 1-d array")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("profile values must be non-decreasing")
-        lo, hi = self.bounds.theta_left, self.bounds.theta_right
-        if vals[0] < lo - 1e-12 or vals[-1] > hi + 1e-12:
-            raise ValueError("profile values must lie in [theta_left, theta_right]")
-
-    @property
-    def n_sites(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """Occupation numbers of the N sites."""
-
-    occupations: np.ndarray
-
-    def __post_init__(self) -> None:
-        occ = np.asarray(self.occupations, dtype=np.int64)
-        object.__setattr__(self, "occupations", occ)
-        if occ.ndim != 1 or occ.size < 1:
-            raise ValueError("occupations must be a non-empty 1-d array")
-        if np.any(occ < 0):
-            raise ValueError("occupations must be non-negative")
-
-    @property
-    def n_sites(self) -> int:
-        return self.occupations.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,25 +227,6 @@ def indicator_vacuum_function() -> LocalFunction:
     return LocalFunction(k=1, evaluator=evaluator, saturation=1, name="indicator-vacuum")
 
 
-def geometric_pmf(theta: float, n) -> np.ndarray | float:
-    """Probability of ``n`` particles under the geometric law with mean theta.
-
-    The law is (1/(1+theta)) * (theta/(1+theta))**n on n = 0, 1, 2, ...;
-    theta = 0 is the point mass at zero.
-    """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 0):
-        raise ValueError("n must be >= 0")
-    if theta == 0.0:
-        out = np.where(n_arr == 0, 1.0, 0.0)
-    else:
-        p = theta / (1.0 + theta)
-        out = (1.0 - p) * p ** n_arr.astype(float)
-    return float(out) if np.isscalar(n) else out
-
-
 def profile_batch(
     n_sites: int, bounds: BoundaryParams, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -339,32 +274,3 @@ def configuration_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndar
     keep the counts as float64; both hold the same integers."""
     thetas = np.asarray(thetas, dtype=float)
     return _geometric_counts(thetas, rng.random(thetas.shape)).astype(np.int64)
-
-
-def sample_parameter_profile(
-    n_sites: int, bounds: BoundaryParams, seed: RandomSeed
-) -> ParameterProfile:
-    """Draw one sorted parameter profile of length ``n_sites``."""
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    values = profile_batch(n_sites, bounds, seed.generator(), size=1)[0]
-    return ParameterProfile(values=values, bounds=bounds)
-
-
-def sample_configuration(profile: ParameterProfile, seed: RandomSeed) -> Configuration:
-    """Draw one configuration from the product of geometrics at ``profile``."""
-    occ = configuration_batch(profile.values, seed.generator())
-    return Configuration(occupations=occ)
-
-
-def sample_ness(
-    n_sites: int, bounds: BoundaryParams, seed: RandomSeed
-) -> tuple[ParameterProfile, Configuration]:
-    """Draw one steady-state sample: hidden profile plus configuration.
-
-    The profile and the configuration use separate substreams of ``seed``
-    so that either layer can be reproduced independently.
-    """
-    profile = sample_parameter_profile(n_sites, bounds, seed.substream(0))
-    configuration = sample_configuration(profile, seed.substream(1))
-    return profile, configuration

@@ -9,15 +9,15 @@ alpha_1, ..., alpha_N and partial sums S_j = alpha_1 + ... + alpha_j,
 Moments of the rescaled parameters and window product moments reduce to
 this by binomial expansion; geometric raw moments are polynomials in the
 mean, with Stirling-number coefficients.
-Evaluation is done in log space to stay finite for N up to 10^6; an
-exact-rational path exists for N <= 64 and is used in unit tests.
+A window's moment at start s needs only its k sites: the sites before it
+and after it collapse into Gamma ratios, evaluated in log space so that
+they stay finite for N up to 10^6.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,9 +26,6 @@ import numpy as np
 from geomix.core import BoundaryParams
 
 __all__ = [
-    "uniform_orderstat_product_moment",
-    "uniform_orderstat_product_moment_exact",
-    "uniform_orderstat_moment",
     "theta_marginals",
     "theta_window_moments",
     "theta_product_moment",
@@ -48,36 +45,6 @@ def _check_exponents(exps: Sequence[int]) -> np.ndarray:
     if arr.size and (np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer)):
         raise ValueError("exponents must be natural numbers")
     return arr.astype(np.int64)
-
-
-def uniform_orderstat_product_moment(n: int, exps: Sequence[int]) -> float:
-    """E[ prod_j U_{j:N}^{alpha_j} ] for the order statistics of n uniforms.
-
-    ``exps`` must have length n.  Computed as
-    exp(lgamma(n+1) - sum_j log(S_j + j)) with S_j the exponent partial
-    sums, which telescopes the Gamma-ratio form of the identity.
-    """
-    alphas = _check_exponents(exps)
-    if alphas.size != n:
-        raise ValueError(f"exponent vector has length {alphas.size}, expected {n}")
-    partial = np.cumsum(alphas, dtype=np.int64)
-    j = np.arange(1, n + 1, dtype=np.int64)
-    return math.exp(math.lgamma(n + 1) - float(np.sum(np.log(partial + j))))
-
-
-def uniform_orderstat_product_moment_exact(n: int, exps: Sequence[int]) -> Fraction:
-    """Exact-rational evaluation of the product moment; n <= 64."""
-    if n > 64:
-        raise ValueError("exact-rational path is limited to n <= 64")
-    alphas = _check_exponents(exps)
-    if alphas.size != n:
-        raise ValueError(f"exponent vector has length {alphas.size}, expected {n}")
-    value = Fraction(math.factorial(n))
-    s = 0
-    for j, a in enumerate(alphas, start=1):
-        s += int(a)
-        value /= s + j
-    return value
 
 
 def _window_log_moment(n: int, starts: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -103,17 +70,6 @@ def _window_log_moment(n: int, starts: np.ndarray, exps: np.ndarray) -> np.ndarr
     before = np.array([math.lgamma(s) for s in starts.tolist()])
     ends = np.array([math.lgamma(s + total + k) for s in starts.tolist()])
     return math.lgamma(n + 1) - (before + inside + (math.lgamma(total + n + 1) - ends))
-
-
-def uniform_orderstat_moment(r: int, n: int, power: int) -> float:
-    """E[U_{r:N}^k]: the single-index moment r(r+1)...(r+k-1)/((N+1)...(N+k))."""
-    if not 1 <= r <= n:
-        raise ValueError(f"index r={r} out of range 1..{n}")
-    if power < 0:
-        raise ValueError("power must be a natural number")
-    if power == 0:
-        return 1.0
-    return math.exp(_window_log_moment(n, np.array([r]), np.array([power]))[0])
 
 
 def theta_marginals(n: int, bounds: BoundaryParams) -> tuple[np.ndarray, np.ndarray]:

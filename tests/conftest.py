@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomix.core import BoundaryParams, RandomSeed
+from geomix.moments import theta_product_moment
 
 
 @pytest.fixture
@@ -27,6 +28,17 @@ def assert_within_se(estimate, target, se, n_se, label=""):
         f"{label}: estimate {estimate} vs target {target} "
         f"deviates by {gap / np.where(se > 0, se, 1.0)} se (band {n_se})"
     )
+
+
+def orderstat_product_moment(exps) -> float:
+    """E[ prod_j U_{j:N}^{e_j} ] for a full exponent vector of length N:
+    :func:`theta_product_moment` on unit bounds over the window from the
+    first to the last nonzero exponent (1 when there is none)."""
+    support = np.flatnonzero(exps)
+    if support.size == 0:
+        return 1.0
+    a, b = int(support[0]), int(support[-1]) + 1
+    return theta_product_moment(a + 1, exps[a:b], len(exps), BoundaryParams(0.0, 1.0))
 
 
 @pytest.fixture

@@ -2,9 +2,10 @@
 
 They compute the same objects as the library by other means: free
 energies by dense eigenvalues and finite-chain transfer sums over the
-states 0..128, state sums over a truncated grid, and duality polynomials
-and their expectations from a sparse dual configuration.  None of them is
-reached by the program itself.
+states 0..128, state sums over a truncated grid, order-statistic product
+moments as exact rationals over the full exponent vector, and duality
+polynomials and their expectations from a sparse dual configuration.
+None of them is reached by the program itself.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from typing import Mapping
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -86,6 +88,20 @@ def free_energy_finite_chain(theta: float, lam: float, g: LocalFunction, n_sites
     for _ in range(k - 2):
         marginal = np.multiply.outer(marginal, w)
     return (log_total + math.log(float(np.sum(marginal * v)))) / n_sites
+
+
+def uniform_orderstat_product_moment_exact(n: int, exps: Sequence[int]) -> Fraction:
+    """E[ prod_j U_{j:N}^{alpha_j} ] for the order statistics of n uniforms,
+    as the exact rational N! * prod_j 1/(S_j + j), with S_j the partial
+    sums of the n exponents ``exps``."""
+    if len(exps) != n:
+        raise ValueError(f"exponent vector has length {len(exps)}, expected {n}")
+    value = Fraction(math.factorial(n))
+    s = 0
+    for j, a in enumerate(exps, start=1):
+        s += int(a)
+        value /= s + j
+    return value
 
 
 @dataclass(frozen=True)

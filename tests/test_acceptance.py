@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import orderstat_product_moment
 from geomix.cli import main as cli_main
 from geomix.core import (
     BoundaryParams,
@@ -38,14 +39,11 @@ from geomix.ldp import (
     path_rate,
     rate_function,
 )
-from geomix.moments import (
-    uniform_orderstat_moment,
-    uniform_orderstat_product_moment,
-    uniform_orderstat_product_moment_exact,
-)
-from oracles import free_energy_transfer
+from geomix.moments import theta_product_moment
+from oracles import free_energy_transfer, uniform_orderstat_product_moment_exact
 
 BOUNDS = BoundaryParams(0.0, 2.0)
+UNIT = BoundaryParams(0.0, 1.0)
 
 
 def _report(number: int, name: str, passed: bool, detail: str, started: float) -> None:
@@ -77,7 +75,7 @@ def test_criterion_1_exact_moment_oracle():
         support = np.nonzero(exps)[0]
         prods = np.prod(u[:, support] ** exps[support][None, :], axis=1)
         se = prods.std(ddof=1) / math.sqrt(prods.size)
-        dev = abs(prods.mean() - uniform_orderstat_product_moment(n, exps)) / se
+        dev = abs(prods.mean() - orderstat_product_moment(exps)) / se
         worst = max(worst, dev)
     mc_ok = worst < 4.0
 
@@ -92,7 +90,7 @@ def test_criterion_1_exact_moment_oracle():
                     target *= Fraction(r + j, n + 1 + j)
                 if uniform_orderstat_product_moment_exact(n, exps) != target:
                     exact_ok = False
-                rel = abs(uniform_orderstat_moment(r, n, k) - float(target)) / float(target)
+                rel = abs(theta_product_moment(r, [k], n, UNIT) - float(target)) / float(target)
                 if rel > 1e-12:
                     exact_ok = False
     _report(

@@ -6,7 +6,17 @@ from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def _defined(module, is_kind) -> set[str]:
+    """The public names of ``module`` bound to objects of a kind that it defines."""
+    return {
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_") and is_kind(obj) and obj.__module__ == module.__name__
+    }
 
 
 @pytest.mark.parametrize(
@@ -16,14 +26,25 @@ def test_module_exports_match_definitions(name):
     # every public function or class a library module defines is exported,
     # and nothing else is
     module = importlib.import_module(f"geomix.{name}")
-    defined = {
-        attr
-        for attr, obj in vars(module).items()
-        if not attr.startswith("_")
-        and (inspect.isfunction(obj) or inspect.isclass(obj))
-        and obj.__module__ == module.__name__
-    }
+    defined = _defined(module, lambda obj: inspect.isfunction(obj) or inspect.isclass(obj))
     assert sorted(module.__all__) == sorted(defined)
+
+
+def test_benchmark_metric_names_reach_public_functions():
+    # each three-part per-layer metric layer.function.stat reads the spans
+    # of a public function; one that names a deleted function would read a
+    # constant 0.  harness.run and cli.write sum the run_* and write_*
+    # functions of their layer.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    triples = [parts for m in spec["per_layer"] if len(parts := m["name"].split(".")) == 3]
+    assert triples
+    for layer, function, _ in triples:
+        # the functions a span trace wraps
+        public = _defined(importlib.import_module(f"geomix.{layer}"), inspect.isfunction)
+        if (layer, function) in (("harness", "run"), ("cli", "write")):
+            assert any(f.startswith(f"{function}_") for f in public), f"{layer}.{function}_*"
+        else:
+            assert function in public, f"{layer}.{function}"
 
 
 def test_readme_library_example_runs(capsys):

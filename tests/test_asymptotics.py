@@ -24,7 +24,6 @@ from geomix.core import (
     RandomSeed,
     configuration_batch,
     density_function,
-    geometric_pmf,
     indicator_vacuum_function,
     pair_product_function,
     polynomial_function,
@@ -210,7 +209,7 @@ def test_local_variance_pair_against_enumeration():
     rho = 1.0
     m = 60
     n = np.arange(m + 1)
-    w = geometric_pmf(rho, n)
+    w = geometric_tables(rho, m)[0][0]
     mean_pair = float((n * w).sum() ** 2)
     second = float((n**2 * w).sum())
     first = float((n * w).sum())
@@ -227,7 +226,7 @@ def test_local_variance_pair_triple_loop_oracle():
     # fully independent enumeration of cov(g(eta_2, eta_3), g(eta_m, eta_m+1))
     rho, m = 0.8, 40
     n = np.arange(m + 1)
-    w = geometric_pmf(rho, n)
+    w = geometric_tables(rho, m)[0][0]
     g = lambda a, b: a * b
     total = 0.0
     mean = float(sum(g(a, b) * w[a] * w[b] for a in n for b in n))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geomix import cli
-from geomix.core import RandomSeed
+from geomix.core import BoundaryParams, RandomSeed, configuration_batch, profile_batch
 from geomix.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -75,6 +75,26 @@ def test_sample_equilibrium_theta_column_constant(tmp_path):
     assert main(["sample", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
     lines = (out / "sample_table.csv").read_text().strip().splitlines()[2:]
     assert all(float(line.split(",")[1]) == 1.0 for line in lines)
+
+
+def test_sample_draws_from_fixed_substreams(tmp_path, capsys):
+    # the profile comes from substream 0 of the seed and its configuration
+    # from substream 1, each drawn by the batch sampler as one replica
+    path = write_config(tmp_path, base_config(sample={"n_sites": 50}))
+    out = tmp_path / "s"
+    assert main(["sample", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
+    rows = [line.split(",") for line in (out / "sample_table.csv").read_text().splitlines()[2:]]
+    seed = RandomSeed(11, 0)
+    thetas = profile_batch(50, BoundaryParams(0.0, 2.0), seed.substream(0).generator(), 1)[0]
+    etas = configuration_batch(thetas, seed.substream(1).generator())
+    assert [row[1] for row in rows] == [repr(float(t)) for t in thetas]
+    assert [row[2] for row in rows] == [repr(int(e)) for e in etas]
+    for n_sites in (0, -3):
+        path = write_config(tmp_path, base_config(sample={"n_sites": n_sites}))
+        empty = tmp_path / f"empty{n_sites}"
+        assert main(["sample", "--config", path, "--out-dir", str(empty)]) == EXIT_CONFIG
+        assert "sample.n_sites" in capsys.readouterr().err
+        assert not empty.exists()
 
 
 def test_verify_le_scaling_passes(tmp_path):
@@ -351,11 +371,22 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         # a dual window without particles has E[D] = 1 = rho^0 at every N
         (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [], "n_ladder": [128, 256, 512]}}),
         (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [0], "n_ladder": [128, 256, 512]}}),
+        # json reads NaN and Infinity: every number key refuses them
+        (["verify", "concentration"],
+         {"concentration": {"n_ladder": [10, 100], "replicas": 10000, "eps": [math.nan, 0.5]}}),
+        (["verify", "lln"], {"phi": {"name": "const", "value": math.nan},
+                             "lln": {"n_ladder": [100, 1000], "replicas": 10}}),
+        (["verify", "lln"], {"phi": {"name": "poly", "coefficients": [1.0, math.inf]},
+                             "lln": {"n_ladder": [100, 1000], "replicas": 10}}),
+        (["verify", "lln"], {"g": {"name": "custom-polynomial", "k": 1,
+                                   "terms": [{"exps": [1], "coef": math.nan}]},
+                             "lln": {"n_ladder": [100, 1000], "replicas": 10}}),
     ],
     ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "ladder-decreasing",
          "empty-grid", "grid-above-one", "grid-at-one", "seed-list", "one-replica", "zero-sites", "no-starts",
          "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
-         "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles"],
+         "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles",
+         "nan-eps", "nan-phi-value", "inf-phi-coefficient", "nan-term-coef"],
 )
 def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))
@@ -430,8 +461,14 @@ def test_misspelt_table_keys_are_config_errors(tmp_path, capsys, command, overri
          "concentration.eps"),
         (["verify", "clt"], {"clt": {"n_sites": 100, "replicas": True}}, "clt.replicas"),
         (["verify", "lln"], {"lln": {"n_ladder": [100, "1000"], "replicas": 10}}, "lln.n_ladder"),
+        (["verify", "concentration"],
+         {"concentration": {"n_ladder": [10, 100], "replicas": 10000, "eps": [0.5, -math.inf]}},
+         "concentration.eps"),
+        (["sample"], {"bounds": {"theta_left": 0.0, "theta_right": 10**400},
+                      "sample": {"n_sites": 10}}, "bounds.theta_right"),
     ],
-    ids=["null-for-int", "int-for-list", "float-for-list", "bool-for-int", "string-in-list"],
+    ids=["null-for-int", "int-for-list", "float-for-list", "bool-for-int", "string-in-list",
+         "infinity-in-list", "integer-beyond-double"],
 )
 def test_wrong_value_types_are_config_errors(tmp_path, capsys, command, overrides, key):
     path = write_config(tmp_path, base_config(**overrides))

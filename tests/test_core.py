@@ -7,39 +7,29 @@ from scipy.stats import beta as beta_dist
 from conftest import assert_within_se
 from geomix.core import (
     BoundaryParams,
-    Configuration,
-    ParameterProfile,
     RandomSeed,
     _after_draws,
     _geometric_counts,
     configuration_batch,
-    geometric_pmf,
     profile_batch,
-    sample_configuration,
-    sample_ness,
-    sample_parameter_profile,
 )
 from geomix.moments import theta_product_moment
+from oracles import geometric_tables
 
 
 def test_pmf_values():
-    assert geometric_pmf(1.0, 0) == 0.5
-    assert geometric_pmf(2.0, 1) == pytest.approx(2.0 / 9.0, rel=1e-15)
-    assert geometric_pmf(0.0, 0) == 1.0
-    assert geometric_pmf(0.0, 3) == 0.0
+    # the oracle's pmf rows, which the site-law tests read as the geometric law
+    assert geometric_tables(1.0, 0)[0][0][0] == 0.5
+    assert geometric_tables(2.0, 1)[0][0][1] == pytest.approx(2.0 / 9.0, rel=1e-15)
+    assert geometric_tables(0.0, 3)[0][0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_pmf_normalizes_and_has_mean_theta():
     n = np.arange(2000)
     for theta in (0.3, 1.0, 2.0):
-        p = geometric_pmf(theta, n)
+        p = geometric_tables(theta, 1999)[0][0]
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert (n * p).sum() == pytest.approx(theta, abs=1e-9)
-
-
-def test_pmf_rejects_negative_theta():
-    with pytest.raises(ValueError):
-        geometric_pmf(-0.1, 0)
 
 
 def test_boundary_params_invariants():
@@ -52,25 +42,29 @@ def test_boundary_params_invariants():
 
 def test_profiles_are_sorted_and_in_range(bounds):
     for stream in range(5):
-        prof = sample_parameter_profile(64, bounds, RandomSeed(3, stream))
-        assert np.all(np.diff(prof.values) >= 0)
-        assert prof.values[0] >= bounds.theta_left
-        assert prof.values[-1] <= bounds.theta_right
+        prof = profile_batch(64, bounds, RandomSeed(3, stream).generator(), 1)[0]
+        assert np.all(np.diff(prof) >= 0)
+        assert prof[0] >= bounds.theta_left
+        assert prof[-1] <= bounds.theta_right
 
 
 def test_degenerate_interval_profile():
-    prof = sample_parameter_profile(1, BoundaryParams(1.5, 1.5), RandomSeed(0, 0))
-    assert prof.values.tolist() == [1.5]
+    prof = profile_batch(1, BoundaryParams(1.5, 1.5), RandomSeed(0, 0).generator(), 1)[0]
+    assert prof.tolist() == [1.5]
 
 
 def test_identical_seeds_reproduce_bitwise(bounds):
+    def sample(seed):
+        thetas = profile_batch(200, bounds, seed.substream(0).generator(), 1)[0]
+        return thetas, configuration_batch(thetas, seed.substream(1).generator())
+
     s = RandomSeed(99, 4)
-    p1, c1 = sample_ness(200, bounds, s)
-    p2, c2 = sample_ness(200, bounds, s)
-    assert np.array_equal(p1.values, p2.values)
-    assert np.array_equal(c1.occupations, c2.occupations)
-    p3, _ = sample_ness(200, bounds, RandomSeed(99, 5))
-    assert not np.array_equal(p1.values, p3.values)
+    p1, c1 = sample(s)
+    p2, c2 = sample(s)
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(c1, c2)
+    p3, _ = sample(RandomSeed(99, 5))
+    assert not np.array_equal(p1, p3)
 
 
 @pytest.mark.parametrize("draws", [0, 1, 2, 3, 4, 5, 10**5 + 3])
@@ -88,16 +82,6 @@ def test_after_draws_refuses_other_generators():
     drawn.random()
     with pytest.raises(ValueError, match="not drawn"):
         _after_draws(drawn, 4)
-
-
-def test_profile_type_rejects_unsorted(bounds):
-    with pytest.raises(ValueError):
-        ParameterProfile(values=np.array([1.0, 0.5]), bounds=bounds)
-
-
-def test_configuration_type_rejects_negative():
-    with pytest.raises(ValueError):
-        Configuration(occupations=np.array([1, -1]))
 
 
 def test_profile_marginal_mean_and_variance(bounds):
@@ -137,9 +121,8 @@ def test_profile_marginal_ks_against_beta(bounds):
 
 
 def test_configuration_point_mass_at_zero():
-    prof = ParameterProfile(values=np.zeros(20), bounds=BoundaryParams(0.0, 0.0))
-    cfg = sample_configuration(prof, RandomSeed(1, 1))
-    assert np.all(cfg.occupations == 0)
+    occ = configuration_batch(np.zeros(20), RandomSeed(1, 1).generator())
+    assert np.all(occ == 0)
 
 
 def test_configuration_batch_matches_masked_reference():
@@ -181,10 +164,9 @@ def test_float_counts_are_the_configuration_batch_counts():
 
 
 def test_configuration_site_moments_given_profile(bounds):
-    prof = sample_parameter_profile(8, bounds, RandomSeed(12, 0))
+    theta = profile_batch(8, bounds, RandomSeed(12, 0).generator(), 1)[0]
     rng = RandomSeed(12, 1).generator()
-    occ = configuration_batch(np.broadcast_to(prof.values, (10**5, 8)), rng)
-    theta = prof.values
+    occ = configuration_batch(np.broadcast_to(theta, (10**5, 8)), rng)
     emp_mean = occ.mean(axis=0)
     mean_se = occ.std(axis=0, ddof=1) / math.sqrt(occ.shape[0])
     assert_within_se(emp_mean, theta, mean_se, 4, "geometric means")
@@ -201,8 +183,9 @@ def test_configuration_pmf_termwise(bounds):
     theta = 1.3
     rng = RandomSeed(15, 0).generator()
     occ = configuration_batch(np.full((2 * 10**5, 1), theta), rng)[:, 0]
+    pmf = geometric_tables(theta, 7)[0][0]
     for n in range(8):
-        p = geometric_pmf(theta, n)
+        p = pmf[n]
         emp = float(np.mean(occ == n))
         se = math.sqrt(p * (1 - p) / occ.size)
         assert abs(emp - p) < 4 * se

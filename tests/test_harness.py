@@ -47,8 +47,8 @@ from geomix.moments import (
     theta_marginals,
     theta_product_moment,
     theta_window_moments,
-    uniform_orderstat_product_moment_exact,
 )
+from oracles import uniform_orderstat_product_moment_exact
 
 
 def exact_window_mean(g, start, n_sites, bounds):

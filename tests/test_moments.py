@@ -4,16 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_within_se
+from conftest import assert_within_se, orderstat_product_moment
 from geomix.core import RandomSeed, profile_batch
 from geomix.moments import (
     geometric_raw_moment_coefficients,
     stirling2,
     theta_product_moment,
-    uniform_orderstat_moment,
-    uniform_orderstat_product_moment,
-    uniform_orderstat_product_moment_exact,
 )
+from oracles import uniform_orderstat_product_moment_exact
 
 
 def raw_moment(theta, p):
@@ -36,20 +34,20 @@ def _first_two_orderstat_integral(n, fun):
     return total
 
 
-def test_product_moment_single_index_example():
-    assert uniform_orderstat_product_moment(2, [1, 0]) == pytest.approx(1 / 3, rel=1e-12)
+def test_product_moment_single_index_example(unit_bounds):
+    assert theta_product_moment(1, [1], 2, unit_bounds) == pytest.approx(1 / 3, rel=1e-12)
 
 
-def test_product_moment_of_constant_is_one():
+def test_product_moment_of_constant_is_one(unit_bounds):
     for n in (1, 5, 40):
-        assert uniform_orderstat_product_moment(n, [0] * n) == pytest.approx(1.0, rel=1e-14)
+        assert theta_product_moment(1, [0] * n, n, unit_bounds) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_product_moment_pair_example_against_integral_oracle():
     # E[U_{1:3} U_{2:3}] by quadrature of the joint order-statistic density
     oracle = _first_two_orderstat_integral(3, lambda u, v: u * v)
     assert oracle == pytest.approx(3 / 20, rel=1e-10)
-    assert uniform_orderstat_product_moment(3, [1, 1, 0]) == pytest.approx(oracle, rel=1e-9)
+    assert orderstat_product_moment(np.array([1, 1, 0])) == pytest.approx(oracle, rel=1e-9)
     assert uniform_orderstat_product_moment_exact(3, [1, 1, 0]) == Fraction(3, 20)
 
 
@@ -61,34 +59,42 @@ def test_product_moment_pair_example_against_mc_oracle():
     assert_within_se(prods.mean(), 3 / 20, se, 4, "E[U1 U2] of three uniforms")
 
 
+def _sparse_exponents(rng, n_max, e_max):
+    """A random length n < n_max with at most three sites carrying
+    exponents in 1..e_max.  The window between them may be wide, but
+    theta_product_moment expands it into at most (e_max + 1)^3 binomial
+    terms; a window of k nonzero exponents would take prod_j (e_j + 1)."""
+    n = int(rng.integers(1, n_max))
+    exps = np.zeros(n, dtype=np.int64)
+    support = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    exps[support] = rng.integers(1, e_max + 1, size=support.size)
+    return n, exps
+
+
 def test_telescoped_and_gamma_forms_agree():
+    # the collapsed window moment against the Gamma-ratio form of the
+    # identity over the full exponent vector
     rng = np.random.default_rng(5)
     for _ in range(200):
-        n = int(rng.integers(1, 30))
-        exps = rng.integers(0, 4, size=n)
+        n, exps = _sparse_exponents(rng, 30, 3)
         partial = np.cumsum(exps)
         j = np.arange(1, n + 1)
         gamma_form = math.exp(
             math.lgamma(n + 1)
             + float(np.sum([math.lgamma(s + jj) - math.lgamma(s + jj + 1) for s, jj in zip(partial, j)]))
         )
-        assert uniform_orderstat_product_moment(n, exps) == pytest.approx(
-            gamma_form, rel=1e-12
-        )
+        assert orderstat_product_moment(exps) == pytest.approx(gamma_form, rel=1e-12)
 
 
 def test_exact_rational_path_matches_float():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        n = int(rng.integers(1, 20))
-        exps = rng.integers(0, 3, size=n)
+        n, exps = _sparse_exponents(rng, 20, 2)
         exact = uniform_orderstat_product_moment_exact(n, exps)
-        assert uniform_orderstat_product_moment(n, exps) == pytest.approx(
-            float(exact), rel=1e-12
-        )
+        assert orderstat_product_moment(exps) == pytest.approx(float(exact), rel=1e-12)
 
 
-def test_single_index_reduction_exhaustive():
+def test_single_index_reduction_exhaustive(unit_bounds):
     # the general product formula with one nonzero exponent reproduces
     # r(r+1)...(r+k-1) / ((N+1)...(N+k)) for all N <= 20, k <= 5
     for n in range(1, 21):
@@ -101,29 +107,25 @@ def test_single_index_reduction_exhaustive():
                 for j in range(k):
                     num *= Fraction(r + j, n + 1 + j)
                 assert general == num
-                assert uniform_orderstat_moment(r, n, k) == pytest.approx(
+                assert theta_product_moment(r, [k], n, unit_bounds) == pytest.approx(
                     float(num), rel=1e-12
                 )
 
 
 def test_large_n_evaluation_paths_agree(unit_bounds):
-    # the full-length partial-sum path and the collapsed-window path are
-    # independent evaluations of the same identity; at N = 10^5 they must
-    # agree and stay finite in log space
+    # the full-length partial-sum form lgamma(N+1) - sum_j log(S_j + j) and
+    # the collapsed window are independent evaluations of the same
+    # identity; at N = 10^5 they must agree and stay finite in log space
     n = 10**5
     exps = np.zeros(n, dtype=np.int64)
     exps[999] = 2
     exps[49999] = 1
-    full_path = uniform_orderstat_product_moment(n, exps)
+    j = np.arange(1, n + 1)
+    full_path = math.exp(math.lgamma(n + 1) - float(np.sum(np.log(np.cumsum(exps) + j))))
     window = [2] + [0] * (50000 - 1001) + [1]
     collapsed = theta_product_moment(1000, window, n, unit_bounds)
     assert full_path == pytest.approx(collapsed, rel=1e-10)
     assert 0.0 < full_path < 1.0
-
-
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        uniform_orderstat_product_moment(3, [1, 0])
 
 
 def test_theta_moment_first_power(bounds):
@@ -140,7 +142,7 @@ def test_theta_moment_zeroth_power(bounds):
 def test_theta_moment_reduces_to_uniform(unit_bounds):
     for p in range(5):
         assert theta_product_moment(3, [p], 7, unit_bounds) == pytest.approx(
-            uniform_orderstat_moment(3, 7, p), rel=1e-12
+            float(uniform_orderstat_product_moment_exact(7, [0, 0, p, 0, 0, 0, 0])), rel=1e-12
         )
 
 
@@ -162,7 +164,8 @@ def test_theta_product_single_site_matches_theta_moment(bounds):
     assert bounds.theta_left == 0.0
     for p in range(4):
         assert theta_product_moment(2, [p], 6, bounds) == pytest.approx(
-            bounds.width**p * uniform_orderstat_moment(2, 6, p), rel=1e-12
+            bounds.width**p * float(uniform_orderstat_product_moment_exact(6, [0, p, 0, 0, 0, 0])),
+            rel=1e-12,
         )
 
 
