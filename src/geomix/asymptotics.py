@@ -28,6 +28,7 @@ setting.
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,21 +121,22 @@ def _weight_tables(thetas: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Masses of the states 0..c of a site saturated at c, and their
     theta-derivatives, one row per theta.
 
-    With p = theta/(1+theta), state n < c has mass nu_theta(n) = (1-p) p^n
-    and state c the whole tail P(eta >= c) = p^c.  The derivatives are
-    (1-p) (n nu(n-1) - (n+1) nu(n)) for n < c and (1-p) c nu(c-1) for the
-    tail, finite at theta = 0 too.
+    With q = 1/(1+theta) and p = theta q, state n < c has mass
+    nu_theta(n) = q p^n and state c the whole tail P(eta >= c) = p^c.  The
+    derivatives are q (n nu(n-1) - (n+1) nu(n)) for n < c and q c nu(c-1)
+    for the tail, finite at theta = 0 too.  q is formed directly, not as
+    1 - p, which would cancel at large theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    p = thetas / (1.0 + thetas)
+    q = (1.0 / (1.0 + thetas))[:, None]
     n = np.arange(c + 1)
-    w = p[:, None] ** n[None, :]
-    w[:, :c] *= (1.0 - p)[:, None]
+    w = (thetas[:, None] * q) ** n
+    w[:, :c] *= q
     prev = np.zeros_like(w)
     prev[:, 1:] = w[:, :-1]
     outflow = (n + 1) * w
     outflow[:, c] = 0.0
-    return w, (1.0 - p)[:, None] * (n * prev - outflow)
+    return w, q * (n * prev - outflow)
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -174,47 +176,52 @@ def _contract(grid: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     return t
 
 
+def _by_node_blocks(evaluate, cells: int, *tables: np.ndarray) -> np.ndarray:
+    """evaluate(*row blocks of the (nodes, states) tables), one value per
+    row, in blocks of rows that keep rows * cells near 2**22."""
+    out = np.empty(tables[0].shape[0])
+    chunk = max(1, 2**22 // max(cells, 1))
+    for lo in range(0, out.size, chunk):
+        out[lo : lo + chunk] = evaluate(*(t[lo : lo + chunk] for t in tables))
+    return out
+
+
 def _grid_mean(grid: np.ndarray, w: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
     """h, or h' when ``dw`` is given: the k-site state grid contracted with
     the state masses w in every slot, and for h' the sum over slots j of
     the contraction with their derivatives dw in slot j; one value per row
     of the (nodes, states) tables."""
     k = grid.ndim
-    out = np.empty(w.shape[0])
-    chunk = max(1, 2**22 // max(grid.size, 1))
-    for lo in range(0, out.size, chunk):
-        sl = slice(lo, lo + chunk)
-        if dw is None:
-            out[sl] = _contract(grid, [w[sl]] * k)
-        else:
-            out[sl] = sum(
-                _contract(grid, [dw[sl] if i == j else w[sl] for i in range(k)]) for j in range(k)
-            )
-    return out
+    if dw is None:
+        return _by_node_blocks(lambda w: _contract(grid, [w] * k), grid.size, w)
+
+    def deriv(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        return sum(_contract(grid, [dw if i == j else w for i in range(k)]) for j in range(k))
+
+    return _by_node_blocks(deriv, grid.size, w, dw)
 
 
 def _grid_local_variance(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """V from the k-site state grid and one row of state masses per node:
-    each covariance term conditions on the sites the two windows share,
-    which factorizes the product expectation."""
+    """V from the k-site state grid and one row of state masses per node.
+
+    On the sites spanned by the reference window k..2k-1 and the window
+    s..s+k-1, E[g(reference) g(window s)] is one contraction of two copies
+    of the grid with a mass row per site, all nodes at once on the leading
+    axis Z."""
     k = grid.ndim
-    out = np.zeros(weights.shape[0])
-    for i, w in enumerate(weights):
 
-        def conditional(shared):
-            t = grid
-            for ax in sorted(set(range(k)) - set(shared), reverse=True):
-                t = np.tensordot(t, w, axes=([ax], [0]))
-            return t
+    def expectation(w: np.ndarray, *starts: int) -> np.ndarray:
+        lo = min(starts)
+        sites = string.ascii_letters[: max(starts) + k - lo]
+        windows = [sites[s - lo : s - lo + k] for s in starts]
+        spec = ",".join(windows + [f"Z{x}" for x in sites]) + "->Z"
+        return np.einsum(spec, *[grid] * len(starts), *[w] * len(sites), optimize=True)
 
-        mean = float(conditional(()))
-        for s in range(1, 2 * k):
-            lo, hi = max(s, k), min(s + k - 1, 2 * k - 1)
-            joint = conditional(range(lo - k, hi - k + 1)) * conditional(range(lo - s, hi - s + 1))
-            for _ in range(joint.ndim):
-                joint = np.tensordot(joint, w, axes=([joint.ndim - 1], [0]))
-            out[i] += float(joint) - mean * mean
-    return out
+    def variance(w: np.ndarray) -> np.ndarray:
+        mean = expectation(w, k)
+        return sum(expectation(w, k, s) for s in range(1, 2 * k)) - (2 * k - 1) * mean * mean
+
+    return _by_node_blocks(variance, grid.size, weights)
 
 
 def _rhos(rhos) -> np.ndarray:

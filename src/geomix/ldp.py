@@ -7,11 +7,14 @@ the exponential growth rate per site of E[exp(lambda * sum of shifted g)]
 under the geometric product at theta.  Each site then has the c + 1
 states 0..c, the last one carrying the whole geometric tail n >= c, so
 every sum below is exact and finite.  One evaluator, :func:`free_energy`,
-returns F with its analytic lambda- and theta-derivatives: geometric
-masses on the level sets of g for k = 1, the left and right Perron
-vectors of a transfer kernel on the (c+1)^(k-1) states of a (k-1)-site
-window for k >= 2.  Level-1 rates follow by Legendre transform, solved
-by safeguarded secant steps in the logit of the tilted mean.  The
+returns F with its analytic lambda- and theta-derivatives at every k: the
+log of the leading eigenvalue of a transfer kernel on the (c+1)^(k-1)
+states of a (k-1)-site window, from one power iteration over a stack of
+kernels with a node axis, and the derivatives from its left and right
+Perron vectors.  At k = 1 the window has one state, and F is the log of
+sum_n nu_theta(n) exp(lambda * g(n)).  Level-1 rates follow by Legendre
+transform, solved by safeguarded secant steps in the logit of the tilted
+mean.  The
 parameter-path rate J penalizes the log-slope of monotone profiles, and
 the two variational problems (annealed free energy, rate of a target
 profile) are solved by one projected-gradient solver, in ascent or
@@ -137,132 +140,98 @@ class MonotoneProfile:
         return cls(values=vals, bounds=bounds)
 
 
-def _perron(theta: float, lam: float, gvals: np.ndarray) -> tuple[float, float, float]:
-    """(log Lambda, d log Lambda/d lambda, d log Lambda/d theta) for the
-    leading eigenvalue Lambda of the transfer kernel of a g with k >= 2.
-
-    The kernel acts on (k-1)-site windows of the saturated states 0..c,
-    K(w, w') = nu_theta(n_k) * exp(lam * g(n_1, ..., n_k)) for
-    w = (n_1..n_{k-1}), w' = (n_2..n_k), with the tail mass p^c in state c.
-    One power iteration converges the right and left Perron vectors r, l
-    together, and the derivatives follow from Hellmann-Feynman:
-    d Lambda = <l, dK r> / <l, r>.
-    """
-    k, states = gvals.ndim, gvals.shape[0]
-    w, dw = _weight_tables(np.array([theta]), states - 1)
-    last = (1,) * (k - 1) + (states,)
-    tilt = np.exp(lam * gvals)
-    t = tilt * w[0].reshape(last)
-    letters = string.ascii_lowercase[:k]
-    right = f"{letters},{letters[1:]}->{letters[:-1]}"
-    left = f"{letters[:-1]},{letters}->{letters[1:]}"
-    r = np.full((states,) * (k - 1), 1.0 / states ** (k - 1))
-    l = r.copy()
-    eigen = np.full(2, np.nan)
-    for _ in range(_POWER_ITERATION_CAP):
-        kr, kl = np.einsum(right, t, r), np.einsum(left, l, t)
-        new_eigen = np.array([kr.sum(), kl.sum()])
-        if not np.all((new_eigen > 0.0) & np.isfinite(new_eigen)):
-            raise NumericError(f"degenerate transfer iterate at theta={theta}, lam={lam}")
-        r, l = kr / new_eigen[0], kl / new_eigen[1]
-        if np.all(np.abs(new_eigen - eigen) <= _EIGEN_TOL * np.maximum(1.0, new_eigen)):
-            break
-        eigen = new_eigen
-    else:
-        raise NumericError(
-            f"power iteration did not converge within {_POWER_ITERATION_CAP} steps"
-        )
-    pair = f"{letters[:-1]},{letters},{letters[1:]}->"
-    norm = float(np.einsum(pair, l, t, r))  # Lambda * <l, r>
-    d_lam = float(np.einsum(pair, l, t * gvals, r)) / norm
-    d_theta = float(np.einsum(pair, l, tilt * dw[0].reshape(last), r)) / norm
-    return math.log(new_eigen[0]), d_lam, d_theta
-
-
 class _FreeEnergyTable:
-    """Per-theta state tables of the free-energy evaluator, built once and
-    evaluated at any number of lambda vectors paired with the thetas.  For
-    k = 1 they hold the masses of nu_theta and d nu_theta/d theta on each
-    level set of g, in closed form per run of equal g on the states 0..c,
-    the last run reaching to infinity, so building costs O(nodes * runs)
-    and one evaluation O(nodes * distinct values of g)."""
+    """State masses of the free-energy evaluator at each theta, built once
+    and evaluated at any number of lambda vectors paired with the thetas.
+
+    F(theta, lambda) is the log of the leading eigenvalue Lambda of the
+    transfer kernel K(w, w') = nu_theta(n_k) * exp(lambda * g(n_1..n_k)) on
+    the (c+1)^(k-1) window states w = (n_1..n_{k-1}), w' = (n_2..n_k),
+    with the whole tail n >= c in state c.  All nodes sit on the leading
+    axis Z of one kernel stack, and one power iteration converges the right
+    and left Perron vectors r, l of every node together; each node drops
+    out at its own stop, so its values do not depend on the batch.  Then
+    Lambda = <l, K r> / <l, r>, whose error is quadratic in that of the
+    vectors, and the derivatives follow from Hellmann-Feynman,
+    d Lambda = <l, dK r> / <l, r>.  At k = 1 the kernel has one state,
+    r = l = 1, and Lambda = sum_n nu_theta(n) exp(lambda * g(n)) needs no
+    iteration.
+    """
 
     def __init__(self, thetas: np.ndarray, g: LocalFunction) -> None:
         self.thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         if not np.all(np.isfinite(self.thetas) & (self.thetas >= 0)):
             raise ValueError("theta must be finite and >= 0")
-        self.g = g
         self.gvals = _g_grid(g)
-        if g.k == 1:
-            # runs of equal g, gathered by level; every level holds a run
-            self.levels, level_of = np.unique(self.gvals, return_inverse=True)
-            starts = np.flatnonzero(np.diff(level_of, prepend=-1))
-            _check_cells(
-                self.thetas.size * starts.size,
-                f"the run table of {self.thetas.size} nodes and {starts.size} runs",
-            )
-            order = np.argsort(level_of[starts], kind="stable")
-            firsts = np.searchsorted(level_of[starts][order], np.arange(self.levels.size))
-            p = (self.thetas / (1.0 + self.thetas))[:, None]
-            # run [a, b] holds p^a - p^(b+1) = p^a (1 - p^(b-a+1)), free of
-            # cancellation, and the last run, which reaches to infinity, p^a;
-            # log p = -inf at theta = 0 gives the mass 0^a
-            runs = p**starts
-            with np.errstate(divide="ignore"):
-                runs[:, :-1] *= -np.expm1(np.diff(starts) * np.log(p))
-            # summation by parts, exact at theta = 0: sum_n d nu(n)/d theta t(n)
-            # = (1-p) sum_n nu(n) (n+1) (t(n+1) - t(n)), so for t a level
-            # indicator only the state before each run and the last state of
-            # each run contribute; the last run has no last state
-            ends = starts[1:] - 1
-            moved = p**ends * (1.0 - p) * (ends + 1.0) / (1.0 + self.thetas)[:, None]
-            d_runs = -np.diff(moved, axis=1, prepend=0.0, append=0.0)
-            self.mass = np.add.reduceat(runs[:, order], firsts, axis=1)
-            self.d_mass = np.add.reduceat(d_runs[:, order], firsts, axis=1)
+        _check_cells(
+            self.thetas.size * self.gvals.size,
+            f"the transfer kernels of {self.thetas.size} nodes at k={g.k}, c={g.saturation}",
+        )
+        self.w, self.dw = _weight_tables(self.thetas, g.saturation)
 
     def take(self, mask: np.ndarray) -> "_FreeEnergyTable":
         """The table restricted to the nodes selected by a mask or index array."""
         sub = copy.copy(self)
-        sub.thetas = self.thetas[mask]
-        if self.g.k == 1:
-            sub.mass, sub.d_mass = self.mass[mask], self.d_mass[mask]
+        sub.thetas, sub.w, sub.dw = self.thetas[mask], self.w[mask], self.dw[mask]
         return sub
 
     def __call__(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lams = np.broadcast_to(np.asarray(lams, dtype=float), self.thetas.shape)
         if not np.all(np.isfinite(lams)):
             raise ValueError("lambda must be finite")
-        if self.g.k == 1:
-            # F = log Z, dF/dlambda the tilted mean of g, dF/dtheta the
-            # tilted sum of d nu/d theta, all over Z = sum nu * exp(lam g);
-            # row-wise sums keep each node independent of the batch
-            with np.errstate(over="ignore", invalid="ignore"):
-                tilt = np.exp(lams[:, None] * self.levels[None, :])
-                tilted = self.mass * tilt
-                z = np.sum(tilted, axis=1)
-            finite = (z > 0.0) & (z < math.inf)
-            if not np.all(finite):
-                bad = int(np.argmin(finite))
+        k, states, n = self.gvals.ndim, self.gvals.shape[0], lams.size
+        node = (n,) + (1,) * (k - 1)  # one value per node, broadcast over the window
+        sites = string.ascii_lowercase[:k]
+        right = f"Z{sites},Z{sites[1:]}->Z{sites[:-1]}"
+        left = f"Z{sites[:-1]},Z{sites}->Z{sites[1:]}"
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tilt = np.exp(lams.reshape(node + (1,)) * self.gvals)
+            t = tilt * self.w.reshape(node + (states,))
+            r = np.full((n,) + (states,) * (k - 1), float(states) ** (1 - k))
+            l = r.copy()
+            # a k = 1 kernel has one state, r = l = 1, and nothing to iterate
+            eigen, idx = np.full((2, n), np.nan), np.arange(n if k > 1 else 0)
+            for _ in range(_POWER_ITERATION_CAP):
+                if not idx.size:
+                    break
+                kr, kl = np.einsum(right, t[idx], r[idx]), np.einsum(left, l[idx], t[idx])
+                new = np.stack([x.reshape(idx.size, -1).sum(axis=1) for x in (kr, kl)])
+                r[idx] = kr / new[0].reshape((-1,) + node[1:])
+                l[idx] = kl / new[1].reshape((-1,) + node[1:])
+                settled = np.abs(new - eigen[:, idx]) <= _EIGEN_TOL * np.maximum(1.0, new)
+                # a node whose iterate leaves the floating-point range stops too
+                done = settled.all(axis=0) | ~((new > 0.0) & np.isfinite(new)).all(axis=0)
+                eigen[:, idx] = new
+                idx = idx[~done]
+            if idx.size:
                 raise NumericError(
-                    f"exp(lambda * g) leaves the floating-point range at "
-                    f"theta={self.thetas[bad]}, lambda={lams[bad]}"
+                    f"power iteration did not converge within {_POWER_ITERATION_CAP} steps "
+                    f"at theta={self.thetas[idx[0]]}, lambda={lams[idx[0]]}"
                 )
-            f_lam = np.sum(tilted * self.levels, axis=1) / z
-            return np.log(z), f_lam, np.sum(self.d_mass * tilt, axis=1) / z
-        rows = [_perron(t, l, self.gvals) for t, l in zip(self.thetas, lams)]
-        out = np.array(rows, dtype=float).reshape(lams.size, 3)
-        return out[:, 0], out[:, 1], out[:, 2]
+            # <l, K r>, <l, dK/dlambda r> and <l, dK/dtheta r> of every node
+            kernels = np.stack([t, t * self.gvals, tilt * self.dw.reshape(node + (states,))])
+            lk = np.einsum(f"Z{sites[:-1]},YZ{sites}->YZ{sites[1:]}", l, kernels)
+            norm, d_lam, d_theta = (lk * r).reshape(3, n, -1).sum(axis=2)
+            f = np.log(norm / (l * r).reshape(n, -1).sum(axis=1))
+            f_lam, f_theta = d_lam / norm, d_theta / norm
+        finite = np.isfinite(f) & np.isfinite(f_lam) & np.isfinite(f_theta)
+        if not np.all(finite):
+            bad = int(np.argmin(finite))
+            raise NumericError(
+                f"exp(lambda * g) leaves the floating-point range at "
+                f"theta={self.thetas[bad]}, lambda={lams[bad]}"
+            )
+        return f, f_lam, f_theta
 
 
 def free_energy(thetas, lams, g: LocalFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F(theta, lambda), dF/dlambda and dF/dtheta at paired nodes (thetas
     and lams broadcast against each other).
 
-    g must declare its saturation c.  For k = 1, F = log sum_n
-    exp(lam * g(n)) nu_theta(n) is an exact sum over the level sets of g;
-    for k >= 2 it is the log of the leading eigenvalue of the transfer
-    kernel on the saturated states, with derivatives from the Perron
-    vectors.
+    g must declare its saturation c.  F is the log of the leading
+    eigenvalue of the transfer kernel on the saturated states, with
+    derivatives from the Perron vectors; for k = 1 it is the exact sum
+    F = log sum_n exp(lam * g(n)) nu_theta(n).
     """
     thetas, lams = np.broadcast_arrays(
         np.atleast_1d(np.asarray(thetas, dtype=float)), np.asarray(lams, dtype=float)
@@ -339,7 +308,8 @@ def rate_function_batch(theta: float, xs, g: LocalFunction) -> np.ndarray:
     """``rate_function`` at every x of ``xs``, from one Legendre solve.
 
     The values are those of ``rate_function`` at each x alone.  The solve
-    tabulates |xs| nodes at once, so the run-table budget caps |xs|.
+    evaluates |xs| transfer kernels of (c+1)^k cells at once, so the cell
+    budget caps |xs| * (c+1)^k.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     return _legendre(np.full(xs.size, float(theta)), xs, g)[0]

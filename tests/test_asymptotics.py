@@ -93,6 +93,13 @@ def test_indicator_limit_objects_exact_at_large_rho():
     assert at(local_variance_batch, g, rho) == pytest.approx(p * (1 - p), rel=0, abs=1e-12)
     var = clt_variances(g, phi_one(), BoundaryParams(5e5, 1e6))
     assert np.isfinite(var.total) and var.bridge_variance > 0
+    # at rho = 1e9 the masses 1/(1+rho) must not come from 1 - p, which
+    # cancels; h = q, h' = -q^2 and V = p q with q = 1/(1+rho), to rounding
+    rho = 1e9
+    q = 1 / (1 + rho)
+    assert at(homogeneous_mean_batch, g, rho) == pytest.approx(q, rel=1e-12, abs=0)
+    assert at(homogeneous_mean_deriv_batch, g, rho) == pytest.approx(-q * q, rel=1e-12, abs=0)
+    assert at(local_variance_batch, g, rho) == pytest.approx(rho * q * q, rel=1e-12, abs=0)
 
 
 def test_capped_count_limit_objects_closed_forms():

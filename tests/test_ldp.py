@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geomix.asymptotics import _weight_tables
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
@@ -136,6 +140,16 @@ def test_free_energy_closed_forms_including_theta_zero(ind_g):
     assert f == pytest.approx(np.log((e + thetas) / (1 + thetas)), abs=1e-12)
     assert f_lam == pytest.approx(e / (e + thetas), abs=1e-12)
     assert f_theta == pytest.approx(1 / (e + thetas) - 1 / (1 + thetas), rel=1e-12, abs=1e-12)
+    # at theta = 1e9 the state masses 1/(1+theta) must not come from 1 - p, and
+    # the closed forms are written without cancellation: both derivatives are
+    # held to relative rounding
+    thetas, lams = np.full(3, 1e9), np.array([-1.0, 0.5, 6.0])
+    f, f_lam, f_theta = free_energy(thetas, lams, ind_g)
+    e = np.exp(lams)
+    assert f == pytest.approx(np.log1p(np.expm1(lams) / (1 + thetas)), abs=1e-12)
+    assert f_lam == pytest.approx(e / (e + thetas), rel=1e-12, abs=0)
+    d_theta = -np.expm1(lams) / ((e + thetas) * (1 + thetas))
+    assert f_theta == pytest.approx(d_theta, rel=1e-12, abs=0)
 
 
 def test_transfer_derivatives_match_central_differences():
@@ -250,32 +264,68 @@ def test_rate_over_an_x_grid_is_the_per_x_loop(make_g):
 
 @pytest.mark.parametrize("make_g", [indicator_vacuum_function, make_capped_count])
 def test_level_masses_match_the_weight_table(make_g):
-    # closed-form run masses against nu and d nu/d theta summed state by
-    # state over each level set of g, at theta = 0, a large theta and random
-    # ones; at theta = 50 the states n > 4000 hold (50/51)**4001 < 1e-34
+    # the closed-form masses of the saturated states 0..c against nu and
+    # d nu/d theta summed state by state, the states n >= c folded into c,
+    # at theta = 0, a large theta and random ones; at theta = 50 the states
+    # n > 4000 hold (50/51)**4001 < 1e-34
     rng = np.random.default_rng(17)
     thetas = np.concatenate(([0.0, 50.0], rng.uniform(0.0, 2.0, 200)))
-    table = ldp_module._FreeEnergyTable(thetas, make_g())
+    c = make_g().saturation
+    table_w, table_dw = _weight_tables(thetas, c)
     cutoff = 4000
     w, dw = geometric_tables(thetas, cutoff)
-    gvals = make_g()(np.arange(cutoff + 1))
-    mass = np.stack([w[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
-    d_mass = np.stack([dw[:, gvals == v].sum(axis=1) for v in table.levels], axis=1)
-    np.testing.assert_allclose(table.mass, mass, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(table.d_mass, d_mass, rtol=0.0, atol=1e-15)
+    folded = np.minimum(np.arange(cutoff + 1), c)
+    mass = np.stack([w[:, folded == n].sum(axis=1) for n in range(c + 1)], axis=1)
+    d_mass = np.stack([dw[:, folded == n].sum(axis=1) for n in range(c + 1)], axis=1)
+    np.testing.assert_allclose(table_w, mass, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(table_dw, d_mass, rtol=0.0, atol=1e-15)
 
 
-def test_run_table_budget_counts_runs_not_states():
-    # indicator-vacuum has two runs, so 300 000 nodes build a (300000, 2)
-    # table, bit-identical to two batches of 150 000
+@pytest.mark.parametrize(
+    "g", [indicator_vacuum_function(), make_pair_vacuum()], ids=lambda g: g.name
+)
+def test_large_batch_is_bitwise_its_halves(g):
+    # 300 000 nodes in one kernel stack, bit-identical to two batches of 150 000
     n = 300_000
     thetas = np.linspace(0.05, 2.0, n)
     lams = np.linspace(-1.0, 1.0, n)
-    g = indicator_vacuum_function()
     whole = free_energy(thetas, lams, g)
     halves = [free_energy(thetas[s], lams[s], g) for s in (slice(0, n // 2), slice(n // 2, n))]
     for w, a, b in zip(whole, *halves):
         assert np.array_equal(w, np.concatenate([a, b]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([indicator_vacuum_function(), make_capped_count(), make_pair_vacuum()]),
+    st.lists(
+        st.tuples(st.floats(0.0, 50.0), st.floats(-5.0, 5.0)), min_size=1, max_size=40
+    ),
+    st.data(),
+)
+def test_node_values_do_not_depend_on_the_subset_or_order(g, nodes, data):
+    # each node leaves the power iteration at its own stop, so its
+    # (F, dF/dlambda, dF/dtheta) are bitwise the same in any batch
+    thetas, lams = np.array(nodes).T
+    whole = np.array(free_energy(thetas, lams, g))
+    picked = data.draw(
+        st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=len(nodes), unique=True)
+    )
+    part = np.array(free_energy(thetas[picked], lams[picked], g))
+    assert np.array_equal(part, whole[:, picked])
+
+
+def test_kernel_stack_above_the_cell_budget_is_refused_before_allocating():
+    # c = 5000 at 10^4 nodes asks for 5e7 cells per table, 400 MB each
+    g = LocalFunction(k=1, evaluator=lambda n: np.minimum(n, 5000), saturation=5000, name="capped")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            free_energy(np.linspace(0.0, 2.0, 10_000), 0.5, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def bisection_legendre(thetas, xs, g, bracket, steps=200):
@@ -328,9 +378,11 @@ def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_g, monkeypatc
 
 
 def test_free_energy_overflow_raises(ind_g):
-    # exp(800) overflows a double; F = 800 - log(2) is not computed as inf
-    with pytest.raises(NumericError, match="floating-point range"):
-        free_energy(1.0, 800.0, ind_g)
+    # exp(800) overflows a double; F = 800 - log(2) is not computed as inf,
+    # and at k = 2 the overflow is the same error, not a warning
+    for g in (ind_g, make_pair_vacuum()):
+        with pytest.raises(NumericError, match="floating-point range"):
+            free_energy(1.0, 800.0, g)
 
 
 def test_legendre_iteration_cap_raises(monkeypatch):
