@@ -28,6 +28,7 @@ from geomix.asymptotics import QuadratureError, homogeneous_mean_batch
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
+    Purpose,
     RandomSeed,
     configuration_batch,
     density_function,
@@ -263,8 +264,12 @@ def build_bounds(bounds: _Table) -> BoundaryParams:
 
 
 def build_seed(seed: _Table, override_master: int | None) -> RandomSeed:
-    master = int(seed["master"]) if override_master is None else int(override_master)
-    return RandomSeed(master=master, stream=int(seed["stream"]))
+    given = override_master is not None
+    master = ("--seed", override_master) if given else ("seed.master", seed["master"])
+    for name, value in (master, ("seed.stream", seed["stream"])):
+        if not 0 <= value < 2**64:
+            raise ConfigError(f"'{name}' must lie in [0, 2**64), got {value}")
+    return RandomSeed(master=master[1], stream=seed["stream"])
 
 
 def build_g(g: _Table) -> LocalFunction:
@@ -379,8 +384,8 @@ def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
     if n_sites < 1:
         raise ConfigError(f"sample.n_sites must be >= 1, got {n_sites}")
     bounds = build_bounds(cfg["bounds"])
-    thetas = profile_batch(n_sites, bounds, run.seed.substream(0).generator(), 1)[0]
-    etas = configuration_batch(thetas, run.seed.substream(1).generator())
+    thetas = profile_batch(n_sites, bounds, run.seed.generator(Purpose.PROFILES), 1)[0]
+    etas = configuration_batch(thetas, run.seed.generator(Purpose.CONFIGURATIONS))
     rows = [(i + 1, thetas[i], int(etas[i])) for i in range(n_sites)]
     run.csv("sample_table.csv", ["site", "theta", "eta"], rows)
     run.summary(
@@ -516,9 +521,9 @@ def _verify_concentration(cfg, run, workers):
     )
     final_tail = result.rows[-1][2]
     passed = result.tail_nonincreasing and final_tail <= 1e-2
-    # substream 0: run_concentration keys each ladder N >= 1 as substream N
+    # profile streams: run_concentration draws only count and fill streams
     marginals = check_profile_marginals(
-        min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed.substream(0), workers
+        min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed, workers
     )
     payload = {
         "final_tail": final_tail,

@@ -7,13 +7,14 @@ independent uniforms on [theta_left, theta_right] (:func:`profile_batch`).
 Second, conditionally on that profile, site i receives an independent
 geometric number of particles with mean Theta_i
 (:func:`configuration_batch`).  Both take a batch of replicas, one per
-row.  All sampling is driven by counter-based streams so that results are
-bit-reproducible for a given seed, replica by replica, regardless of how
-work is scheduled.
+row.  Every stream is keyed by what it draws and where, so that results
+are bit-reproducible for a given seed, replica by replica, regardless of
+how work is scheduled.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -21,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "BoundaryParams",
+    "Purpose",
     "RandomSeed",
     "LocalFunction",
     "density_function",
@@ -65,56 +67,37 @@ class BoundaryParams:
         return self.theta_left + self.width * np.asarray(x, dtype=float)
 
 
-def _mix64(a: int, b: int) -> int:
-    """Deterministic 64-bit mix of two integers (splitmix64 finalizer)."""
-    z = (a * 0x9E3779B97F4A7C15 + b) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+class Purpose(enum.IntEnum):
+    """What a stream draws: the second entry of a generator key."""
+
+    PROFILES = 0  # uniform rows, or the Gamma spacings of the bridge
+    CONFIGURATIONS = 1  # one uniform per site, turned into geometric counts
+    COUNTS = 2  # concentration bin counts
+    FILLS = 3  # concentration points inside the bins
 
 
 @dataclass(frozen=True)
 class RandomSeed:
-    """A (master, stream) pair selecting one counter-based random stream.
-
-    Identical pairs reproduce identical output; distinct pairs give
-    statistically independent streams (Philox keyed through a
-    ``SeedSequence``).  Use :meth:`substream` to derive per-replica or
-    per-purpose streams from a base seed.  Philox is counter-based: a
-    stream's n-th word is reached by setting its counter, without drawing
-    the words before it.  The harness's stream layout relies on that (a
-    chunk's configuration draws follow its profile draws, and are reached
-    by counter offset).
-    """
+    """A (master, stream) pair, both in [0, 2**64), at the root of a tree of
+    PCG64 streams: :meth:`generator` keys each by ``(stream, purpose,
+    ladder index, chunk)`` under the master entropy through ``SeedSequence``
+    spawn keys, so distinct keys give independent streams and identical
+    keys identical streams."""
 
     master: int
     stream: int = 0
 
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.master & 0xFFFFFFFFFFFFFFFF,
-            spawn_key=(self.stream & 0xFFFFFFFFFFFFFFFF,),
-        )
-        return np.random.Generator(np.random.Philox(ss))
+    def __post_init__(self) -> None:
+        if not (0 <= self.master < 2**64 and 0 <= self.stream < 2**64):
+            raise ValueError(f"seeds must lie in [0, 2**64), got {self.master}, {self.stream}")
 
-    def substream(self, index: int) -> "RandomSeed":
-        return RandomSeed(self.master, _mix64(self.stream, index))
-
-
-def _after_draws(rng: np.random.Generator, draws: int) -> np.random.Generator:
-    """A generator that continues the fresh Philox ``rng`` after its first
-    ``draws`` 64-bit words (one word per ``random()`` double); ``rng``
-    does not move.  One Philox counter step makes four words, so the copy
-    starts its counter at draws // 4 and draws the remaining words: O(1)
-    for any ``draws``."""
-    state = rng.bit_generator.state
-    if state["bit_generator"] != "Philox":
-        raise ValueError(f"counter offsets need a Philox generator, got {state['bit_generator']}")
-    if state["state"]["counter"].any():
-        raise ValueError("counter offsets need a generator that has not drawn yet")
-    bits = np.random.Philox(counter=draws // 4, key=state["state"]["key"])
-    bits.random_raw(draws % 4)
-    return np.random.Generator(bits)
+    def generator(
+        self, purpose: Purpose = Purpose.PROFILES, ladder: int = 0, chunk: int = 0
+    ) -> np.random.Generator:
+        """The stream of ``purpose`` for chunk ``chunk`` at the ladder's
+        ``ladder``-th N (0 for a run at one N)."""
+        ss = np.random.SeedSequence(self.master, spawn_key=(self.stream, purpose, ladder, chunk))
+        return np.random.Generator(np.random.PCG64(ss))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,20 +232,25 @@ def sorted_profile(u: np.ndarray, bounds: BoundaryParams) -> np.ndarray:
     return u
 
 
-def _geometric_counts(thetas: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _geometric_counts(
+    thetas: np.ndarray, u: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """Geometric occupation numbers as exact float counts, from one standard
-    uniform per site: eta = ceil(log(1-u)/log(theta/(1+theta))) - 1, clipped
-    at zero.  At theta = 0 the log is -inf, so the quotient is 0 and eta is
-    the point mass at zero.  The steps run in place on ``u``, which is
-    returned."""
+    uniform per site: eta = ceil(log(1-u)/log p) - 1, p = theta/(1+theta),
+    clipped at zero, taken as -1 - floor(log(1-u)/L) with L = -log p =
+    log1p(1/theta): one log per site, exact to rounding at large theta, where
+    log(theta) - log1p(theta) cancels.  At theta = 0, L = +inf gives the
+    point mass at zero.  L goes into ``work`` (thetas' shape, ``thetas``
+    itself allowed, fresh when None); the rest runs in place on ``u``, which
+    is returned."""
     with np.errstate(divide="ignore"):
-        log_p = np.log(thetas)
-    log_p -= np.log1p(thetas)
+        neg_log_p = np.divide(1.0, thetas, out=work)
+    np.log1p(neg_log_p, out=neg_log_p)
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    u /= log_p
-    np.ceil(u, out=u)
-    u -= 1.0
+    u /= neg_log_p
+    np.floor(u, out=u)
+    np.subtract(-1.0, u, out=u)
     np.maximum(u, 0.0, out=u)
     return u
 

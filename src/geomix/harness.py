@@ -1,36 +1,37 @@
 """Monte Carlo experiment runner and statistical verdicts.
 
-Experiments draw steady-state replicas with per-chunk substreams of a
-master seed, so re-runs are bit-identical for any worker count, and
-report effect sizes with standard errors rather than bare pass/fails.
+Experiments draw steady-state replicas from keyed streams of a master
+seed, so re-runs are bit-identical for any worker count, and report
+effect sizes with standard errors rather than bare pass/fails.
 Central-limit runs are centered at the exact mixture mean assembled from
 closed-form moments (empirical centering would inflate the distributional
 distance at practical replica counts).
 
 A chunk of replicas is the stream unit: its size is fixed, and chunk c
-always draws from substream c.  Inside a chunk, rows are drawn and
-reduced in row blocks of about ``_BLOCK_BUDGET`` doubles, in order, so
-the blocks' draws are the chunk's draws.  The row block is the cache and
-memory unit: its size is free to change and never moves an output byte.
+at the i-th N of a run's ladder (i = 0 at one N) draws each purpose from
+the stream keyed (stream, purpose, i, c) (:meth:`RandomSeed.generator`).
+Inside a chunk, rows are drawn and reduced in row blocks of about
+``_BLOCK_BUDGET`` doubles, in order, so the blocks' draws are the chunk's
+draws.  The row block is the cache and memory unit: its size is free to
+change and never moves an output byte.
 
-Each reduction draws only what it reads.  The field runs draw whole
-profiles and configurations: in a chunk's stream all of the chunk's
-profile draws come first, then all of its configuration draws.  A second
-generator reaches the configuration draws by Philox counter offset, so
-each block draws its profile rows and its configuration together and no
-chunk-wide profile is held.  Each block's configuration stays in its
-reused buffer as exact float64 counts (the transform of
-``configuration_batch`` without its int64 cast), which is what g reads.
+Each reduction draws only what it reads.  The field runs draw each
+block's profile rows and configuration from the chunk's profile and
+configuration streams, so no chunk-wide profile is held.  Each block's
+configuration stays in its reused buffer as exact float64 counts (the
+transform of ``configuration_batch`` without its int64 cast), which is
+what g reads.
 ``check_profile_marginals`` adds the powers of each block's profile rows
 to running sums, in the order of one sum over the chunk.  ``run_bridge``
 draws the order statistics at its grid ranks alone, from |grid| + 1
 Gamma spacings per replica.  ``run_concentration`` draws each replica's
-bin counts, screens them, and draws and sorts whole rows only where the
-counts leave the row undecided.
+bin counts from one stream, screens them, and draws and sorts whole rows
+from a second stream only where the counts leave the row undecided.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -49,8 +50,8 @@ from geomix.asymptotics import (
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
+    Purpose,
     RandomSeed,
-    _after_draws,
     _geometric_counts,
     sorted_profile,
 )
@@ -154,23 +155,25 @@ def _row_blocks(count: int, n_sites: int):
 
 
 def _map_chunks(
-    fn: Callable[[np.random.Generator, int], np.ndarray],
+    fn: Callable[[Callable[[Purpose], np.random.Generator], int], np.ndarray],
     replicas: int,
     n_sites: int,
     seed: RandomSeed,
     workers: int,
+    ladder: int = 0,
 ):
-    """Evaluate ``fn(rng, count)`` over fixed-size replica chunks.
+    """Evaluate ``fn(streams, count)`` over fixed-size replica chunks.
 
-    Chunk c uses substream c of ``seed``; results are assembled in chunk
-    order, so the output is identical for any worker count.
+    ``streams(purpose)`` builds chunk c's stream of that purpose at the
+    ``ladder``-th N; results are assembled in chunk order, so the output
+    is identical for any worker count.
     """
     chunk = _chunk_size(n_sites)
     tasks = [(c, min(chunk, replicas - c * chunk)) for c in range((replicas + chunk - 1) // chunk)]
 
     def run(task):
         c, count = task
-        return fn(seed.substream(c).generator(), count)
+        return fn(functools.partial(seed.generator, ladder=ladder, chunk=c), count)
 
     # each thread holds a chunk, so threads beyond the chunks or the
     # usable CPUs only add memory
@@ -186,7 +189,7 @@ def _map_chunks(
 
 
 def _field_chunk(
-    rng: np.random.Generator,
+    streams: Callable[[Purpose], np.random.Generator],
     count: int,
     n_sites: int,
     bounds: BoundaryParams,
@@ -194,12 +197,8 @@ def _field_chunk(
     phi: TestFunction,
 ) -> np.ndarray:
     """Field values of ``count`` steady-state replicas, one row block at a
-    time.  In the chunk's stream the ``count * n_sites`` profile draws come
-    first and the configuration draws follow them.  Each block draws its
-    profile rows from ``rng`` and its configuration from a second
-    generator that starts at the configuration draws by counter offset,
-    so the blocks' draws are the chunk's draws."""
-    occ_rng = _after_draws(rng, count * n_sites)
+    time, from the chunk's profile and configuration streams."""
+    rng, occ_rng = streams(Purpose.PROFILES), streams(Purpose.CONFIGURATIONS)
     values = np.empty(count)
     rows = min(count, _block_rows(n_sites))
     # glibc hands freed heap back to the system above twice the largest
@@ -218,7 +217,8 @@ def _field_chunk(
     occ_buf = np.empty_like(theta_buf)
     for lo, hi in _row_blocks(count, n_sites):
         thetas = sorted_profile(rng.random(out=theta_buf[: hi - lo]), bounds)
-        occ = _geometric_counts(thetas, occ_rng.random(out=occ_buf[: hi - lo]))
+        # -log p overwrites the profile rows, which nothing reads after it
+        occ = _geometric_counts(thetas, occ_rng.random(out=occ_buf[: hi - lo]), thetas)
         values[lo:hi] = field_values_batch(g, phi, occ)
     return values
 
@@ -331,12 +331,12 @@ def run_lln(cfg: ExperimentConfig) -> LlnResult:
     limit = lln_limit(cfg.g, cfg.phi, cfg.bounds)
     sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds).total
     rows = []
-    for n in cfg.n_ladder:
+    for i, n in enumerate(cfg.n_ladder):
 
-        def fn(rng, count, n=n):
-            return np.abs(_field_chunk(rng, count, n, cfg.bounds, cfg.g, cfg.phi) - limit)
+        def fn(streams, count, n=n):
+            return np.abs(_field_chunk(streams, count, n, cfg.bounds, cfg.g, cfg.phi) - limit)
 
-        devs = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers))
+        devs = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers, ladder=i))
         rows.append(
             (n, float(devs.mean()), float(devs.std(ddof=1) / math.sqrt(devs.size)))
         )
@@ -378,8 +378,8 @@ def run_clt(cfg: ExperimentConfig) -> CltResult:
     target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
 
-    def fn(rng, count):
-        return math.sqrt(n) * (_field_chunk(rng, count, n, cfg.bounds, cfg.g, cfg.phi) - mean)
+    def fn(streams, count):
+        return math.sqrt(n) * (_field_chunk(streams, count, n, cfg.bounds, cfg.g, cfg.phi) - mean)
 
     samples = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers))
     ks = ks_statistic(samples, normal_cdf(0.0, target.total))
@@ -446,8 +446,9 @@ def run_bridge(
     # the arithmetic of theta_marginals, at the grid ranks only
     exact_means = cfg.bounds.theta_left + cfg.bounds.width * idx / (n + 1)
 
-    def fn(rng, count):
-        sums = np.cumsum(rng.standard_gamma(shapes, size=(count, shapes.size)), axis=1)
+    def fn(streams, count):
+        spacings = streams(Purpose.PROFILES).standard_gamma(shapes, size=(count, shapes.size))
+        sums = np.cumsum(spacings, axis=1)
         thetas = sums[:, columns] / sums[:, -1:]
         thetas *= cfg.bounds.width
         thetas += cfg.bounds.theta_left
@@ -571,12 +572,13 @@ def run_concentration(
 
     N uniforms are, in law, their multinomial counts in B equal bins and
     then independent uniform points inside each bin (Devroye 1986, ch. V).
-    Each chunk first draws every row's counts, B = ``_screen_bins``; they
-    bound the row's sup deviation, and a row whose bound stays below eps
-    by a rounding margin is no hit.  Only the rows left undecided draw
-    their points, bin k's at (k + U)/B, and are sorted and reduced, so
-    the hits are those of sorting every row.  At B = 1 a row draws the
-    uniforms of the unscreened sort path.
+    Each chunk first draws every row's counts, B = ``_screen_bins``, from
+    its count stream; they bound the row's sup deviation, and a row whose
+    bound stays below eps by a rounding margin is no hit.  Only the rows
+    left undecided draw their points, bin k's at (k + U)/B, from the
+    chunk's fill stream (built only when such a row exists), and are
+    sorted and reduced, so the hits are those of sorting every row.  At
+    B = 1 a row draws the uniforms of the unscreened sort path.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
@@ -588,17 +590,18 @@ def run_concentration(
         if len(eps_list) != len(ladder):
             raise ValueError("eps schedule length must match the ladder")
     rows = []
-    for n, eps in zip(ladder, eps_list):
+    for i, (n, eps) in enumerate(zip(ladder, eps_list)):
         # sum_i Var[Theta_i] = width^2 N / (6 (N+1)), in closed form
         union = min(1.0, bounds.width**2 * n / (6 * (n + 1)) / eps**2) if eps > 0 else 1.0
         n_bins = _screen_bins(n, eps, bounds.width)
 
-        def fn(rng, count, n=n, eps=eps, n_bins=n_bins):
-            counts = rng.multinomial(n, np.full(n_bins, 1.0 / n_bins), size=count)
+        def fn(streams, count, n=n, eps=eps, n_bins=n_bins):
+            counts = streams(Purpose.COUNTS).multinomial(n, [1.0 / n_bins] * n_bins, size=count)
             fill = np.flatnonzero(~_below_eps(counts, n, eps, bounds))
             hits = np.zeros(count)
-            if fill.size == 0:  # nothing N sites long is allocated
+            if fill.size == 0:  # nothing N sites long is allocated or drawn
                 return hits
+            rng = streams(Purpose.FILLS)
             # the arithmetic of theta_marginals, for the means alone
             exact_mean = bounds.theta_left + bounds.width * np.arange(1, n + 1) / (n + 1)
             # one buffer per chunk: fresh blocks would fault their pages in anew
@@ -616,7 +619,7 @@ def run_concentration(
                 hits[fill[lo:hi]] = thetas.max(axis=1) >= eps
             return hits
 
-        hits = np.concatenate(_map_chunks(fn, replicas, n, seed.substream(n), workers))
+        hits = np.concatenate(_map_chunks(fn, replicas, n, seed, workers, ladder=i))
         p = float(hits.mean())
         se = math.sqrt(max(p * (1.0 - p), 0.0) / replicas)
         rows.append((n, eps, p, se, union))
@@ -661,7 +664,8 @@ def check_profile_marginals(
     two formulas differ measurably).
     """
 
-    def fn(rng, count):
+    def fn(streams, count):
+        rng = streams(Purpose.PROFILES)
         # power sums over the chunk's rows, one row block at a time.  numpy
         # sums axis 0 one row after another, so folding the running sums
         # into a block's first row continues the whole chunk's sums exactly
@@ -717,8 +721,8 @@ def annealed_mc_estimate(
     Equal reservoirs, BoundaryParams(theta, theta), give the homogeneous
     geometric product at theta."""
 
-    def fn(rng, count):
-        return lam * n_sites * _field_chunk(rng, count, n_sites, bounds, g, phi_one())
+    def fn(streams, count):
+        return lam * n_sites * _field_chunk(streams, count, n_sites, bounds, g, phi_one())
 
     exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
     shift = float(exponents.max())

@@ -7,8 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomix import cli
-from geomix.core import BoundaryParams, RandomSeed, configuration_batch, profile_batch
+from geomix import cli, harness
+from geomix.core import (
+    BoundaryParams,
+    Purpose,
+    RandomSeed,
+    configuration_batch,
+    pair_product_function,
+    profile_batch,
+)
 from geomix.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -78,15 +85,16 @@ def test_sample_equilibrium_theta_column_constant(tmp_path):
 
 
 def test_sample_draws_from_fixed_substreams(tmp_path, capsys):
-    # the profile comes from substream 0 of the seed and its configuration
-    # from substream 1, each drawn by the batch sampler as one replica
+    # the profile comes from the seed's profile stream and its configuration
+    # from its configuration stream (ladder index and chunk 0), each drawn
+    # by the batch sampler as one replica
     path = write_config(tmp_path, base_config(sample={"n_sites": 50}))
     out = tmp_path / "s"
     assert main(["sample", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
     rows = [line.split(",") for line in (out / "sample_table.csv").read_text().splitlines()[2:]]
     seed = RandomSeed(11, 0)
-    thetas = profile_batch(50, BoundaryParams(0.0, 2.0), seed.substream(0).generator(), 1)[0]
-    etas = configuration_batch(thetas, seed.substream(1).generator())
+    thetas = profile_batch(50, BoundaryParams(0.0, 2.0), seed.generator(Purpose.PROFILES), 1)[0]
+    etas = configuration_batch(thetas, seed.generator(Purpose.CONFIGURATIONS))
     assert [row[1] for row in rows] == [repr(float(t)) for t in thetas]
     assert [row[2] for row in rows] == [repr(int(e)) for e in etas]
     for n_sites in (0, -3):
@@ -480,17 +488,112 @@ def test_wrong_value_types_are_config_errors(tmp_path, capsys, command, override
 
 
 def test_concentration_and_marginal_check_draw_distinct_streams(tmp_path, monkeypatch):
-    # the ladder's N keys substream N, so a ladder holding the marginal
-    # check's stream index would draw both from one stream
+    # the concentration run draws count and fill streams, the marginal
+    # check profile streams, so no key is built twice
     keys = []
     generator = RandomSeed.generator
-    monkeypatch.setattr(RandomSeed, "generator", lambda seed: keys.append(seed) or generator(seed))
+
+    def recording(seed, *args, **kwargs):
+        rng = generator(seed, *args, **kwargs)
+        keys.append(rng.bit_generator.seed_seq.spawn_key)
+        return rng
+
+    monkeypatch.setattr(RandomSeed, "generator", recording)
     cfg = base_config(concentration={"n_ladder": [10, 777], "replicas": 10**4})
     path = write_config(tmp_path, cfg)
     code = main(["verify", "concentration", "--config", path, "--out-dir", str(tmp_path / "out")])
     assert code in (EXIT_PASS, EXIT_VERDICT)
-    # one chunk at N = 10, two at N = 777, one for the marginal check
-    assert len(keys) == 4 and len(set(keys)) == 4
+    # counts of one chunk at N = 10 and two at N = 777, fills only where a
+    # chunk holds an undecided row, one chunk for the marginal check
+    counts = [k for k in keys if k[1] == Purpose.COUNTS]
+    assert counts == [(0, Purpose.COUNTS, i, c) for i, c in ((0, 0), (1, 0), (1, 1))]
+    assert [k for k in keys if k[1] == Purpose.PROFILES] == [(0, Purpose.PROFILES, 0, 0)]
+    assert len(set(keys)) == len(keys)
+
+
+def test_every_sampling_run_builds_each_key_once(tmp_path, monkeypatch):
+    # several chunks at every N; each run's keys are unique, and the lln
+    # ladder keys each N by its index, so no N reuses another's streams
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
+    keys = []
+    generator = RandomSeed.generator
+
+    def recording(seed, *args, **kwargs):
+        rng = generator(seed, *args, **kwargs)
+        assert rng.bit_generator.seed_seq.entropy == 11
+        keys.append(rng.bit_generator.seed_seq.spawn_key)
+        return rng
+
+    monkeypatch.setattr(RandomSeed, "generator", recording)
+    ladder = [50, 400, 1000]
+    cfg = base_config(
+        g={"name": "pair-product"},
+        sample={"n_sites": 10},
+        lln={"n_ladder": ladder, "replicas": 100},
+        clt={"n_sites": 400, "replicas": 2000},
+        bridge={"n_sites": 400, "replicas": 2000},
+        concentration={"n_ladder": [10, 400, 1000], "replicas": 10**4},
+    )
+    path = write_config(tmp_path, cfg)
+    runs = {}
+    kinds = ("lln", "clt", "bridge", "concentration")
+    for command in (["sample"], *(["verify", kind] for kind in kinds)):
+        keys.clear()
+        code = main([*command, "--config", path, "--out-dir", str(tmp_path / command[-1])])
+        assert code in (EXIT_PASS, EXIT_VERDICT)
+        runs[command[-1]] = list(keys)
+    keys.clear()
+    harness.annealed_mc_estimate(
+        pair_product_function(), 0.5, 50, BoundaryParams(0.0, 2.0), 2000, RandomSeed(11, 0)
+    )
+    runs["annealed"] = list(keys)
+    for name, run_keys in runs.items():
+        assert run_keys and len(set(run_keys)) == len(run_keys), name
+    field = (Purpose.PROFILES, Purpose.CONFIGURATIONS)
+    assert runs["sample"] == [(0, p, 0, 0) for p in field]
+    chunks = [-(-100 // (2**14 // n)) for n in ladder]  # 1, 3 and 7
+    assert sorted(runs["lln"]) == sorted(
+        (0, p, i, c) for i, count in enumerate(chunks) for c in range(count) for p in field
+    )
+    assert {k[1:3] for k in runs["concentration"]} >= {(Purpose.COUNTS, i) for i in range(3)}
+
+
+@pytest.mark.parametrize(
+    "command, seed, flag, name",
+    [
+        (["sample"], {"master": -1, "stream": 0}, [], "seed.master"),
+        (["sample"], {"master": 2**64, "stream": 0}, [], "seed.master"),
+        (["verify", "lln"], {"master": 0, "stream": -1}, [], "seed.stream"),
+        (["verify", "lln"], {"master": 0, "stream": 2**64}, [], "seed.stream"),
+        (["sample"], {"master": 0, "stream": 0}, ["--seed", "-1"], "--seed"),
+        (["verify", "lln"], {"master": 0, "stream": 0}, ["--seed", str(2**64)], "--seed"),
+    ],
+    ids=["master-negative", "master-2^64", "stream-negative", "stream-2^64", "flag-negative",
+         "flag-2^64"],
+)
+def test_seeds_outside_64_bits_are_config_errors(
+    tmp_path, capsys, monkeypatch, command, seed, flag, name
+):
+    # masked into 64 bits, -1 would draw the streams of 2**64 - 1
+    drawn = []
+    monkeypatch.setattr(RandomSeed, "generator", lambda *args, **kwargs: drawn.append(args))
+    cfg = base_config(seed=seed, sample={"n_sites": 10}, lln={"n_ladder": [10, 20], "replicas": 10})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert main([*command, "--config", path, "--out-dir", str(out), *flag]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: '{name}' must lie in [0, 2**64)")
+    assert "Traceback" not in err
+    assert not out.exists() and not drawn
+
+
+def test_largest_seeds_are_accepted(tmp_path):
+    cfg = base_config(seed={"master": 2**64 - 1, "stream": 2**64 - 1}, sample={"n_sites": 5})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert main(["sample", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
+    summary = json.loads((out / "sample_summary.json").read_text())
+    assert summary["seed"] == {"master": 2**64 - 1, "stream": 2**64 - 1}
 
 
 @pytest.mark.parametrize("name", ["demo.json", "demo_ldp.json"])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
@@ -7,8 +8,8 @@ from scipy.stats import beta as beta_dist
 from conftest import assert_within_se
 from geomix.core import (
     BoundaryParams,
+    Purpose,
     RandomSeed,
-    _after_draws,
     _geometric_counts,
     configuration_batch,
     profile_batch,
@@ -55,8 +56,8 @@ def test_degenerate_interval_profile():
 
 def test_identical_seeds_reproduce_bitwise(bounds):
     def sample(seed):
-        thetas = profile_batch(200, bounds, seed.substream(0).generator(), 1)[0]
-        return thetas, configuration_batch(thetas, seed.substream(1).generator())
+        thetas = profile_batch(200, bounds, seed.generator(Purpose.PROFILES), 1)[0]
+        return thetas, configuration_batch(thetas, seed.generator(Purpose.CONFIGURATIONS))
 
     s = RandomSeed(99, 4)
     p1, c1 = sample(s)
@@ -69,19 +70,46 @@ def test_identical_seeds_reproduce_bitwise(bounds):
 
 @pytest.mark.parametrize("draws", [0, 1, 2, 3, 4, 5, 10**5 + 3])
 def test_after_draws_continues_the_stream(draws):
-    source = RandomSeed(99, 4).generator()
-    positioned = _after_draws(source, draws)
-    source.random(draws)
-    assert np.array_equal(positioned.random(9), source.random(9))
+    # a stream drawn in row blocks is the stream drawn whole: one double is
+    # one 64-bit word, so after any number of draws the next doubles are
+    # the whole draw's continuation
+    def rng():
+        return RandomSeed(99, 4).generator(Purpose.CONFIGURATIONS, 2, 7)
+
+    whole = rng().random(draws + 9)
+    blocks = rng()
+    buf = np.empty(draws)
+    blocks.random(out=buf[: draws // 2])
+    blocks.random(out=buf[draws // 2 :])
+    assert np.array_equal(buf, whole[:draws])
+    assert np.array_equal(blocks.random(9), whole[draws:])
 
 
-def test_after_draws_refuses_other_generators():
-    with pytest.raises(ValueError, match="Philox"):
-        _after_draws(np.random.default_rng(1), 4)
-    drawn = RandomSeed(99, 4).generator()
-    drawn.random()
-    with pytest.raises(ValueError, match="not drawn"):
-        _after_draws(drawn, 4)
+def test_generator_key_is_stream_purpose_ladder_and_chunk():
+    rng = RandomSeed(99, 4).generator(Purpose.FILLS, 2, 7)
+    assert isinstance(rng.bit_generator, np.random.PCG64)
+    keyed = rng.bit_generator.seed_seq
+    assert (keyed.entropy, keyed.spawn_key) == (99, (4, Purpose.FILLS, 2, 7))
+    # each entry of the key selects its own stream
+    first = RandomSeed(99, 4).generator().random(4)
+    assert np.array_equal(first, RandomSeed(99, 4).generator(Purpose.PROFILES, 0, 0).random(4))
+    for other in (
+        RandomSeed(98, 4).generator(),
+        RandomSeed(99, 5).generator(),
+        RandomSeed(99, 4).generator(Purpose.CONFIGURATIONS),
+        RandomSeed(99, 4).generator(ladder=1),
+        RandomSeed(99, 4).generator(chunk=1),
+    ):
+        assert not np.array_equal(first, other.random(4))
+
+
+@pytest.mark.parametrize("master, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_seeds_outside_64_bits_are_refused(master, stream):
+    # masking them would make RandomSeed(-1, 0) the stream of
+    # RandomSeed(2**64 - 1, 0)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RandomSeed(master, stream)
+    RandomSeed(2**64 - 1, 2**64 - 1).generator()
 
 
 def test_profile_marginal_mean_and_variance(bounds):
@@ -134,7 +162,7 @@ def test_configuration_batch_matches_masked_reference():
         out = np.zeros(thetas.shape, dtype=np.int64)
         pos = thetas > 0.0
         if np.any(pos):
-            log_p = np.log(thetas[pos]) - np.log1p(thetas[pos])
+            log_p = -np.log1p(1.0 / thetas[pos])
             vals = np.ceil(np.log1p(-u[pos]) / log_p) - 1.0
             out[pos] = np.maximum(vals, 0.0).astype(np.int64)
         return out
@@ -161,6 +189,22 @@ def test_float_counts_are_the_configuration_batch_counts():
     assert np.array_equal(got, want.astype(float))
     assert np.all(got[:, :7] == 0) and np.all(got[4] == 0)
     assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("theta", [1e3, 1e6])
+def test_geometric_counts_are_exact_quantiles_at_large_theta(theta):
+    # uniforms at relative distance 1e-14 on either side of the quantile
+    # bounds 1 - p**m, p = theta/(1+theta): log p = log(theta) - log1p(theta)
+    # is off by 7e-14 relative at theta = 1e3 and by 9.5e-11 at 1e6, which
+    # puts such a uniform on the wrong side; -log1p(1/theta) does not
+    mpmath.mp.dps = 50
+    p = mpmath.mpf(theta) / (1 + mpmath.mpf(theta))
+    ms = [1, 2, int(theta) // 10 + 1, int(theta), 5 * int(theta)]
+    u = np.array([float(1 - p ** (m * (1 + side * 1e-14))) for m in ms for side in (-1, 1)])
+    exact = [int(mpmath.ceil(mpmath.log(1 - mpmath.mpf(x)) / mpmath.log(p))) - 1 for x in u]
+    got = _geometric_counts(np.full(u.shape, theta), u.copy())
+    assert got.tolist() == exact
+    assert exact[1::2] == ms and exact[0::2] == [m - 1 for m in ms]
 
 
 def test_configuration_site_moments_given_profile(bounds):

@@ -1,13 +1,15 @@
+import functools
 import hashlib
 import itertools
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, kstwo, norm
 
@@ -16,6 +18,7 @@ from geomix import harness, moments
 from geomix.asymptotics import bridge_covariance
 from geomix.core import (
     BoundaryParams,
+    Purpose,
     RandomSeed,
     configuration_batch,
     density_function,
@@ -331,32 +334,30 @@ def test_reproducible_across_worker_counts(bounds):
     assert np.array_equal(samples[0], samples[2])
 
 
-def _whole_chunk_profile(rng, count, n_sites, bounds, g, phi):
-    """The field chunk drawn in stream order on one generator: the
-    chunk's whole profile, then each block's configuration."""
-    thetas = profile_batch(n_sites, bounds, rng, count)
-    values = np.empty(count)
-    for lo, hi in harness._row_blocks(count, n_sites):
-        occ = configuration_batch(thetas[lo:hi], rng)
-        values[lo:hi] = field_values_batch(g, phi, occ)
-    return values
+def _whole_chunk_profile(streams, count, n_sites, bounds, g, phi):
+    """The field chunk drawn whole: the chunk's whole profile from its
+    profile stream, then its whole configuration from its configuration
+    stream."""
+    thetas = profile_batch(n_sites, bounds, streams(Purpose.PROFILES), count)
+    return field_values_batch(g, phi, configuration_batch(thetas, streams(Purpose.CONFIGURATIONS)))
 
 
-# count * n_sites % 4 is 0, 1, 2 and 3; blocks of 3 rows leave uneven last blocks
-@pytest.mark.parametrize("count, n_sites", [(8, 100), (5, 101), (10, 101), (7, 101)])
+# blocks of 3 rows: even blocks, and last blocks of 2 and 1 rows
+@pytest.mark.parametrize("count, n_sites", [(9, 100), (5, 101), (10, 101), (7, 101)])
 def test_field_chunk_draws_the_stream_of_the_whole_chunk_profile(
     monkeypatch, bounds, seed, count, n_sites
 ):
     monkeypatch.setattr(harness, "_BLOCK_BUDGET", 3 * n_sites)
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
-    got = harness._field_chunk(seed.generator(), count, n_sites, bounds, g, phi_identity())
-    want = _whole_chunk_profile(seed.generator(), count, n_sites, bounds, g, phi_identity())
+    streams = functools.partial(seed.generator, ladder=2, chunk=5)
+    got = harness._field_chunk(streams, count, n_sites, bounds, g, phi_identity())
+    want = _whole_chunk_profile(streams, count, n_sites, bounds, g, phi_identity())
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_field_runs_match_the_whole_chunk_profile(monkeypatch, bounds, seed, workers):
-    # several chunks per run, with every count * N % 4, and uneven blocks
+    # several chunks per run, and uneven blocks
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
     monkeypatch.setattr(harness, "_BLOCK_BUDGET", 1000)
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
@@ -405,6 +406,29 @@ def test_row_block_size_does_not_change_results(monkeypatch, bounds, seed, worke
                 assert np.array_equal(got, want)
             else:
                 assert got == want
+
+
+_REFERENCE_OUTPUTS = []
+
+
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(workers=st.sampled_from([1, 2]), block_budget=st.integers(1, 4000))
+@example(workers=2, block_budget=1300)  # 3 and 26 rows: uneven at both N
+def test_outputs_do_not_depend_on_workers_or_block_budget(workers, block_budget):
+    # chunks of 40 rows at N = 400 and 327 at N = 50, in blocks of
+    # block_budget // N rows (at least one): most budgets leave an uneven
+    # last block in every chunk
+    bounds, seed = BoundaryParams(0.0, 2.0), RandomSeed(20240801, 0)
+    with mock.patch.object(harness, "_CHUNK_BUDGET", 2**14):
+        if not _REFERENCE_OUTPUTS:
+            _REFERENCE_OUTPUTS.extend(_sampled_outputs(bounds, seed, 1))
+        with mock.patch.object(harness, "_BLOCK_BUDGET", block_budget):
+            outputs = _sampled_outputs(bounds, seed, workers)
+    for got, want in zip(outputs, _REFERENCE_OUTPUTS, strict=True):
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed):
@@ -535,10 +559,10 @@ def _sort_path_sups(n, bounds, replicas, seed):
     chunk plan and streams of run_concentration."""
     mean = theta_marginals(n, bounds)[0]
 
-    def fn(rng, count):
-        return np.abs(profile_batch(n, bounds, rng, count) - mean).max(axis=1)
+    def fn(streams, count):
+        return np.abs(profile_batch(n, bounds, streams(Purpose.FILLS), count) - mean).max(axis=1)
 
-    return np.concatenate(harness._map_chunks(fn, replicas, n, seed.substream(n), 1))
+    return np.concatenate(harness._map_chunks(fn, replicas, n, seed, 1))
 
 
 def _spy_concentration(monkeypatch):
@@ -753,7 +777,7 @@ def _whole_chunk_marginal_sums(n_sites, bounds, replicas, seed):
     chunk = harness._chunk_size(n_sites)
     parts = []
     for c, lo in enumerate(range(0, replicas, chunk)):
-        rng = seed.substream(c).generator()
+        rng = seed.generator(Purpose.PROFILES, chunk=c)
         thetas = profile_batch(n_sites, bounds, rng, min(chunk, replicas - lo))
         parts.append(np.stack([(thetas**p).sum(axis=0) for p in (1, 2, 3, 4)]))
     return parts
@@ -792,8 +816,9 @@ def test_marginal_check_memory_is_one_block(bounds):
 
 @pytest.mark.parametrize("g", [density_function(), pair_product_function()], ids=["density", "pair"])
 def test_field_runs_at_zero_reservoirs_raise_no_warning(g, seed):
-    # theta = 0 everywhere: log(0) = -inf in the count transform, then a
-    # finite log over -inf; every count and deviation is exactly zero
+    # theta = 0 everywhere: 1/0 = +inf and log1p(+inf) = +inf in the count
+    # transform, then a finite log over +inf; every count and deviation is
+    # exactly zero
     cfg = ExperimentConfig(
         n_ladder=(10, 1000), replicas=50, bounds=BoundaryParams(0.0, 0.0),
         g=g, phi=phi_identity(), seed=seed, workers=2,
