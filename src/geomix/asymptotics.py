@@ -313,16 +313,22 @@ def lln_limit(
     return _refine(evaluate, "lln_limit")
 
 
+def _interpolant_coefficients(nodes: int) -> np.ndarray:
+    """L[n, j] = Legendre coefficient n of the Lagrange basis polynomial l_j
+    on the Gauss-Legendre nodes t of [-1, 1], by Gauss orthogonality, which
+    is exact at this degree.  L @ f gives the Legendre series of the
+    interpolant of the node values f."""
+    t, w = leggauss(nodes)
+    return (np.arange(nodes) + 0.5)[:, None] * (legvander(t, nodes - 1) * w[:, None]).T
+
+
 def _tail_matrix(nodes: int) -> np.ndarray:
     """T[i, j] = integral over [t_i, 1] of the Lagrange basis polynomial
     l_j on the Gauss-Legendre nodes t of [-1, 1].  T @ f integrates the
     interpolant of f from each node to the right end, exactly when f has
     degree <= nodes - 1."""
-    t, w = leggauss(nodes)
-    # Legendre coefficients of l_j by Gauss orthogonality, exact at this degree
-    coefs = (np.arange(nodes) + 0.5)[:, None] * (legvander(t, nodes - 1) * w[:, None]).T
-    anti = legint(coefs, axis=0)
-    return legval(1.0, anti)[None, :] - legval(t, anti).T
+    anti = legint(_interpolant_coefficients(nodes), axis=0)
+    return legval(1.0, anti)[None, :] - legval(leggauss(nodes)[0], anti).T
 
 
 def clt_variances(

@@ -285,8 +285,7 @@ def build_phi(phi: _Table) -> TestFunction:
     if phi.kind == "x":
         return phi_identity()
     if phi.kind == "const":
-        value = float(phi["value"])
-        return TestFunction(lambda x, v=value: np.full_like(x, v), name="const")
+        return phi_polynomial([phi["value"]])
     return phi_polynomial(phi["coefficients"])
 
 

@@ -28,32 +28,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function on [0, 1]; the evaluator must be numpy-vectorized."""
+    """A test function on [0, 1]; the evaluator must be numpy-vectorized.
+
+    ``coefficients`` holds the power-series coefficients, lowest degree
+    first, when phi is a polynomial, and is None otherwise."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = "phi"
+    coefficients: tuple[float, ...] | None = None
 
     __test__ = False  # not a test case despite the name
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
 
+    @property
+    def constant(self) -> float | None:
+        """The value of phi when it is a polynomial of degree 0, else None."""
+        coefs = self.coefficients
+        if coefs is None or any(c != 0.0 for c in coefs[1:]):
+            return None
+        return coefs[0]
+
 
 def phi_one() -> TestFunction:
-    return TestFunction(lambda x: np.ones_like(x), name="one")
+    return TestFunction(lambda x: np.ones_like(x), name="one", coefficients=(1.0,))
 
 
 def phi_identity() -> TestFunction:
-    return TestFunction(lambda x: x, name="x")
+    return TestFunction(lambda x: x, name="x", coefficients=(0.0, 1.0))
 
 
 def phi_polynomial(coefficients) -> TestFunction:
     coefs = np.asarray(coefficients, dtype=float)
+    if coefs.ndim != 1 or not coefs.size:
+        raise ValueError("a polynomial test function needs a non-empty list of coefficients")
 
     def evaluator(x):
         return np.polynomial.polynomial.polyval(x, coefs)
 
-    return TestFunction(evaluator, name="poly")
+    return TestFunction(evaluator, name="poly", coefficients=tuple(coefs.tolist()))
 
 
 def _windows(occ: np.ndarray, k: int) -> list[np.ndarray]:

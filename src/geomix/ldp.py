@@ -15,11 +15,14 @@ Perron vectors.  At k = 1 the window has one state, and F is the log of
 sum_n nu_theta(n) exp(lambda * g(n)).  Level-1 rates follow by Legendre
 transform, solved by safeguarded secant steps in the logit of the tilted
 mean.  The
-parameter-path rate J penalizes the log-slope of monotone profiles, and
-the two variational problems (annealed free energy, rate of a target
-profile) are solved by one projected-gradient solver, in ascent or
-descent, over discretized monotone profiles in the increment
-parametrization.
+parameter-path rate J penalizes the log-slope of monotone profiles.  At a
+strength that does not depend on x, the annealed free energy is the Gibbs
+variational value log of the integral of exp F(theta_left + width * s) over
+s in [0, 1], one refined quadrature, and its optimal profile is the
+quantile function of the density proportional to exp F.  Every other
+strength, and the rate of a target profile, are solved by one
+projected-gradient solver, in ascent or descent, over discretized monotone
+profiles in the increment parametrization.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.asymptotics import (
+    _NODES_PER_PANEL,
     _check_cells,
     _composite_nodes,
     _g_grid,
+    _interpolant_coefficients,
     _refine,
     _weight_tables,
 )
@@ -61,6 +66,10 @@ __all__ = [
 _POWER_ITERATION_CAP = 20_000
 _EIGEN_TOL = 1e-12
 _LEGENDRE_ITERATION_CAP = 100
+# safeguarded Newton steps of the quantile inversion, and their stop in the
+# panel coordinate [-1, 1]
+_QUANTILE_ITERATION_CAP = 100
+_QUANTILE_TOL = 1e-14
 # projected gradient: first step, backtracking factor, and the move (relative
 # to the increment budget) below which an accepted step counts as converged
 _PGD_STEP = 0.25
@@ -83,7 +92,14 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Projected-gradient solver settings (exposed through the CLI)."""
+    """Settings of the projected-gradient solver (exposed through the CLI).
+
+    ``profile_rate``, and ``annealed_free_energy`` at a strength that
+    depends on x, run that solver and read all four values.
+    ``annealed_free_energy`` at a constant strength (a test function of
+    polynomial degree 0) takes its closed form instead and reads only
+    ``grid_size``, the number of cells of the profile it returns.
+    """
 
     max_iterations: int = 4000
     multistart: int = 4
@@ -252,7 +268,9 @@ def _legendre(
     finite or leaves the node's bracket in [-cap, cap] is replaced by
     bisection; cap = 600 / max|g| keeps exp(lam * g) finite.  At x = g_lo
     or g_hi the sup is approached as lambda -> -+inf, and the value at the
-    cap is returned as its lower estimate.
+    cap is returned as its lower estimate.  At theta = 0 every site is
+    empty, so the law is the point mass at g(0, ..., 0): the rate is 0 at
+    that x and +inf at every other x, with no solve.
     """
     table = _FreeEnergyTable(thetas, g)
     xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
@@ -260,8 +278,10 @@ def _legendre(
         raise ValueError("x must be finite")
     g_lo, g_hi = float(table.gvals.min()), float(table.gvals.max())
     cap = 600.0 / (max(abs(g_lo), abs(g_hi)) or 1.0)
-    interior = (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
-    boundary = ~interior & (xs >= g_lo) & (xs <= g_hi)
+    empty = table.thetas == 0.0
+    at_mass = empty & (np.abs(xs - table.gvals[(0,) * table.gvals.ndim]) <= 1e-12)
+    interior = ~empty & (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
+    boundary = ~empty & ~interior & (xs >= g_lo) & (xs <= g_hi)
     lam = np.where(boundary, np.where(xs >= (g_lo + g_hi) / 2.0, cap, -cap), 0.0)
     idx = np.flatnonzero(interior)
     nodes, x, hi = table.take(idx), xs[idx], np.full(idx.size, cap)
@@ -291,7 +311,8 @@ def _legendre(
     if idx.size:
         raise NumericError(f"Legendre solve did not converge at theta={nodes.thetas[0]}, x={x[0]}")
     f, _, f_theta = table(lam)
-    rates = np.where(interior | boundary, np.maximum(lam * xs - f, 0.0), math.inf)
+    # lambda = 0 at the point mass, where F vanishes and the rate is 0
+    rates = np.where(interior | boundary | at_mass, np.maximum(lam * xs - f, 0.0), math.inf)
     return rates, lam, f_theta
 
 
@@ -518,6 +539,72 @@ def _optimize_profile(
     )
 
 
+def _quantiles(xs: np.ndarray, q: np.ndarray, panels: int) -> np.ndarray:
+    """C^-1(xs), for C the normalised integral of a positive density on
+    [0, 1] given by its values q at the composite Gauss nodes of equal
+    panels.  On each panel C follows the integral of the polynomial that
+    interpolates q at the panel's nodes, whose total is the panel's Gauss
+    sum; Newton steps, safeguarded by bisection, solve C(s) = x in the
+    panel that holds x."""
+    by_panel = q.reshape(panels, _NODES_PER_PANEL)
+    coefs = _interpolant_coefficients(_NODES_PER_PANEL) @ by_panel.T
+    # C at the panel edges, unnormalised, in the panel coordinate t in [-1, 1],
+    # where a Legendre series integrates to twice its constant term
+    edges = np.concatenate(([0.0], np.cumsum(2.0 * coefs[0])))
+    goal = xs * edges[-1]
+    panel = np.clip(np.searchsorted(edges, goal, side="right") - 1, 0, panels - 1)
+    need, coefs = goal - edges[panel], coefs[:, panel]
+    anti = legint(coefs, lbnd=-1.0, axis=0)
+    lo, hi, t = np.full(xs.size, -1.0), np.ones(xs.size), np.zeros(xs.size)
+    for _ in range(_QUANTILE_ITERATION_CAP):
+        r = legval(t, anti, tensor=False) - need
+        lo, hi = np.where(r < 0.0, t, lo), np.where(r < 0.0, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r / legval(t, coefs, tensor=False)
+        nxt = t - step
+        # test the step before the bracket, so that a rounding-level step converges
+        converged = np.abs(step) <= _QUANTILE_TOL
+        t = np.where(converged | ((nxt > lo) & (nxt < hi)), nxt, (lo + hi) / 2.0)
+        if np.all(converged | (hi - lo <= _QUANTILE_TOL)):
+            return (panel + (t + 1.0) / 2.0) / panels
+    raise NumericError(f"quantile inversion did not converge in {_QUANTILE_ITERATION_CAP} steps")
+
+
+def _annealed_constant(
+    lam: float, g: LocalFunction, bounds: BoundaryParams, grid_size: int
+) -> VariationalResult:
+    """The annealed free energy at the constant strength lam, in closed form.
+
+    With s = (u(x) - theta_left)/width for x uniform, J(u) is the relative
+    entropy of the law of s against the uniform law, so by the Gibbs
+    variational principle the sup is log Z, Z = integral over [0, 1] of
+    exp F(theta_left + width * s, lam) ds, attained by the profile
+    u(x) = theta_left + width * C^-1(x), C the normalised integral of
+    exp F.  Z and the linear profile's value, the integral of F, come from
+    one :func:`free_energy` call per panel refinement, and the profile is
+    read off the panels of the last one at x = j / grid_size."""
+    if bounds.width <= 0.0:
+        raise ValueError("the variational problems require theta_left < theta_right")
+    last = {}
+
+    def evaluate(panels: int) -> np.ndarray:
+        s, w = _composite_nodes(panels)
+        f = free_energy(bounds.theta_left + bounds.width * s, lam, g)[0]
+        top = float(f.max())
+        last.update(panels=panels, q=np.exp(f - top))
+        return np.array([top + math.log(w @ last["q"]), w @ f])
+
+    value, linear = _refine(evaluate, "annealed free energy")
+    s = _quantiles(np.arange(grid_size + 1) / grid_size, last["q"], last["panels"])
+    vals = bounds.theta_left + bounds.width * s
+    vals[-1] = bounds.theta_right
+    return VariationalResult(
+        value=float(value),
+        profile=MonotoneProfile(values=vals, bounds=bounds),
+        start_values=(float(linear),),
+    )
+
+
 def annealed_free_energy(
     phi: TestFunction,
     g: LocalFunction,
@@ -526,12 +613,18 @@ def annealed_free_energy(
 ) -> VariationalResult:
     """sup over monotone profiles of [integral of F(u(x), phi(x)) - J(u)].
 
-    The free energy and its theta-derivative come from one
-    :func:`free_energy` call per iterate; the path-rate gradient is
-    analytic.  The linear start is the first iterate and only improvements
-    are accepted, so the value is never below the linear profile's, up to
-    the rounding of that start's projection.
+    A constant strength (``phi.constant`` is set) takes the closed form of
+    :func:`_annealed_constant`; its ``start_values`` hold the linear
+    profile's value, which the closed form never falls below (Jensen's
+    inequality), and only ``solver.grid_size`` is read.  Any other phi is
+    solved by projected gradient: the free energy and its theta-derivative
+    come from one :func:`free_energy` call per iterate, and the path-rate
+    gradient is analytic.  The linear start is the first iterate and only
+    improvements are accepted, so the value is never below the linear
+    profile's, up to the rounding of that start's projection.
     """
+    if phi.constant is not None:
+        return _annealed_constant(phi.constant, g, bounds, solver.grid_size)
 
     def node_terms(thetas: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f, _, f_theta = free_energy(thetas, lams, g)

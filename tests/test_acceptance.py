@@ -21,7 +21,7 @@ from geomix.core import (
     indicator_vacuum_function,
     pair_product_function,
 )
-from geomix.fields import TestFunction, phi_identity, phi_one
+from geomix.fields import TestFunction, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
     ExperimentConfig,
     annealed_mc_estimate,
@@ -274,6 +274,12 @@ def test_criterion_7_ldp_consistency():
     )
 
     lam = 0.2
+    # the Gibbs value at a constant strength: log of the mean of
+    # exp F = 1 + (e^lam - 1)/(1 + theta) over [0, 2]
+    closed = math.log((BOUNDS.width + (math.exp(lam) - 1) * math.log(3.0)) / BOUNDS.width)
+    closed_res = annealed_free_energy(phi_polynomial([lam]), g, BOUNDS, SolverConfig())
+    checks["annealed closed form"] = abs(closed_res.value - closed) <= 1e-12 * closed
+
     res = annealed_free_energy(
         TestFunction(lambda x: np.full_like(x, lam), name="const"),
         g,

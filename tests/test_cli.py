@@ -196,6 +196,24 @@ def test_ldp_annealed_zero_weight(tmp_path):
     assert np.allclose(thetas, np.linspace(0.0, 2.0, 129), atol=1e-7)
 
 
+def test_ldp_annealed_const_phi_is_the_closed_form(tmp_path):
+    # const phi is a degree-0 polynomial: the Gibbs value, and a profile of
+    # grid_size + 1 points whatever the other solver values say
+    cfg = base_config(
+        g={"name": "indicator-vacuum"},
+        phi={"name": "const", "value": 0.2},
+        ldp={"solver": {"multistart": 1, "grid_size": 100, "max_iterations": 1}},
+    )
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "ann"
+    assert main(["ldp", "annealed", "--config", path, "--out-dir", str(out)]) == EXIT_PASS
+    summary = json.loads((out / "annealed_summary.json").read_text())
+    closed = math.log((2.0 + (math.exp(0.2) - 1) * math.log(3.0)) / 2.0)
+    assert summary["value"] == pytest.approx(closed, rel=1e-12)
+    assert len(summary["start_values"]) == 1 and summary["start_values"][0] < summary["value"]
+    assert len((out / "annealed_table.csv").read_text().strip().splitlines()[2:]) == 101
+
+
 def test_ldp_rate_task_vanishes_at_mean(tmp_path):
     cfg = base_config(
         g={"name": "indicator-vacuum"},
@@ -389,12 +407,15 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         (["verify", "lln"], {"g": {"name": "custom-polynomial", "k": 1,
                                    "terms": [{"exps": [1], "coef": math.nan}]},
                              "lln": {"n_ladder": [100, 1000], "replicas": 10}}),
+        # a polynomial needs at least one coefficient
+        (["verify", "lln"], {"phi": {"name": "poly", "coefficients": []},
+                             "lln": {"n_ladder": [100, 1000], "replicas": 10}}),
     ],
     ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "ladder-decreasing",
          "empty-grid", "grid-above-one", "grid-at-one", "seed-list", "one-replica", "zero-sites", "no-starts",
          "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
          "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles",
-         "nan-eps", "nan-phi-value", "inf-phi-coefficient", "nan-term-coef"],
+         "nan-eps", "nan-phi-value", "inf-phi-coefficient", "nan-term-coef", "no-phi-coefficients"],
 )
 def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))

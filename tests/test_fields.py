@@ -56,6 +56,19 @@ def test_field_value_monte_carlo_mean(bounds):
     assert_within_se(vals.mean(), limit, se, 5, "density field mean")
 
 
+def test_polynomial_test_functions_carry_their_coefficients():
+    assert phi_one().coefficients == (1.0,) and phi_one().constant == 1.0
+    assert phi_identity().coefficients == (0.0, 1.0) and phi_identity().constant is None
+    assert phi_polynomial([0.5, 1.0]).coefficients == (0.5, 1.0)
+    assert phi_polynomial([0.5, 1.0]).constant is None
+    # degree 0 whatever trailing zeros the list carries
+    assert phi_polynomial([0.5, 0.0, 0.0]).constant == 0.5
+    # an evaluator alone declares no polynomial
+    assert TestFunction(lambda x: np.full_like(x, 0.5)).constant is None
+    with pytest.raises(ValueError):
+        phi_polynomial([])
+
+
 def test_field_linearity_in_g_and_phi():
     rng = np.random.default_rng(8)
     eta = rng.integers(0, 5, size=60)

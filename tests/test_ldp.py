@@ -14,7 +14,7 @@ from geomix.core import (
     RandomSeed,
     indicator_vacuum_function,
 )
-from geomix.fields import TestFunction
+from geomix.fields import TestFunction, phi_one, phi_polynomial
 from geomix.harness import annealed_mc_estimate
 import geomix.ldp as ldp_module
 from geomix.ldp import (
@@ -222,6 +222,34 @@ def test_rate_just_outside_range_is_infinite(ind_g):
 def test_rate_at_range_edge_is_log_inverse_mass(ind_g):
     # x = 1 forces every site empty: rate -log nu_theta(0) = log(1+theta)
     assert rate_function(1.0, 1.0, ind_g) == pytest.approx(math.log(2.0), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "g, empty_value",
+    [(indicator_vacuum_function(), 1.0), (make_pair_vacuum(), 1.0), (make_capped_count(), 0.0)],
+    ids=["indicator-vacuum", "pair-vacuum", "capped-count"],
+)
+def test_rate_at_theta_zero_is_the_point_mass(g, empty_value, monkeypatch):
+    # at theta = 0 every site is empty: the rate is 0 at g(0, ..., 0) and
+    # +inf everywhere else, inside the value range of g too, with no solve
+    calls = []
+    evaluate = ldp_module._FreeEnergyTable.__call__
+
+    def counted(self, lams):
+        calls.append(self.thetas.size)
+        return evaluate(self, lams)
+
+    monkeypatch.setattr(ldp_module._FreeEnergyTable, "__call__", counted)
+    xs = np.array([0.0, 0.3, 0.5, 0.99, 1.0])
+    rates = rate_function_batch(0.0, xs, g)
+    assert len(calls) == 1
+    assert np.array_equal(rates, np.where(xs == empty_value, 0.0, math.inf))
+    assert rate_function(0.0, 0.3, g) == math.inf
+    assert rate_function(0.0, empty_value, g) == 0.0
+    # a node at theta > 0 in the same batch keeps its own solve
+    mixed = _legendre(np.array([0.0, 1.0]), np.array([0.3, 0.3]), g)[0]
+    assert mixed[0] == math.inf
+    assert mixed[1] == rate_function(1.0, 0.3, g)
 
 
 def test_legendre_consistency(ind_g):
@@ -503,6 +531,86 @@ def test_annealed_rejects_equilibrium():
             BoundaryParams(1.0, 1.0),
             SolverConfig(),
         )
+
+
+def _indicator_vacuum_quantiles(bounds, lam, m):
+    """The optimal constant-strength profile of indicator-vacuum at x = j/m:
+    theta with G(theta) = x * G(theta_right), for G the integral of
+    exp F = 1 + (e^lam - 1)/(1 + theta) from theta_left, by bisection."""
+    a = math.exp(lam) - 1.0
+
+    def big_g(theta):
+        return theta - bounds.theta_left + a * np.log1p((theta - bounds.theta_left) / (1 + bounds.theta_left))
+
+    goal = np.arange(m + 1) / m * big_g(bounds.theta_right)
+    lo, hi = np.full(m + 1, bounds.theta_left), np.full(m + 1, bounds.theta_right)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        below = big_g(mid) < goal
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 0.2, 1.5])
+@pytest.mark.parametrize("edges", [(0.0, 2.0), (0.5, 10.0)], ids=["0-2", "0.5-10"])
+def test_annealed_constant_strength_closed_form(edges, lam, ind_g):
+    # indicator-vacuum: exp F = 1 + (e^lam - 1)/(1 + theta), so the Gibbs
+    # value log of the mean of exp F over [theta_left, theta_right] is
+    # log((w + (e^lam - 1) log((1 + theta_r)/(1 + theta_l))) / w)
+    b = BoundaryParams(*edges)
+    res = annealed_free_energy(phi_polynomial([lam]), ind_g, b, SolverConfig(grid_size=200))
+    closed = math.log(
+        (b.width + (math.exp(lam) - 1) * math.log((1 + b.theta_right) / (1 + b.theta_left)))
+        / b.width
+    )
+    assert abs(res.value - closed) <= 1e-12 * abs(closed) + 1e-15
+    # start_values holds the linear profile's value, which Jensen puts below
+    linear = MonotoneProfile.linear(b, 200)
+    assert res.start_values[0] == pytest.approx(
+        inhom_free_energy(linear, phi_polynomial([lam]), ind_g), rel=1e-9, abs=1e-15
+    )
+    assert res.value >= res.start_values[0] - 1e-15
+    if lam == 0.0:
+        assert np.max(np.abs(res.profile.values - linear.values)) <= 1e-12
+        return
+    exact = _indicator_vacuum_quantiles(b, lam, 200)
+    assert np.max(np.abs(res.profile.values - exact)) <= 1e-9 * b.width
+    # the grid-200 solver's profile carries its own O(1/M^2) discretization
+    # error, up to 1.06e-6 of the width here (a quarter of that at M = 400)
+    pgd = annealed_free_energy(const_phi(lam), ind_g, b, SolverConfig(multistart=2, grid_size=200))
+    assert np.max(np.abs(res.profile.values - pgd.profile.values)) <= 2e-6 * b.width
+
+
+def test_constant_strength_takes_the_closed_form(bounds, ind_g, monkeypatch):
+    def no_pgd(*args):
+        raise AssertionError("a constant strength ran the projected-gradient solver")
+
+    monkeypatch.setattr(ldp_module, "_pgd", no_pgd)
+    solver = SolverConfig(grid_size=50)
+    values = [
+        annealed_free_energy(phi, ind_g, bounds, solver).value
+        for phi in (phi_polynomial([1.0]), phi_polynomial([1.0, 0.0, 0.0]), phi_one())
+    ]
+    assert values[0] == values[1] == values[2]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [TestFunction(lambda x: 0.3 * x, name="ramp"), phi_polynomial([0.0, 0.3]), const_phi(0.2)],
+    ids=["ramp", "polynomial-ramp", "constant-without-coefficients"],
+)
+def test_strength_not_known_constant_runs_the_solver(bounds, ind_g, phi, monkeypatch):
+    calls = []
+    pgd = ldp_module._pgd
+
+    def counted(*args):
+        calls.append(1)
+        return pgd(*args)
+
+    monkeypatch.setattr(ldp_module, "_pgd", counted)
+    solver = SolverConfig(multistart=2, grid_size=20, max_iterations=200)
+    annealed_free_energy(phi, ind_g, bounds, solver)
+    assert len(calls) == solver.multistart
 
 
 def test_profile_rate_vanishes_at_lln_profile(bounds, ind_g):
