@@ -704,3 +704,18 @@ def test_seed_override_changes_output(tmp_path):
     t1 = (out1 / "sample_table.csv").read_text().splitlines()[2:]
     t2 = (out2 / "sample_table.csv").read_text().splitlines()[2:]
     assert t1 != t2
+
+
+def test_demo_outputs_match_recorded_digests(tmp_path):
+    # tests/make_demo_digests.py rewrites the record when a change moves bytes
+    from make_demo_digests import DIGESTS, demo_digests, versions
+
+    recorded = json.loads(DIGESTS.read_text())
+    files = demo_digests(tmp_path)
+    moved = sorted(k for k in recorded["files"].keys() | files.keys()
+                   if recorded["files"].get(k) != files.get(k))
+    assert not moved, (
+        f"{len(moved)} of {len(recorded['files'])} demo outputs differ from the record "
+        f"made with numpy {recorded['numpy']}, Python {recorded['python']} "
+        f"(this run: numpy {versions()['numpy']}, Python {versions()['python']}): {moved}"
+    )
