@@ -20,9 +20,9 @@ strength that does not depend on x, the annealed free energy is the Gibbs
 variational value log of the integral of exp F(theta_left + width * s) over
 s in [0, 1], one refined quadrature, and its optimal profile is the
 quantile function of the density proportional to exp F.  Every other
-strength, and the rate of a target profile, are solved by one
-projected-gradient solver, in ascent or descent, over discretized monotone
-profiles in the increment parametrization.
+strength, and the rate of a target profile, are solved by one Newton
+solver on the values of discretized monotone profiles, whose Hessian is
+tridiagonal.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ _LEGENDRE_ITERATION_CAP = 100
 # panel coordinate [-1, 1]
 _QUANTILE_ITERATION_CAP = 100
 _QUANTILE_TOL = 1e-14
-# projected gradient: first step, backtracking factor, and the move (relative
-# to the increment budget) below which an accepted step counts as converged
-_PGD_STEP = 0.25
-_PGD_SHRINK = 0.5
-_PGD_TOL = 1e-9
 # Gauss nodes per profile cell of the path objectives
 _CELL_NODES = 2
 # least profile increment, relative to the width, of a finite path rate
@@ -92,10 +87,9 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of the projected-gradient solver (exposed through the CLI).
-
-    ``profile_rate``, and ``annealed_free_energy`` at a strength that
-    depends on x, run that solver and read all four values.
+    """Settings of the Newton solver (exposed through the CLI): profiles of
+    ``grid_size`` cells, the linear start and ``multistart - 1`` random ones
+    drawn from ``seed``, and at most ``max_iterations`` steps per start.
     ``annealed_free_energy`` at a constant strength (a test function of
     polynomial degree 0) takes its closed form instead and reads only
     ``grid_size``, the number of cells of the profile it returns.
@@ -111,6 +105,8 @@ class SolverConfig:
             raise ValueError("grid size must be >= 2")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,139 +363,142 @@ def inhom_free_energy(u: MonotoneProfile, phi: TestFunction, g: LocalFunction) -
     return _refine(evaluate, "inhomogeneous free energy")
 
 
-def _project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
-    pos = u - css / idx > 0
-    rho = idx[pos][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
-@dataclass(frozen=True)
-class _ProfileParam:
-    """Increment parametrization u_0 = theta_left + e[0],
-    d_j = delta_min + e[1+j], with e >= 0 and sum(e) = budget."""
-
-    bounds: BoundaryParams
-    m_cells: int
-
-    @property
-    def delta_min(self) -> float:
-        return _DELTA_MIN * self.bounds.width
-
-    @property
-    def budget(self) -> float:
-        return self.bounds.width - self.m_cells * self.delta_min
-
-    def to_values(self, e: np.ndarray) -> np.ndarray:
-        u0 = self.bounds.theta_left + e[0]
-        incs = self.delta_min + e[1:]
-        vals = np.concatenate(([u0], u0 + np.cumsum(incs)))
-        vals[-1] = self.bounds.theta_right
-        return vals
-
-    def linear_start(self) -> np.ndarray:
-        e = np.full(self.m_cells + 1, self.budget / self.m_cells)
-        e[0] = 0.0
-        return e
-
-    def starts(self, solver: SolverConfig) -> list[np.ndarray]:
-        """The linear start, then multistart - 1 random ones from solver.seed."""
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(solver.seed)))
-        starts = [self.linear_start()]
-        for _ in range(solver.multistart - 1):
-            raw = rng.exponential(size=self.m_cells + 1)
-            raw[0] *= rng.random()  # keep the left endpoint low on average
-            starts.append(raw / raw.sum() * self.budget)
-        return starts
+def _starts(bounds: BoundaryParams, solver: SolverConfig) -> list[np.ndarray]:
+    """Solver start profiles on solver.grid_size cells: the linear one, then
+    multistart - 1 random ones from solver.seed, whose increments are the
+    least increment plus exponential draws scaled to fill the width, with
+    u_0 - theta_left one more draw times a uniform one."""
+    m, delta_min = solver.grid_size, _DELTA_MIN * bounds.width
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(solver.seed)))
+    starts = [MonotoneProfile.linear(bounds, m).values]
+    for _ in range(solver.multistart - 1):
+        raw = rng.exponential(size=m + 1)
+        raw[0] *= rng.random()  # keep the left endpoint low on average
+        e = raw / raw.sum() * (bounds.width - m * delta_min)
+        vals = bounds.theta_left + e[0] + np.concatenate(([0.0], np.cumsum(delta_min + e[1:])))
+        vals[-1] = bounds.theta_right
+        starts.append(vals)
+    return starts
 
 
 def _cell_nodes(m_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss nodes per profile cell: (x, weights, in-cell coordinates)."""
+    """Gauss nodes per profile cell: (x, weights, the in-cell coordinates
+    of one cell's nodes)."""
     xg, wg = leggauss(_CELL_NODES)
     tau = (xg + 1.0) / 2.0
     cells = np.arange(m_cells)[:, None]
     x = ((cells + tau[None, :]) / m_cells).ravel()
     w = np.tile(wg / (2.0 * m_cells), m_cells)
-    return x, w, np.tile(tau, m_cells)
+    return x, w, tau
 
 
 def _path_objective(
-    param: _ProfileParam,
+    bounds: BoundaryParams,
+    m_cells: int,
     strength: TestFunction,
     node_terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    j_sign: float,
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """e -> (integral of an integrand along u + j_sign * J(u), its e-gradient).
+    sign: float,
+) -> Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """u -> (G, gradient, Hessian diagonal, Hessian off-diagonal) of
+    G(u) = J(u) - sign * (integral of an integrand along u), in the profile
+    values u_0..u_{M-1}; u_M = theta_right is fixed.
 
-    ``node_terms(u(x), strength(x))`` gives the integrand and its u-derivative
-    at the Gauss nodes x of the profile cells.  The gradient chains through
-    the hat basis to du_j, then through the suffix sums of the increment
-    parametrization.  A non-finite integrand gives the worst value, j_sign * inf.
+    ``node_terms(u(x), strength(x))`` gives the integrand and its
+    theta-derivative at the Gauss nodes x of the profile cells.  Each node
+    touches the two values of its cell through the hat basis, and J couples
+    only neighbours, so the Hessian is tridiagonal.  J's part is exact; the
+    integrand's comes from one curvature per node, a forward difference
+    (step 1e-6 * width) of the theta-derivative, with negative curvatures
+    set to 0 so that the Hessian stays positive definite.  A non-finite
+    integrand gives G = +inf.
     """
-    m = param.m_cells
+    m = m_cells
     x, w, tau = _cell_nodes(m)
-    tau_c = tau.reshape(m, _CELL_NODES)
+    # hat-basis weights of a cell's nodes on its left and right values
+    left, right = 1.0 - tau, tau
     grid = np.arange(m + 1) / m
     sx = np.asarray(strength(x), dtype=float)
+    step = 1e-6 * bounds.width
 
-    def objective(e: np.ndarray) -> tuple[float, np.ndarray]:
-        vals = param.to_values(e)
-        node_vals, node_grads = node_terms(np.interp(x, grid, vals), sx)
-        if not np.all(np.isfinite(node_vals)):
-            return j_sign * math.inf, np.zeros(m + 1)
-        per_cell = (w * node_grads).reshape(m, _CELL_NODES)
-        grad_u = np.zeros(m + 1)
-        grad_u[:-1] += np.sum(per_cell * (1.0 - tau_c), axis=1)
-        grad_u[1:] += np.sum(per_cell * tau_c, axis=1)
+    def objective(vals: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        u = np.interp(x, grid, vals)
+        f, f_theta = node_terms(u, sx)
+        if not np.all(np.isfinite(f)):
+            return math.inf, None, None, None
+        curvature = -sign * (node_terms(u + step, sx)[1] - f_theta) / step
+        w_grad = (-sign * w * f_theta).reshape(m, _CELL_NODES)
+        w_curv = (w * np.where(curvature > 0.0, curvature, 0.0)).reshape(m, _CELL_NODES)
         incs = np.diff(vals)
-        j_val = float(-np.sum(np.log(m * incs / param.bounds.width)) / m)
-        suffix = np.cumsum(grad_u[::-1])[::-1]
-        grad_e = np.empty(m + 1)
-        grad_e[0] = suffix[0]
-        grad_e[1:] = suffix[1:] + j_sign * (-1.0 / (m * incs))
-        return float(w @ node_vals) + j_sign * j_val, grad_e
+        j_grad, j_curv = 1.0 / (m * incs), 1.0 / (m * incs**2)
+        value = -sign * float(w @ f) - float(np.sum(np.log(m * incs / bounds.width)) / m)
+        # each cell's terms on its left value, then on its right one but u_M
+        grad = w_grad @ left + j_grad
+        grad[1:] += (w_grad @ right - j_grad)[:-1]
+        diag = w_curv @ left**2 + j_curv
+        diag[1:] += (w_curv @ right**2 + j_curv)[:-1]
+        return value, grad, diag, (w_curv @ (left * right) - j_curv)[:-1]
 
     return objective
 
 
-def _pgd(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system with this diagonal and
+    off-diagonal by elimination without pivoting, which the positive
+    definite systems of the Newton steps allow."""
+    c, d, lower = [0.0], [0.0], 0.0
+    for a_i, r_i, b_i in zip(diag.tolist(), rhs.tolist(), off.tolist() + [0.0]):
+        denom = a_i - lower * c[-1]
+        c.append(b_i / denom)
+        d.append((r_i - lower * d[-1]) / denom)
+        lower = b_i
+    x = [0.0]
+    for c_i, d_i in zip(c[:0:-1], d[:0:-1]):
+        x.append(d_i - c_i * x[-1])
+    return np.array(x[:0:-1])
+
+
+def _newton(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]],
     start: np.ndarray,
-    param: _ProfileParam,
-    solver: SolverConfig,
-    sign: float,
+    bounds: BoundaryParams,
+    max_iterations: int,
 ) -> tuple[float, np.ndarray]:
-    """Projected gradient with backtracking, ascent for sign = 1 and descent
-    for sign = -1; accepts only improvements and returns (value, e)."""
-    e = _project_capped_simplex(start, param.budget)
-    value, grad = objective(e)
-    step = _PGD_STEP
-    scale = max(param.budget, 1e-12)
-    for _ in range(solver.max_iterations):
-        moved = False
-        while step > 1e-16 * scale:
-            cand = _project_capped_simplex(e + sign * step * grad, param.budget)
-            if not np.any(cand != e):
-                break
-            cand_value, cand_grad = objective(cand)
-            improvement = sign * (cand_value - value)
-            if improvement > 0.0:
-                shift = float(np.max(np.abs(cand - e)))
-                e, value, grad = cand, cand_value, cand_grad
-                moved = True
-                step /= _PGD_SHRINK
-                # converged: the step or the gain has hit numerical noise
-                if shift < _PGD_TOL * scale or improvement <= 1e-13 * max(1.0, abs(value)):
-                    return value, e
-                break
-            step *= _PGD_SHRINK
-        if not moved:
-            return value, e
-    return value, e
+    """Minimize a :func:`_path_objective` from a start profile by Newton
+    steps, with Armijo backtracking that keeps every increment >=
+    _DELTA_MIN * width.  A step that would take u_0 below theta_left is cut
+    there, and the other values take the model's Newton step with u_0 held
+    at theta_left.  Stops when the Newton decrement (the gain the quadratic
+    model promises) reaches rounding, when no step gains, or after
+    max_iterations steps; returns (G, profile values)."""
+    lo, delta_min = bounds.theta_left, _DELTA_MIN * bounds.width
+    u = start
+    value, grad, diag, off = objective(u)
+    if not math.isfinite(value):
+        return value, u
+    for _ in range(max_iterations):
+        step = np.zeros(u.size)
+        step[:-1] = -_thomas(diag, off, grad)
+        if u[0] + step[0] < lo:
+            step[0] = lo - u[0]
+            rhs = grad[1:].copy()
+            rhs[0] += off[0] * step[0]
+            step[1:-1] = -_thomas(diag[1:], off[1:], rhs)
+        slope = float(grad @ step[:-1])
+        if -slope <= 1e-15 * max(1.0, abs(value)):
+            break
+        t = 1.0
+        while True:
+            trial = u + t * step
+            trial[0] = max(trial[0], lo)
+            if np.all(np.diff(trial) >= delta_min):
+                cand = objective(trial)
+                if cand[0] <= value + 1e-4 * t * slope:
+                    break
+            t /= 2.0
+            if t < 1e-12:
+                return value, u
+        u, (value, grad, diag, off) = trial, cand
+    return value, u
 
 
 @dataclass(frozen=True)
@@ -520,22 +519,21 @@ def _optimize_profile(
     sign: float,
 ) -> VariationalResult:
     """sup (sign = 1) or inf (sign = -1) over monotone profiles of
-    [integral of node_terms along u - sign * J(u)], by projected gradient
-    from the linear start and multistart - 1 random ones; the best finite
+    [integral of node_terms along u - sign * J(u)], by Newton steps on the
+    profile values from each start of :func:`_starts`; the best finite
     start wins."""
     if bounds.width <= 0.0:
         raise ValueError("the variational problems require theta_left < theta_right")
-    param = _ProfileParam(bounds, solver.grid_size)
-    objective = _path_objective(param, strength, node_terms, j_sign=-sign)
-    results = [_pgd(objective, s, param, solver, sign) for s in param.starts(solver)]
+    objective = _path_objective(bounds, solver.grid_size, strength, node_terms, sign)
+    results = [_newton(objective, s, bounds, solver.max_iterations) for s in _starts(bounds, solver)]
     finite = [r for r in results if math.isfinite(r[0])]
     if not finite:
         raise OptimizationError("every solver start hit an infeasible profile")
-    value, e = max(finite, key=lambda r: sign * r[0])
+    g_min, vals = min(finite, key=lambda r: r[0])
     return VariationalResult(
-        value=value,
-        profile=MonotoneProfile(values=param.to_values(e), bounds=bounds),
-        start_values=tuple(r[0] for r in results),
+        value=-sign * g_min,
+        profile=MonotoneProfile(values=vals, bounds=bounds),
+        start_values=tuple(-sign * r[0] for r in results),
     )
 
 
@@ -617,11 +615,11 @@ def annealed_free_energy(
     :func:`_annealed_constant`; its ``start_values`` hold the linear
     profile's value, which the closed form never falls below (Jensen's
     inequality), and only ``solver.grid_size`` is read.  Any other phi is
-    solved by projected gradient: the free energy and its theta-derivative
-    come from one :func:`free_energy` call per iterate, and the path-rate
-    gradient is analytic.  The linear start is the first iterate and only
-    improvements are accepted, so the value is never below the linear
-    profile's, up to the rounding of that start's projection.
+    solved by Newton steps: the free energy and its theta-derivative come
+    from one :func:`free_energy` call per iterate and the curvature from
+    one more, and the path rate's derivatives are analytic.  Each start
+    accepts only improvements and the linear profile is one of the starts,
+    so the value is never below the linear profile's.
     """
     if phi.constant is not None:
         return _annealed_constant(phi.constant, g, bounds, solver.grid_size)

@@ -426,6 +426,18 @@ def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_solver_steps_below_one_are_config_errors(tmp_path, capsys, steps):
+    # with no step the solver would report its linear start as the optimum
+    cfg = base_config(g={"name": "indicator-vacuum"}, ldp={"solver": {"max_iterations": steps}})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["ldp", "profile-rate", "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "max_iterations" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "ldp, key",
     [

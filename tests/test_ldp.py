@@ -577,15 +577,15 @@ def test_annealed_constant_strength_closed_form(edges, lam, ind_g):
     assert np.max(np.abs(res.profile.values - exact)) <= 1e-9 * b.width
     # the grid-200 solver's profile carries its own O(1/M^2) discretization
     # error, up to 1.06e-6 of the width here (a quarter of that at M = 400)
-    pgd = annealed_free_energy(const_phi(lam), ind_g, b, SolverConfig(multistart=2, grid_size=200))
-    assert np.max(np.abs(res.profile.values - pgd.profile.values)) <= 2e-6 * b.width
+    newton = annealed_free_energy(const_phi(lam), ind_g, b, SolverConfig(multistart=2, grid_size=200))
+    assert np.max(np.abs(res.profile.values - newton.profile.values)) <= 2e-6 * b.width
 
 
 def test_constant_strength_takes_the_closed_form(bounds, ind_g, monkeypatch):
-    def no_pgd(*args):
-        raise AssertionError("a constant strength ran the projected-gradient solver")
+    def no_newton(*args):
+        raise AssertionError("a constant strength ran the Newton solver")
 
-    monkeypatch.setattr(ldp_module, "_pgd", no_pgd)
+    monkeypatch.setattr(ldp_module, "_newton", no_newton)
     solver = SolverConfig(grid_size=50)
     values = [
         annealed_free_energy(phi, ind_g, bounds, solver).value
@@ -601,16 +601,51 @@ def test_constant_strength_takes_the_closed_form(bounds, ind_g, monkeypatch):
 )
 def test_strength_not_known_constant_runs_the_solver(bounds, ind_g, phi, monkeypatch):
     calls = []
-    pgd = ldp_module._pgd
+    newton = ldp_module._newton
 
     def counted(*args):
         calls.append(1)
-        return pgd(*args)
+        return newton(*args)
 
-    monkeypatch.setattr(ldp_module, "_pgd", counted)
+    monkeypatch.setattr(ldp_module, "_newton", counted)
     solver = SolverConfig(multistart=2, grid_size=20, max_iterations=200)
     annealed_free_energy(phi, ind_g, bounds, solver)
     assert len(calls) == solver.multistart
+
+
+# the benchmark's profile-rate target on [0, 2]: the indicator-vacuum lln
+# profile 1/(1 + 2x) less 0.05, which has no closed form
+LLN_SHIFTED = TestFunction(lambda x: 1.0 / (1.0 + 2.0 * x) - 0.05, name="lln-shifted")
+
+
+@pytest.mark.parametrize(
+    "problem, strength, edges, grid",
+    [
+        (annealed_free_energy, TestFunction(lambda x: 0.3 * x, name="ramp"), (0.0, 2.0), 200),
+        (annealed_free_energy, TestFunction(lambda x: 1.0 - 2.0 * x, name="fall"), (0.5, 10.0), 200),
+        (annealed_free_energy, TestFunction(lambda x: -1.0 + 2.0 * x**2, name="bowl"), (0.5, 10.0), 200),
+        (profile_rate, LLN_SHIFTED, (0.0, 2.0), 50),
+        (profile_rate, LLN_SHIFTED, (0.0, 2.0), 200),
+    ],
+    ids=["ramp", "fall", "bowl", "lln-shifted-50", "lln-shifted-200"],
+)
+def test_random_starts_reach_one_value(problem, strength, edges, grid, ind_g):
+    # the linear start and three random ones
+    b = BoundaryParams(*edges)
+    res = problem(strength, ind_g, b, SolverConfig(multistart=4, seed=7, grid_size=grid))
+    values = np.array(res.start_values)
+    assert np.all(np.isfinite(values))
+    assert np.ptp(values) <= 1e-12 * abs(res.value)
+
+
+@pytest.mark.parametrize("grid, gap", [(200, 2.4e-8), (1000, 9.3e-10)])
+def test_bare_constant_converges_to_the_closed_form(bounds, ind_g, grid, gap):
+    # a constant evaluator without coefficients runs the solver; its
+    # discrete optimum approaches the Gibbs value at second order in the grid
+    lam = 0.2
+    res = annealed_free_energy(const_phi(lam), ind_g, bounds, SolverConfig(multistart=2, grid_size=grid))
+    closed = math.log((bounds.width + (math.exp(lam) - 1) * math.log(3.0)) / bounds.width)
+    assert abs(res.value - closed) <= gap
 
 
 def test_profile_rate_vanishes_at_lln_profile(bounds, ind_g):
@@ -675,3 +710,6 @@ def test_solver_config_validation():
         SolverConfig(grid_size=1)
     with pytest.raises(ValueError):
         SolverConfig(multistart=0)
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=steps)
