@@ -25,6 +25,7 @@ from geomix.cli import (
     config_digest,
     main,
 )
+from make_demo_digests import DIGESTS, demo_digests, versions
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -720,8 +721,6 @@ def test_seed_override_changes_output(tmp_path):
 
 def test_demo_outputs_match_recorded_digests(tmp_path):
     # tests/make_demo_digests.py rewrites the record when a change moves bytes
-    from make_demo_digests import DIGESTS, demo_digests, versions
-
     recorded = json.loads(DIGESTS.read_text())
     files = demo_digests(tmp_path)
     moved = sorted(k for k in recorded["files"].keys() | files.keys()
