@@ -431,7 +431,7 @@ def _path_objective(
         incs = np.diff(vals)
         j_grad, j_curv = 1.0 / (m * incs), 1.0 / (m * incs**2)
         value = -sign * float(w @ f) - float(np.sum(np.log(m * incs / bounds.width)) / m)
-        # each cell's terms on its left value, then on its right one but u_M
+        # each cell's terms on its left value, then on its right one (u_M is fixed)
         grad = w_grad @ left + j_grad
         grad[1:] += (w_grad @ right - j_grad)[:-1]
         diag = w_curv @ left**2 + j_curv
