@@ -162,31 +162,43 @@ def polynomial_function(
 
     def evaluator(*window):
         # each window is cast to float once and each (site, exponent) power
-        # is taken once; the products and the sum then run in place in the
-        # order coef * eta_1^e_1 * ... * eta_k^e_k, monomials summed in order
+        # is taken once; the products and the sum then run in the order
+        # coef * eta_1^e_1 * ... * eta_k^e_k, monomials summed in order, with
+        # a coefficient of exactly 1 left out, which leaves every product
+        # as it was.  A term that is one of the powers is never written
         window = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in window))
         powers: dict[tuple[int, int], np.ndarray] = {}
+
+        def power(j: int, e: int) -> np.ndarray:
+            if (j, e) not in powers:
+                powers[j, e] = window[j] if e == 1 else window[j] ** e
+            return powers[j, e]
+
+        def borrowed(x: np.ndarray) -> bool:
+            return any(x is p for p in powers.values())
+
         acc = None
         for exps, coef in monos.items():
-            term = None
-            for j, e in enumerate(exps):
-                if not e:
-                    continue
-                if (j, e) not in powers:
-                    powers[j, e] = window[j] if e == 1 else window[j] ** e
-                if term is None:
-                    term = powers[j, e] * coef
-                else:
-                    term *= powers[j, e]
-            if term is None:
+            factors = [power(j, e) for j, e in enumerate(exps) if e]
+            if not factors:
                 term = np.full(window[0].shape, coef)
+            else:
+                if coef != 1.0:
+                    factors[0] = factors[0] * coef
+                elif len(factors) > 1:
+                    factors[:2] = [factors[0] * factors[1]]
+                term = factors[0]
+                for f in factors[1:]:
+                    term *= f
             if acc is None:
                 acc = term
+            elif borrowed(acc):
+                acc = acc + term
             else:
                 acc += term
         if acc is None:
-            acc = np.zeros(window[0].shape)
-        return acc
+            return np.zeros(window[0].shape)
+        return acc.copy() if borrowed(acc) else acc
 
     return LocalFunction(k=k, evaluator=evaluator, monomials=monos, name=name)
 

@@ -77,13 +77,16 @@ def _windows(occ: np.ndarray, k: int) -> list[np.ndarray]:
     return [occ[..., j : n - k + 1 + j] for j in range(k)]
 
 
-def _field_grid(n_sites: int, k: int) -> np.ndarray:
-    """Field abscissae i/(N+1) for i = 0, ..., N-k."""
-    return np.arange(n_sites - k + 1, dtype=float) / (n_sites + 1)
+def _field_weights(phi: TestFunction, n_sites: int, k: int) -> np.ndarray | None:
+    """phi at the field abscissae i/(N+1) for i = 0, ..., N-k; None when
+    phi is identically 1, which weights nothing."""
+    if phi.constant == 1.0:
+        return None
+    return phi(np.arange(n_sites - k + 1, dtype=float) / (n_sites + 1))
 
 
 def field_values_batch(
-    g: LocalFunction, phi: TestFunction, occupations: np.ndarray
+    g: LocalFunction, phi: TestFunction, occupations: np.ndarray, weights=None
 ) -> np.ndarray:
     """(1/N) * sum_i g(window at i) * phi(i/(N+1)) for each row of a
     (replicas, N) batch of configurations; a single (N,) configuration
@@ -94,13 +97,19 @@ def field_values_batch(
     product would group rows differently for different batch sizes.  The
     phi weights are applied in place when g returns an array that owns its
     data and has the product's shape; a view, of the configuration say,
-    is never written.
+    is never written.  A caller that reduces many batches of one N passes
+    ``weights``, phi's as :func:`_field_weights` gives them, to build them
+    once.
     """
     occ = np.asarray(occupations)
     n = occ.shape[-1]
-    weights = phi(_field_grid(n, g.k))
-    vals = np.asarray(g(*_windows(occ, g.k)), dtype=float)
-    if vals.flags.owndata and vals.flags.writeable and vals.shape[-1:] == weights.shape:
+    windows = _windows(occ, g.k)
+    if weights is None:
+        weights = _field_weights(phi, n, g.k)
+    vals = np.asarray(g(*windows), dtype=float)
+    if weights is None:
+        vals = np.broadcast_to(vals, windows[0].shape)
+    elif vals.flags.owndata and vals.flags.writeable and vals.shape[-1:] == weights.shape:
         vals *= weights
     else:
         vals = vals * weights

@@ -56,7 +56,7 @@ from geomix.core import (
     sorted_profile,
 )
 from geomix.duality import le_deviation
-from geomix.fields import TestFunction, field_values_batch, phi_one
+from geomix.fields import TestFunction, _field_weights, field_values_batch, phi_one
 from geomix.moments import (
     geometric_raw_moment_coefficients,
     theta_marginals,
@@ -215,11 +215,12 @@ def _field_chunk(
     # each per chunk: fresh blocks would fault their pages in anew
     theta_buf = np.empty((rows, n_sites))
     occ_buf = np.empty_like(theta_buf)
+    weights = _field_weights(phi, n_sites, g.k)
     for lo, hi in _row_blocks(count, n_sites):
         thetas = sorted_profile(rng.random(out=theta_buf[: hi - lo]), bounds)
         # -log p overwrites the profile rows, which nothing reads after it
         occ = _geometric_counts(thetas, occ_rng.random(out=occ_buf[: hi - lo]), thetas)
-        values[lo:hi] = field_values_batch(g, phi, occ)
+        values[lo:hi] = field_values_batch(g, phi, occ, weights)
     return values
 
 
