@@ -3,9 +3,12 @@
 Experiments draw steady-state replicas from keyed streams of a master
 seed, so re-runs are bit-identical for any worker count, and report
 effect sizes with standard errors rather than bare pass/fails.
-Central-limit runs are centered at the exact mixture mean assembled from
-closed-form moments (empirical centering would inflate the distributional
-distance at practical replica counts).
+Central-limit runs are centered at the exact mixture mean (empirical
+centering would inflate the distributional distance at practical replica
+counts).  For a polynomial g and phi that mean is a rational number: each
+window moment is N!/(N+L)! times an integer polynomial in the window's
+start, so the sum over windows is one of integer power sums, evaluated
+exactly and rounded once, at a cost that does not grow with N.
 
 A chunk of replicas is the stream unit: its size is fixed, and chunk c
 at the i-th N of a run's ladder (i = 0 at one N) draws each purpose from
@@ -37,6 +40,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,9 +62,9 @@ from geomix.core import (
 from geomix.duality import le_deviation
 from geomix.fields import TestFunction, _field_weights, field_values_batch, phi_one
 from geomix.moments import (
+    _window_polynomial,
     geometric_raw_moment_coefficients,
     theta_marginals,
-    theta_window_moments,
 )
 
 __all__ = [
@@ -280,33 +284,77 @@ def fit_log_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=max(min(r2, 1.0), 0.0))
 
 
-def _theta_polynomial(g: LocalFunction) -> list[tuple[float, tuple[int, ...]]]:
+def _theta_polynomial(g: LocalFunction) -> list[tuple[Fraction, tuple[int, ...]]]:
     """The window mean of g as a polynomial in the window's parameters:
     each monomial with E[eta^p | theta] expanded over its raw-moment
-    coefficients, as (coefficient, Theta exponent vector) pairs."""
+    coefficients, as (exact coefficient, Theta exponent vector) pairs."""
     if g.monomials is None:
         raise ValueError("exact mixture means require a polynomial local function")
     if (g.degree or 0) > _MAX_POLY_DEGREE:
         raise ValueError(f"exact mixture means support degree <= {_MAX_POLY_DEGREE}")
     poly = []
     for exps, coef in g.monomials.items():
-        per_site = [geometric_raw_moment_coefficients(e) for e in exps]
+        per_site = [geometric_raw_moment_coefficients(e).astype(int) for e in exps]
         for qs in itertools.product(*(range(c.size) for c in per_site)):
-            weight = coef * math.prod(c[q] for c, q in zip(per_site, qs))
-            if weight != 0.0:
+            weight = Fraction(coef) * math.prod(int(c[q]) for c, q in zip(per_site, qs))
+            if weight:
                 poly.append((weight, qs))
     return poly
+
+
+def _power_sums(m: int, p: int) -> list[int]:
+    """sum_{s=1}^{m} s^j for j = 0..p, exactly, by Pascal's recursion
+    (m+1)^(j+1) - 1 = sum_{i<=j} C(j+1, i) * S_i."""
+    sums: list[int] = []
+    for j in range(p + 1):
+        rest = sum(math.comb(j + 1, i) * sums[i] for i in range(j))
+        sums.append(((m + 1) ** (j + 1) - 1 - rest) // (j + 1))
+    return sums
 
 
 def exact_field_mean(
     g: LocalFunction, phi: TestFunction, n_sites: int, bounds: BoundaryParams
 ) -> float:
-    """Exact mean of the field of g: (1/N) sum_i E[g(window i)] phi(i/(N+1)),
-    all window means at once from order-statistic product moments."""
-    starts = np.arange(1, n_sites - g.k + 2)
-    weights = phi((starts - 1) / (n_sites + 1))
-    means = theta_window_moments(starts, _theta_polynomial(g), n_sites, bounds)
-    return float(weights @ means / n_sites)
+    """Exact mean of the field of g: (1/N) sum_s E[g(window s)] phi((s-1)/(N+1))
+    over the starts s = 1..N-k+1, as a rational rounded once.
+
+    Each window mean is a sum over Theta exponent vectors
+    (:func:`_theta_polynomial`), each Theta = theta_left + width * U is
+    expanded binomially, with the bounds as the exact rationals of their
+    doubles, and each uniform exponent vector e of total L has the moment
+    N!/(N+L)! * Q_e(s), an integer polynomial in s
+    (:func:`moments._window_polynomial`).  With phi a polynomial, the sum
+    over s is then one of integer power sums of s, so the cost does not
+    depend on N.  phi must carry its coefficients.
+    """
+    if phi.coefficients is None:
+        raise ValueError("exact mixture means require a polynomial test function")
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+    lo = Fraction(bounds.theta_left)
+    width = Fraction(bounds.theta_right) - lo
+    poly = _theta_polynomial(g)
+    # sum_e c_e N!/(N+L_e)! Q_e(s) over the uniform exponent vectors e, by powers of s
+    moment = [Fraction(0)] * (max((sum(exps) for _, exps in poly), default=0) + 1)
+    for weight, exps in poly:
+        for ls in itertools.product(*(range(p + 1) for p in exps)):
+            total = sum(ls)
+            coef = weight * lo ** (sum(exps) - total) * width**total
+            if not coef:
+                continue
+            coef *= math.prod(math.comb(p, l) for p, l in zip(exps, ls))
+            coef /= math.prod(range(n_sites + 1, n_sites + total + 1))
+            for j, c in enumerate(_window_polynomial(ls)):
+                moment[j] += coef * c
+    # phi((s-1)/(N+1)) by powers of s
+    weights = [Fraction(0)] * len(phi.coefficients)
+    for d, c in enumerate(phi.coefficients):
+        c = Fraction(c) / (n_sites + 1) ** d
+        for j in range(d + 1):
+            weights[j] += c * math.comb(d, j) * (-1) ** (d - j)
+    sums = _power_sums(max(n_sites - g.k + 1, 0), len(moment) + len(weights) - 2)
+    mean = sum(a * b * sums[i + j] for i, a in enumerate(moment) for j, b in enumerate(weights))
+    return float(mean / n_sites)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ Moments of the rescaled parameters and window product moments reduce to
 this by binomial expansion; geometric raw moments are polynomials in the
 mean, with Stirling-number coefficients.
 A window's moment at start s needs only its k sites: the sites before it
-and after it collapse into Gamma ratios, evaluated in log space so that
-they stay finite for N up to 10^6.
+and after it collapse into Gamma ratios.  As exact arithmetic, they make
+the moment N!/(N+L)! times an integer polynomial of degree L in s, L the
+window's total exponent (:func:`_window_polynomial`), from which
+``harness.exact_field_mean`` sums the windows of a field in closed form.
+:func:`theta_product_moment` evaluates one window's moment in log space,
+which stays finite for N up to 10^6.
 """
 
 from __future__ import annotations
@@ -27,15 +31,12 @@ from geomix.core import BoundaryParams
 
 __all__ = [
     "theta_marginals",
-    "theta_window_moments",
     "theta_product_moment",
     "stirling2",
     "geometric_raw_moment_coefficients",
 ]
 
 _MAX_STIRLING_ORDER = 20
-_WINDOW_BUDGET = 2**16  # (start, site) cells per block of window starts; each
-# start's row is summed on its own, so any value gives the same bits
 
 
 def _check_exponents(exps: Sequence[int]) -> np.ndarray:
@@ -47,29 +48,39 @@ def _check_exponents(exps: Sequence[int]) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _window_log_moment(n: int, starts: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """log E[ U_{s:N}^{e_1} ... U_{s+k-1:N}^{e_k} ] for every start s in ``starts``.
+def _window_log_moment(n: int, start: int, exps: np.ndarray) -> float:
+    """log E[ U_{s:N}^{e_1} ... U_{s+k-1:N}^{e_k} ] at the start s = ``start``.
 
     Only the k sites of the window carry exponents, so the partial-sum
     product collapses: sites before the window contribute lgamma(s),
     sites after it contribute lgamma(L+n+1) - lgamma(L+s+k) with L the
-    total exponent.  Cost is O(k) per start, independent of n, and the
-    starts run in blocks of about ``_WINDOW_BUDGET`` cells, so memory does
-    not grow with the number of starts times k; the caller keeps every
+    total exponent.  Cost is O(k), independent of n; the caller keeps the
     window inside 1..n.
     """
     k = exps.size
     partial = np.cumsum(exps, dtype=np.int64)
     total = int(partial[-1])
-    inside = np.empty(starts.size)
-    rows = max(1, _WINDOW_BUDGET // k)
-    for lo in range(0, starts.size, rows):
-        block = starts[lo : lo + rows, None] + np.arange(k)
-        block += partial
-        inside[lo : lo + rows] = np.sum(np.log(block), axis=1)
-    before = np.array([math.lgamma(s) for s in starts.tolist()])
-    ends = np.array([math.lgamma(s + total + k) for s in starts.tolist()])
+    inside = np.sum(np.log(start + np.arange(k) + partial))
+    before = math.lgamma(start)
+    ends = math.lgamma(start + total + k)
     return math.lgamma(n + 1) - (before + inside + (math.lgamma(total + n + 1) - ends))
+
+
+def _window_polynomial(exps: Sequence[int]) -> list[int]:
+    """Integer coefficients, lowest degree first, of
+    Q_e(s) = prod_{t in T} (s + t) with T = {0, ..., k-1+L} minus
+    {i-1+P_i : i = 1..k}, P_i the partial sums of the k exponents and L
+    their total: by the product-moment identity,
+
+        E[ U_{s:N}^{e_1} ... U_{s+k-1:N}^{e_k} ] = N!/(N+L)! * Q_e(s)
+
+    for every start s and every N >= s + k - 1."""
+    removed = {i + p for i, p in enumerate(itertools.accumulate(exps))}
+    coefs = [1]
+    for t in range(len(exps) + sum(exps)):
+        if t not in removed:  # times (s + t)
+            coefs = [t * a + b for a, b in zip(coefs + [0], [0] + coefs)]
+    return coefs
 
 
 def theta_marginals(n: int, bounds: BoundaryParams) -> tuple[np.ndarray, np.ndarray]:
@@ -82,50 +93,35 @@ def theta_marginals(n: int, bounds: BoundaryParams) -> tuple[np.ndarray, np.ndar
     return mean, var
 
 
-def theta_window_moments(
-    starts, poly: Sequence[tuple[float, Sequence[int]]], n: int, bounds: BoundaryParams
-) -> np.ndarray:
-    """E[ sum_t c_t prod_j Theta_{s+j-1}^{e_tj} ] at every window start s.
-
-    ``poly`` is a window's Theta-polynomial as (c_t, exponent vector)
-    pairs.  Each monomial is expanded binomially in
-    Theta = theta_left + width * U into uniform exponent vectors, and each
-    vector is evaluated at all starts at once in log space.
-    """
-    starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-    lo, width = bounds.theta_left, bounds.width
-    out = np.zeros(starts.size)
-    for weight, exps in poly:
-        powers = _check_exponents(exps).tolist()
-        if starts.size and (starts.min() < 1 or starts.max() + len(powers) - 1 > n):
-            raise ValueError(f"windows of {len(powers)} sites out of range for n={n}")
-        moment = np.zeros(starts.size)
-        for ls in itertools.product(*(range(p + 1) for p in powers)):
-            coef = lo ** (sum(powers) - sum(ls)) * width ** sum(ls)
-            if coef == 0.0:
-                continue
-            for p, l in zip(powers, ls):
-                coef *= math.comb(p, l)
-            active = np.flatnonzero(ls)
-            if active.size == 0:
-                moment += coef
-                continue
-            # zero exponents at the window edges shrink the window
-            a, b = active[0], active[-1] + 1
-            moment += coef * np.exp(_window_log_moment(n, starts + a, np.array(ls[a:b])))
-        out += weight * moment
-    return out
-
-
 def theta_product_moment(
     start: int, exps: Sequence[int], n: int, bounds: BoundaryParams
 ) -> float:
-    """E[Theta_{start}^{e_1} * ... * Theta_{start+k-1}^{e_k}] exactly.
+    """E[Theta_{start}^{e_1} * ... * Theta_{start+k-1}^{e_k}] in log space.
 
-    The one-start case of :func:`theta_window_moments`; the window must
-    satisfy start + k - 1 <= n.
+    The monomial is expanded binomially in Theta = theta_left + width * U
+    into uniform exponent vectors, and each vector's moment is taken from
+    :func:`_window_log_moment`; the window must satisfy
+    start + k - 1 <= n.
     """
-    return float(theta_window_moments([start], [(1.0, exps)], n, bounds)[0])
+    powers = _check_exponents(exps).tolist()
+    if start < 1 or start + len(powers) - 1 > n:
+        raise ValueError(f"windows of {len(powers)} sites out of range for n={n}")
+    lo, width = bounds.theta_left, bounds.width
+    moment = 0.0
+    for ls in itertools.product(*(range(p + 1) for p in powers)):
+        coef = lo ** (sum(powers) - sum(ls)) * width ** sum(ls)
+        if coef == 0.0:
+            continue
+        for p, l in zip(powers, ls):
+            coef *= math.comb(p, l)
+        active = np.flatnonzero(ls)
+        if active.size == 0:
+            moment += coef
+            continue
+        # zero exponents at the window edges shrink the window
+        a, b = active[0], active[-1] + 1
+        moment += coef * np.exp(_window_log_moment(n, start + a, np.array(ls[a:b])))
+    return float(moment)
 
 
 @lru_cache(maxsize=None)

@@ -3,13 +3,16 @@
 They compute the same objects as the library by other means: free
 energies by dense eigenvalues and finite-chain transfer sums over the
 states 0..128, state sums over a truncated grid, order-statistic product
-moments as exact rationals over the full exponent vector, and duality
+moments as exact rationals over the full exponent vector, exact field
+means summed window by window from those moments, and duality
 polynomials and their expectations from a sparse dual configuration.
 None of them is reached by the program itself.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -102,6 +105,48 @@ def uniform_orderstat_product_moment_exact(n: int, exps: Sequence[int]) -> Fract
         s += int(a)
         value /= s + j
     return value
+
+
+def field_mean_exact(
+    g: LocalFunction, phi_coefficients: Sequence[float], n: int, bounds: BoundaryParams
+) -> Fraction:
+    """(1/N) sum_s phi((s-1)/(N+1)) E[g(window s)] over the starts
+    s = 1..N-k+1 as an exact rational, window by window: each monomial's
+    E[eta^p | theta] expanded over its raw-moment coefficients, each
+    Theta = theta_left + width * U expanded binomially with the bounds as
+    the exact rationals of their doubles, and each uniform exponent vector
+    taken over all N sites by the exact product-moment identity."""
+    lo = Fraction(bounds.theta_left)
+    width = Fraction(bounds.theta_right) - lo
+    total = Fraction(0)
+    for start in range(1, n - g.k + 2):
+        x = Fraction(start - 1, n + 1)
+        weight = sum(Fraction(c) * x**d for d, c in enumerate(phi_coefficients))
+        mean = Fraction(0)
+        for exps, coef in g.monomials.items():
+            per_site = [[math.factorial(j) * _stirling2(e, j) for j in range(e + 1)] for e in exps]
+            for qs in itertools.product(*(range(e + 1) for e in exps)):
+                c = Fraction(coef) * math.prod(row[q] for row, q in zip(per_site, qs))
+                for ls in itertools.product(*(range(q + 1) for q in qs)):
+                    term = c
+                    for q, l in zip(qs, ls):
+                        term *= math.comb(q, l) * lo ** (q - l) * width**l
+                    if term:
+                        mean += term * _uniform_window_moment(n, start, ls)
+        total += weight * mean
+    return total / n
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_window_moment(n: int, start: int, exps: tuple[int, ...]) -> Fraction:
+    full = [0] * n
+    full[start - 1 : start - 1 + len(exps)] = exps
+    return uniform_orderstat_product_moment_exact(n, full)
+
+
+def _stirling2(p: int, j: int) -> int:
+    """S(p, j) from the explicit alternating sum."""
+    return sum((-1) ** i * math.comb(j, i) * (j - i) ** p for i in range(j + 1)) // math.factorial(j)
 
 
 @dataclass(frozen=True)

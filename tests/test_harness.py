@@ -1,10 +1,14 @@
 import functools
 import hashlib
-import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import timeit
 import tracemalloc
 import warnings
-from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest, kstwo, norm
 
 from conftest import assert_within_se
-from geomix import harness, moments
+from geomix import harness
 from geomix.asymptotics import bridge_covariance
 from geomix.core import (
     BoundaryParams,
@@ -27,7 +31,7 @@ from geomix.core import (
     profile_batch,
     sorted_profile,
 )
-from geomix.fields import field_values_batch, phi_identity, phi_one
+from geomix.fields import TestFunction, field_values_batch, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
     ExperimentConfig,
     SlopeFit,
@@ -45,18 +49,19 @@ from geomix.harness import (
     run_le_scaling,
     run_lln,
 )
-from geomix.moments import (
-    geometric_raw_moment_coefficients,
-    theta_marginals,
-    theta_product_moment,
-    theta_window_moments,
-)
-from oracles import uniform_orderstat_product_moment_exact
+from geomix.moments import theta_marginals, theta_product_moment
+from oracles import field_mean_exact
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def exact_window_mean(g, start, n_sites, bounds):
-    """The exact mean of g on one window, read from the vectorized path."""
-    return float(theta_window_moments([start], _theta_polynomial(g), n_sites, bounds)[0])
+    """The exact mean of g on one window: its Theta polynomial with each
+    monomial's product moment."""
+    return sum(
+        float(weight) * theta_product_moment(start, exps, n_sites, bounds)
+        for weight, exps in _theta_polynomial(g)
+    )
 
 
 def test_ks_calibration_at_the_one_percent_level():
@@ -169,15 +174,9 @@ def test_exact_field_mean_degree_cap(bounds):
         exact_field_mean(g, phi_one(), 10, bounds)
 
 
-def _unblocked_window_log_moment(n, starts, exps):
-    """The window log-moment with one starts x k table for all starts."""
-    k = exps.size
-    partial = np.cumsum(exps, dtype=np.int64)
-    total = int(partial[-1])
-    inside = np.sum(np.log(partial + (starts[:, None] + np.arange(k))), axis=1)
-    before = np.array([math.lgamma(s) for s in starts.tolist()])
-    ends = np.array([math.lgamma(s + total + k) for s in starts.tolist()])
-    return math.lgamma(n + 1) - (before + inside + (math.lgamma(total + n + 1) - ends))
+def _summed_power_sums(m, p):
+    """sum_{s=1}^{m} s^j for j = 0..p, one start at a time."""
+    return [sum(s**j for s in range(1, m + 1)) for j in range(p + 1)]
 
 
 def _wide_pair(k):
@@ -188,29 +187,57 @@ def _wide_pair(k):
 @pytest.mark.parametrize(
     "g", [polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0}), _wide_pair(800)], ids=["k2", "k800"]
 )
-def test_window_moments_in_blocks_match_one_table(monkeypatch, bounds, g):
-    n = 20000
-    starts = np.arange(1, n - g.k + 2)
-    poly = _theta_polynomial(g)
-    blocked = theta_window_moments(starts, poly, n, bounds)
-    monkeypatch.setattr(moments, "_window_log_moment", _unblocked_window_log_moment)
-    assert np.array_equal(blocked, theta_window_moments(starts, poly, n, bounds))
+def test_power_sums_match_the_sum_over_starts(monkeypatch, bounds, g):
+    # the closed-form power sums of the rational mean against the sum of
+    # the same integer polynomials over every start, at N = 2 * 10^4
+    phi = phi_polynomial([0.3, -1.0, 2.0])
+    closed = exact_field_mean(g, phi, 20000, bounds)
+    monkeypatch.setattr(harness, "_power_sums", _summed_power_sums)
+    assert exact_field_mean(g, phi, 20000, bounds) == closed
 
 
 def test_window_moment_memory_does_not_grow_with_k(bounds):
-    # one starts x k table at N = 2 * 10^4 peaks at 235 MiB for k = 800;
-    # blocks of starts hold about 2.6 MiB
+    # the rational mean holds a few integer polynomials whatever N and k:
+    # about 0.2 MiB for k = 800 at N = 10^9 (the float path it replaced
+    # held per-start arrays, 235 MiB for one starts x k table at N = 2 * 10^4)
     g = _wide_pair(800)
-    assert _peak_mib(lambda: exact_field_mean(g, phi_one(), 20000, bounds)) <= 8
+    assert _peak_mib(lambda: exact_field_mean(g, phi_one(), 10**9, bounds)) <= 1
+
+
+_MEAN_CASES = {
+    "density": polynomial_function(1, {(1,): 1.0}),
+    "exact-clt": polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0}),
+    # zero exponents inside the window and a constant term
+    "gap": polynomial_function(3, {(1, 0, 2): 0.6, (0, 0, 0): -2.0, (2, 0, 1): 1.0 / 3.0}),
+}
+
+
+@pytest.mark.parametrize("n", [3, 10, 64])
+@pytest.mark.parametrize("g", list(_MEAN_CASES.values()), ids=list(_MEAN_CASES))
+@pytest.mark.parametrize(
+    "phi", [phi_one(), phi_identity(), phi_polynomial([0.3, -1.0, 2.0])], ids=["one", "x", "poly"]
+)
+@pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (0.5, 3.0)])
+def test_exact_field_mean_is_the_rounded_rational(n, g, phi, lo, hi):
+    # bit for bit the double nearest to the exact rational, summed window
+    # by window from full-vector product moments
+    bounds = BoundaryParams(lo, hi)
+    expected = float(field_mean_exact(g, phi.coefficients, n, bounds))
+    assert exact_field_mean(g, phi, n, bounds) == expected
+
+
+def test_exact_field_mean_requires_polynomial_phi(bounds):
+    # an evaluator alone declares no polynomial, so no exact mean exists
+    phi = TestFunction(lambda x: np.exp(x), name="exp")
+    with pytest.raises(ValueError, match="polynomial test function"):
+        exact_field_mean(density_function(), phi, 10, bounds)
 
 
 @st.composite
 def small_polynomials(draw):
     k = draw(st.integers(1, 4))
     exps = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(lambda e: sum(e) <= 4)
-    # positive coefficients on nonnegative parameters: no cancellation, so
-    # a relative tolerance is meaningful for every window
-    terms = draw(st.dictionaries(exps.map(tuple), st.integers(1, 5), min_size=1, max_size=3))
+    terms = draw(st.dictionaries(exps.map(tuple), st.integers(-5, 5), min_size=1, max_size=3))
     return polynomial_function(k, terms)
 
 
@@ -220,45 +247,51 @@ def small_polynomials(draw):
     lo=st.floats(0.0, 3.0),
     width=st.floats(0.0, 3.0),
     n=st.integers(3, 40),
+    phi=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
 )
-def test_window_means_match_exact_rationals(g, lo, width, n):
-    # every window mean of the vectorized path against exact rationals:
-    # E[eta^p | theta] expanded over its raw-moment coefficients, each
-    # Theta = lo + width * U expanded binomially, and each uniform moment
-    # taken from the exact-rational product-moment identity
+def test_field_means_match_exact_rationals(g, lo, width, n, phi):
+    # the rational mean against exact rationals over every start, for
+    # random bounds, polynomials and weights: the same double, whatever
+    # cancels between the terms
     bounds = BoundaryParams(lo, lo + width)
-    lo_q, width_q = Fraction(bounds.theta_left), Fraction(bounds.width)
-    uniform = {}
+    expected = float(field_mean_exact(g, phi, n, bounds))
+    assert exact_field_mean(g, phi_polynomial(phi), n, bounds) == expected
 
-    def exact_monomial_moment(start, qs):
-        total = Fraction(0)
-        for ls in itertools.product(*(range(q + 1) for q in qs)):
-            coef = Fraction(1)
-            for q, l in zip(qs, ls):
-                coef *= math.comb(q, l) * lo_q ** (q - l) * width_q**l
-            if coef:
-                full = [0] * n
-                full[start - 1 : start - 1 + len(ls)] = ls
-                key = tuple(full)
-                if key not in uniform:
-                    uniform[key] = uniform_orderstat_product_moment_exact(n, full)
-                total += coef * uniform[key]
-        return total
 
-    expected = []
-    for start in range(1, n - g.k + 2):
-        mean = Fraction(0)
-        for exps, coef in g.monomials.items():
-            per_site = [[int(c) for c in geometric_raw_moment_coefficients(e)] for e in exps]
-            for qs in itertools.product(*(range(len(c)) for c in per_site)):
-                weight = Fraction(coef)
-                for c, q in zip(per_site, qs):
-                    weight *= c[q]
-                if weight:
-                    mean += weight * exact_monomial_moment(start, qs)
-        expected.append(float(mean))
-    means = theta_window_moments(np.arange(1, n - g.k + 2), _theta_polynomial(g), n, bounds)
-    np.testing.assert_allclose(means, expected, rtol=1e-12, atol=0.0)
+def test_exact_field_mean_ignores_the_blas_thread_count():
+    # the float path it replaced ended in a BLAS dot, whose grouping at
+    # N = 2 * 10^5 followed OPENBLAS_NUM_THREADS (6.666593333815669 at 1,
+    # 6.66659333381567 at 2)
+    code = (
+        "from geomix.core import BoundaryParams, polynomial_function\n"
+        "from geomix.fields import phi_one\n"
+        "from geomix.harness import exact_field_mean\n"
+        "g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})\n"
+        "print(repr(exact_field_mean(g, phi_one(), 200000, BoundaryParams(0.0, 2.0))))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    reprs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        reprs.append(out.stdout.strip())
+    assert reprs[0] == reprs[1]
+
+
+def test_exact_clt_mean_is_fast_and_matches_the_benchmark_reference(bounds):
+    # the benchmark's exact-clt input: g = eta_1 eta_2 + eta_1^2 eta_2,
+    # phi = 1 on [0, 2] at N = 2 * 10^4, against its recorded mean (whose
+    # gate is 1e-10 relative); at N = 10^9 one mean takes well under 5 ms
+    g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
+    refs = json.loads((ROOT / "perfbench" / "references.json").read_text(encoding="utf-8"))
+    mean = exact_field_mean(g, phi_one(), 20000, BoundaryParams(0.0, 2.0))
+    assert mean == pytest.approx(refs["clt"]["exact_mean"], rel=1e-10, abs=0.0)
+    best = min(
+        timeit.repeat(lambda: exact_field_mean(g, phi_one(), 10**9, bounds), number=1, repeat=5)
+    )
+    assert best <= 5e-3
 
 
 def test_clt_centering_cross_check(bounds, seed):
