@@ -508,6 +508,8 @@ def _verify_le_scaling(cfg, run, workers):
 
 def _verify_concentration(cfg, run, workers):
     conc = cfg["concentration"]
+    if conc["eps"] is not None and any(e < 0 for e in conc["eps"]):
+        raise ConfigError(f"concentration.eps must be >= 0, got {conc['eps']}")
     bounds = build_bounds(cfg["bounds"])
     replicas = int(conc["replicas"])
     result = run_concentration(
@@ -594,12 +596,16 @@ def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> i
     if task == "free-energy":
         theta = float(ldp["theta"])
         lam_grid = [float(v) for v in ldp["lambda_grid"]]
+        if not lam_grid:
+            raise ConfigError("ldp.lambda_grid must not be empty")
         values, _, _ = free_energy(theta, lam_grid, g)
         run.csv(f"{name}_table.csv", ["lambda", "free_energy"], zip(lam_grid, values))
         payload = {"theta": theta}
     elif task == "rate":
         theta = float(ldp["theta"])
         x_grid = [float(v) for v in ldp["x_grid"]]
+        if not x_grid:
+            raise ConfigError("ldp.x_grid must not be empty")
         values = rate_function_batch(theta, x_grid, g)
         run.csv(f"{name}_table.csv", ["x", "rate"], zip(x_grid, values))
         payload = {"theta": theta}

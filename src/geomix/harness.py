@@ -638,6 +638,8 @@ def run_concentration(
         eps_list = [float(e) for e in eps_schedule]
         if len(eps_list) != len(ladder):
             raise ValueError("eps schedule length must match the ladder")
+        if any(eps < 0 for eps in eps_list):
+            raise ValueError(f"eps must be >= 0, got {eps_list}")
     rows = []
     for i, (n, eps) in enumerate(zip(ladder, eps_list)):
         # sum_i Var[Theta_i] = width^2 N / (6 (N+1)), in closed form

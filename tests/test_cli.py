@@ -440,6 +440,30 @@ def test_solver_steps_below_one_are_config_errors(tmp_path, capsys, steps):
 
 
 @pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        # numpy's reshape of an empty batch named no key
+        (["ldp", "free-energy"], {"g": {"name": "indicator-vacuum"},
+                                  "ldp": {"theta": 1.0, "lambda_grid": []}}, "ldp.lambda_grid"),
+        (["ldp", "rate"], {"g": {"name": "indicator-vacuum"},
+                           "ldp": {"theta": 1.0, "x_grid": []}}, "ldp.x_grid"),
+        # a negative eps ran, and every row counted as a hit
+        (["verify", "concentration"],
+         {"concentration": {"n_ladder": [10, 100], "replicas": 10000, "eps": [0.5, -0.1]}},
+         "concentration.eps"),
+    ],
+    ids=["empty-lambda-grid", "empty-x-grid", "negative-eps"],
+)
+def test_empty_grids_and_negative_eps_name_the_key(tmp_path, capsys, command, overrides, key):
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "out"
+    assert main([*command, "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "ldp, key",
     [
         ({"theta": 1.0, "lambda_grid": [0.5], "quadrature": {"panels": 10**9}}, "quadrature"),

@@ -797,6 +797,12 @@ def test_run_concentration_replica_floor(bounds, seed):
         run_concentration([50], bounds, 10, seed)
 
 
+def test_run_concentration_refuses_a_negative_eps(bounds, seed):
+    # every deviation is >= 0 > eps: the tail would be 1 by construction
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        run_concentration([10, 100], bounds, 10**4, seed, eps_schedule=[0.5, -0.1])
+
+
 def test_run_bridge_small(bounds, seed):
     cfg = ExperimentConfig(
         n_ladder=(1000,), replicas=2000, bounds=bounds,
