@@ -294,9 +294,9 @@ def _theta_polynomial(g: LocalFunction) -> list[tuple[Fraction, tuple[int, ...]]
         raise ValueError(f"exact mixture means support degree <= {_MAX_POLY_DEGREE}")
     poly = []
     for exps, coef in g.monomials.items():
-        per_site = [geometric_raw_moment_coefficients(e).astype(int) for e in exps]
-        for qs in itertools.product(*(range(c.size) for c in per_site)):
-            weight = Fraction(coef) * math.prod(int(c[q]) for c, q in zip(per_site, qs))
+        per_site = [[int(c) for c in geometric_raw_moment_coefficients(e)] for e in exps]
+        for qs in itertools.product(*(range(len(c)) for c in per_site)):
+            weight = Fraction(coef) * math.prod(c[q] for c, q in zip(per_site, qs))
             if weight:
                 poly.append((weight, qs))
     return poly
