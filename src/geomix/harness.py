@@ -40,7 +40,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -284,22 +283,32 @@ def fit_log_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=max(min(r2, 1.0), 0.0))
 
 
-def _theta_polynomial(g: LocalFunction) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers m_i and one power of two d with values[i] = m_i / d exactly,
+    for finite doubles."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max((den for _, den in ratios), default=1)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _theta_polynomial(g: LocalFunction) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
     """The window mean of g as a polynomial in the window's parameters:
     each monomial with E[eta^p | theta] expanded over its raw-moment
-    coefficients, as (exact coefficient, Theta exponent vector) pairs."""
+    coefficients, as (coefficient, Theta exponent vector) pairs, with the
+    coefficients exact integers over the power of two returned with them."""
     if g.monomials is None:
         raise ValueError("exact mixture means require a polynomial local function")
     if (g.degree or 0) > _MAX_POLY_DEGREE:
         raise ValueError(f"exact mixture means support degree <= {_MAX_POLY_DEGREE}")
+    coefs, den = _dyadic(g.monomials.values())
     poly = []
-    for exps, coef in g.monomials.items():
+    for exps, coef in zip(g.monomials, coefs):
         per_site = [[int(c) for c in geometric_raw_moment_coefficients(e)] for e in exps]
         for qs in itertools.product(*(range(len(c)) for c in per_site)):
-            weight = Fraction(coef) * math.prod(c[q] for c, q in zip(per_site, qs))
+            weight = coef * math.prod(c[q] for c, q in zip(per_site, qs))
             if weight:
                 poly.append((weight, qs))
-    return poly
+    return poly, den
 
 
 def _power_sums(m: int, p: int) -> list[int]:
@@ -325,17 +334,22 @@ def exact_field_mean(
     N!/(N+L)! * Q_e(s), an integer polynomial in s
     (:func:`moments._window_polynomial`).  With phi a polynomial, the sum
     over s is then one of integer power sums of s, so the cost does not
-    depend on N.  phi must carry its coefficients.
+    depend on N.  Every term is an integer over one common denominator, and
+    the mean is their quotient, which Python's integer division rounds
+    correctly.  phi must carry its coefficients.
     """
     if phi.coefficients is None:
         raise ValueError("exact mixture means require a polynomial test function")
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    lo = Fraction(bounds.theta_left)
-    width = Fraction(bounds.theta_right) - lo
-    poly = _theta_polynomial(g)
-    # sum_e c_e N!/(N+L_e)! Q_e(s) over the uniform exponent vectors e, by powers of s
-    moment = [Fraction(0)] * (max((sum(exps) for _, exps in poly), default=0) + 1)
+    n = n_sites
+    poly, g_den = _theta_polynomial(g)
+    (lo, right), b_den = _dyadic([bounds.theta_left, bounds.theta_right])
+    width = right - lo
+    degree = max((sum(exps) for _, exps in poly), default=0)
+    # sum_e c_e N!/(N+L_e)! Q_e(s) over the uniform exponent vectors e, by
+    # powers of s, times g_den * b_den^degree * (N+1)...(N+degree)
+    moment = [0] * (degree + 1)
     for weight, exps in poly:
         for ls in itertools.product(*(range(p + 1) for p in exps)):
             total = sum(ls)
@@ -343,18 +357,20 @@ def exact_field_mean(
             if not coef:
                 continue
             coef *= math.prod(math.comb(p, l) for p, l in zip(exps, ls))
-            coef /= math.prod(range(n_sites + 1, n_sites + total + 1))
+            coef *= b_den ** (degree - sum(exps)) * math.prod(range(n + total + 1, n + degree + 1))
             for j, c in enumerate(_window_polynomial(ls)):
                 moment[j] += coef * c
-    # phi((s-1)/(N+1)) by powers of s
-    weights = [Fraction(0)] * len(phi.coefficients)
-    for d, c in enumerate(phi.coefficients):
-        c = Fraction(c) / (n_sites + 1) ** d
+    # phi((s-1)/(N+1)) by powers of s, times f_den * (N+1)^deg(phi)
+    coefs, f_den = _dyadic(phi.coefficients)
+    weights = [0] * len(coefs)
+    for d, c in enumerate(coefs):
+        c *= (n + 1) ** (len(coefs) - 1 - d)
         for j in range(d + 1):
             weights[j] += c * math.comb(d, j) * (-1) ** (d - j)
-    sums = _power_sums(max(n_sites - g.k + 1, 0), len(moment) + len(weights) - 2)
+    sums = _power_sums(max(n - g.k + 1, 0), len(moment) + len(weights) - 2)
     mean = sum(a * b * sums[i + j] for i, a in enumerate(moment) for j, b in enumerate(weights))
-    return float(mean / n_sites)
+    den = g_den * b_den**degree * math.prod(range(n + 1, n + degree + 1))
+    return mean / (den * f_den * (n + 1) ** (len(coefs) - 1) * n)
 
 
 @dataclass(frozen=True)

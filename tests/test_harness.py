@@ -58,9 +58,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def exact_window_mean(g, start, n_sites, bounds):
     """The exact mean of g on one window: its Theta polynomial with each
     monomial's product moment."""
+    poly, den = _theta_polynomial(g)
     return sum(
-        float(weight) * theta_product_moment(start, exps, n_sites, bounds)
-        for weight, exps in _theta_polynomial(g)
+        weight / den * theta_product_moment(start, exps, n_sites, bounds) for weight, exps in poly
     )
 
 
