@@ -86,7 +86,10 @@ def _field_weights(phi: TestFunction, n_sites: int, k: int) -> np.ndarray | None
 
 
 def field_values_batch(
-    g: LocalFunction, phi: TestFunction, occupations: np.ndarray, weights=None
+    g: LocalFunction,
+    phi: TestFunction,
+    occupations: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """(1/N) * sum_i g(window at i) * phi(i/(N+1)) for each row of a
     (replicas, N) batch of configurations; a single (N,) configuration

@@ -137,7 +137,7 @@ def field_mean_exact(
     return total / n
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2**16)
 def _uniform_window_moment(n: int, start: int, exps: tuple[int, ...]) -> Fraction:
     full = [0] * n
     full[start - 1 : start - 1 + len(exps)] = exps
