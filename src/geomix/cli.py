@@ -39,6 +39,7 @@ from geomix.core import (
 )
 from geomix.fields import TestFunction, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
+    _MAX_SITES,
     ExperimentConfig,
     check_profile_marginals,
     run_bridge,
@@ -378,10 +379,18 @@ class _Run:
         )
 
 
+def _check_sites(key: str, sites) -> None:
+    """Refuse a sampled N above the row limit, naming its key, before any
+    row of N sites is allocated."""
+    if max(sites, default=0) > _MAX_SITES:
+        raise ConfigError(f"'{key}' must not exceed {_MAX_SITES} sites, got {max(sites)}")
+
+
 def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
     n_sites = int(cfg["sample"]["n_sites"])
     if n_sites < 1:
         raise ConfigError(f"sample.n_sites must be >= 1, got {n_sites}")
+    _check_sites("sample.n_sites", [n_sites])
     bounds = build_bounds(cfg["bounds"])
     thetas = profile_batch(n_sites, bounds, run.seed.generator(Purpose.PROFILES), 1)[0]
     etas = configuration_batch(thetas, run.seed.generator(Purpose.CONFIGURATIONS))
@@ -413,6 +422,7 @@ def _experiment(cfg, run, workers, n_ladder, replicas, g=None, phi=None) -> Expe
 
 def _verify_lln(cfg, run, workers):
     lln = cfg["lln"]
+    _check_sites("lln.n_ladder", lln["n_ladder"])
     result = run_lln(_experiment(cfg, run, workers, lln["n_ladder"], lln["replicas"]))
     threshold = result.final_threshold()
     passed = result.decreasing and result.rows[-1][1] < threshold
@@ -435,6 +445,7 @@ def _verify_lln(cfg, run, workers):
 
 def _verify_clt(cfg, run, workers):
     clt = cfg["clt"]
+    _check_sites("clt.n_sites", [clt["n_sites"]])
     result = run_clt(_experiment(cfg, run, workers, (clt["n_sites"],), clt["replicas"]))
     passed = result.ks_pass and result.variance_pass
     run.csv(
@@ -508,6 +519,7 @@ def _verify_le_scaling(cfg, run, workers):
 
 def _verify_concentration(cfg, run, workers):
     conc = cfg["concentration"]
+    _check_sites("concentration.n_ladder", conc["n_ladder"])
     if conc["eps"] is not None and any(e < 0 for e in conc["eps"]):
         raise ConfigError(f"concentration.eps must be >= 0, got {conc['eps']}")
     bounds = build_bounds(cfg["bounds"])

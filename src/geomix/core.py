@@ -154,53 +154,102 @@ class LocalFunction:
 def polynomial_function(
     k: int, terms: Mapping[tuple[int, ...], float], name: str = "polynomial"
 ) -> LocalFunction:
-    """Local function sum_m c_m * prod_j eta_j^{m_j} from its monomials."""
+    """Local function sum_m c_m * prod_j eta_j^{m_j} from its monomials.
+
+    The evaluator takes Horner's rule one site at a time: g is a
+    polynomial in its first site that occurs, whose coefficients are
+    polynomials in the later sites, each taken the same way.  The value is
+    the one array it allocates: the leading coefficient is written into it
+    and every other coefficient is added to it, a constant or a bare site
+    in place, and a nested polynomial by pieces of ``_PIECE`` values, so
+    that its scratch is a piece, not the whole window.  No window is
+    written.
+
+    For integer coefficients and integer counts every step is exact while
+    the partial values stay below 2^53 in magnitude, so the value is the
+    exact integer whatever the order; otherwise the result is rounded in
+    this order.
+    """
     monos = {tuple(int(e) for e in exps): float(c) for exps, c in terms.items()}
     for exps in monos:
         if len(exps) != k or any(e < 0 for e in exps):
             raise ValueError(f"invalid exponent tuple {exps} for k={k}")
+    form = _horner_form({e: c for e, c in monos.items() if c != 0.0}, 0)
 
     def evaluator(*window):
-        # each window is cast to float once and each (site, exponent) power
-        # is taken once; the products and the sum then run in the order
-        # coef * eta_1^e_1 * ... * eta_k^e_k, monomials summed in order, with
-        # a coefficient of exactly 1 left out, which leaves every product
-        # as it was.  A term that is one of the powers is never written
         window = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in window))
-        powers: dict[tuple[int, int], np.ndarray] = {}
-
-        def power(j: int, e: int) -> np.ndarray:
-            if (j, e) not in powers:
-                powers[j, e] = window[j] if e == 1 else window[j] ** e
-            return powers[j, e]
-
-        def borrowed(x: np.ndarray) -> bool:
-            return any(x is p for p in powers.values())
-
-        acc = None
-        for exps, coef in monos.items():
-            factors = [power(j, e) for j, e in enumerate(exps) if e]
-            if not factors:
-                term = np.full(window[0].shape, coef)
-            else:
-                if coef != 1.0:
-                    factors[0] = factors[0] * coef
-                elif len(factors) > 1:
-                    factors[:2] = [factors[0] * factors[1]]
-                term = factors[0]
-                for f in factors[1:]:
-                    term *= f
-            if acc is None:
-                acc = term
-            elif borrowed(acc):
-                acc = acc + term
-            else:
-                acc += term
-        if acc is None:
-            return np.zeros(window[0].shape)
-        return acc.copy() if borrowed(acc) else acc
+        out = np.empty(window[0].shape)
+        if isinstance(form, float):
+            out.fill(form)
+        else:
+            _horner(form, window, out)
+        return out
 
     return LocalFunction(k=k, evaluator=evaluator, monomials=monos, name=name)
+
+
+_PIECE = 2**12  # values per piece of a nested Horner coefficient's scratch
+
+
+def _horner_form(terms: Mapping[tuple[int, ...], float], site: int) -> float | tuple:
+    """The Horner form of the monomials ``terms``, whose exponents agree
+    below ``site``: a float when no site from ``site`` on occurs, else the
+    first site j that occurs and its (degree, coefficient) pairs, degrees
+    descending, each coefficient the Horner form of the later sites."""
+    k = len(next(iter(terms), ()))
+    occurring = [j for j in range(site, k) if any(e[j] for e in terms)]
+    if not occurring:  # at most one monomial is left
+        return next(iter(terms.values()), 0.0)
+    j = occurring[0]
+    by_degree: dict[int, dict] = {}
+    for exps, coef in terms.items():
+        by_degree.setdefault(exps[j], {})[exps] = coef
+    return j, tuple((d, _horner_form(by_degree[d], j + 1)) for d in sorted(by_degree, reverse=True))
+
+
+def _bare(coef: float | tuple) -> int | None:
+    """The site j when ``coef`` is eta_j itself, else None."""
+    if isinstance(coef, tuple) and coef[1] == ((1, 1.0),):
+        return coef[0]
+    return None
+
+
+def _horner(form: tuple, window: list[np.ndarray], out: np.ndarray) -> None:
+    """Write the polynomial ``form`` at ``window`` into ``out``."""
+    j, coefs = form
+    x = window[j]
+    top, lead = coefs[0]
+    site = _bare(lead)
+    if isinstance(lead, float):
+        np.multiply(x, lead, out=out)
+    elif site is not None:
+        np.multiply(window[site], x, out=out)
+    else:
+        _horner(lead, window, out)
+        out *= x
+    rest = dict(coefs[1:])
+    for d in range(top - 1, -1, -1):
+        if d in rest:
+            _add(rest[d], window, out)
+        if d:
+            out *= x
+
+
+def _add(coef: float | tuple, window: list[np.ndarray], out: np.ndarray) -> None:
+    """Add the coefficient ``coef`` at ``window`` to ``out`` in place."""
+    site = _bare(coef)
+    if isinstance(coef, float):
+        out += coef
+    elif site is not None:
+        out += window[site]
+    else:
+        ops = [["readonly"]] * len(window) + [["readwrite"]]
+        flags = ["external_loop", "buffered", "zerosize_ok"]
+        with np.nditer([*window, out], flags, ops, buffersize=_PIECE) as pieces:
+            for *piece, acc in pieces:
+                scratch = np.empty_like(acc)
+                _horner(coef, piece, scratch)
+                acc += scratch
 
 
 def density_function() -> LocalFunction:

@@ -59,7 +59,7 @@ from geomix.core import (
     sorted_profile,
 )
 from geomix.duality import le_deviation
-from geomix.fields import TestFunction, _field_weights, field_values_batch, phi_one
+from geomix.fields import TestFunction, _field_weights, field_values_batch
 from geomix.moments import (
     _window_polynomial,
     geometric_raw_moment_coefficients,
@@ -86,13 +86,15 @@ __all__ = [
     "ks_critical_value",
     "fit_log_slope",
     "normal_cdf",
-    "annealed_mc_estimate",
 ]
 
 _CHUNK_BUDGET = 2**22  # doubles per sampling chunk, the stream unit; fixed so
 # chunking is independent of worker count and results stay replica-reproducible
-_BLOCK_BUDGET = 2**17  # doubles per row block inside a chunk, the cache and
-# memory unit (1 MiB); any value gives the same output bytes
+_MAX_SITES = 2**25  # the largest N a sampling run takes: a worker holds three
+# buffers of one row at most, 256 MiB each at this N
+_BLOCK_BUDGET = 2**16  # doubles per row block inside a chunk, the cache and
+# memory unit (512 KiB, so that a field run worker's three blocks fit in a
+# 2 MiB L2); any value gives the same output bytes
 _MAX_POLY_DEGREE = 6
 # the screen's rounding margin, relative to theta_right: the sort path's
 # deviation and the screen's bound lie within 6 and 5 units of
@@ -139,6 +141,12 @@ class SlopeFit:
     def __post_init__(self) -> None:
         if not -1e-12 <= self.r_squared <= 1.0 + 1e-12:
             raise ValueError("r_squared must lie in [0, 1]")
+
+
+def _check_sites(n_sites: int) -> None:
+    """Refuse a sampling run above ``_MAX_SITES`` before it allocates a row."""
+    if n_sites > _MAX_SITES:
+        raise ValueError(f"sampling runs take N <= {_MAX_SITES}, got {n_sites}")
 
 
 def _chunk_size(n_sites: int) -> int:
@@ -204,16 +212,18 @@ def _field_chunk(
     rng, occ_rng = streams(Purpose.PROFILES), streams(Purpose.CONFIGURATIONS)
     values = np.empty(count)
     rows = min(count, _block_rows(n_sites))
-    # glibc hands freed heap back to the system above twice the largest
-    # mmap-ed array freed so far; with only block-sized arrays that bar
-    # stays near one block, below a block's temporaries (about three
-    # blocks for a two-monomial g), which then fault in anew in every
-    # block.  Freeing one untouched array of four blocks, which holds no
-    # resident page, lifts the bar above them (glibc lifts it no higher
-    # than 32 MiB, so a larger array would only reserve).  Freed first, it
-    # also keeps the two buffers below on the heap, where the next chunk
-    # reuses their pages.
-    np.empty(min(4 * rows * n_sites, 2**21))
+    # a block's live set is three arrays of one block: the profile rows, the
+    # uniforms that become the counts, and g's value.  glibc serves an array
+    # from the heap only below its mmap threshold, which it raises to the
+    # size of each mmap-ed array freed (to 32 MiB at most), and trims the
+    # heap once its free top exceeds twice that threshold.  With only
+    # block-sized arrays the threshold stays at one block, so g's value is
+    # mmap-ed and faults its pages in anew in every block.  Freeing one
+    # untouched array of the live set's size, which holds no resident page,
+    # lifts the threshold above a block and the trim bar to six blocks, above
+    # the three a chunk frees at its end.  Freed first, it also keeps the two
+    # buffers below on the heap, where the next chunk reuses their pages.
+    np.empty(min(3 * rows * n_sites, 2**21))
     # the profile rows and the uniforms that become the counts, one buffer
     # each per chunk: fresh blocks would fault their pages in anew
     theta_buf = np.empty((rows, n_sites))
@@ -393,6 +403,7 @@ def run_lln(cfg: ExperimentConfig) -> LlnResult:
     """Mean absolute deviation of the field from its limit, per ladder N."""
     if cfg.g.monomials is not None and (cfg.g.degree or 0) > _MAX_POLY_DEGREE:
         raise ValueError("polynomial degree cap exceeded for the moment hypotheses")
+    _check_sites(cfg.n_ladder[-1])
     limit = lln_limit(cfg.g, cfg.phi, cfg.bounds)
     sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds).total
     rows = []
@@ -440,6 +451,7 @@ def run_clt(cfg: ExperimentConfig) -> CltResult:
     if cfg.replicas < 2000:
         raise ValueError("distributional tests need at least 2000 replicas")
     n = cfg.n_ladder[-1]
+    _check_sites(n)
     target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
 
@@ -648,6 +660,7 @@ def run_concentration(
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
     ladder = _ladder(n_ladder)
+    _check_sites(ladder[-1])
     if eps_schedule is None:
         eps_list = [n ** (-0.25) for n in ladder]
     else:
@@ -771,29 +784,3 @@ def check_profile_marginals(
         exact_var=exact_var,
         competing_var=exact_var / (n_sites + 2),
     )
-
-
-def annealed_mc_estimate(
-    g: LocalFunction,
-    lam: float,
-    n_sites: int,
-    bounds: BoundaryParams,
-    replicas: int,
-    seed: RandomSeed,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """(1/N) log E[exp(lam * N * field with phi = 1)] over steady-state
-    replicas, with a delta-method standard error for the (1/N) log.
-
-    Equal reservoirs, BoundaryParams(theta, theta), give the homogeneous
-    geometric product at theta."""
-
-    def fn(streams, count):
-        return lam * n_sites * _field_chunk(streams, count, n_sites, bounds, g, phi_one())
-
-    exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
-    shift = float(exponents.max())
-    scaled = np.exp(exponents - shift)
-    mean = float(scaled.mean())
-    se_log = float(scaled.std(ddof=1) / (mean * math.sqrt(scaled.size)))
-    return (shift + math.log(mean)) / n_sites, se_log / n_sites

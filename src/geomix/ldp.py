@@ -261,12 +261,16 @@ def _legendre(
     With s = (dF/dlambda - g_lo)/(g_hi - g_lo), secant steps solve
     logit(s(lam)) = logit(s(x)) from lam = 0, where F vanishes; the first
     slope, g_hi - g_lo, is exact for two-valued g.  A step that is not
-    finite or leaves the node's bracket in [-cap, cap] is replaced by
-    bisection; cap = 600 / max|g| keeps exp(lam * g) finite.  At x = g_lo
-    or g_hi the sup is approached as lambda -> -+inf, and the value at the
-    cap is returned as its lower estimate.  At theta = 0 every site is
-    empty, so the law is the point mass at g(0, ..., 0): the rate is 0 at
-    that x and +inf at every other x, with no solve.
+    finite or leaves the node's bracket is replaced by bisection.  The
+    first bracket is [-cap, cap], cap = 600 / max|g|, which keeps
+    exp(lam * g) finite.  On a side where lam * g <= 0 for every value of
+    g, exp(lam * g) cannot overflow, so a node whose root lies beyond that
+    end has the end doubled until it brackets x, and is solved between the
+    last two ends.  At x = g_lo or g_hi the sup is approached as
+    lambda -> -+inf, and the value at the cap is returned as its lower
+    estimate.  At theta = 0 every site is empty, so the law is the point
+    mass at g(0, ..., 0): the rate is 0 at that x and +inf at every other
+    x, with no solve.
     """
     table = _FreeEnergyTable(thetas, g)
     xs = np.broadcast_to(np.atleast_1d(np.asarray(xs, dtype=float)), table.thetas.shape)
@@ -279,33 +283,53 @@ def _legendre(
     interior = ~empty & (xs > g_lo + 1e-12) & (xs < g_hi - 1e-12)
     boundary = ~empty & ~interior & (xs >= g_lo) & (xs <= g_hi)
     lam = np.where(boundary, np.where(xs >= (g_lo + g_hi) / 2.0, cap, -cap), 0.0)
+
+    def solve(idx: np.ndarray, lo: float, hi: float, at: float) -> None:
+        """lam at the interior nodes ``idx``, by secant steps from ``at``
+        inside the bracket [lo, hi]."""
+        lo, hi, at = (np.full(idx.size, v) for v in (lo, hi, at))
+        nodes, x = table.take(idx), xs[idx]
+        target = np.log((x - g_lo) / (g_hi - x))
+        slope = np.full(idx.size, g_hi - g_lo)
+        last_at = last_r = np.full(idx.size, np.nan)
+        for _ in range(_LEGENDRE_ITERATION_CAP):
+            if not idx.size:
+                return
+            d = nodes(at)[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.log((d - g_lo) / (g_hi - d)) - target
+                secant = (r - last_r) / (at - last_at)
+            lo, hi = np.where(d < x, at, lo), np.where(d < x, hi, at)
+            slope = np.where(np.isfinite(secant) & (secant > 0.0), secant, slope)
+            nxt = at - r / slope
+            tol = 1e-12 * np.maximum(1.0, np.abs(at))
+            # test the step before the bracket, so that a rounding-level step converges
+            converged = np.abs(nxt - at) <= tol
+            nxt = np.where(converged | ((nxt > lo) & (nxt < hi)), nxt, (lo + hi) / 2.0)
+            done = converged | (hi - lo <= tol)
+            lam[idx[done]] = nxt[done]
+            keep = ~done
+            idx, nodes, x, target = idx[keep], nodes.take(keep), x[keep], target[keep]
+            lo, hi, slope = lo[keep], hi[keep], slope[keep]
+            at, last_at, last_r = nxt[keep], at[keep], r[keep]
+        if idx.size:
+            raise NumericError(
+                f"Legendre solve did not converge at theta={nodes.thetas[0]}, x={x[0]}"
+            )
+
     idx = np.flatnonzero(interior)
-    nodes, x, hi = table.take(idx), xs[idx], np.full(idx.size, cap)
-    target, lo = np.log((x - g_lo) / (g_hi - x)), -hi
-    at, slope = np.zeros(idx.size), np.full(idx.size, g_hi - g_lo)
-    last_at = last_r = np.full(idx.size, np.nan)
-    for _ in range(_LEGENDRE_ITERATION_CAP):
-        if not idx.size:
-            break
-        d = nodes(at)[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.log((d - g_lo) / (g_hi - d)) - target
-            secant = (r - last_r) / (at - last_at)
-        lo, hi = np.where(d < x, at, lo), np.where(d < x, hi, at)
-        slope = np.where(np.isfinite(secant) & (secant > 0.0), secant, slope)
-        nxt = at - r / slope
-        tol = 1e-12 * np.maximum(1.0, np.abs(at))
-        # test the step before the bracket, so that a rounding-level step converges
-        converged = np.abs(nxt - at) <= tol
-        nxt = np.where(converged | ((nxt > lo) & (nxt < hi)), nxt, (lo + hi) / 2.0)
-        done = converged | (hi - lo <= tol)
-        lam[idx[done]] = nxt[done]
-        keep = ~done
-        idx, nodes, x, target = idx[keep], nodes.take(keep), x[keep], target[keep]
-        lo, hi, slope = lo[keep], hi[keep], slope[keep]
-        at, last_at, last_r = nxt[keep], at[keep], r[keep]
-    if idx.size:
-        raise NumericError(f"Legendre solve did not converge at theta={nodes.thetas[0]}, x={x[0]}")
+    solve(idx, -cap, cap, 0.0)
+    for side, safe in ((-1.0, g_lo >= 0.0), (1.0, g_hi <= 0.0)):
+        # the nodes stopped at this end, and of those the ones whose root
+        # lies beyond it, where dF/dlambda still falls short of x
+        near, end = idx[safe & (np.abs(lam[idx] - side * cap) <= 1e-9 * cap)], side * cap
+        # the loop ends: far enough out exp(lam * g) underflows, and dF/dlambda
+        # reaches g_lo or g_hi exactly, or F leaves the range (NumericError)
+        while near.size:
+            short = side * (table.take(near)(end)[1] - xs[near]) < 0.0
+            if end != side * cap:  # the others' roots lie between end / 2 and end
+                solve(near[~short], *sorted((end, end / 2.0)), end / 2.0)
+            near, end = near[short], 2.0 * end
     f, _, f_theta = table(lam)
     # lambda = 0 at the point mass, where F vanishes and the rate is 0
     rates = np.where(interior | boundary | at_mass, np.maximum(lam * xs - f, 0.0), math.inf)

@@ -5,7 +5,9 @@ energies by dense eigenvalues and finite-chain transfer sums over the
 states 0..128, state sums over a truncated grid, order-statistic product
 moments as exact rationals over the full exponent vector, exact field
 means summed window by window from those moments, and duality
-polynomials and their expectations from a sparse dual configuration.
+polynomials and their expectations from a sparse dual configuration,
+polynomial local functions by Horner's rule written out of place, and
+annealed free energies by Monte Carlo over the library's own sampler.
 None of them is reached by the program itself.
 """
 
@@ -21,7 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from geomix.core import BoundaryParams, LocalFunction
+from geomix.core import BoundaryParams, LocalFunction, RandomSeed
+from geomix.fields import phi_one
+from geomix.harness import _field_chunk, _map_chunks
 from geomix.moments import theta_product_moment
 
 # the free-energy oracles drop the states n > 128; at theta <= 2 the
@@ -50,6 +54,58 @@ def truncated_grid(g: LocalFunction, m: int) -> np.ndarray:
     """g on the state grid [0, m]^k."""
     axes = np.meshgrid(*([np.arange(m + 1)] * g.k), indexing="ij")
     return np.broadcast_to(np.asarray(g(*axes), dtype=float), axes[0].shape)
+
+
+def horner_polynomial(monomials: Mapping[tuple[int, ...], float], *window) -> np.ndarray:
+    """sum_m c_m * prod_j eta_j^{m_j} by Horner's rule one site at a time,
+    out of place: a polynomial in its first site that occurs, from the top
+    degree down, acc = acc * eta + (coefficient of the next degree), each
+    coefficient a polynomial in the later sites taken the same way, and a
+    zero coefficient adding nothing."""
+    window = [np.asarray(x, dtype=float) for x in window]
+    terms = {e: c for e, c in monomials.items() if c != 0.0}
+    sites = [j for j in range(len(window)) if any(e[j] for e in terms)]
+    if not sites:
+        return np.broadcast_to(sum(terms.values(), 0.0), np.broadcast(*window).shape).copy()
+    j = sites[0]
+
+    def coefficient(d: int) -> dict:
+        return {e[:j] + (0,) + e[j + 1 :]: c for e, c in terms.items() if e[j] == d}
+
+    top = max(e[j] for e in terms)
+    acc = horner_polynomial(coefficient(top), *window)
+    for d in range(top - 1, -1, -1):
+        acc = acc * window[j]
+        if coefficient(d):
+            acc = acc + horner_polynomial(coefficient(d), *window)
+    return acc
+
+
+def annealed_mc_estimate(
+    g: LocalFunction,
+    lam: float,
+    n_sites: int,
+    bounds: BoundaryParams,
+    replicas: int,
+    seed: RandomSeed,
+    workers: int = 1,
+) -> tuple[float, float]:
+    """(1/N) log E[exp(lam * N * field with phi = 1)] over steady-state
+    replicas, with a delta-method standard error for the (1/N) log.
+
+    Equal reservoirs, BoundaryParams(theta, theta), give the homogeneous
+    geometric product at theta.  The replicas are the field runs' own, drawn
+    in the library's chunks and row blocks."""
+
+    def fn(streams, count):
+        return lam * n_sites * _field_chunk(streams, count, n_sites, bounds, g, phi_one())
+
+    exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
+    shift = float(exponents.max())
+    scaled = np.exp(exponents - shift)
+    mean = float(scaled.mean())
+    se_log = float(scaled.std(ddof=1) / (mean * math.sqrt(scaled.size)))
+    return (shift + math.log(mean)) / n_sites, se_log / n_sites
 
 
 def free_energy_transfer(theta: float, lam: float, g: LocalFunction) -> float:

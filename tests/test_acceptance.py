@@ -24,7 +24,6 @@ from geomix.core import (
 from geomix.fields import TestFunction, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
     ExperimentConfig,
-    annealed_mc_estimate,
     check_profile_marginals,
     run_bridge,
     run_clt,
@@ -40,7 +39,11 @@ from geomix.ldp import (
     rate_function,
 )
 from geomix.moments import theta_product_moment
-from oracles import free_energy_transfer, uniform_orderstat_product_moment_exact
+from oracles import (
+    annealed_mc_estimate,
+    free_energy_transfer,
+    uniform_orderstat_product_moment_exact,
+)
 
 BOUNDS = BoundaryParams(0.0, 2.0)
 UNIT = BoundaryParams(0.0, 1.0)

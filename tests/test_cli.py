@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from geomix.cli import (
     config_digest,
     main,
 )
+import oracles
 from make_demo_digests import DIGESTS, demo_digests, versions
 
 
@@ -601,7 +603,7 @@ def test_every_sampling_run_builds_each_key_once(tmp_path, monkeypatch):
         assert code in (EXIT_PASS, EXIT_VERDICT)
         runs[command[-1]] = list(keys)
     keys.clear()
-    harness.annealed_mc_estimate(
+    oracles.annealed_mc_estimate(
         pair_product_function(), 0.5, 50, BoundaryParams(0.0, 2.0), 2000, RandomSeed(11, 0)
     )
     runs["annealed"] = list(keys)
@@ -721,6 +723,37 @@ def test_worker_count_does_not_change_profile_run_bytes(tmp_path, kind, section)
             (out / f"{kind}_table.csv").read_bytes() + (out / f"{kind}_summary.json").read_bytes()
         )
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "command, key, section",
+    [
+        (["sample"], "sample.n_sites", {"n_sites": 10**12}),
+        (["verify", "lln"], "lln.n_ladder", {"n_ladder": [10**13], "replicas": 100}),
+        (["verify", "clt"], "clt.n_sites", {"n_sites": 10**12, "replicas": 2000}),
+        (
+            ["verify", "concentration"],
+            "concentration.n_ladder",
+            {"n_ladder": [10, 10**12], "replicas": 10**4},
+        ),
+    ],
+)
+def test_sampled_sites_above_the_row_limit_exit_2(tmp_path, capsys, command, key, section):
+    # a row of 10^12 sites would take 8 TB: the commands that hold rows
+    # refuse N above 2^25 by its key before anything N long exists
+    table = key.split(".")[0]
+    path = write_config(tmp_path, base_config(**{table: section}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([*command, "--config", path, "--out-dir", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert f"'{key}' must not exceed {2**25} sites" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

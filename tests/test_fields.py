@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from geomix.fields import (
     phi_one,
     phi_polynomial,
 )
+from oracles import horner_polynomial
+
+# a k = 3 g of four monomials with integer coefficients whose Horner
+# coefficients below the top degree are polynomials, not constants or bare
+# sites, so that the evaluator adds them by pieces
+NESTED_K3 = {(1, 0, 2): 3.0, (0, 0, 0): -2.0, (2, 1, 1): 1.0, (0, 3, 0): -5.0}
 
 
 def _block_means(occ, half):
@@ -88,9 +95,9 @@ def test_field_linearity_in_g_and_phi():
 
 
 def _per_monomial(monos, *window):
-    """The polynomial evaluator's arithmetic one monomial at a time: a
-    float cast, a power and a product per site and monomial, in the order
-    coef * eta_1^e_1 * ... * eta_k^e_k, monomials summed in order."""
+    """The polynomial one monomial at a time: a float cast, a power and a
+    product per site and monomial, in the order coef * eta_1^e_1 * ... *
+    eta_k^e_k, monomials summed in order."""
     acc = None
     for exps, coef in monos.items():
         term = coef * np.ones_like(np.asarray(window[0], dtype=float))
@@ -101,6 +108,17 @@ def _per_monomial(monos, *window):
     if acc is None:
         acc = np.zeros_like(np.asarray(window[0], dtype=float))
     return acc
+
+
+def _python_ints(monos, *window):
+    """An integer-coefficient polynomial at integer windows in Python's
+    integers, rounded once to a double."""
+    points = zip(*(w.ravel().tolist() for w in np.broadcast_arrays(*window)))
+    values = [
+        sum(int(c) * math.prod(int(x) ** e for x, e in zip(p, exps)) for exps, c in monos.items())
+        for p in points
+    ]
+    return np.array(values, dtype=float).reshape(np.shape(window[0]))
 
 
 @pytest.mark.parametrize(
@@ -115,25 +133,63 @@ def _per_monomial(monos, *window):
         (3, {(1, 0, 2): 0.6, (0, 0, 0): -2.0, (2, 1, 1): 1.0 / 3.0, (0, 3, 0): -0.45}),
         (3, {(0, 0, 0): 4.0}),
         (2, {}),
+        (3, NESTED_K3),
     ],
 )
 @pytest.mark.parametrize("phi", [phi_one(), phi_identity()], ids=["one", "x"])
 def test_polynomial_evaluator_matches_the_per_monomial_arithmetic(k, terms, phi):
     # integer counts as int64 and as float64, and non-integer values that
-    # make a reordered product or sum round differently
+    # make a reordered product or sum round differently.  The evaluator
+    # takes Horner's rule, so it matches Horner's rule written out of place
+    # bit for bit, and the per-monomial arithmetic to rounding, exactly where
+    # both are exact: an integer-coefficient g on integer counts gives the
+    # value in Python's integers
     g = polynomial_function(k, terms)
+    integer = all(float(c).is_integer() for c in terms.values())
     rng = np.random.default_rng(14)
     counts = rng.geometric(0.3, size=(5, 301)) - 1
     for occ in (counts, counts.astype(float), rng.random((5, 301)) * 4.0):
         windows = [occ[:, j : occ.shape[1] - k + 1 + j] for j in range(k)]
-        want = _per_monomial(g.monomials, *windows)
-        assert np.array_equal(g(*windows), want)
+        got = g(*windows)
+        want = horner_polynomial(g.monomials, *windows)
+        assert np.array_equal(got, want)
+        magnitude = _per_monomial(
+            {e: abs(c) for e, c in g.monomials.items()}, *(np.abs(w) for w in windows)
+        )
+        per_monomial = _per_monomial(g.monomials, *windows)
+        assert np.all(np.abs(got - per_monomial) <= 1e-14 * magnitude)
+        if integer and np.array_equal(occ, np.round(occ)):
+            assert np.array_equal(got, per_monomial)
+            assert np.array_equal(got, _python_ints(g.monomials, *windows))
         n = occ.shape[1]
         field = (want * phi(np.arange(n - k + 1) / (n + 1))).sum(axis=-1) / n
         assert np.array_equal(field_values_batch(g, phi, occ), field)
         assert np.array_equal(field_values_batch(g, phi, occ[2]), field[2])
     # scalar windows give the scalar value
-    assert float(g(*range(2, 2 + k))) == float(_per_monomial(g.monomials, *range(2, 2 + k)))
+    point = range(2, 2 + k)
+    assert float(g(*point)) == float(horner_polynomial(g.monomials, *point))
+
+
+@pytest.mark.parametrize(
+    "k, terms", [(2, {(1, 1): 1.0, (2, 1): 1.0}), (3, NESTED_K3)], ids=["exact-clt", "nested-k3"]
+)
+def test_polynomial_evaluator_holds_one_block(k, terms):
+    # a row block as the field runs draw it at N = 2*10^4: three rows.  The
+    # value is the one block-sized array the evaluator allocates; a nested
+    # coefficient's scratch and buffers are pieces (0.14 of this block
+    # measured for the k = 3 g).  The per-monomial evaluator held 3 and 6
+    # blocks
+    g = polynomial_function(k, terms)
+    occ = (np.random.default_rng(5).geometric(0.5, size=(3, 20000)) - 1).astype(float)
+    windows = [occ[:, j : occ.shape[1] - k + 1 + j] for j in range(k)]
+    g(*windows)
+    tracemalloc.start()
+    try:
+        g(*windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * occ.nbytes
 
 
 def test_field_weights_do_not_write_the_evaluator_input():

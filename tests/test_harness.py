@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,7 +37,6 @@ from geomix.harness import (
     ExperimentConfig,
     SlopeFit,
     _theta_polynomial,
-    annealed_mc_estimate,
     check_profile_marginals,
     exact_field_mean,
     fit_log_slope,
@@ -50,7 +50,7 @@ from geomix.harness import (
     run_lln,
 )
 from geomix.moments import theta_marginals, theta_product_moment
-from oracles import field_mean_exact
+from oracles import annealed_mc_estimate, field_mean_exact
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -519,12 +519,40 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     bridge = ExperimentConfig(n_ladder=(5000,), replicas=2000, g=density_function(), **base)
     assert _peak_mib(lambda: run_bridge(bridge)) <= 8
     # the field runs hold one row block at a time, not the chunk's 32 MiB
-    # profile (37 and 34 MiB peaks when they did)
+    # profile (37 and 34 MiB peaks when they did).  A clt worker holds three
+    # blocks of three rows, 1.4 MiB (2.2 and 2.8 MiB measured at 1 and 2
+    # workers, with the first draw's imports); four blocks of six rows and
+    # the per-monomial evaluator's temporaries peaked at 5.3 and 9.2 MiB
     g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
     clt = ExperimentConfig(n_ladder=(20000,), replicas=2000, g=g, **base)
-    assert _peak_mib(lambda: run_clt(clt)) <= 8
+    assert _peak_mib(lambda: run_clt(clt)) <= 3
+    assert _peak_mib(lambda: run_clt(dataclasses.replace(clt, workers=2))) <= 4
     lln = ExperimentConfig(n_ladder=(10**5,), replicas=100, g=density_function(), **base)
     assert _peak_mib(lambda: run_lln(lln)) <= 8
+
+
+def test_sampling_runs_refuse_rows_above_the_limit(bounds, seed):
+    # a row of 10^12 sites would take 8 TB: the runs that hold rows refuse
+    # N above 2^25 before they allocate one, and accept the limit itself
+    base = dict(bounds=bounds, phi=phi_one(), seed=seed, g=density_function())
+    big = 10**12
+    runs = (
+        lambda: run_clt(ExperimentConfig(n_ladder=(big,), replicas=2000, **base)),
+        lambda: run_lln(ExperimentConfig(n_ladder=(10, big), replicas=100, **base)),
+        lambda: run_concentration([10, big], bounds, 10**4, seed),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"N <= {2**25}, got {big}"):
+                run()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+    assert harness._MAX_SITES == 2**25
+    harness._check_sites(2**25)
+    with pytest.raises(ValueError):
+        harness._check_sites(2**25 + 1)
 
 
 def test_bridge_memory_and_cost_do_not_grow_with_n(monkeypatch, bounds, seed):

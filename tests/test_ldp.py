@@ -15,7 +15,6 @@ from geomix.core import (
     indicator_vacuum_function,
 )
 from geomix.fields import TestFunction, phi_one, phi_polynomial
-from geomix.harness import annealed_mc_estimate
 import geomix.ldp as ldp_module
 from geomix.ldp import (
     MonotoneProfile,
@@ -31,7 +30,12 @@ from geomix.ldp import (
     rate_function_batch,
     _legendre,
 )
-from oracles import free_energy_finite_chain, free_energy_transfer, geometric_tables
+from oracles import (
+    annealed_mc_estimate,
+    free_energy_finite_chain,
+    free_energy_transfer,
+    geometric_tables,
+)
 
 
 def make_pair_vacuum():
@@ -417,6 +421,25 @@ def test_legendre_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(ldp_module, "_LEGENDRE_ITERATION_CAP", 1)
     with pytest.raises(NumericError):
         _legendre(np.array([1.0, 0.5]), np.array([0.4, 0.7]), make_capped_count())
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lambda-below", "lambda-above"])
+def test_legendre_root_beyond_the_first_bracket(sign):
+    # g = +-min(eta, 800): the first bracket ends at 600/800 = 0.75, and the
+    # maximizer at theta = 1, x = +-0.3 is lambda = -+log(1.3/0.6) = -+0.773,
+    # on the side where lambda * g <= 0 cannot overflow.  The saturation
+    # lies below double precision at theta = 1, so the rate is the relative
+    # entropy of the geometric law of mean 0.3 against that of mean 1
+    def evaluator(n):
+        return sign * np.minimum(np.asarray(n, dtype=float), 800.0)
+
+    g = LocalFunction(k=1, evaluator=evaluator, saturation=800)
+    x, theta = 0.3, 1.0
+    exact = x * math.log(x / theta) - (1 + x) * math.log((1 + x) / (1 + theta))
+    assert exact == 0.19882594962240974
+    assert rate_function(theta, sign * x, g) == pytest.approx(exact, rel=1e-12)
+    lam = _legendre(np.array([theta]), np.array([sign * x]), g)[1][0]
+    assert lam == pytest.approx(-sign * math.log(1.3 / 0.6), rel=1e-12)
 
 
 def test_path_rate_linear_is_exactly_zero(bounds):
