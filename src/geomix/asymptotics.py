@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from numpy.polynomial.legendre import leggauss, legint, legval, legvander
+from numpy.polynomial.legendre import legint, legval, legvander
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.fields import TestFunction
@@ -56,6 +56,17 @@ _FIRST_PANELS = 16
 _NODES_PER_PANEL = 6
 _INTEGRAL_TOL = 1e-9
 _MAX_PANELS = 4096
+# the Gauss-Legendre rules on [-1, 1], (nodes, weights) by node count: the
+# doubles of numpy's leggauss as literals, so that no rule runs an eigensolver
+_GAUSS_LEGENDRE = {
+    2: (np.array([-0.5773502691896257, 0.5773502691896257]), np.array([1.0, 1.0])),
+    6: (
+        np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519]),
+        np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027]),
+    ),
+}
 # largest state table built in one piece, checked before it is allocated
 _CELL_BUDGET = 2**25
 
@@ -275,7 +286,7 @@ def local_variance_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
 
 def _composite_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1] split into equal panels."""
-    x, w = leggauss(_NODES_PER_PANEL)
+    x, w = _GAUSS_LEGENDRE[_NODES_PER_PANEL]
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -318,7 +329,7 @@ def _interpolant_coefficients(nodes: int) -> np.ndarray:
     on the Gauss-Legendre nodes t of [-1, 1], by Gauss orthogonality, which
     is exact at this degree.  L @ f gives the Legendre series of the
     interpolant of the node values f."""
-    t, w = leggauss(nodes)
+    t, w = _GAUSS_LEGENDRE[nodes]
     return (np.arange(nodes) + 0.5)[:, None] * (legvander(t, nodes - 1) * w[:, None]).T
 
 
@@ -328,7 +339,7 @@ def _tail_matrix(nodes: int) -> np.ndarray:
     interpolant of f from each node to the right end, exactly when f has
     degree <= nodes - 1."""
     anti = legint(_interpolant_coefficients(nodes), axis=0)
-    return legval(1.0, anti)[None, :] - legval(leggauss(nodes)[0], anti).T
+    return legval(1.0, anti)[None, :] - legval(_GAUSS_LEGENDRE[nodes][0], anti).T
 
 
 def clt_variances(

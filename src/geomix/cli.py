@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -24,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from geomix.asymptotics import QuadratureError, homogeneous_mean_batch
+# each command imports the library modules it runs, when it runs
 from geomix.core import (
+    _MAX_SITES,
     BoundaryParams,
     LocalFunction,
     Purpose,
@@ -36,29 +38,6 @@ from geomix.core import (
     pair_product_function,
     polynomial_function,
     profile_batch,
-)
-from geomix.fields import TestFunction, phi_identity, phi_one, phi_polynomial
-from geomix.harness import (
-    _MAX_SITES,
-    ExperimentConfig,
-    check_profile_marginals,
-    run_bridge,
-    run_clt,
-    run_concentration,
-    run_le_scaling,
-    run_lln,
-)
-from geomix.ldp import (
-    MonotoneProfile,
-    NumericError,
-    OptimizationError,
-    SolverConfig,
-    annealed_free_energy,
-    free_energy,
-    inhom_free_energy,
-    path_rate,
-    profile_rate,
-    rate_function_batch,
 )
 
 __all__ = ["main", "ConfigError", "load_config", "config_digest"]
@@ -74,6 +53,10 @@ EXIT_NUMERIC = 3
 
 class ConfigError(Exception):
     """Invalid or incomplete configuration."""
+
+
+class _NumericFailure(Exception):
+    """A numeric error of the library, raised again by the command that met it."""
 
 
 def load_config(path: str | Path) -> dict:
@@ -194,8 +177,10 @@ _CONFIG = _table(
             "name",
             absent={"name": "lln"},
         ),
+        # a solver value left out is ldp.SolverConfig's default
         solver=_table(
-            absent={}, **{f.name: (_INT, f.default) for f in dataclasses.fields(SolverConfig)}
+            absent={}, max_iterations=(_INT, None), multistart=(_INT, None),
+            seed=(_INT, None), grid_size=(_INT, None),
         ),
         absent={},
     ),
@@ -280,7 +265,8 @@ def build_g(g: _Table) -> LocalFunction:
     return polynomial_function(g["k"], monos, name="custom-polynomial")
 
 
-def build_phi(phi: _Table) -> TestFunction:
+def build_phi(phi: _Table):
+    from geomix.fields import phi_identity, phi_one, phi_polynomial
     if phi.kind == "one":
         return phi_one()
     if phi.kind == "x":
@@ -298,10 +284,15 @@ def _format(value) -> str:
     return repr(float(value))
 
 
+_CSV_CHUNK = 4096  # rows formatted and written at a time
+
+
 def write_csv(path: Path, digest: str, header: list[str], rows) -> None:
-    lines = [f"# manifest: {digest}", ",".join(header)]
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# manifest: {digest}\n{','.join(header)}\n")
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            fh.write("\n".join([",".join(map(_format, row)) for row in chunk]) + "\n")
 
 
 def _jsonable(obj):
@@ -394,8 +385,7 @@ def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
     bounds = build_bounds(cfg["bounds"])
     thetas = profile_batch(n_sites, bounds, run.seed.generator(Purpose.PROFILES), 1)[0]
     etas = configuration_batch(thetas, run.seed.generator(Purpose.CONFIGURATIONS))
-    rows = [(i + 1, thetas[i], int(etas[i])) for i in range(n_sites)]
-    run.csv("sample_table.csv", ["site", "theta", "eta"], rows)
+    run.csv("sample_table.csv", ["site", "theta", "eta"], zip(range(1, n_sites + 1), thetas, etas))
     run.summary(
         "sample_summary.json",
         verdicts={"sorted": bool(np.all(np.diff(thetas) >= 0))},
@@ -407,8 +397,9 @@ def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
     return EXIT_PASS
 
 
-def _experiment(cfg, run, workers, n_ladder, replicas, g=None, phi=None) -> ExperimentConfig:
+def _experiment(cfg, run, workers, n_ladder, replicas, g=None, phi=None):
     """A Monte Carlo run's settings; g and phi are the config's unless given."""
+    from geomix.harness import ExperimentConfig
     return ExperimentConfig(
         n_ladder=n_ladder,
         replicas=int(replicas),
@@ -421,16 +412,13 @@ def _experiment(cfg, run, workers, n_ladder, replicas, g=None, phi=None) -> Expe
 
 
 def _verify_lln(cfg, run, workers):
+    from geomix.harness import run_lln
     lln = cfg["lln"]
     _check_sites("lln.n_ladder", lln["n_ladder"])
     result = run_lln(_experiment(cfg, run, workers, lln["n_ladder"], lln["replicas"]))
     threshold = result.final_threshold()
     passed = result.decreasing and result.rows[-1][1] < threshold
-    run.csv(
-        "lln_table.csv",
-        ["n_sites", "mean_abs_deviation", "standard_error"],
-        result.rows,
-    )
+    run.csv("lln_table.csv", ["n_sites", "mean_abs_deviation", "standard_error"], result.rows)
     verdicts = {
         "deviation_decreasing": result.decreasing,
         "final_below_clt_band": bool(result.rows[-1][1] < threshold),
@@ -444,15 +432,12 @@ def _verify_lln(cfg, run, workers):
 
 
 def _verify_clt(cfg, run, workers):
+    from geomix.harness import run_clt
     clt = cfg["clt"]
     _check_sites("clt.n_sites", [clt["n_sites"]])
     result = run_clt(_experiment(cfg, run, workers, (clt["n_sites"],), clt["replicas"]))
     passed = result.ks_pass and result.variance_pass
-    run.csv(
-        "clt_table.csv",
-        ["sample_index", "rescaled_fluctuation"],
-        list(enumerate(result.samples)),
-    )
+    run.csv("clt_table.csv", ["sample_index", "rescaled_fluctuation"], enumerate(result.samples))
     verdicts = {"ks_pass": result.ks_pass, "variance_pass": result.variance_pass}
     payload = {
         "n_sites": result.n_sites,
@@ -469,23 +454,18 @@ def _verify_clt(cfg, run, workers):
 
 
 def _verify_bridge(cfg, run, workers):
+    from geomix.fields import phi_one
+    from geomix.harness import run_bridge
     bridge = cfg["bridge"]
     exp = _experiment(
         cfg, run, workers, (bridge["n_sites"],), bridge["replicas"], density_function(), phi_one()
     )
     result = run_bridge(exp, bridge["grid"])
-    rows = []
-    for a, s in enumerate(result.grid):
-        for b_idx, t in enumerate(result.grid):
-            rows.append(
-                (
-                    s,
-                    t,
-                    result.empirical[a, b_idx],
-                    result.analytic[a, b_idx],
-                    result.standard_errors[a, b_idx],
-                )
-            )
+    rows = [
+        (s, t, result.empirical[a, b], result.analytic[a, b], result.standard_errors[a, b])
+        for a, s in enumerate(result.grid)
+        for b, t in enumerate(result.grid)
+    ]
     max_dev = result.max_deviation_in_se()
     passed = max_dev <= 3.0
     run.csv(
@@ -497,6 +477,7 @@ def _verify_bridge(cfg, run, workers):
 
 
 def _verify_le_scaling(cfg, run, workers):
+    from geomix.harness import run_le_scaling
     le = cfg["le_scaling"]
     result = run_le_scaling(
         float(le["x"]), le["p_vec"], le["n_ladder"], build_bounds(cfg["bounds"])
@@ -507,17 +488,12 @@ def _verify_le_scaling(cfg, run, workers):
     fit = result.fit
     slope_ok = -1.15 <= fit.slope <= -0.85
     r2_ok = fit.r_squared > 0.99
-    payload = {
-        "fit": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-        }
-    }
+    payload = {"fit": {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}}
     return slope_ok and r2_ok, {"slope_in_band": slope_ok, "r_squared_ok": r2_ok}, payload
 
 
 def _verify_concentration(cfg, run, workers):
+    from geomix.harness import check_profile_marginals, run_concentration
     conc = cfg["concentration"]
     _check_sites("concentration.n_ladder", conc["n_ladder"])
     if conc["eps"] is not None and any(e < 0 for e in conc["eps"]):
@@ -570,7 +546,11 @@ _VERIFY_DISPATCH = {
 
 
 def cmd_verify(kind: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
-    passed, verdicts, payload = _VERIFY_DISPATCH[kind](cfg, run, workers)
+    from geomix.asymptotics import QuadratureError
+    try:
+        passed, verdicts, payload = _VERIFY_DISPATCH[kind](cfg, run, workers)
+    except QuadratureError as exc:
+        raise _NumericFailure(exc) from exc
     name = kind.replace("-", "_")
     run.summary(f"{name}_summary.json", verdicts=verdicts, payload=payload)
     run.manifest(f"{name}_manifest.json")
@@ -581,7 +561,8 @@ def cmd_verify(kind: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -
     return EXIT_PASS if passed else EXIT_VERDICT
 
 
-def _ldp_profile(profile: _Table, bounds: BoundaryParams) -> MonotoneProfile:
+def _ldp_profile(profile: _Table, bounds: BoundaryParams):
+    from geomix.ldp import MonotoneProfile
     if profile.kind == "values":
         return MonotoneProfile(values=np.asarray(profile["values"], dtype=float), bounds=bounds)
     m = int(profile["grid_size"])
@@ -592,12 +573,24 @@ def _ldp_profile(profile: _Table, bounds: BoundaryParams) -> MonotoneProfile:
     return MonotoneProfile(values=bounds.theta_left + bounds.width * t**exponent, bounds=bounds)
 
 
-def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
+def _ldp_task(task: str, cfg: _Table, run: _Run) -> tuple[dict, dict]:
+    """Run one ldp task and write its table; returns (verdicts, payload)."""
+    from geomix.asymptotics import homogeneous_mean_batch
+    from geomix.fields import TestFunction
+    from geomix.ldp import (
+        SolverConfig,
+        annealed_free_energy,
+        free_energy,
+        inhom_free_energy,
+        path_rate,
+        profile_rate,
+        rate_function_batch,
+    )
     bounds = build_bounds(cfg["bounds"])
     if bounds.width <= 0:
         raise ConfigError("ldp tasks require theta_left < theta_right")
     ldp = cfg["ldp"]
-    solver = SolverConfig(**{k: int(v) for k, v in ldp["solver"].items()})
+    solver = SolverConfig(**{k: int(v) for k, v in ldp["solver"].items() if v is not None})
     g = build_g(cfg["g"])
     if g.saturation is None:
         raise ConfigError("ldp tasks require a saturating local function g")
@@ -624,22 +617,15 @@ def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> i
     elif task == "path-rate":
         profile = _ldp_profile(ldp["profile"], bounds)
         value = path_rate(profile)
-        run.csv(
-            f"{name}_table.csv",
-            ["grid_x", "theta"],
-            zip(profile.abscissae, profile.values),
-        )
+        run.csv(f"{name}_table.csv", ["grid_x", "theta"], zip(profile.abscissae, profile.values))
         payload = {"path_rate": value}
         if "phi" in cfg:
             payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg["phi"]), g)
     elif task == "annealed":
         result = annealed_free_energy(build_phi(cfg["phi"]), g, bounds, solver)
         payload = {"value": result.value, "start_values": list(result.start_values)}
-        verdicts = {
-            "at_least_linear_benchmark": bool(
-                result.value >= min(result.start_values) - 1e-12
-            )
-        }
+        linear = min(result.start_values)
+        verdicts = {"at_least_linear_benchmark": bool(result.value >= linear - 1e-12)}
     else:  # profile-rate
         mu_table = ldp["mu"]
         if mu_table.kind == "lln":
@@ -655,12 +641,19 @@ def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> i
         payload = {"value": result.value, "start_values": list(result.start_values)}
         verdicts = {"non_negative": bool(result.value >= -1e-9)}
     if task in ("annealed", "profile-rate"):
-        run.csv(
-            f"{name}_table.csv",
-            ["grid_x", "theta"],
-            zip(result.profile.abscissae, result.profile.values),
-        )
+        profile = result.profile
+        run.csv(f"{name}_table.csv", ["grid_x", "theta"], zip(profile.abscissae, profile.values))
+    return verdicts, payload
 
+
+def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
+    from geomix.asymptotics import QuadratureError
+    from geomix.ldp import NumericError, OptimizationError
+    try:
+        verdicts, payload = _ldp_task(task, cfg, run)
+    except (QuadratureError, NumericError, OptimizationError) as exc:
+        raise _NumericFailure(exc) from exc
+    name = task.replace("-", "_")
     run.summary(f"{name}_summary.json", verdicts=verdicts, payload=payload)
     run.manifest(f"{name}_manifest.json")
     if verbose:
@@ -712,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, NumericError, OptimizationError) as exc:
+    except _NumericFailure as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -271,6 +271,10 @@ def indicator_vacuum_function() -> LocalFunction:
     return LocalFunction(k=1, evaluator=evaluator, saturation=1, name="indicator-vacuum")
 
 
+_MAX_SITES = 2**25  # the largest N a sampling run takes: a worker holds three
+# buffers of one row at most, 256 MiB each at this N
+
+
 def profile_batch(
     n_sites: int, bounds: BoundaryParams, rng: np.random.Generator, size: int
 ) -> np.ndarray:

@@ -51,6 +51,7 @@ from geomix.asymptotics import (
     lln_limit,
 )
 from geomix.core import (
+    _MAX_SITES,
     BoundaryParams,
     LocalFunction,
     Purpose,
@@ -90,8 +91,6 @@ __all__ = [
 
 _CHUNK_BUDGET = 2**22  # doubles per sampling chunk, the stream unit; fixed so
 # chunking is independent of worker count and results stay replica-reproducible
-_MAX_SITES = 2**25  # the largest N a sampling run takes: a worker holds three
-# buffers of one row at most, 256 MiB each at this N
 _BLOCK_BUDGET = 2**16  # doubles per row block inside a chunk, the cache and
 # memory unit (512 KiB, so that a field run worker's three blocks fit in a
 # 2 MiB L2); any value gives the same output bytes

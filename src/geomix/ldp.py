@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legval
+from numpy.polynomial.legendre import legint, legval
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.asymptotics import (
+    _GAUSS_LEGENDRE,
     _NODES_PER_PANEL,
     _check_cells,
     _composite_nodes,
@@ -408,7 +409,7 @@ def _starts(bounds: BoundaryParams, solver: SolverConfig) -> list[np.ndarray]:
 def _cell_nodes(m_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss nodes per profile cell: (x, weights, the in-cell coordinates
     of one cell's nodes)."""
-    xg, wg = leggauss(_CELL_NODES)
+    xg, wg = _GAUSS_LEGENDRE[_CELL_NODES]
     tau = (xg + 1.0) / 2.0
     cells = np.arange(m_cells)[:, None]
     x = ((cells + tau[None, :]) / m_cells).ravel()

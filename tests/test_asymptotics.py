@@ -9,6 +9,7 @@ import pytest
 from conftest import assert_within_se
 import geomix.asymptotics as asymptotics_module
 from geomix.asymptotics import (
+    _GAUSS_LEGENDRE,
     _grid_local_variance,
     _grid_mean,
     bridge_covariance,
@@ -28,7 +29,8 @@ from geomix.core import (
     pair_product_function,
     polynomial_function,
 )
-from geomix.fields import phi_identity, phi_one
+from geomix.fields import phi_identity, phi_one, phi_polynomial
+from geomix.ldp import SolverConfig, annealed_free_energy, profile_rate
 from oracles import geometric_tables, truncated_grid
 
 # the g of the exact-clt benchmark workload, eta_1 eta_2 + eta_1^2 eta_2
@@ -403,3 +405,32 @@ def test_white_noise_variance_adjudication(bounds):
     centered = (sums - sums.mean()) ** 2
     se = centered.std(ddof=1) / math.sqrt(r)
     assert_within_se(emp, target, se, 5, "conditional variance growth")
+
+
+@pytest.mark.parametrize("nodes", sorted(_GAUSS_LEGENDRE))
+def test_gauss_table_is_numpys_rule(nodes):
+    x, w = _GAUSS_LEGENDRE[nodes]
+    want_x, want_w = np.polynomial.legendre.leggauss(nodes)
+    np.testing.assert_array_max_ulp(x, want_x, maxulp=1)
+    np.testing.assert_array_max_ulp(w, want_w, maxulp=1)
+    # exact for every monomial of degree <= 2 * nodes - 1 on [-1, 1]
+    for degree in range(2 * nodes):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(w @ x**degree - exact) <= 1e-15
+
+
+def test_quadrature_runs_no_eigensolver(monkeypatch, bounds):
+    # numpy's leggauss takes its nodes from an eigensolver; the table does not
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        np.polynomial.legendre.leggauss(6)
+    g, vacuum = pair_product_function(), indicator_vacuum_function()
+    solver = SolverConfig(multistart=2, grid_size=20, max_iterations=200)
+    assert math.isfinite(lln_limit(g, phi_identity(), bounds))
+    assert clt_variances(g, phi_identity(), bounds).bridge_variance > 0
+    for phi in (phi_polynomial([0.2]), phi_polynomial([0.0, 0.3])):  # closed form, Newton
+        assert math.isfinite(annealed_free_energy(phi, vacuum, bounds, solver).value)
+    assert profile_rate(phi_polynomial([0.5]), vacuum, bounds, solver).value >= 0

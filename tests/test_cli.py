@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomix import cli, harness
+from geomix import asymptotics, cli, harness
 from geomix.core import (
     BoundaryParams,
     Purpose,
@@ -259,7 +261,7 @@ def read_table(path: Path) -> list[list[float]]:
     return [[float(v) for v in line.split(",")] for line in lines]
 
 
-def test_numeric_error_exit_code(tmp_path):
+def test_numeric_error_exit_code(tmp_path, capsys):
     # a target profile of 1.5 lies outside the range [0, 1] of
     # indicator-vacuum, so every solver start meets an infinite rate
     cfg = base_config(
@@ -271,7 +273,108 @@ def test_numeric_error_exit_code(tmp_path):
     )
     path = write_config(tmp_path, cfg)
     assert main(["ldp", "profile-rate", "--config", path, "--out-dir", str(tmp_path / "y")]) == EXIT_NUMERIC
+    err = "numeric error: every solver start hit an infeasible profile"
+    assert capsys.readouterr().err.startswith(err)
     assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, patch, message",
+    [
+        (["verify", "lln"], base_config(lln={"n_ladder": [10, 20], "replicas": 10}),
+         True, "lln_limit: panel doubling did not converge"),
+        (["ldp", "annealed"], base_config(g={"name": "indicator-vacuum"}),
+         True, "annealed free energy: panel doubling did not converge"),
+        (["ldp", "free-energy"],
+         base_config(g={"name": "indicator-vacuum"}, ldp={"theta": 1.0, "lambda_grid": [800.0]}),
+         False, "floating-point range"),
+    ],
+    ids=["quadrature-verify", "quadrature-ldp", "numeric"],
+)
+def test_each_numeric_error_exits_3(tmp_path, capsys, monkeypatch, command, cfg, patch, message):
+    # QuadratureError from the limit integrals of verify and ldp, and ldp's
+    # NumericError (OptimizationError: test_numeric_error_exit_code) exit 3
+    # with the library's message
+    if patch:  # the first rule already exceeds the panel cap
+        monkeypatch.setattr(asymptotics, "_MAX_PANELS", 8)
+    out = tmp_path / "out"
+    argv = [*command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and message in err
+    assert not out.exists()
+
+
+# Run a command in a fresh interpreter; print its exit code and the modules
+# it loaded.
+_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import geomix.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = geomix.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _loaded_modules(argv: list[str]) -> tuple[int | None, set[str]]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+_VERIFY_ONLY = ("geomix.harness", "geomix.duality", "concurrent.futures")
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        (["ldp", "rate"], _VERIFY_ONLY),
+        (["ldp", "annealed"], _VERIFY_ONLY),
+        (["ldp", "profile-rate"], _VERIFY_ONLY),
+        (["verify", "clt"], ("geomix.ldp",)),
+        (["verify", "le-scaling"], ("geomix.ldp",)),
+        ([], ("geomix.harness", "geomix.ldp")),
+    ],
+    ids=["rate", "annealed", "profile-rate", "clt", "le-scaling", "import"],
+)
+def test_each_command_imports_only_what_it_runs(tmp_path, command, absent):
+    # every command loads numpy and geomix.core; the ldp tasks run no
+    # sampling code, verify runs no ldp code, and the import alone runs neither
+    cfg = base_config(
+        g={"name": "indicator-vacuum"} if command[:1] == ["ldp"] else {"name": "density"},
+        phi={"name": "const", "value": 0.2},
+        clt={"n_sites": 100, "replicas": 2000},
+        le_scaling={"x": 0.5, "p_vec": [1], "n_ladder": [128, 256, 512]},
+        ldp={"theta": 1.0, "x_grid": [0.3, 0.5],
+             "solver": {"multistart": 2, "grid_size": 20, "max_iterations": 200}},
+    )
+    args = ["--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]
+    code, loaded = _loaded_modules([*command, *args] if command else [])
+    assert code == (EXIT_PASS if command else None)
+    assert {"numpy", "geomix.core"} <= loaded
+    assert not loaded & set(absent)
+
+
+def test_sample_memory_is_a_few_arrays(tmp_path):
+    # the table is formatted and written in row chunks: no Python object
+    # per site outlives its chunk, so the peak is the N-long arrays
+    n_sites = 2 * 10**5
+    path = write_config(tmp_path, base_config(sample={"n_sites": n_sites}))
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", path, "--out-dir", str(tmp_path / "s")]) == EXIT_PASS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n_sites
+    assert len((tmp_path / "s" / "sample_table.csv").read_text().splitlines()) == n_sites + 2
 
 
 def test_free_energy_far_in_the_tilt(tmp_path):

@@ -410,17 +410,27 @@ def test_field_runs_match_the_whole_chunk_profile(monkeypatch, bounds, seed, wor
     assert got[2] == want[2]
 
 
-def _sampled_outputs(bounds, seed, workers):
-    """The outputs of every runner that draws in row blocks.  Non-integer
-    g and phi make the reductions' summation order visible."""
+def _sampled_outputs(bounds, seed, workers, ladder=(50, 400)):
+    """The outputs of every runner that draws in row blocks, at the two
+    sizes of ``ladder``.  Non-integer g and phi make the reductions'
+    summation order visible."""
+    small, large = ladder
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
     base = dict(bounds=bounds, g=g, phi=phi_identity(), seed=seed, workers=workers)
-    lln = run_lln(ExperimentConfig(n_ladder=(50, 400), replicas=100, **base))
-    clt = run_clt(ExperimentConfig(n_ladder=(400,), replicas=2000, **base))
-    bridge = run_bridge(ExperimentConfig(n_ladder=(400,), replicas=2000, **base))
-    conc = run_concentration([10, 400], bounds, 10**4, seed, workers=workers)
-    annealed = annealed_mc_estimate(g, 0.5, 50, bounds, 2000, seed, workers=workers)
+    lln = run_lln(ExperimentConfig(n_ladder=ladder, replicas=100, **base))
+    clt = run_clt(ExperimentConfig(n_ladder=(large,), replicas=2000, **base))
+    bridge = run_bridge(ExperimentConfig(n_ladder=(large,), replicas=2000, **base))
+    conc = run_concentration([10, large], bounds, 10**4, seed, workers=workers)
+    annealed = annealed_mc_estimate(g, 0.5, small, bounds, 2000, seed, workers=workers)
     return lln.rows, clt.samples, bridge.empirical, bridge.standard_errors, conc.rows, annealed
+
+
+def _assert_same_outputs(got, want):
+    for a, b in zip(got, want, strict=True):
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b)
+        else:
+            assert a == b
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -434,38 +444,33 @@ def test_row_block_size_does_not_change_results(monkeypatch, bounds, seed, worke
         monkeypatch.setattr(harness, "_BLOCK_BUDGET", budget)
         runs.append(_sampled_outputs(bounds, seed, workers))
     for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            if isinstance(want, np.ndarray):
-                assert np.array_equal(got, want)
-            else:
-                assert got == want
-
-
-@pytest.fixture(scope="module")
-def one_worker_outputs():
-    """_sampled_outputs on one worker at the default block budget."""
-    with mock.patch.object(harness, "_CHUNK_BUDGET", 2**14):
-        return _sampled_outputs(BoundaryParams(0.0, 2.0), RandomSeed(20240801, 0), 1)
+        _assert_same_outputs(run, runs[0])
 
 
 @settings(derandomize=True, database=None, max_examples=6, deadline=None)
-@given(workers=st.sampled_from([1, 2]), block_budget=st.integers(1, 4000))
-@example(workers=2, block_budget=1300)  # 3 and 26 rows: uneven at both N
+@given(
+    workers=st.sampled_from([1, 2]),
+    block_budget=st.integers(1, 4000),
+    chunk_budget=st.integers(2**12, 2**15),
+    small=st.integers(2, 80),
+    large=st.integers(81, 500),
+)
+# 40 rows per chunk at N = 400, in blocks of 3 rows, and 327 at N = 50, in 26
+@example(workers=2, block_budget=1300, chunk_budget=2**14, small=50, large=400)
 def test_outputs_do_not_depend_on_workers_or_block_budget(
-    one_worker_outputs, workers, block_budget
+    workers, block_budget, chunk_budget, small, large
 ):
-    # chunks of 40 rows at N = 400 and 327 at N = 50, in blocks of
-    # block_budget // N rows (at least one): most budgets leave an uneven
-    # last block in every chunk
-    with mock.patch.object(harness, "_CHUNK_BUDGET", 2**14), mock.patch.object(
-        harness, "_BLOCK_BUDGET", block_budget
-    ):
-        outputs = _sampled_outputs(BoundaryParams(0.0, 2.0), RandomSeed(20240801, 0), workers)
-    for got, want in zip(outputs, one_worker_outputs, strict=True):
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
+    # a chunk holds chunk_budget // N rows (at least one), the stream unit,
+    # so the chunk budget moves the bytes; within one chunk budget, blocks
+    # of block_budget // N rows on any worker count give the bytes of one
+    # worker and one block per chunk.  Most budgets leave an uneven last
+    # block in every chunk and an uneven last chunk.
+    args = (BoundaryParams(0.0, 2.0), RandomSeed(20240801, 0))
+    with mock.patch.object(harness, "_CHUNK_BUDGET", chunk_budget):
+        want = _sampled_outputs(*args, 1, (small, large))
+        with mock.patch.object(harness, "_BLOCK_BUDGET", block_budget):
+            got = _sampled_outputs(*args, workers, (small, large))
+    _assert_same_outputs(got, want)
 
 
 def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed):
