@@ -16,8 +16,9 @@ Gauss-Legendre rules on the same nodes: the bridge double integral of
 C(u) the integral of a over [u, 1], which has no kink.  The rules are
 exact when the integrands are polynomials of low degree on each panel.
 
-For polynomial g, h, h' and V are exact polynomials in rho built from the
-geometric raw moments E[eta^p].  A non-polynomial g must declare its
+For polynomial g, h, h' and V are polynomials in rho whose coefficients
+are exact rationals rounded once, from the one expansion of E[g | Theta]
+(``moments._conditional_mean``).  A non-polynomial g must declare its
 saturation c (it reads each occupation n only through min(n, c)); its h,
 h' and V are exact sums over the state grid [0, c]^k, whose last state
 of each site carries the whole geometric tail n >= c.  The integrals
@@ -37,7 +38,7 @@ from numpy.polynomial.legendre import legint, legval, legvander
 
 from geomix.core import BoundaryParams, LocalFunction
 from geomix.fields import TestFunction
-from geomix.moments import geometric_raw_moment_coefficients
+from geomix.moments import _conditional_mean, _dyadic
 
 __all__ = [
     "QuadratureError",
@@ -96,36 +97,33 @@ class CltVariances:
         return self.bridge_variance + self.white_noise_variance
 
 
-def _product_moment(exps) -> np.ndarray:
-    """E[prod_j eta_j^{e_j}] under the homogeneous product, as coefficients in rho."""
-    out = np.ones(1)
-    for e in exps:
-        if e:  # E[eta^0] = 1 adds nothing
-            out = P.polymul(out, geometric_raw_moment_coefficients(int(e)))
-    return out
-
-
-def _poly_mean(g: LocalFunction) -> np.ndarray:
-    """h of a polynomial g as coefficients in rho."""
-    h = np.zeros(1)
-    for exps, coef in g.monomials.items():
-        h = P.polyadd(h, coef * _product_moment(exps))
-    return h
-
-
-def _poly_variance(g: LocalFunction) -> np.ndarray:
-    """V of a polynomial g as coefficients in rho.  On 3k-2 sites the
-    reference window covers k..2k-1 and window m covers m..m+k-1; a pair
-    of monomials adds its exponents on the sites the two windows share."""
-    k, h = g.k, _poly_mean(g)
-    total = -(2 * k - 1) * P.polymul(h, h)
-    for m in range(1, 2 * k):
-        for (ref, c_ref), (mov, c_mov) in itertools.product(g.monomials.items(), repeat=2):
-            exps = np.zeros(3 * k - 2, dtype=np.int64)
-            exps[k - 1 : 2 * k - 1] += ref
-            exps[m - 1 : m - 1 + k] += mov
-            total = P.polyadd(total, c_ref * c_mov * _product_moment(exps))
-    return total
+def _poly_coefficients(g: LocalFunction, part: str) -> np.ndarray:
+    """Coefficients in rho, lowest first, of h, h' or V (``part``) of a
+    polynomial g: the conditional-mean expansion at every Theta_j = rho, in
+    integers over one power of two, each divided once.  For V, on 3k-2
+    sites the reference window covers k..2k-1 and window m covers
+    m..m+k-1; a pair of monomials multiplies its weights and adds its
+    exponents on the sites the two windows share, and (2k-1) h^2 is the
+    same pair on two disjoint windows."""
+    k = g.k
+    weights, den = _dyadic(g.monomials.values())
+    terms = list(zip(weights, g.monomials))
+    if part == "V":
+        pairs, den = [], den**2
+        for (a, ref), (b, mov) in itertools.product(terms, repeat=2):
+            pairs.append((-(2 * k - 1) * a * b, (*ref, *mov)))
+            centred = (0,) * (k - 1) + (*ref,) + (0,) * (k - 1)
+            for m in range(1, 2 * k):
+                shifted = (0,) * (m - 1) + (*mov,) + (0,) * (2 * k - 1 - m)
+                pairs.append((a * b, [e + f for e, f in zip(centred, shifted)]))
+        terms = pairs
+    poly = _conditional_mean(terms)
+    coefs = [0] * (max((sum(exps) for _, exps in poly), default=0) + 1)
+    for weight, exps in poly:
+        coefs[sum(exps)] += weight
+    if part == "h'":
+        coefs = [j * c for j, c in enumerate(coefs)][1:] or [0]
+    return np.array([c / den for c in coefs])
 
 
 def _weight_tables(thetas: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,21 +233,18 @@ def _grid_local_variance(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _by_node_blocks(variance, grid.size, weights)
 
 
-def _rhos(rhos) -> np.ndarray:
+def _layer(g: LocalFunction, rhos, part: str) -> np.ndarray:
+    """h, h' or V (``part``) of g at each rho >= 0."""
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
     if np.any(rhos < 0):
         raise ValueError("rho must be >= 0")
-    return rhos
-
-
-def _mean(g: LocalFunction, rhos, deriv: bool) -> np.ndarray:
-    rhos = _rhos(rhos)
     if g.monomials is not None:
-        h = _poly_mean(g)
-        return P.polyval(rhos, P.polyder(h) if deriv else h)
+        return P.polyval(rhos, _poly_coefficients(g, part))
     grid = _g_grid(g)
     w, dw = _weight_tables(rhos, g.saturation)
-    return _grid_mean(grid, w, dw if deriv else None)
+    if part == "V":
+        return _grid_local_variance(grid, w)
+    return _grid_mean(grid, w, dw if part == "h'" else None)
 
 
 def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
@@ -259,14 +254,14 @@ def homogeneous_mean_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     Exact for polynomial g, and for g saturating at c an exact sum over
     [0, c]^k.
     """
-    return _mean(g, rhos, deriv=False)
+    return _layer(g, rhos, "h")
 
 
 def homogeneous_mean_deriv_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     """Derivative of t -> E[g | all parameters equal t] at each rho: exact
     for polynomial g, and for saturating g the state sum with d nu/d rho
     in one slot at a time (finite at rho = 0 too)."""
-    return _mean(g, rhos, deriv=True)
+    return _layer(g, rhos, "h'")
 
 
 def local_variance_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
@@ -277,11 +272,7 @@ def local_variance_batch(g: LocalFunction, rhos: np.ndarray) -> np.ndarray:
     V(rho) = sum_m cov(g(reference), g(window m)).  Exact for polynomial
     g, and for saturating g an exact sum over its state grid.
     """
-    rhos = _rhos(rhos)
-    if g.monomials is not None:
-        return P.polyval(rhos, _poly_variance(g))
-    grid = _g_grid(g)
-    return _grid_local_variance(grid, _weight_tables(rhos, g.saturation)[0])
+    return _layer(g, rhos, "V")
 
 
 def _composite_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ def le_deviation(
     For the dual window p_1 delta_{floor(x*N)+1} + ... + p_k delta_{floor(x*N)+k},
     returns E[D(eta, xi)] - rho(x)^(p_1+...+p_k), computed exactly; the
     deviation decays like 1/N.  E[D(eta, xi)] is the product moment of the
-    parameters on the window with its zero powers stripped at both ends.
+    parameters on the whole window; zero powers add nothing to it.
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
@@ -46,8 +46,6 @@ def le_deviation(
         raise ValueError(
             f"dual window [{base + 1}, {base + k}] overflows the chain of {n_sites}"
         )
-    support = [j for j, p in enumerate(powers) if p]
-    lo, hi = support[0], support[-1]
-    moment = theta_product_moment(base + 1 + lo, powers[lo : hi + 1], n_sites, bounds)
+    moment = theta_product_moment(base + 1, powers, n_sites, bounds)
     target = bounds.density(x) ** sum(powers)
     return moment - float(target)

@@ -5,10 +5,11 @@ seed, so re-runs are bit-identical for any worker count, and report
 effect sizes with standard errors rather than bare pass/fails.
 Central-limit runs are centered at the exact mixture mean (empirical
 centering would inflate the distributional distance at practical replica
-counts).  For a polynomial g and phi that mean is a rational number: each
-window moment is N!/(N+L)! times an integer polynomial in the window's
-start, so the sum over windows is one of integer power sums, evaluated
-exactly and rounded once, at a cost that does not grow with N.
+counts).  For a polynomial g and phi that mean is a rational number:
+with E[g | Theta] from ``moments._conditional_mean``, each window moment
+is N!/(N+L)! times an integer polynomial in the window's start, so the
+sum over windows is one of integer power sums, evaluated exactly and
+rounded once, at a cost that does not grow with N.
 
 A chunk of replicas is the stream unit: its size is fixed, and chunk c
 at the i-th N of a run's ladder (i = 0 at one N) draws each purpose from
@@ -62,8 +63,9 @@ from geomix.core import (
 from geomix.duality import le_deviation
 from geomix.fields import TestFunction, _field_weights, field_values_batch
 from geomix.moments import (
+    _conditional_mean,
+    _dyadic,
     _window_polynomial,
-    geometric_raw_moment_coefficients,
     theta_marginals,
 )
 
@@ -292,34 +294,6 @@ def fit_log_slope(points: Sequence[tuple[float, float]]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=max(min(r2, 1.0), 0.0))
 
 
-def _dyadic(values) -> tuple[list[int], int]:
-    """Integers m_i and one power of two d with values[i] = m_i / d exactly,
-    for finite doubles."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    d = max((den for _, den in ratios), default=1)
-    return [num * (d // den) for num, den in ratios], d
-
-
-def _theta_polynomial(g: LocalFunction) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """The window mean of g as a polynomial in the window's parameters:
-    each monomial with E[eta^p | theta] expanded over its raw-moment
-    coefficients, as (coefficient, Theta exponent vector) pairs, with the
-    coefficients exact integers over the power of two returned with them."""
-    if g.monomials is None:
-        raise ValueError("exact mixture means require a polynomial local function")
-    if (g.degree or 0) > _MAX_POLY_DEGREE:
-        raise ValueError(f"exact mixture means support degree <= {_MAX_POLY_DEGREE}")
-    coefs, den = _dyadic(g.monomials.values())
-    poly = []
-    for exps, coef in zip(g.monomials, coefs):
-        per_site = [[int(c) for c in geometric_raw_moment_coefficients(e)] for e in exps]
-        for qs in itertools.product(*(range(len(c)) for c in per_site)):
-            weight = coef * math.prod(c[q] for c, q in zip(per_site, qs))
-            if weight:
-                poly.append((weight, qs))
-    return poly, den
-
-
 def _power_sums(m: int, p: int) -> list[int]:
     """sum_{s=1}^{m} s^j for j = 0..p, exactly, by Pascal's recursion
     (m+1)^(j+1) - 1 = sum_{i<=j} C(j+1, i) * S_i."""
@@ -337,7 +311,7 @@ def exact_field_mean(
     over the starts s = 1..N-k+1, as a rational rounded once.
 
     Each window mean is a sum over Theta exponent vectors
-    (:func:`_theta_polynomial`), each Theta = theta_left + width * U is
+    (:func:`moments._conditional_mean`), each Theta = theta_left + width * U is
     expanded binomially, with the bounds as the exact rationals of their
     doubles, and each uniform exponent vector e of total L has the moment
     N!/(N+L)! * Q_e(s), an integer polynomial in s
@@ -351,8 +325,13 @@ def exact_field_mean(
         raise ValueError("exact mixture means require a polynomial test function")
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+    if g.monomials is None:
+        raise ValueError("exact mixture means require a polynomial local function")
+    if (g.degree or 0) > _MAX_POLY_DEGREE:
+        raise ValueError(f"exact mixture means support degree <= {_MAX_POLY_DEGREE}")
     n = n_sites
-    poly, g_den = _theta_polynomial(g)
+    coefs, g_den = _dyadic(g.monomials.values())
+    poly = _conditional_mean(zip(coefs, g.monomials))
     (lo, right), b_den = _dyadic([bounds.theta_left, bounds.theta_right])
     width = right - lo
     degree = max((sum(exps) for _, exps in poly), default=0)

@@ -168,7 +168,9 @@ class _FreeEnergyTable:
     vectors, and the derivatives follow from Hellmann-Feynman,
     d Lambda = <l, dK r> / <l, r>.  At k = 1 the kernel has one state,
     r = l = 1, and Lambda = sum_n nu_theta(n) exp(lambda * g(n)) needs no
-    iteration.
+    iteration.  exp(lambda * (g - s)) tilts the kernel, s the value of g's
+    range nearest 0, and lambda * s is added back to F, so that no state
+    underflows where all of g lies far from 0; the derivatives are ratios.
     """
 
     def __init__(self, thetas: np.ndarray, g: LocalFunction) -> None:
@@ -181,6 +183,7 @@ class _FreeEnergyTable:
             f"the transfer kernels of {self.thetas.size} nodes at k={g.k}, c={g.saturation}",
         )
         self.w, self.dw = _weight_tables(self.thetas, g.saturation)
+        self.shift = float(np.clip(0.0, self.gvals.min(), self.gvals.max()))
 
     def take(self, mask: np.ndarray) -> "_FreeEnergyTable":
         """The table restricted to the nodes selected by a mask or index array."""
@@ -198,7 +201,7 @@ class _FreeEnergyTable:
         right = f"Z{sites},Z{sites[1:]}->Z{sites[:-1]}"
         left = f"Z{sites[:-1]},Z{sites}->Z{sites[1:]}"
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tilt = np.exp(lams.reshape(node + (1,)) * self.gvals)
+            tilt = np.exp(lams.reshape(node + (1,)) * (self.gvals - self.shift))
             t = tilt * self.w.reshape(node + (states,))
             r = np.full((n,) + (states,) * (k - 1), float(states) ** (1 - k))
             l = r.copy()
@@ -225,7 +228,7 @@ class _FreeEnergyTable:
             kernels = np.stack([t, t * self.gvals, tilt * self.dw.reshape(node + (states,))])
             lk = np.einsum(f"Z{sites[:-1]},YZ{sites}->YZ{sites[1:]}", l, kernels)
             norm, d_lam, d_theta = (lk * r).reshape(3, n, -1).sum(axis=2)
-            f = np.log(norm / (l * r).reshape(n, -1).sum(axis=1))
+            f = np.log(norm / (l * r).reshape(n, -1).sum(axis=1)) + lams * self.shift
             f_lam, f_theta = d_lam / norm, d_theta / norm
         finite = np.isfinite(f) & np.isfinite(f_lam) & np.isfinite(f_theta)
         if not np.all(finite):

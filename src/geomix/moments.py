@@ -9,6 +9,9 @@ alpha_1, ..., alpha_N and partial sums S_j = alpha_1 + ... + alpha_j,
 Moments of the rescaled parameters and window product moments reduce to
 this by binomial expansion; geometric raw moments are polynomials in the
 mean, with Stirling-number coefficients.
+The one expansion of E[g | Theta] for a polynomial g, in integers over a
+power of two (:func:`_conditional_mean`), gives h, h' and V in
+:mod:`geomix.asymptotics` and ``harness.exact_field_mean``.
 A window's moment at start s needs only its k sites: the sites before it
 and after it collapse into Gamma ratios.  As exact arithmetic, they make
 the moment N!/(N+L)! times an integer polynomial of degree L in s, L the
@@ -147,15 +150,39 @@ def stirling2(p: int, j: int) -> int:
     return _stirling_row(p)[j]
 
 
-def geometric_raw_moment_coefficients(p: int) -> np.ndarray:
-    """Coefficients c_j with E[eta^p | theta] = sum_j c_j theta^j under the
-    geometric law with mean theta.
-
-    Uses eta^p = sum_j S(p,j) * eta(eta-1)...(eta-j+1) together with the
-    factorial-moment identity E[falling(eta, j)] = j! * theta^j.
-    """
+def _raw_moment_row(p: int) -> list[int]:
+    """S(p, j) * j! for j = 0..p: E[eta^p | theta] = sum_j S(p, j) j! theta^j,
+    since E[eta(eta-1)...(eta-j+1)] = j! * theta^j."""
     if p < 0:
         raise ValueError("p must be a natural number")
-    return np.array(
-        [stirling2(p, j) * math.factorial(j) for j in range(p + 1)], dtype=float
-    )
+    return [stirling2(p, j) * math.factorial(j) for j in range(p + 1)]
+
+
+def geometric_raw_moment_coefficients(p: int) -> np.ndarray:
+    """Coefficients c_j, lowest first, with E[eta^p | theta] = sum_j c_j
+    theta^j under the geometric law with mean theta."""
+    return np.array(_raw_moment_row(p), dtype=float)
+
+
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers m_i and one power of two d with values[i] = m_i / d exactly,
+    for finite doubles."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max((den for _, den in ratios), default=1)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _conditional_mean(monomials) -> list[tuple[int, tuple[int, ...]]]:
+    """E[sum_i w_i prod_j eta_j^(e_ij) | Theta] for (integer weight w_i,
+    exponent vector e_i) monomials, as the (integer weight, Theta exponent
+    vector) pairs of non-zero weight over the monomials' own denominator:
+    each site's E[eta^p | Theta_j] is expanded over :func:`_raw_moment_row`.
+    A zero exponent stays zero and builds no row."""
+    poly = []
+    for weight, exps in monomials:
+        rows = [_raw_moment_row(e) if e else [1] for e in exps]
+        for qs in itertools.product(*(range(len(row)) for row in rows)):
+            w = weight * math.prod(row[q] for row, q in zip(rows, qs))
+            if w:
+                poly.append((w, qs))
+    return poly

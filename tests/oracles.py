@@ -4,7 +4,8 @@ They compute the same objects as the library by other means: free
 energies by dense eigenvalues and finite-chain transfer sums over the
 states 0..128, state sums over a truncated grid, order-statistic product
 moments as exact rationals over the full exponent vector, exact field
-means summed window by window from those moments, and duality
+means summed window by window from those moments, the coefficients of
+h, h' and V of a polynomial g as exact rationals, and duality
 polynomials and their expectations from a sparse dual configuration,
 polynomial local functions by Horner's rule written out of place, and
 annealed free energies by Monte Carlo over the library's own sampler.
@@ -191,6 +192,45 @@ def field_mean_exact(
                         mean += term * _uniform_window_moment(n, start, ls)
         total += weight * mean
     return total / n
+
+
+def homogeneous_layer_exact(g: LocalFunction) -> tuple[list[Fraction], ...]:
+    """Coefficients in rho, lowest degree first, of h, h' and V of a
+    polynomial g as exact rationals: each monomial's mean is the product
+    over its sites of E[eta^e] = sum_j S(e, j) j! rho^j, multiplied out as
+    polynomials, and V sums over the 2k-1 shifts m the covariance of g on
+    the reference window k..2k-1 with g on m..m+k-1, whose shared sites
+    add their exponents."""
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            out[i + j] += x * y
+        return out
+
+    def mean(monomials):
+        out = [Fraction(0)]
+        for exps, coef in monomials:
+            term = [Fraction(coef)]
+            for e in exps:
+                term = mul(term, [math.factorial(j) * _stirling2(e, j) for j in range(e + 1)])
+            out = [a + b for a, b in itertools.zip_longest(out, term, fillvalue=0)]
+        return out
+
+    k, monomials = g.k, [(exps, Fraction(c)) for exps, c in g.monomials.items()]
+    h = mean(monomials)
+    v = [Fraction(0)]
+    for m in range(1, 2 * k):
+        pairs = []
+        for (ref, a), (mov, b) in itertools.product(monomials, repeat=2):
+            exps = [0] * (3 * k - 2)
+            for j in range(k):
+                exps[k - 1 + j] += ref[j]
+                exps[m - 1 + j] += mov[j]
+            pairs.append((exps, a * b))
+        cov = [a - b for a, b in itertools.zip_longest(mean(pairs), mul(h, h), fillvalue=0)]
+        v = [a + b for a, b in itertools.zip_longest(v, cov, fillvalue=0)]
+    return h, [j * c for j, c in enumerate(h)][1:] or [Fraction(0)], v
 
 
 @functools.lru_cache(maxsize=2**16)

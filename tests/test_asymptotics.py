@@ -8,10 +8,12 @@ import pytest
 
 from conftest import assert_within_se
 import geomix.asymptotics as asymptotics_module
+import geomix.moments as moments_module
 from geomix.asymptotics import (
     _GAUSS_LEGENDRE,
     _grid_local_variance,
     _grid_mean,
+    _poly_coefficients,
     bridge_covariance,
     clt_variances,
     homogeneous_mean_batch,
@@ -31,7 +33,7 @@ from geomix.core import (
 )
 from geomix.fields import phi_identity, phi_one, phi_polynomial
 from geomix.ldp import SolverConfig, annealed_free_energy, profile_rate
-from oracles import geometric_tables, truncated_grid
+from oracles import geometric_tables, homogeneous_layer_exact, truncated_grid
 
 # the g of the exact-clt benchmark workload, eta_1 eta_2 + eta_1^2 eta_2
 EXACT_CLT_G = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
@@ -183,21 +185,54 @@ def test_exact_layer_matches_grid_path(g):
         np.testing.assert_allclose(e, r, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        polynomial_function(1, {(3,): 0.375, (1,): -1.25, (0,): 0.5}),
+        polynomial_function(2, {(1, 1): 0.3, (2, 0): -1.7, (0, 3): 0.1}),
+        polynomial_function(3, {(1, 0, 2): 0.625, (2, 0, 1): -0.3, (0, 1, 0): 0.1, (0, 0, 0): 1.5}),
+    ],
+    ids=["k1", "k2", "k3-zero-inside"],
+)
+def test_polynomial_layer_is_the_correctly_rounded_rational(g):
+    # h, h' and V of a g with non-integer coefficients: every coefficient is
+    # the exact rational rounded once
+    for part, want in zip(("h", "h'", "V"), homogeneous_layer_exact(g)):
+        assert _poly_coefficients(g, part).tolist() == [float(c) for c in want]
+    # the example whose V(5) the float polynomial algebra rounded to 54553.799999999974
+    if g.k == 2:
+        assert at(local_variance_batch, g, 5.0) == 54553.8
+
+
+@pytest.mark.parametrize("g", [EXACT_CLT_G, pair_product_function()], ids=["exact-clt", "pair"])
+def test_polynomial_layer_bits_match_the_rational_oracle(g):
+    # integer coefficients: the batch evaluators are P.polyval of the
+    # oracle's coefficients, bit for bit
+    rhos = np.array([0.0, 0.3, 1.0, 2.0, 5.0, 1e6])
+    oracle = homogeneous_layer_exact(g)
+    evaluators = (homogeneous_mean_batch, homogeneous_mean_deriv_batch, local_variance_batch)
+    for f, coefs in zip(evaluators, oracle):
+        want = np.polynomial.polynomial.polyval(rhos, [float(c) for c in coefs])
+        assert f(g, rhos).tobytes() == want.tobytes()
+
+
 def test_polynomial_variance_cost_is_linear_in_k(monkeypatch):
     # eta_1 eta_k: every monomial pair has at most four non-zero site
-    # exponents, so skipping the zero ones leaves O(k) polymul calls for V
+    # exponents, and the expansion builds a raw-moment row for the non-zero
+    # ones only, so V builds O(k) rows
     counts = {}
-    polymul = asymptotics_module.P.polymul
+    row = moments_module._raw_moment_row
 
-    def counted(a, b):
+    def counted(p):
         counts[k] += 1
-        return polymul(a, b)
+        return row(p)
 
-    monkeypatch.setattr(asymptotics_module.P, "polymul", counted)
+    monkeypatch.setattr(moments_module, "_raw_moment_row", counted)
     for k in (10, 20, 40):
         counts[k] = 0
         g = polynomial_function(k, {(1,) + (0,) * (k - 2) + (1,): 1.0})
         local_variance_batch(g, np.array([1.0]))
+    assert counts[10] > 0
     assert counts[40] - counts[20] == 2 * (counts[20] - counts[10])
     assert counts[40] <= 10 * 40
 

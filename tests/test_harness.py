@@ -36,7 +36,6 @@ from geomix.fields import TestFunction, field_values_batch, phi_identity, phi_on
 from geomix.harness import (
     ExperimentConfig,
     SlopeFit,
-    _theta_polynomial,
     check_profile_marginals,
     exact_field_mean,
     fit_log_slope,
@@ -49,7 +48,7 @@ from geomix.harness import (
     run_le_scaling,
     run_lln,
 )
-from geomix.moments import theta_marginals, theta_product_moment
+from geomix.moments import _conditional_mean, _dyadic, theta_marginals, theta_product_moment
 from oracles import annealed_mc_estimate, field_mean_exact
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,9 +57,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def exact_window_mean(g, start, n_sites, bounds):
     """The exact mean of g on one window: its Theta polynomial with each
     monomial's product moment."""
-    poly, den = _theta_polynomial(g)
+    weights, den = _dyadic(g.monomials.values())
     return sum(
-        weight / den * theta_product_moment(start, exps, n_sites, bounds) for weight, exps in poly
+        weight / den * theta_product_moment(start, exps, n_sites, bounds)
+        for weight, exps in _conditional_mean(zip(weights, g.monomials))
     )
 
 

@@ -442,6 +442,24 @@ def test_legendre_root_beyond_the_first_bracket(sign):
     assert lam == pytest.approx(-sign * math.log(1.3 / 0.6), rel=1e-12)
 
 
+def test_legendre_on_a_g_far_from_zero():
+    # g = 1 + 1e-3 min(eta, 1): at theta = 1, x = 1 + 1e-9 the maximizer is
+    # lambda ~ -1.4e4, where exp(lambda * g) underflows for every state; the
+    # rate is the relative entropy of Bernoulli(q) against Bernoulli(1/2),
+    # q = (x - g_lo) / (g_hi - g_lo), both differences exact in doubles
+    def evaluator(n):
+        return 1.0 + 1e-3 * np.minimum(np.asarray(n, dtype=float), 1.0)
+
+    g = LocalFunction(k=1, evaluator=evaluator, saturation=1)
+    x, step = 1.0 + 1e-9, (1.0 + 1e-3) - 1.0
+    q = (x - 1.0) / step
+    exact = q * math.log(2.0 * q) + (1.0 - q) * math.log(2.0 * (1.0 - q))
+    assert rate_function(1.0, x, g) == pytest.approx(exact, rel=1e-10)
+    f, f_lam, _ = free_energy(1.0, -1e4, g)
+    assert f[0] == pytest.approx(-1e4 + math.log((1.0 + math.exp(-1e4 * step)) / 2.0), rel=1e-14)
+    assert f_lam[0] == pytest.approx(1.0 + step / (1.0 + math.exp(1e4 * step)), rel=1e-14)
+
+
 def test_path_rate_linear_is_exactly_zero(bounds):
     assert path_rate(MonotoneProfile.linear(bounds, 256)) == 0.0
 
