@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import legint, legval, legvander
 
-from geomix.core import BoundaryParams, LocalFunction
+from geomix.core import BoundaryParams, LocalFunction, NumericError
 from geomix.fields import TestFunction
 from geomix.moments import _conditional_mean, _dyadic
 
@@ -72,7 +72,7 @@ _GAUSS_LEGENDRE = {
 _CELL_BUDGET = 2**25
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericError):
     """Raised when panel doubling does not converge."""
 
 

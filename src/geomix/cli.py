@@ -7,8 +7,8 @@ config echo and verdicts, and a JSON manifest with timestamps.  The CSV
 and summary are byte-deterministic for a given config and seed, for any
 worker count; every output embeds a digest of the canonicalized config.
 
-Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config error,
-3 numeric non-convergence.
+Exit codes, all decided in :func:`main`: 0 every verdict holds, 1 some
+verdict is False, 2 a config error, 3 a ``geomix.core.NumericError``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from geomix.core import (
     _MAX_SITES,
     BoundaryParams,
     LocalFunction,
+    NumericError,
     Purpose,
     RandomSeed,
     configuration_batch,
@@ -40,10 +41,7 @@ from geomix.core import (
     profile_batch,
 )
 
-__all__ = ["main", "ConfigError", "load_config", "config_digest"]
-
-VERIFY_KINDS = ("lln", "clt", "bridge", "le-scaling", "concentration")
-LDP_TASKS = ("free-energy", "rate", "path-rate", "annealed", "profile-rate")
+__all__ = ["main", "COMMANDS", "ConfigError", "load_config", "config_digest"]
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -53,10 +51,6 @@ EXIT_NUMERIC = 3
 
 class ConfigError(Exception):
     """Invalid or incomplete configuration."""
-
-
-class _NumericFailure(Exception):
-    """A numeric error of the library, raised again by the command that met it."""
 
 
 def load_config(path: str | Path) -> dict:
@@ -321,12 +315,14 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 class _Run:
-    """Collects outputs and writes the manifest at the end.  The output
-    directory is made at the first write, so a run that fails before it
-    leaves nothing behind."""
+    """One command's outputs, all named from its stem: the table a runner
+    writes, then the summary and the manifest that :func:`main` writes.
+    The output directory is made at the first write, so a run that fails
+    before it leaves nothing behind."""
 
-    def __init__(self, command: str, cfg: dict, seed: RandomSeed, out_dir: Path):
-        self.command = command
+    def __init__(self, key: tuple, cfg: dict, seed: RandomSeed, out_dir: Path):
+        self.command = "-".join(filter(None, key))
+        self.stem = (key[1] or key[0]).replace("-", "_")
         self.cfg = cfg
         self.seed = seed
         self.out_dir = out_dir
@@ -334,40 +330,32 @@ class _Run:
         self.outputs: list[str] = []
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def _path(self, name: str) -> Path:
+    def _path(self, part: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / name
+        self.outputs.append(f"{self.stem}_{part}")
+        return self.out_dir / self.outputs[-1]
 
-    def csv(self, name: str, header: list[str], rows) -> None:
-        write_csv(self._path(name), self.digest, header, rows)
-        self.outputs.append(name)
+    def table(self, header: list[str], rows) -> None:
+        write_csv(self._path("table.csv"), self.digest, header, rows)
 
-    def summary(self, name: str, verdicts: dict, payload: dict) -> None:
+    def close(self, verdicts: dict, payload: dict) -> None:
+        """Write the summary, then the manifest that lists every output."""
+        head = {
+            "command": self.command,
+            "config_digest": self.digest,
+            "seed": {"master": self.seed.master, "stream": self.seed.stream},
+        }
         write_json(
-            self._path(name),
-            {
-                "command": self.command,
-                "config": self.cfg,
-                "config_digest": self.digest,
-                "seed": {"master": self.seed.master, "stream": self.seed.stream},
-                "verdicts": verdicts,
-                **payload,
-            },
+            self._path("summary.json"),
+            {**head, "config": self.cfg, "verdicts": verdicts, **payload},
         )
-        self.outputs.append(name)
-
-    def manifest(self, name: str) -> None:
-        write_json(
-            self._path(name),
-            {
-                "command": self.command,
-                "config_digest": self.digest,
-                "seed": {"master": self.seed.master, "stream": self.seed.stream},
-                "started_at": self.started,
-                "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                "outputs": sorted(self.outputs),
-            },
-        )
+        manifest = {
+            **head,
+            "started_at": self.started,
+            "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "outputs": sorted(self.outputs),
+        }
+        write_json(self._path("manifest.json"), manifest)
 
 
 def _check_sites(key: str, sites) -> None:
@@ -377,7 +365,11 @@ def _check_sites(key: str, sites) -> None:
         raise ConfigError(f"'{key}' must not exceed {_MAX_SITES} sites, got {max(sites)}")
 
 
-def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
+# Each runner below writes its command's table and returns (verdicts,
+# payload); COMMANDS at the end keys them by (command, kind).
+
+
+def _sample(cfg: _Table, run: _Run, workers: int):
     n_sites = int(cfg["sample"]["n_sites"])
     if n_sites < 1:
         raise ConfigError(f"sample.n_sites must be >= 1, got {n_sites}")
@@ -385,27 +377,19 @@ def cmd_sample(cfg: _Table, run: _Run, verbose: bool) -> int:
     bounds = build_bounds(cfg["bounds"])
     thetas = profile_batch(n_sites, bounds, run.seed.generator(Purpose.PROFILES), 1)[0]
     etas = configuration_batch(thetas, run.seed.generator(Purpose.CONFIGURATIONS))
-    run.csv("sample_table.csv", ["site", "theta", "eta"], zip(range(1, n_sites + 1), thetas, etas))
-    run.summary(
-        "sample_summary.json",
-        verdicts={"sorted": bool(np.all(np.diff(thetas) >= 0))},
-        payload={"n_sites": n_sites},
-    )
-    run.manifest("sample_manifest.json")
-    if verbose:
-        print(f"wrote {n_sites} sites to {run.out_dir / 'sample_table.csv'}")
-    return EXIT_PASS
+    run.table(["site", "theta", "eta"], zip(range(1, n_sites + 1), thetas, etas))
+    return {"sorted": bool(np.all(np.diff(thetas) >= 0))}, {"n_sites": n_sites}
 
 
-def _experiment(cfg, run, workers, n_ladder, replicas, g=None, phi=None):
-    """A Monte Carlo run's settings; g and phi are the config's unless given."""
+def _experiment(cfg, run, workers, n_ladder, replicas):
+    """A Monte Carlo run's settings, with the config's g and phi."""
     from geomix.harness import ExperimentConfig
     return ExperimentConfig(
         n_ladder=n_ladder,
         replicas=int(replicas),
         bounds=build_bounds(cfg["bounds"]),
-        g=build_g(cfg["g"]) if g is None else g,
-        phi=build_phi(cfg["phi"]) if phi is None else phi,
+        g=build_g(cfg["g"]),
+        phi=build_phi(cfg["phi"]),
         seed=run.seed,
         workers=workers,
     )
@@ -417,8 +401,7 @@ def _verify_lln(cfg, run, workers):
     _check_sites("lln.n_ladder", lln["n_ladder"])
     result = run_lln(_experiment(cfg, run, workers, lln["n_ladder"], lln["replicas"]))
     threshold = result.final_threshold()
-    passed = result.decreasing and result.rows[-1][1] < threshold
-    run.csv("lln_table.csv", ["n_sites", "mean_abs_deviation", "standard_error"], result.rows)
+    run.table(["n_sites", "mean_abs_deviation", "standard_error"], result.rows)
     verdicts = {
         "deviation_decreasing": result.decreasing,
         "final_below_clt_band": bool(result.rows[-1][1] < threshold),
@@ -428,7 +411,7 @@ def _verify_lln(cfg, run, workers):
         "sigma_total": result.sigma_total,
         "final_threshold": threshold,
     }
-    return passed, verdicts, payload
+    return verdicts, payload
 
 
 def _verify_clt(cfg, run, workers):
@@ -436,8 +419,7 @@ def _verify_clt(cfg, run, workers):
     clt = cfg["clt"]
     _check_sites("clt.n_sites", [clt["n_sites"]])
     result = run_clt(_experiment(cfg, run, workers, (clt["n_sites"],), clt["replicas"]))
-    passed = result.ks_pass and result.variance_pass
-    run.csv("clt_table.csv", ["sample_index", "rescaled_fluctuation"], enumerate(result.samples))
+    run.table(["sample_index", "rescaled_fluctuation"], enumerate(result.samples))
     verdicts = {"ks_pass": result.ks_pass, "variance_pass": result.variance_pass}
     payload = {
         "n_sites": result.n_sites,
@@ -450,30 +432,24 @@ def _verify_clt(cfg, run, workers):
         "white_noise_variance": result.target.white_noise_variance,
         "target_variance": result.target.total,
     }
-    return passed, verdicts, payload
+    return verdicts, payload
 
 
 def _verify_bridge(cfg, run, workers):
-    from geomix.fields import phi_one
     from geomix.harness import run_bridge
     bridge = cfg["bridge"]
-    exp = _experiment(
-        cfg, run, workers, (bridge["n_sites"],), bridge["replicas"], density_function(), phi_one()
+    result = run_bridge(
+        bridge["n_sites"], build_bounds(cfg["bounds"]), bridge["replicas"], run.seed,
+        bridge["grid"], workers,
     )
-    result = run_bridge(exp, bridge["grid"])
     rows = [
         (s, t, result.empirical[a, b], result.analytic[a, b], result.standard_errors[a, b])
         for a, s in enumerate(result.grid)
         for b, t in enumerate(result.grid)
     ]
     max_dev = result.max_deviation_in_se()
-    passed = max_dev <= 3.0
-    run.csv(
-        "bridge_table.csv",
-        ["s", "t", "empirical_covariance", "analytic_covariance", "standard_error"],
-        rows,
-    )
-    return passed, {"within_three_se": passed}, {"max_deviation_in_se": max_dev}
+    run.table(["s", "t", "empirical_covariance", "analytic_covariance", "standard_error"], rows)
+    return {"within_three_se": max_dev <= 3.0}, {"max_deviation_in_se": max_dev}
 
 
 def _verify_le_scaling(cfg, run, workers):
@@ -482,14 +458,13 @@ def _verify_le_scaling(cfg, run, workers):
     result = run_le_scaling(
         float(le["x"]), le["p_vec"], le["n_ladder"], build_bounds(cfg["bounds"])
     )
-    run.csv("le_scaling_table.csv", ["n_sites", "deviation"], result.rows)
+    run.table(["n_sites", "deviation"], result.rows)
     if result.degenerate:
-        return True, {"degenerate_equilibrium": True}, {"fit": None}
+        return {"degenerate_equilibrium": True}, {"fit": None}
     fit = result.fit
-    slope_ok = -1.15 <= fit.slope <= -0.85
-    r2_ok = fit.r_squared > 0.99
+    verdicts = {"slope_in_band": -1.15 <= fit.slope <= -0.85, "r_squared_ok": fit.r_squared > 0.99}
     payload = {"fit": {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}}
-    return slope_ok and r2_ok, {"slope_in_band": slope_ok, "r_squared_ok": r2_ok}, payload
+    return verdicts, payload
 
 
 def _verify_concentration(cfg, run, workers):
@@ -503,13 +478,10 @@ def _verify_concentration(cfg, run, workers):
     result = run_concentration(
         conc["n_ladder"], bounds, replicas, run.seed, eps_schedule=conc["eps"], workers=workers
     )
-    run.csv(
-        "concentration_table.csv",
-        ["n_sites", "eps", "empirical_tail", "standard_error", "union_bound"],
-        result.rows,
+    run.table(
+        ["n_sites", "eps", "empirical_tail", "standard_error", "union_bound"], result.rows
     )
     final_tail = result.rows[-1][2]
-    passed = result.tail_nonincreasing and final_tail <= 1e-2
     # profile streams: run_concentration draws only count and fill streams
     marginals = check_profile_marginals(
         min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed, workers
@@ -529,63 +501,17 @@ def _verify_concentration(cfg, run, workers):
             ),
         },
     }
-    return (
-        passed,
-        {"tail_nonincreasing": result.tail_nonincreasing, "final_tail_small": final_tail <= 1e-2},
-        payload,
-    )
+    verdicts = {
+        "tail_nonincreasing": result.tail_nonincreasing,
+        "final_tail_small": final_tail <= 1e-2,
+    }
+    return verdicts, payload
 
 
-_VERIFY_DISPATCH = {
-    "lln": _verify_lln,
-    "clt": _verify_clt,
-    "bridge": _verify_bridge,
-    "le-scaling": _verify_le_scaling,
-    "concentration": _verify_concentration,
-}
-
-
-def cmd_verify(kind: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
-    from geomix.asymptotics import QuadratureError
-    try:
-        passed, verdicts, payload = _VERIFY_DISPATCH[kind](cfg, run, workers)
-    except QuadratureError as exc:
-        raise _NumericFailure(exc) from exc
-    name = kind.replace("-", "_")
-    run.summary(f"{name}_summary.json", verdicts=verdicts, payload=payload)
-    run.manifest(f"{name}_manifest.json")
-    if verbose:
-        for key, value in verdicts.items():
-            print(f"{kind}: {key} = {value}")
-    print(f"verify {kind}: {'PASS' if passed else 'FAIL'}")
-    return EXIT_PASS if passed else EXIT_VERDICT
-
-
-def _ldp_profile(profile: _Table, bounds: BoundaryParams):
-    from geomix.ldp import MonotoneProfile
-    if profile.kind == "values":
-        return MonotoneProfile(values=np.asarray(profile["values"], dtype=float), bounds=bounds)
-    m = int(profile["grid_size"])
-    if profile.kind == "linear":
-        return MonotoneProfile.linear(bounds, m)
-    t = np.arange(m + 1) / m
-    exponent = float(profile["exponent"])
-    return MonotoneProfile(values=bounds.theta_left + bounds.width * t**exponent, bounds=bounds)
-
-
-def _ldp_task(task: str, cfg: _Table, run: _Run) -> tuple[dict, dict]:
-    """Run one ldp task and write its table; returns (verdicts, payload)."""
-    from geomix.asymptotics import homogeneous_mean_batch
-    from geomix.fields import TestFunction
-    from geomix.ldp import (
-        SolverConfig,
-        annealed_free_energy,
-        free_energy,
-        inhom_free_energy,
-        path_rate,
-        profile_rate,
-        rate_function_batch,
-    )
+def _ldp_inputs(cfg: _Table):
+    """The bounds, ldp table, solver settings and g of every ldp task,
+    checked in that order."""
+    from geomix.ldp import SolverConfig
     bounds = build_bounds(cfg["bounds"])
     if bounds.width <= 0:
         raise ConfigError("ldp tasks require theta_left < theta_right")
@@ -594,72 +520,100 @@ def _ldp_task(task: str, cfg: _Table, run: _Run) -> tuple[dict, dict]:
     g = build_g(cfg["g"])
     if g.saturation is None:
         raise ConfigError("ldp tasks require a saturating local function g")
-    name = task.replace("-", "_")
-    verdicts: dict = {}
-    payload: dict = {}
-
-    if task == "free-energy":
-        theta = float(ldp["theta"])
-        lam_grid = [float(v) for v in ldp["lambda_grid"]]
-        if not lam_grid:
-            raise ConfigError("ldp.lambda_grid must not be empty")
-        values, _, _ = free_energy(theta, lam_grid, g)
-        run.csv(f"{name}_table.csv", ["lambda", "free_energy"], zip(lam_grid, values))
-        payload = {"theta": theta}
-    elif task == "rate":
-        theta = float(ldp["theta"])
-        x_grid = [float(v) for v in ldp["x_grid"]]
-        if not x_grid:
-            raise ConfigError("ldp.x_grid must not be empty")
-        values = rate_function_batch(theta, x_grid, g)
-        run.csv(f"{name}_table.csv", ["x", "rate"], zip(x_grid, values))
-        payload = {"theta": theta}
-    elif task == "path-rate":
-        profile = _ldp_profile(ldp["profile"], bounds)
-        value = path_rate(profile)
-        run.csv(f"{name}_table.csv", ["grid_x", "theta"], zip(profile.abscissae, profile.values))
-        payload = {"path_rate": value}
-        if "phi" in cfg:
-            payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg["phi"]), g)
-    elif task == "annealed":
-        result = annealed_free_energy(build_phi(cfg["phi"]), g, bounds, solver)
-        payload = {"value": result.value, "start_values": list(result.start_values)}
-        linear = min(result.start_values)
-        verdicts = {"at_least_linear_benchmark": bool(result.value >= linear - 1e-12)}
-    else:  # profile-rate
-        mu_table = ldp["mu"]
-        if mu_table.kind == "lln":
-            offset = float(mu_table["offset"])
-
-            def mu_eval(x, g=g, bounds=bounds, offset=offset):
-                return homogeneous_mean_batch(g, bounds.density(x)) + offset
-
-            mu = TestFunction(mu_eval, name="lln-profile")
-        else:
-            mu = build_phi(mu_table)
-        result = profile_rate(mu, g, bounds, solver)
-        payload = {"value": result.value, "start_values": list(result.start_values)}
-        verdicts = {"non_negative": bool(result.value >= -1e-9)}
-    if task in ("annealed", "profile-rate"):
-        profile = result.profile
-        run.csv(f"{name}_table.csv", ["grid_x", "theta"], zip(profile.abscissae, profile.values))
-    return verdicts, payload
+    return bounds, ldp, solver, g
 
 
-def cmd_ldp(task: str, cfg: _Table, run: _Run, workers: int, verbose: bool) -> int:
-    from geomix.asymptotics import QuadratureError
-    from geomix.ldp import NumericError, OptimizationError
-    try:
-        verdicts, payload = _ldp_task(task, cfg, run)
-    except (QuadratureError, NumericError, OptimizationError) as exc:
-        raise _NumericFailure(exc) from exc
-    name = task.replace("-", "_")
-    run.summary(f"{name}_summary.json", verdicts=verdicts, payload=payload)
-    run.manifest(f"{name}_manifest.json")
-    if verbose:
-        print(f"ldp {task}: {payload}")
-    failed = any(v is False for v in verdicts.values())
-    return EXIT_VERDICT if failed else EXIT_PASS
+def _profile_table(run: _Run, profile) -> None:
+    run.table(["grid_x", "theta"], zip(profile.abscissae, profile.values))
+
+
+def _ldp_free_energy(cfg, run, workers):
+    from geomix.ldp import free_energy
+    _, ldp, _, g = _ldp_inputs(cfg)
+    theta = float(ldp["theta"])
+    lam_grid = [float(v) for v in ldp["lambda_grid"]]
+    if not lam_grid:
+        raise ConfigError("ldp.lambda_grid must not be empty")
+    values, _, _ = free_energy(theta, lam_grid, g)
+    run.table(["lambda", "free_energy"], zip(lam_grid, values))
+    return {}, {"theta": theta}
+
+
+def _ldp_rate(cfg, run, workers):
+    from geomix.ldp import rate_function_batch
+    _, ldp, _, g = _ldp_inputs(cfg)
+    theta = float(ldp["theta"])
+    x_grid = [float(v) for v in ldp["x_grid"]]
+    if not x_grid:
+        raise ConfigError("ldp.x_grid must not be empty")
+    run.table(["x", "rate"], zip(x_grid, rate_function_batch(theta, x_grid, g)))
+    return {}, {"theta": theta}
+
+
+def _ldp_path_rate(cfg, run, workers):
+    from geomix.ldp import MonotoneProfile, inhom_free_energy, path_rate
+    bounds, ldp, _, g = _ldp_inputs(cfg)
+    table = ldp["profile"]
+    if table.kind == "values":
+        profile = MonotoneProfile(values=np.asarray(table["values"], dtype=float), bounds=bounds)
+    elif table.kind == "linear":
+        profile = MonotoneProfile.linear(bounds, int(table["grid_size"]))
+    else:  # power
+        t = np.arange(table["grid_size"] + 1) / table["grid_size"]
+        values = bounds.theta_left + bounds.width * t ** float(table["exponent"])
+        profile = MonotoneProfile(values=values, bounds=bounds)
+    payload = {"path_rate": path_rate(profile)}
+    _profile_table(run, profile)
+    if "phi" in cfg:
+        payload["inhom_free_energy"] = inhom_free_energy(profile, build_phi(cfg["phi"]), g)
+    return {}, payload
+
+
+def _ldp_annealed(cfg, run, workers):
+    from geomix.ldp import annealed_free_energy
+    bounds, _, solver, g = _ldp_inputs(cfg)
+    result = annealed_free_energy(build_phi(cfg["phi"]), g, bounds, solver)
+    _profile_table(run, result.profile)
+    verdicts = {"at_least_linear_benchmark": bool(result.value >= min(result.start_values) - 1e-12)}
+    return verdicts, {"value": result.value, "start_values": list(result.start_values)}
+
+
+def _ldp_profile_rate(cfg, run, workers):
+    from geomix.asymptotics import homogeneous_mean_batch
+    from geomix.fields import TestFunction
+    from geomix.ldp import profile_rate
+    bounds, ldp, solver, g = _ldp_inputs(cfg)
+    mu_table = ldp["mu"]
+    if mu_table.kind == "lln":
+        offset = float(mu_table["offset"])
+
+        def mu_eval(x, g=g, bounds=bounds, offset=offset):
+            return homogeneous_mean_batch(g, bounds.density(x)) + offset
+
+        mu = TestFunction(mu_eval, name="lln-profile")
+    else:
+        mu = build_phi(mu_table)
+    result = profile_rate(mu, g, bounds, solver)
+    _profile_table(run, result.profile)
+    verdicts = {"non_negative": bool(result.value >= -1e-9)}
+    return verdicts, {"value": result.value, "start_values": list(result.start_values)}
+
+
+# every command line, (command, kind), and its runner; the parser offers
+# exactly these
+COMMANDS = {
+    ("sample", None): _sample,
+    ("verify", "lln"): _verify_lln,
+    ("verify", "clt"): _verify_clt,
+    ("verify", "bridge"): _verify_bridge,
+    ("verify", "le-scaling"): _verify_le_scaling,
+    ("verify", "concentration"): _verify_concentration,
+    ("ldp", "free-energy"): _ldp_free_energy,
+    ("ldp", "rate"): _ldp_rate,
+    ("ldp", "path-rate"): _ldp_path_rate,
+    ("ldp", "annealed"): _ldp_annealed,
+    ("ldp", "profile-rate"): _ldp_profile_rate,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -669,14 +623,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "for mixtures of geometric product measures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, extra in (
-        ("sample", None),
-        ("verify", ("kind", VERIFY_KINDS)),
-        ("ldp", ("task", LDP_TASKS)),
-    ):
-        p = sub.add_parser(name)
-        if extra is not None:
-            p.add_argument(extra[0], choices=extra[1])
+    for command in dict.fromkeys(command for command, _ in COMMANDS):
+        p = sub.add_parser(command)
+        kinds = [kind for c, kind in COMMANDS if c == command and kind is not None]
+        if kinds:
+            p.add_argument("kind", choices=kinds)
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -686,31 +637,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: its runner writes the table, then the summary and
+    the manifest are written and one ``<command> <kind>: PASS|FAIL`` line
+    printed.  Exit 1 exactly when some verdict is False; every config
+    error exits 2, and every ``NumericError`` of the library 3."""
     args = _build_parser().parse_args(argv)
+    key = (args.command, getattr(args, "kind", None))
+    label = " ".join(filter(None, key))
     try:
-        workers = args.workers
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         raw = load_config(args.config)
         cfg = _read(raw, _CONFIG, "")
-        seed = build_seed(cfg["seed"], args.seed)
-        out_dir = Path(args.out_dir)
-        if args.command == "sample":
-            return cmd_sample(cfg, _Run("sample", raw, seed, out_dir), args.verbose)
-        if args.command == "verify":
-            run = _Run(f"verify-{args.kind}", raw, seed, out_dir)
-            return cmd_verify(args.kind, cfg, run, workers, args.verbose)
-        run = _Run(f"ldp-{args.task}", raw, seed, out_dir)
-        return cmd_ldp(args.task, cfg, run, workers, args.verbose)
-    except ConfigError as exc:
+        run = _Run(key, raw, build_seed(cfg["seed"], args.seed), Path(args.out_dir))
+        verdicts, payload = COMMANDS[key](cfg, run, args.workers)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NumericFailure as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    run.close(verdicts, payload)
+    if args.verbose:
+        for name, value in {**verdicts, **payload}.items():
+            print(f"{label}: {name} = {value}")
+    passed = all(verdicts.values())
+    print(f"{label}: {'PASS' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_VERDICT
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 __all__ = [
+    "NumericError",
     "BoundaryParams",
     "Purpose",
     "RandomSeed",
@@ -33,6 +34,12 @@ __all__ = [
     "sorted_profile",
     "configuration_batch",
 ]
+
+
+class NumericError(RuntimeError):
+    """A numeric method of the package failed: an iteration did not
+    converge, or a value left the floating-point range.  The CLI exits 3
+    on this class and its subclasses."""
 
 
 @dataclass(frozen=True)

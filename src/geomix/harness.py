@@ -256,13 +256,10 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarra
     return float(max(upper, lower))
 
 
-def ks_critical_value(n_samples: int, level: float = 0.01) -> float:
-    """Asymptotic Kolmogorov critical value c(level)/sqrt(n)."""
-    # c solves 2 * sum_k (-1)^{k-1} exp(-2 k^2 c^2) = level
-    c_table = {0.10: 1.2238, 0.05: 1.3581, 0.01: 1.6276}
-    if level not in c_table:
-        raise ValueError(f"unsupported level {level}; use one of {sorted(c_table)}")
-    return c_table[level] / math.sqrt(n_samples)
+def ks_critical_value(n_samples: int) -> float:
+    """Asymptotic Kolmogorov critical value c/sqrt(n) at level 0.01."""
+    # c solves 2 * sum_k (-1)^{k-1} exp(-2 k^2 c^2) = 0.01
+    return 1.6276 / math.sqrt(n_samples)
 
 
 def normal_cdf(mean: float, variance: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -430,8 +427,10 @@ def run_clt(cfg: ExperimentConfig) -> CltResult:
         raise ValueError("distributional tests need at least 2000 replicas")
     n = cfg.n_ladder[-1]
     _check_sites(n)
-    target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
+    # first the exact mean, which refuses a g of degree above its cap before
+    # the variances expand moments of twice that degree
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
+    target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
 
     def fn(streams, count):
         return math.sqrt(n) * (_field_chunk(streams, count, n, cfg.bounds, cfg.g, cfg.phi) - mean)
@@ -445,7 +444,7 @@ def run_clt(cfg: ExperimentConfig) -> CltResult:
         n_sites=n,
         samples=samples,
         ks_distance=ks,
-        ks_threshold=1.4 * ks_critical_value(samples.size, 0.01),
+        ks_threshold=1.4 * ks_critical_value(samples.size),
         exact_mean=mean,
         sample_variance=var,
         variance_se=var_se,
@@ -466,7 +465,12 @@ class BridgeResult:
 
 
 def run_bridge(
-    cfg: ExperimentConfig, grid: Sequence[float] | None = None
+    n_sites: int,
+    bounds: BoundaryParams,
+    replicas: int,
+    seed: RandomSeed,
+    grid: Sequence[float] | None = None,
+    workers: int = 1,
 ) -> BridgeResult:
     """Empirical covariance of the rescaled parameter fluctuations.
 
@@ -485,36 +489,36 @@ def run_bridge(
     the chunks are sized by that width, so neither cost nor memory grows
     with N.
     """
-    if cfg.replicas < 2000:
+    if replicas < 2000:
         raise ValueError("covariance estimation needs at least 2000 replicas")
     grid = tuple(float(s) for s in (grid if grid is not None else (0.25, 0.5, 0.75)))
     if not grid:
         raise ValueError("the bridge grid must be non-empty")
     points = np.array(grid)
-    analytic = bridge_covariance(points[:, None], points[None, :], cfg.bounds)
-    n = cfg.n_ladder[-1]
+    analytic = bridge_covariance(points[:, None], points[None, :], bounds)
+    n = int(n_sites)
     idx = np.array([int(math.floor(s * n)) for s in grid])
     if np.any(idx < 1) or np.any(idx >= n):
         raise ValueError(f"bridge grid points must lie in [1/N, 1) for N = {n}")
     ranks, columns = np.unique(idx, return_inverse=True)
     shapes = np.diff(ranks, prepend=0, append=n + 1).astype(float)
     # the arithmetic of theta_marginals, at the grid ranks only
-    exact_means = cfg.bounds.theta_left + cfg.bounds.width * idx / (n + 1)
+    exact_means = bounds.theta_left + bounds.width * idx / (n + 1)
 
     def fn(streams, count):
         spacings = streams(Purpose.PROFILES).standard_gamma(shapes, size=(count, shapes.size))
         sums = np.cumsum(spacings, axis=1)
         thetas = sums[:, columns] / sums[:, -1:]
-        thetas *= cfg.bounds.width
-        thetas += cfg.bounds.theta_left
+        thetas *= bounds.width
+        thetas += bounds.theta_left
         return _bridge_moments(math.sqrt(n) * (thetas - exact_means))
 
     # a replica holds its spacings and its |grid|^2 products, not N sites
-    parts = _map_chunks(fn, cfg.replicas, shapes.size + idx.size**2, cfg.seed, cfg.workers)
+    parts = _map_chunks(fn, replicas, shapes.size + idx.size**2, seed, workers)
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
     s4 = sum(p[2] for p in parts)
-    r = cfg.replicas
+    r = replicas
     mean_v = s1 / r
     cov = s2 / r - np.outer(mean_v, mean_v)
     cov *= r / (r - 1)

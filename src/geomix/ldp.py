@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import legint, legval
 
-from geomix.core import BoundaryParams, LocalFunction
+from geomix.core import BoundaryParams, LocalFunction, NumericError
 from geomix.asymptotics import (
     _GAUSS_LEGENDRE,
     _NODES_PER_PANEL,
@@ -50,7 +50,6 @@ from geomix.asymptotics import (
 from geomix.fields import TestFunction
 
 __all__ = [
-    "NumericError",
     "OptimizationError",
     "SolverConfig",
     "MonotoneProfile",
@@ -77,12 +76,7 @@ _CELL_NODES = 2
 _DELTA_MIN = 1e-8
 
 
-class NumericError(RuntimeError):
-    """Power iteration or root finding failed to converge, or exp(lambda * g)
-    left the floating-point range."""
-
-
-class OptimizationError(RuntimeError):
+class OptimizationError(NumericError):
     """Every solver start hit an infeasible profile."""
 
 
@@ -191,7 +185,9 @@ class _FreeEnergyTable:
         sub.thetas, sub.w, sub.dw = self.thetas[mask], self.w[mask], self.dw[mask]
         return sub
 
-    def __call__(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, lams, tilted: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F, dF/dlambda and dF/dtheta at ``lams``; with ``tilted``, the log
+        of the tilted kernel's eigenvalue, F - lambda * s, in place of F."""
         lams = np.broadcast_to(np.asarray(lams, dtype=float), self.thetas.shape)
         if not np.all(np.isfinite(lams)):
             raise ValueError("lambda must be finite")
@@ -228,7 +224,8 @@ class _FreeEnergyTable:
             kernels = np.stack([t, t * self.gvals, tilt * self.dw.reshape(node + (states,))])
             lk = np.einsum(f"Z{sites[:-1]},YZ{sites}->YZ{sites[1:]}", l, kernels)
             norm, d_lam, d_theta = (lk * r).reshape(3, n, -1).sum(axis=2)
-            f = np.log(norm / (l * r).reshape(n, -1).sum(axis=1)) + lams * self.shift
+            log_tilted = np.log(norm / (l * r).reshape(n, -1).sum(axis=1))
+            f = log_tilted + lams * self.shift
             f_lam, f_theta = d_lam / norm, d_theta / norm
         finite = np.isfinite(f) & np.isfinite(f_lam) & np.isfinite(f_theta)
         if not np.all(finite):
@@ -237,7 +234,7 @@ class _FreeEnergyTable:
                 f"exp(lambda * g) leaves the floating-point range at "
                 f"theta={self.thetas[bad]}, lambda={lams[bad]}"
             )
-        return f, f_lam, f_theta
+        return log_tilted if tilted else f, f_lam, f_theta
 
 
 def free_energy(thetas, lams, g: LocalFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,9 +331,12 @@ def _legendre(
             if end != side * cap:  # the others' roots lie between end / 2 and end
                 solve(near[~short], *sorted((end, end / 2.0)), end / 2.0)
             near, end = near[short], 2.0 * end
-    f, _, f_theta = table(lam)
+    # lam * x - F as lam * (x - s) - (F - lam * s), with no cancellation of
+    # the two lam * s terms where g lies far from 0
+    log_tilted, _, f_theta = table(lam, tilted=True)
+    rate = lam * (xs - table.shift) - log_tilted
     # lambda = 0 at the point mass, where F vanishes and the rate is 0
-    rates = np.where(interior | boundary | at_mass, np.maximum(lam * xs - f, 0.0), math.inf)
+    rates = np.where(interior | boundary | at_mass, np.maximum(rate, 0.0), math.inf)
     return rates, lam, f_theta
 
 

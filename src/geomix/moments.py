@@ -36,10 +36,7 @@ __all__ = [
     "theta_marginals",
     "theta_product_moment",
     "stirling2",
-    "geometric_raw_moment_coefficients",
 ]
-
-_MAX_STIRLING_ORDER = 20
 
 
 def _check_exponents(exps: Sequence[int]) -> np.ndarray:
@@ -129,22 +126,17 @@ def theta_product_moment(
 
 @lru_cache(maxsize=None)
 def _stirling_row(p: int) -> tuple[int, ...]:
-    if p == 0:
-        return (1,)
-    prev = _stirling_row(p - 1)
-    row = [0] * (p + 1)
-    for j in range(1, p + 1):
-        below = prev[j] if j < len(prev) else 0
-        row[j] = j * below + prev[j - 1]
+    """S(p, j) for j = 0..p, row by row from S(q, j) = j S(q-1, j) + S(q-1, j-1)."""
+    row = [1]
+    for _ in range(p):
+        row = [0] + [j * a + b for j, (a, b) in enumerate(zip(row[1:] + [0], row), 1)]
     return tuple(row)
 
 
 def stirling2(p: int, j: int) -> int:
-    """Stirling number of the second kind S(p, j); p <= 20."""
+    """Stirling number of the second kind S(p, j)."""
     if p < 0 or j < 0:
         raise ValueError("indices must be natural numbers")
-    if p > _MAX_STIRLING_ORDER:
-        raise ValueError(f"moment order {p} exceeds the supported cap {_MAX_STIRLING_ORDER}")
     if j > p:
         return 0
     return _stirling_row(p)[j]
@@ -156,12 +148,6 @@ def _raw_moment_row(p: int) -> list[int]:
     if p < 0:
         raise ValueError("p must be a natural number")
     return [stirling2(p, j) * math.factorial(j) for j in range(p + 1)]
-
-
-def geometric_raw_moment_coefficients(p: int) -> np.ndarray:
-    """Coefficients c_j, lowest first, with E[eta^p | theta] = sum_j c_j
-    theta^j under the geometric law with mean theta."""
-    return np.array(_raw_moment_row(p), dtype=float)
 
 
 def _dyadic(values) -> tuple[list[int], int]:

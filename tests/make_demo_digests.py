@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geomix.cli import LDP_TASKS, VERIFY_KINDS, main
+from geomix.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "demo_digests.json"
@@ -33,13 +33,12 @@ WORKERS = (1, 2)
 
 
 def demo_commands() -> list[tuple[str, list[str], Path]]:
-    """(name, command words, config) of each of the 11 demo commands."""
+    """(name, command words, config) of each command of ``geomix.cli.COMMANDS``."""
     demo, demo_ldp = ROOT / "configs" / "demo.json", ROOT / "configs" / "demo_ldp.json"
-    return (
-        [("sample", ["sample"], demo)]
-        + [(f"verify-{kind}", ["verify", kind], demo) for kind in VERIFY_KINDS]
-        + [(f"ldp-{task}", ["ldp", task], demo_ldp) for task in LDP_TASKS]
-    )
+    return [
+        ("-".join(words), words, demo_ldp if words[0] == "ldp" else demo)
+        for words in ([word for word in key if word] for key in COMMANDS)
+    ]
 
 
 def demo_digests(out_root: Path) -> dict[str, str]:

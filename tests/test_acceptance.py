@@ -197,16 +197,7 @@ def test_criterion_4_clt():
 
 def test_criterion_5_bridge_covariance():
     started = time.time()
-    cfg = ExperimentConfig(
-        n_ladder=(5000,),
-        replicas=2000,
-        bounds=BOUNDS,
-        g=density_function(),
-        phi=phi_one(),
-        seed=RandomSeed(19, 0),
-        workers=4,
-    )
-    res = run_bridge(cfg, grid=(0.25, 0.5, 0.75))
+    res = run_bridge(5000, BOUNDS, 2000, RandomSeed(19, 0), grid=(0.25, 0.5, 0.75), workers=4)
     max_dev = res.max_deviation_in_se()
     _report(
         5,

@@ -216,6 +216,29 @@ def test_polynomial_layer_bits_match_the_rational_oracle(g):
         assert f(g, rhos).tobytes() == want.tobytes()
 
 
+def test_layer_of_a_high_power_matches_the_rational_oracle():
+    # eta^11 at k = 1: V reads E[eta^22 | rho], Stirling row 22, and no
+    # moment order is capped
+    g = polynomial_function(1, {(11,): 1.0})
+    h, _, v = homogeneous_layer_exact(g)
+    rhos = np.array([0.0, 0.3, 1.0, 2.0, 5.0])
+    want = np.polynomial.polynomial.polyval(rhos, [float(c) for c in v])
+    assert local_variance_batch(g, rhos).tobytes() == want.tobytes()
+
+    # on bounds (0, 1) and phi = 1, rho(x) = x: the white-noise part is the
+    # integral of V over [0, 1], and the bridge part the variance of h(U)
+    def integral(coefs):
+        return sum(c / (j + 1) for j, c in enumerate(coefs))
+
+    h_sq = [0] * (2 * len(h) - 1)
+    for (i, a), (j, b) in itertools.product(enumerate(h), repeat=2):
+        h_sq[i + j] += a * b
+    variances = clt_variances(g, phi_one(), BoundaryParams(0.0, 1.0))
+    assert variances.white_noise_variance == pytest.approx(float(integral(v)), rel=1e-9)
+    exact_bridge = integral(h_sq) - integral(h) ** 2
+    assert variances.bridge_variance == pytest.approx(float(exact_bridge), rel=1e-9)
+
+
 def test_polynomial_variance_cost_is_linear_in_k(monkeypatch):
     # eta_1 eta_k: every monomial pair has at most four non-zero site
     # exponents, and the expansion builds a raw-moment row for the non-zero

@@ -13,6 +13,7 @@ import pytest
 from geomix import asymptotics, cli, harness
 from geomix.core import (
     BoundaryParams,
+    NumericError,
     Purpose,
     RandomSeed,
     configuration_batch,
@@ -28,8 +29,9 @@ from geomix.cli import (
     config_digest,
     main,
 )
+from geomix.ldp import OptimizationError
 import oracles
-from make_demo_digests import DIGESTS, demo_digests, versions
+from make_demo_digests import DIGESTS, demo_commands, demo_digests, versions
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -305,6 +307,52 @@ def test_each_numeric_error_exits_3(tmp_path, capsys, monkeypatch, command, cfg,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "error", [NumericError, OptimizationError], ids=["numeric", "optimization"]
+)
+def test_numeric_errors_met_by_verify_exit_3(tmp_path, capsys, monkeypatch, error):
+    # main maps every NumericError to exit 3, whichever command meets it:
+    # here a verify runner meets the two that only ldp raises
+    def fail(cfg):
+        raise error("no convergence")
+
+    monkeypatch.setattr(harness, "run_lln", fail)
+    cfg = base_config(lln={"n_ladder": [10, 20], "replicas": 10})
+    out = tmp_path / "out"
+    argv = ["verify", "lln", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric error: no convergence\n"
+    assert not out.exists()
+
+
+_SUMMARY_HEAD = ("command", "config", "config_digest", "seed", "verdicts")
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "verbose"])
+def test_every_command_prints_one_verdict_line(tmp_path, capsys, verbose):
+    # one "<command> <kind>: PASS|FAIL" line; -v first prints each verdict
+    # and payload entry as "<command> <kind>: <name> = <value>"
+    cfg = base_config(
+        g={"name": "indicator-vacuum"},
+        sample={"n_sites": 5},
+        le_scaling={"x": 0.5, "p_vec": [1], "n_ladder": [128, 256, 512]},
+        ldp={"theta": 1.0, "lambda_grid": [0.0, 1.0]},
+    )
+    path = write_config(tmp_path, cfg)
+    for words in (["sample"], ["verify", "le-scaling"], ["ldp", "free-energy"]):
+        out = tmp_path / words[-1]
+        argv = [*words, "--config", path, "--out-dir", str(out)]
+        assert main(argv + ["-v"] * verbose) == EXIT_PASS
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((out / f"{words[-1].replace('-', '_')}_summary.json").read_text())
+        assert summary["command"] == "-".join(words)
+        label = " ".join(words)
+        assert lines[-1] == f"{label}: PASS"
+        names = [*summary["verdicts"], *(k for k in summary if k not in _SUMMARY_HEAD)]
+        want = sorted(f"{label}: {name}" for name in names) if verbose else []
+        assert sorted(line.partition(" = ")[0] for line in lines[:-1]) == want
+
+
 # Run a command in a fresh interpreter; print its exit code and the modules
 # it loaded.
 _MODULES_SCRIPT = """
@@ -427,8 +475,8 @@ def test_indicator_limit_layer_at_large_theta(tmp_path, capsys):
     assert code in (EXIT_PASS, EXIT_VERDICT)
     summary = json.loads((out / "lln_summary.json").read_text())
     assert summary["limit"] == pytest.approx(math.log((1 + 1e6) / (1 + 1e3)) / (1e6 - 1e3), abs=1e-9)
-    # the CLT variances are computed too; the exact mixture mean that
-    # centres the CLT field is then refused, as for any non-polynomial g
+    # the exact mixture mean that centres the CLT field is refused, as for
+    # any non-polynomial g
     assert main(["verify", "clt", "--config", path, "--out-dir", str(out)]) == EXIT_CONFIG
     assert "exact mixture means require a polynomial" in capsys.readouterr().err
 
@@ -516,12 +564,17 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         # a polynomial needs at least one coefficient
         (["verify", "lln"], {"phi": {"name": "poly", "coefficients": []},
                              "lln": {"n_ladder": [100, 1000], "replicas": 10}}),
+        # refused at once: V of eta^(10^5) would expand a raw moment of order 2 * 10^5
+        (["verify", "clt"], {"g": {"name": "custom-polynomial", "k": 1,
+                                   "terms": [{"exps": [10**5], "coef": 1.0}]},
+                             "clt": {"n_sites": 100, "replicas": 2000}}),
     ],
     ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "ladder-decreasing",
          "empty-grid", "grid-above-one", "grid-at-one", "seed-list", "one-replica", "zero-sites", "no-starts",
          "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
          "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles",
-         "nan-eps", "nan-phi-value", "inf-phi-coefficient", "nan-term-coef", "no-phi-coefficients"],
+         "nan-eps", "nan-phi-value", "inf-phi-coefficient", "nan-term-coef", "no-phi-coefficients",
+         "clt-degree-above-cap"],
 )
 def test_invalid_configs_are_config_errors(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))
@@ -882,6 +935,13 @@ def test_seed_override_changes_output(tmp_path):
 def test_demo_outputs_match_recorded_digests(tmp_path):
     # tests/make_demo_digests.py rewrites the record when a change moves bytes
     recorded = json.loads(DIGESTS.read_text())
+    # every command of the CLI's table, at 1 and 2 workers, table and summary
+    assert set(recorded["files"]) == {
+        f"w{workers}/{name}/{words[-1].replace('-', '_')}_{part}"
+        for name, words, _ in demo_commands()
+        for workers in (1, 2)
+        for part in ("table.csv", "summary.json")
+    }
     files = demo_digests(tmp_path)
     moved = sorted(k for k in recorded["files"].keys() | files.keys()
                    if recorded["files"].get(k) != files.get(k))

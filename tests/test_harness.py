@@ -67,7 +67,7 @@ def exact_window_mean(g, start, n_sites, bounds):
 def test_ks_calibration_at_the_one_percent_level():
     # the asymptotic 1% critical value holds at n = 2000: the exact
     # Kolmogorov law of the statistic puts at least 99% of its mass below it
-    assert kstwo.cdf(ks_critical_value(2000, 0.01), 2000) >= 0.99
+    assert kstwo.cdf(ks_critical_value(2000), 2000) >= 0.99
     # and ks_statistic is the KS statistic, sample by sample
     rng = RandomSeed(303, 0).generator()
     cdf = normal_cdf(0.0, 1.0)
@@ -419,7 +419,7 @@ def _sampled_outputs(bounds, seed, workers, ladder=(50, 400)):
     base = dict(bounds=bounds, g=g, phi=phi_identity(), seed=seed, workers=workers)
     lln = run_lln(ExperimentConfig(n_ladder=ladder, replicas=100, **base))
     clt = run_clt(ExperimentConfig(n_ladder=(large,), replicas=2000, **base))
-    bridge = run_bridge(ExperimentConfig(n_ladder=(large,), replicas=2000, **base))
+    bridge = run_bridge(large, bounds, 2000, seed, workers=workers)
     conc = run_concentration([10, large], bounds, 10**4, seed, workers=workers)
     annealed = annealed_mc_estimate(g, 0.5, small, bounds, 2000, seed, workers=workers)
     return lln.rows, clt.samples, bridge.empirical, bridge.standard_errors, conc.rows, annealed
@@ -520,9 +520,8 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     # at N = 10 the screen's bin tables have as many entries as the block
     # (about 5 MiB); 64 bins at any N would make them 6.4 times the block
     assert _peak_mib(lambda: run_concentration([10], bounds, 2 * 10**4, seed)) <= 8
+    assert _peak_mib(lambda: run_bridge(5000, bounds, 2000, seed)) <= 8
     base = dict(bounds=bounds, phi=phi_one(), seed=seed)
-    bridge = ExperimentConfig(n_ladder=(5000,), replicas=2000, g=density_function(), **base)
-    assert _peak_mib(lambda: run_bridge(bridge)) <= 8
     # the field runs hold one row block at a time, not the chunk's 32 MiB
     # profile (37 and 34 MiB peaks when they did).  A clt worker holds three
     # blocks of three rows, 1.4 MiB (2.2 and 2.8 MiB measured at 1 and 2
@@ -563,13 +562,7 @@ def test_sampling_runs_refuse_rows_above_the_limit(bounds, seed):
 def test_bridge_memory_and_cost_do_not_grow_with_n(monkeypatch, bounds, seed):
     # a row of 10^9 profile draws would take 8 GB; the Gamma spacings draw
     # |grid| + 1 variates per replica (about 2 MiB here)
-    def config(n):
-        return ExperimentConfig(
-            n_ladder=(n,), replicas=2000, bounds=bounds,
-            g=density_function(), phi=phi_one(), seed=seed,
-        )
-
-    assert _peak_mib(lambda: run_bridge(config(10**9))) <= 8
+    assert _peak_mib(lambda: run_bridge(10**9, bounds, 2000, seed)) <= 8
     # the chunks, and so the draws per chunk, are the same at every N
     chunks = {}
     moments = harness._bridge_moments
@@ -578,7 +571,7 @@ def test_bridge_memory_and_cost_do_not_grow_with_n(monkeypatch, bounds, seed):
         monkeypatch.setattr(
             harness, "_bridge_moments", lambda v, n=n: chunks[n].append(v.shape) or moments(v)
         )
-        run_bridge(config(n))
+        run_bridge(n, bounds, 2000, seed)
     assert chunks[100] == chunks[10**9] == [(2000, 3)]
 
 
@@ -587,12 +580,8 @@ def test_bridge_memory_is_bounded_by_the_chunk_budget(monkeypatch, bounds, seed)
     # in one piece would hold two 62.5 MiB tables, and chunks sized by the
     # products hold two of at most 2 MiB
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)
-    cfg = ExperimentConfig(
-        n_ladder=(1000,), replicas=2000, bounds=bounds,
-        g=density_function(), phi=phi_one(), seed=seed,
-    )
     grid = [(j + 1) / 65 for j in range(64)]
-    assert _peak_mib(lambda: run_bridge(cfg, grid)) <= 8
+    assert _peak_mib(lambda: run_bridge(1000, bounds, 2000, seed, grid)) <= 8
 
 
 def test_gamma_bridge_matches_the_order_statistics(monkeypatch, bounds, seed):
@@ -601,11 +590,7 @@ def test_gamma_bridge_matches_the_order_statistics(monkeypatch, bounds, seed):
     moments = harness._bridge_moments
     monkeypatch.setattr(harness, "_bridge_moments", lambda v: columns.append(v) or moments(v))
     n, grid, replicas = 7, (0.75, 0.25, 0.25), 20000
-    cfg = ExperimentConfig(
-        n_ladder=(n,), replicas=replicas, bounds=bounds,
-        g=density_function(), phi=phi_one(), seed=seed,
-    )
-    res = run_bridge(cfg, grid)
+    res = run_bridge(n, bounds, replicas, seed, grid)
     idx = np.array([5, 1, 1]) - 1
     mean, var = theta_marginals(n, bounds)
     thetas = np.concatenate(columns) / math.sqrt(n) + mean[idx]
@@ -837,11 +822,7 @@ def test_run_concentration_refuses_a_negative_eps(bounds, seed):
 
 
 def test_run_bridge_small(bounds, seed):
-    cfg = ExperimentConfig(
-        n_ladder=(1000,), replicas=2000, bounds=bounds,
-        g=density_function(), phi=phi_one(), seed=seed,
-    )
-    res = run_bridge(cfg, grid=(0.25, 0.5, 0.75))
+    res = run_bridge(1000, bounds, 2000, seed, grid=(0.25, 0.5, 0.75))
     assert res.empirical.shape == (3, 3)
     assert res.max_deviation_in_se() <= 4.0
     assert np.allclose(res.analytic, res.analytic.T)

@@ -11,6 +11,7 @@ from geomix.asymptotics import _weight_tables
 from geomix.core import (
     BoundaryParams,
     LocalFunction,
+    NumericError,
     RandomSeed,
     indicator_vacuum_function,
 )
@@ -18,7 +19,6 @@ from geomix.fields import TestFunction, phi_one, phi_polynomial
 import geomix.ldp as ldp_module
 from geomix.ldp import (
     MonotoneProfile,
-    NumericError,
     SolverConfig,
     VariationalResult,
     annealed_free_energy,
@@ -239,9 +239,9 @@ def test_rate_at_theta_zero_is_the_point_mass(g, empty_value, monkeypatch):
     calls = []
     evaluate = ldp_module._FreeEnergyTable.__call__
 
-    def counted(self, lams):
+    def counted(self, lams, **kwargs):
         calls.append(self.thetas.size)
-        return evaluate(self, lams)
+        return evaluate(self, lams, **kwargs)
 
     monkeypatch.setattr(ldp_module._FreeEnergyTable, "__call__", counted)
     xs = np.array([0.0, 0.3, 0.5, 0.99, 1.0])
@@ -394,9 +394,9 @@ def test_legendre_two_valued_g_takes_at_most_three_evaluations(ind_g, monkeypatc
     calls = []
     evaluate = ldp_module._FreeEnergyTable.__call__
 
-    def counted(self, lams):
+    def counted(self, lams, **kwargs):
         calls.append(self.thetas.size)
-        return evaluate(self, lams)
+        return evaluate(self, lams, **kwargs)
 
     monkeypatch.setattr(ldp_module._FreeEnergyTable, "__call__", counted)
     rng = np.random.default_rng(400)
@@ -458,6 +458,20 @@ def test_legendre_on_a_g_far_from_zero():
     f, f_lam, _ = free_energy(1.0, -1e4, g)
     assert f[0] == pytest.approx(-1e4 + math.log((1.0 + math.exp(-1e4 * step)) / 2.0), rel=1e-14)
     assert f_lam[0] == pytest.approx(1.0 + step / (1.0 + math.exp(1e4 * step)), rel=1e-14)
+
+
+def test_legendre_rate_does_not_cancel_the_tilt():
+    # the g above, s = g_lo = 1: lam * x - F at lam ~ -1.4e4 cancels two
+    # terms near -1.4e4 down to a rate near 0.69 (1.35e-12 relative error);
+    # lam * (x - s) - (F - lam * s) keeps the rate to rounding
+    def evaluator(n):
+        return 1.0 + 1e-3 * np.minimum(np.asarray(n, dtype=float), 1.0)
+
+    g = LocalFunction(k=1, evaluator=evaluator, saturation=1)
+    x, step = 1.0 + 1e-9, (1.0 + 1e-3) - 1.0
+    q = (x - 1.0) / step
+    exact = q * math.log(2.0 * q) + (1.0 - q) * math.log(2.0 * (1.0 - q))
+    assert rate_function(1.0, x, g) == pytest.approx(exact, rel=1e-15)
 
 
 def test_path_rate_linear_is_exactly_zero(bounds):
