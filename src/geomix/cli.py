@@ -317,8 +317,9 @@ def write_json(path: Path, obj: dict) -> None:
 class _Run:
     """One command's outputs, all named from its stem: the table a runner
     writes, then the summary and the manifest that :func:`main` writes.
-    The output directory is made at the first write, so a run that fails
-    before it leaves nothing behind."""
+    Entered, it makes the output directory before the command runs, so an
+    unusable ``--out-dir`` is refused before any work; left by an error, it
+    removes the directories it made, with what the run wrote there."""
 
     def __init__(self, key: tuple, cfg: dict, seed: RandomSeed, out_dir: Path):
         self.command = "-".join(filter(None, key))
@@ -330,8 +331,20 @@ class _Run:
         self.outputs: list[str] = []
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
+    def __enter__(self) -> _Run:
+        self.made = [p for p in (self.out_dir, *self.out_dir.parents) if not p.exists()]
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir {self.out_dir}: {exc.strerror or exc}") from None
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None and self.made:
+            import shutil  # only a failed run needs it
+            shutil.rmtree(self.made[-1])
+
     def _path(self, part: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs.append(f"{self.stem}_{part}")
         return self.out_dir / self.outputs[-1]
 
@@ -385,13 +398,8 @@ def _experiment(cfg, run, workers, n_ladder, replicas):
     """A Monte Carlo run's settings, with the config's g and phi."""
     from geomix.harness import ExperimentConfig
     return ExperimentConfig(
-        n_ladder=n_ladder,
-        replicas=int(replicas),
-        bounds=build_bounds(cfg["bounds"]),
-        g=build_g(cfg["g"]),
-        phi=build_phi(cfg["phi"]),
-        seed=run.seed,
-        workers=workers,
+        n_ladder=n_ladder, replicas=int(replicas), bounds=build_bounds(cfg["bounds"]),
+        g=build_g(cfg["g"]), phi=build_phi(cfg["phi"]), seed=run.seed, workers=workers,
     )
 
 
@@ -649,8 +657,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         raw = load_config(args.config)
         cfg = _read(raw, _CONFIG, "")
-        run = _Run(key, raw, build_seed(cfg["seed"], args.seed), Path(args.out_dir))
-        verdicts, payload = COMMANDS[key](cfg, run, args.workers)
+        with _Run(key, raw, build_seed(cfg["seed"], args.seed), Path(args.out_dir)) as run:
+            verdicts, payload = COMMANDS[key](cfg, run, args.workers)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -79,8 +79,8 @@ class Purpose(enum.IntEnum):
 
     PROFILES = 0  # uniform rows, or the Gamma spacings of the bridge
     CONFIGURATIONS = 1  # one uniform per site, turned into geometric counts
-    COUNTS = 2  # concentration bin counts
-    FILLS = 3  # concentration points inside the bins
+    SPACINGS = 2  # Gamma spacings of the concentration screen's ranks
+    FILLS = 3  # concentration points inside the screen's segments
 
 
 @dataclass(frozen=True)

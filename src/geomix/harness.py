@@ -29,8 +29,10 @@ what g reads.
 to running sums, in the order of one sum over the chunk.  ``run_bridge``
 draws the order statistics at its grid ranks alone, from |grid| + 1
 Gamma spacings per replica.  ``run_concentration`` draws each replica's
-bin counts from one stream, screens them, and draws and sorts whole rows
-from a second stream only where the counts leave the row undecided.
+order statistics at B - 1 fixed ranks the same way, in row blocks, screens
+them, and draws and sorts whole rows from a second stream only where they
+leave the row undecided.  A run's (ladder index, chunk) tasks share one
+thread pool (:func:`_map_chunks`).
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ _BLOCK_BUDGET = 2**16  # doubles per row block inside a chunk, the cache and
 # 2 MiB L2); any value gives the same output bytes
 _MAX_POLY_DEGREE = 6
 # the screen's rounding margin, relative to theta_right: the sort path's
-# deviation and the screen's bound lie within 6 and 5 units of
-# 2^-53 * theta_right of their exact values, and 2^-48 is 32 such units
+# deviation, the screen's bound and a filled point lie within 6, 5 and 3
+# units of 2^-53 * theta_right of their exact values, and 2^-48 is 32 units
 _SCREEN_MARGIN = 2.0**-48
-_BIN_COST = 16  # row points that cost as much to draw and sort as one bin's
-# count, a binomial draw (about 14 on a 2-core Xeon VM with numpy 2.4)
+_SEGMENT_SITES = 16  # sites per screen segment at least: a Gamma spacing costs
+# four row points' draw and sort (40 and 9 ns on a 2-core Xeon VM, numpy 2.4)
 
 
 def _ladder(n_ladder: Sequence[int]) -> tuple[int, ...]:
@@ -167,37 +169,52 @@ def _row_blocks(count: int, n_sites: int):
 
 
 def _map_chunks(
-    fn: Callable[[Callable[[Purpose], np.random.Generator], int], np.ndarray],
-    replicas: int,
-    n_sites: int,
-    seed: RandomSeed,
-    workers: int,
-    ladder: int = 0,
-):
-    """Evaluate ``fn(streams, count)`` over fixed-size replica chunks.
+    jobs: Sequence[tuple[Callable, int]], replicas: int, seed: RandomSeed, workers: int
+) -> list[list]:
+    """Evaluate each job's ``fn(streams, count)`` over fixed-size replica
+    chunks; ``jobs`` holds one ``(fn, n_sites)`` per ladder N, in order.
 
     ``streams(purpose)`` builds chunk c's stream of that purpose at the
-    ``ladder``-th N; results are assembled in chunk order, so the output
-    is identical for any worker count.
+    job's ladder index.  All (ladder index, chunk) tasks go to one pool,
+    the largest first so that the small ones even out the threads' ends,
+    and each job's results come back in chunk order, so the output is the
+    same for any worker count and order of execution.
     """
-    chunk = _chunk_size(n_sites)
-    tasks = [(c, min(chunk, replicas - c * chunk)) for c in range((replicas + chunk - 1) // chunk)]
+    chunks = [_chunk_size(n_sites) for _, n_sites in jobs]
+    out: list[list] = [[None] * -(-replicas // chunk) for chunk in chunks]
+    tasks = sorted(
+        ((i, c, min(chunk, replicas - c * chunk)) for i, chunk in enumerate(chunks)
+         for c in range(len(out[i]))),
+        key=lambda t: -t[2] * jobs[t[0]][1],
+    )
 
     def run(task):
-        c, count = task
-        return fn(functools.partial(seed.generator, ladder=ladder, chunk=c), count)
+        i, c, count = task
+        return jobs[i][0](functools.partial(seed.generator, ladder=i, chunk=c), count)
 
-    # each thread holds a chunk, so threads beyond the chunks or the
-    # usable CPUs only add memory
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
+    # each thread holds a chunk, so threads beyond the tasks or the usable
+    # CPUs only add memory
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     max_workers = min(workers, len(tasks), cpus)
     if max_workers <= 1:
-        return [run(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run, tasks))
+        results = list(map(run, tasks))
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            results = list(pool.map(run, tasks))
+    for (i, c, _), result in zip(tasks, results):
+        out[i][c] = result
+    return out
+
+
+def _order_statistics(rng: np.random.Generator, gaps: np.ndarray, count: int) -> np.ndarray:
+    """``count`` rows of the order statistics of N uniforms at the ranks
+    1 <= r_1 < ... < r_m <= N alone, from the gaps r_1, r_2 - r_1, ...,
+    N + 1 - r_m: with S the partial sums of Gamma spacings of these shapes,
+    (U_(r_1), ..., U_(r_m)) has the law of (S_1, ..., S_m) / S_{m+1}
+    (Devroye 1986, ch. V).  Rows drawn in blocks are the rows drawn at once."""
+    sums = np.cumsum(rng.standard_gamma(gaps, size=(count, gaps.size)), axis=1)
+    return sums[:, :-1] / sums[:, -1:]
 
 
 def _field_chunk(
@@ -381,16 +398,12 @@ def run_lln(cfg: ExperimentConfig) -> LlnResult:
     _check_sites(cfg.n_ladder[-1])
     limit = lln_limit(cfg.g, cfg.phi, cfg.bounds)
     sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds).total
+    field = functools.partial(_field_chunk, bounds=cfg.bounds, g=cfg.g, phi=cfg.phi)
+    jobs = [(functools.partial(field, n_sites=n), n) for n in cfg.n_ladder]
     rows = []
-    for i, n in enumerate(cfg.n_ladder):
-
-        def fn(streams, count, n=n):
-            return np.abs(_field_chunk(streams, count, n, cfg.bounds, cfg.g, cfg.phi) - limit)
-
-        devs = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers, ladder=i))
-        rows.append(
-            (n, float(devs.mean()), float(devs.std(ddof=1) / math.sqrt(devs.size)))
-        )
+    for n, parts in zip(cfg.n_ladder, _map_chunks(jobs, cfg.replicas, cfg.seed, cfg.workers)):
+        devs = np.abs(np.concatenate(parts) - limit)
+        rows.append((n, float(devs.mean()), float(devs.std(ddof=1) / math.sqrt(devs.size))))
     return LlnResult(rows=tuple(rows), limit=limit, sigma_total=sigma)
 
 
@@ -431,24 +444,17 @@ def run_clt(cfg: ExperimentConfig) -> CltResult:
     # the variances expand moments of twice that degree
     mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
     target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
-
-    def fn(streams, count):
-        return math.sqrt(n) * (_field_chunk(streams, count, n, cfg.bounds, cfg.g, cfg.phi) - mean)
-
-    samples = np.concatenate(_map_chunks(fn, cfg.replicas, n, cfg.seed, cfg.workers))
+    field = functools.partial(_field_chunk, n_sites=n, bounds=cfg.bounds, g=cfg.g, phi=cfg.phi)
+    (parts,) = _map_chunks([(field, n)], cfg.replicas, cfg.seed, cfg.workers)
+    samples = math.sqrt(n) * (np.concatenate(parts) - mean)
     ks = ks_statistic(samples, normal_cdf(0.0, target.total))
     centered_sq = samples**2
     var = float(np.mean(centered_sq))  # exact centering: no mean subtraction
     var_se = float(np.std(centered_sq, ddof=1) / math.sqrt(samples.size))
     return CltResult(
-        n_sites=n,
-        samples=samples,
-        ks_distance=ks,
-        ks_threshold=1.4 * ks_critical_value(samples.size),
-        exact_mean=mean,
-        sample_variance=var,
-        variance_se=var_se,
-        target=target,
+        n_sites=n, samples=samples, ks_distance=ks,
+        ks_threshold=1.4 * ks_critical_value(samples.size), exact_mean=mean,
+        sample_variance=var, variance_se=var_se, target=target,
     )
 
 
@@ -481,13 +487,10 @@ def run_bridge(
     s = 1 the maximum's scaled variance is O(1/N) against a kernel of 0,
     so that point is refused.
 
-    Only the order statistics at the grid ranks r_1 < ... < r_m are drawn:
-    with S the partial sums of independent Gamma(r_1), Gamma(r_2 - r_1),
-    ..., Gamma(N + 1 - r_m) spacings, (U_(r_1), ..., U_(r_m)) has the law
-    of (S_1, ..., S_m) / S_{m+1} (Devroye 1986, ch. V).  A replica costs
-    |grid| + 1 Gamma draws and |grid|^2 moment products, whatever N, and
-    the chunks are sized by that width, so neither cost nor memory grows
-    with N.
+    Only the order statistics at the grid ranks are drawn
+    (:func:`_order_statistics`).  A replica costs |grid| + 1 Gamma draws
+    and |grid|^2 moment products, whatever N, and the chunks are sized by
+    that width, so neither cost nor memory grows with N.
     """
     if replicas < 2000:
         raise ValueError("covariance estimation needs at least 2000 replicas")
@@ -501,36 +504,26 @@ def run_bridge(
     if np.any(idx < 1) or np.any(idx >= n):
         raise ValueError(f"bridge grid points must lie in [1/N, 1) for N = {n}")
     ranks, columns = np.unique(idx, return_inverse=True)
-    shapes = np.diff(ranks, prepend=0, append=n + 1).astype(float)
+    gaps = np.diff(ranks, prepend=0, append=n + 1).astype(float)
     # the arithmetic of theta_marginals, at the grid ranks only
     exact_means = bounds.theta_left + bounds.width * idx / (n + 1)
 
     def fn(streams, count):
-        spacings = streams(Purpose.PROFILES).standard_gamma(shapes, size=(count, shapes.size))
-        sums = np.cumsum(spacings, axis=1)
-        thetas = sums[:, columns] / sums[:, -1:]
+        thetas = _order_statistics(streams(Purpose.PROFILES), gaps, count)[:, columns]
         thetas *= bounds.width
         thetas += bounds.theta_left
         return _bridge_moments(math.sqrt(n) * (thetas - exact_means))
 
     # a replica holds its spacings and its |grid|^2 products, not N sites
-    parts = _map_chunks(fn, replicas, shapes.size + idx.size**2, seed, workers)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    s4 = sum(p[2] for p in parts)
+    (parts,) = _map_chunks([(fn, gaps.size + idx.size**2)], replicas, seed, workers)
+    s1, s2, s4 = (sum(p[k] for p in parts) for k in range(3))
     r = replicas
     mean_v = s1 / r
     cov = s2 / r - np.outer(mean_v, mean_v)
     cov *= r / (r - 1)
     var_of_cov = s4 / r - (s2 / r) ** 2
     se = np.sqrt(np.maximum(var_of_cov, 0.0) / r)
-    return BridgeResult(
-        n_sites=n,
-        grid=grid,
-        empirical=cov,
-        analytic=analytic,
-        standard_errors=se,
-    )
+    return BridgeResult(n_sites=n, grid=grid, empirical=cov, analytic=analytic, standard_errors=se)
 
 
 def _bridge_moments(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -562,42 +555,69 @@ def run_le_scaling(
     return LeScalingResult(rows=rows, fit=fit)
 
 
-def _screen_bins(n: int, eps: float, width: float) -> int:
-    """Bins B of the concentration screen at N sites: the least power of
-    two up to N / ``_BIN_COST`` whose typical bound width * (1/B + 1/sqrt(N))
-    is within eps, else 1.  One bin's counts are the trivial N: they draw
-    nothing, and decide a row only where eps exceeds every deviation."""
+def _screen_segments(n: int, eps: float, width: float) -> int:
+    """Segments B of the concentration screen at N sites: the least power
+    of two up to N / ``_SEGMENT_SITES`` whose typical bound
+    width * (1/B + 1/sqrt(N)) is within eps, else 1.  One segment draws no
+    rank, and decides a row only where eps exceeds every deviation."""
     b = 1
-    while _BIN_COST * b <= n:
+    while _SEGMENT_SITES * b <= n:
         if width * (1.0 / b + 1.0 / math.sqrt(n)) <= eps:
             return b
         b *= 2
     return 1
 
 
-def _below_eps(counts: np.ndarray, n: int, eps, bounds: BoundaryParams) -> np.ndarray:
-    """Rows whose sup deviation is surely below eps, from their bin counts.
+def _below_eps(v: np.ndarray, ranks: np.ndarray, n: int, eps, bounds: BoundaryParams) -> np.ndarray:
+    """Rows whose sup deviation is surely below eps, from U at their ranks.
 
-    ``counts`` holds each row's counts of its N uniforms in the B equal
-    bins of [0, 1].  The sorted row's rank-j entry lies in the closed bin
-    that holds it, so its deviation width * |U_(j) - j/(N+1)| is at most
-    the gap between that bin's far edge and the first or last rank the
-    cumulative counts give it.  An empty bin's gaps never exceed those of
-    its occupied neighbours, so every bin enters the max.  A False row
-    may still fall below eps; only its sorted points decide it.
+    ``ranks`` is r_0 = 0 < r_1 < ... < r_B = N + 1, and ``v`` holds each
+    row's V_i = U_(r_i), i = 1..B-1 (V_0 = 0, V_B = 1).  The ranks r_i + 1
+    .. r_{i+1} - 1 lie in segment i, [V_i, V_{i+1}], so every deviation
+    width * |U_(j) - j/(N+1)|, the V_i's too, is at most width times the
+    largest V_{i+1} - (r_i + 1)/(N+1) or (r_{i+1} - 1)/(N+1) - V_i.  A
+    False row may still fall below eps; only its sorted points decide it.
     """
-    n_bins = counts.shape[1]
-    # ranks[:, k] = C_{k+1} / (N+1), with C_k the count of the bins below k
-    ranks = counts.cumsum(axis=1, dtype=float)
-    ranks /= n + 1
-    edges = np.arange(n_bins + 1) / n_bins
-    # bin k's last rank, C_{k+1}, exceeds its lower edge k/B by at most
-    # C_{k+1}/(N+1) - k/B; its first rank, C_k + 1, falls short of its upper
-    # edge by at most (k+1)/B - (C_k + 1)/(N+1), with C_0 = 0 as the initial
-    below = (ranks - edges[:-1]).max(axis=1)
-    above = (edges[2:] - ranks[:, :-1]).max(axis=1, initial=edges[1]) - 1.0 / (n + 1)
-    bound = bounds.width * np.maximum(below, above)
+    above = np.max(v - (ranks[:-2] + 1) / (n + 1), axis=1, initial=(n - ranks[-2]) / (n + 1))
+    below = np.max((ranks[2:] - 1) / (n + 1) - v, axis=1, initial=(ranks[1] - 1) / (n + 1))
+    bound = bounds.width * np.maximum(above, below)
     return bound + _SCREEN_MARGIN * bounds.theta_right < eps
+
+
+def _concentration_chunk(streams, count: int, n: int, eps: float, ranks, bounds) -> np.ndarray:
+    """Each of ``count`` replicas' hit, max_j |Theta_(j) - E Theta_(j)| >= eps,
+    screened at ``ranks`` in row blocks and sorted where left undecided."""
+    hits = np.zeros(count)
+    spacings = streams(Purpose.SPACINGS) if ranks.size > 2 else None
+    gaps = np.diff(ranks)
+    fill = None
+    for lo, hi in _row_blocks(count, gaps.size):
+        if spacings is None:  # one segment: no rank to draw
+            v = np.empty((hi - lo, 0))
+        else:
+            v = _order_statistics(spacings, gaps, hi - lo)
+        undecided = np.flatnonzero(~_below_eps(v, ranks, n, eps, bounds))
+        if undecided.size and fill is None:  # the only arrays N sites long
+            fill = streams(Purpose.FILLS)
+            # the arithmetic of theta_marginals, for the means alone
+            exact_mean = bounds.theta_left + bounds.width * np.arange(1, n + 1) / (n + 1)
+            segment = np.repeat(np.arange(gaps.size), gaps)[1:]
+            # one buffer per chunk: fresh blocks would fault their pages in anew
+            u_buf = np.empty((min(count, _block_rows(n)), n))
+        for a, b in _row_blocks(undecided.size, n):
+            rows = undecided[a:b]
+            u = fill.random(out=u_buf[: b - a])
+            if spacings is not None:
+                # ranks r_i .. r_{i+1} - 1 at V_i + (V_{i+1} - V_i) U, U = 0 at r_i
+                edges = np.pad(v[rows], ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+                u[:, ranks[1:-1] - 1] = 0.0
+                u *= np.diff(edges)[:, segment]
+                u += edges[:, segment]
+            thetas = sorted_profile(u, bounds)
+            thetas -= exact_mean
+            np.abs(thetas, out=thetas)
+            hits[lo + rows] = thetas.max(axis=1) >= eps
+    return hits
 
 
 @dataclass(frozen=True)
@@ -629,15 +649,16 @@ def run_concentration(
     though that union bound does not (it is O(1) and clipped at 1), so the
     bound column is diagnostic only.
 
-    N uniforms are, in law, their multinomial counts in B equal bins and
-    then independent uniform points inside each bin (Devroye 1986, ch. V).
-    Each chunk first draws every row's counts, B = ``_screen_bins``, from
-    its count stream; they bound the row's sup deviation, and a row whose
-    bound stays below eps by a rounding margin is no hit.  Only the rows
-    left undecided draw their points, bin k's at (k + U)/B, from the
-    chunk's fill stream (built only when such a row exists), and are
-    sorted and reduced, so the hits are those of sorting every row.  At
-    B = 1 a row draws the uniforms of the unscreened sort path.
+    N uniforms are, in law, their order statistics V_i at the fixed ranks
+    r_i = floor(i (N+1) / B), i = 1..B-1, and independent uniform points
+    inside each segment [V_i, V_{i+1}] (V_0 = 0, V_B = 1; Devroye 1986,
+    ch. V).  Each chunk draws every row's V_i from B Gamma spacings,
+    B = ``_screen_segments``, from its spacing stream in row blocks; they
+    bound the row's sup deviation, and a row whose bound stays below eps
+    by a rounding margin is no hit.  Only the undecided rows draw their
+    points from the chunk's fill stream (built only when such a row exists)
+    and are sorted, so the hits are those of sorting every row; at B = 1,
+    the uniforms of the unscreened sort path.
     """
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
@@ -651,38 +672,17 @@ def run_concentration(
             raise ValueError("eps schedule length must match the ladder")
         if any(eps < 0 for eps in eps_list):
             raise ValueError(f"eps must be >= 0, got {eps_list}")
+    jobs = []
+    for n, eps in zip(ladder, eps_list):
+        b = _screen_segments(n, eps, bounds.width)
+        ranks = np.arange(b + 1) * (n + 1) // b  # r_0 = 0 < r_1 < ... < r_B = N + 1
+        chunk = functools.partial(_concentration_chunk, n=n, eps=eps, ranks=ranks, bounds=bounds)
+        jobs.append((chunk, n))
     rows = []
-    for i, (n, eps) in enumerate(zip(ladder, eps_list)):
+    for n, eps, parts in zip(ladder, eps_list, _map_chunks(jobs, replicas, seed, workers)):
         # sum_i Var[Theta_i] = width^2 N / (6 (N+1)), in closed form
         union = min(1.0, bounds.width**2 * n / (6 * (n + 1)) / eps**2) if eps > 0 else 1.0
-        n_bins = _screen_bins(n, eps, bounds.width)
-
-        def fn(streams, count, n=n, eps=eps, n_bins=n_bins):
-            counts = streams(Purpose.COUNTS).multinomial(n, [1.0 / n_bins] * n_bins, size=count)
-            fill = np.flatnonzero(~_below_eps(counts, n, eps, bounds))
-            hits = np.zeros(count)
-            if fill.size == 0:  # nothing N sites long is allocated or drawn
-                return hits
-            rng = streams(Purpose.FILLS)
-            # the arithmetic of theta_marginals, for the means alone
-            exact_mean = bounds.theta_left + bounds.width * np.arange(1, n + 1) / (n + 1)
-            # one buffer per chunk: fresh blocks would fault their pages in anew
-            u_buf = np.empty((min(fill.size, _block_rows(n)), n))
-            for lo, hi in _row_blocks(fill.size, n):
-                u = rng.random(out=u_buf[: hi - lo])
-                if n_bins > 1:
-                    # bin k's points at (k + U)/B, in the bin order of the counts
-                    bins = np.tile(np.arange(n_bins, dtype=float), hi - lo)
-                    u += np.repeat(bins, counts[fill[lo:hi]].ravel()).reshape(u.shape)
-                    u /= n_bins
-                thetas = sorted_profile(u, bounds)
-                thetas -= exact_mean
-                np.abs(thetas, out=thetas)
-                hits[fill[lo:hi]] = thetas.max(axis=1) >= eps
-            return hits
-
-        hits = np.concatenate(_map_chunks(fn, replicas, n, seed, workers, ladder=i))
-        p = float(hits.mean())
+        p = float(np.concatenate(parts).mean())
         se = math.sqrt(max(p * (1.0 - p), 0.0) / replicas)
         rows.append((n, eps, p, se, union))
     return ConcentrationResult(rows=tuple(rows))
@@ -742,13 +742,9 @@ def check_profile_marginals(
                 del power  # one power at a time
         return sums
 
-    parts = _map_chunks(fn, replicas, n_sites, seed, workers)
-    sums = sum(parts)
+    sums = sum(_map_chunks([(fn, n_sites)], replicas, seed, workers)[0])
     r = replicas
-    m1 = sums[0] / r
-    m2 = sums[1] / r
-    m3 = sums[2] / r
-    m4 = sums[3] / r
+    m1, m2, m3, m4 = sums / r
     var = (m2 - m1**2) * r / (r - 1)
     mean_se = np.sqrt(np.maximum(var, 0.0) / r)
     # se of the variance estimator from central fourth moments
@@ -756,13 +752,7 @@ def check_profile_marginals(
     var_se = np.sqrt(np.maximum(mu4 - var**2, 0.0) / r)
     exact_mean, exact_var = theta_marginals(n_sites, bounds)
     return MarginalCheckResult(
-        n_sites=n_sites,
-        site_index=np.arange(1, n_sites + 1),
-        empirical_mean=m1,
-        mean_se=mean_se,
-        exact_mean=exact_mean,
-        empirical_var=var,
-        var_se=var_se,
-        exact_var=exact_var,
-        competing_var=exact_var / (n_sites + 2),
+        n_sites=n_sites, site_index=np.arange(1, n_sites + 1), empirical_mean=m1,
+        mean_se=mean_se, exact_mean=exact_mean, empirical_var=var, var_se=var_se,
+        exact_var=exact_var, competing_var=exact_var / (n_sites + 2),
     )

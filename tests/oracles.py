@@ -101,7 +101,7 @@ def annealed_mc_estimate(
     def fn(streams, count):
         return lam * n_sites * _field_chunk(streams, count, n_sites, bounds, g, phi_one())
 
-    exponents = np.concatenate(_map_chunks(fn, replicas, n_sites, seed, workers))
+    exponents = np.concatenate(_map_chunks([(fn, n_sites)], replicas, seed, workers)[0])
     shift = float(exponents.max())
     scaled = np.exp(exponents - shift)
     mean = float(scaled.mean())

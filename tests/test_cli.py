@@ -325,6 +325,35 @@ def test_numeric_errors_met_by_verify_exit_3(tmp_path, capsys, monkeypatch, erro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out_dir", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+def test_unusable_out_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch, out_dir):
+    # an --out-dir that is, or lies under, a regular file is refused with
+    # exit 2 before the command computes anything
+    (tmp_path / "file").write_text("kept")
+    monkeypatch.setattr(harness, "run_lln", lambda cfg: pytest.fail("the run started"))
+    cfg = base_config(lln={"n_ladder": [10, 20], "replicas": 10})
+    argv = ["verify", "lln", "--config", write_config(tmp_path, cfg), "--out-dir",
+            str(tmp_path / out_dir)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out-dir {tmp_path / out_dir}: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch):
+    # the output directory is made before the run; a run that fails removes
+    # every level of it that it made, and leaves an existing one in place
+    def fail(cfg):
+        raise NumericError("no convergence")
+
+    monkeypatch.setattr(harness, "run_lln", fail)
+    path = write_config(tmp_path, base_config(lln={"n_ladder": [10, 20], "replicas": 10}))
+    for out in (tmp_path / "a" / "b", tmp_path):
+        assert main(["verify", "lln", "--config", path, "--out-dir", str(out)]) == EXIT_NUMERIC
+    assert not (tmp_path / "a").exists() and tmp_path.is_dir()
+
+
 _SUMMARY_HEAD = ("command", "config", "config_digest", "seed", "verdicts")
 
 
@@ -704,7 +733,7 @@ def test_wrong_value_types_are_config_errors(tmp_path, capsys, command, override
 
 
 def test_concentration_and_marginal_check_draw_distinct_streams(tmp_path, monkeypatch):
-    # the concentration run draws count and fill streams, the marginal
+    # the concentration run draws spacing and fill streams, the marginal
     # check profile streams, so no key is built twice
     keys = []
     generator = RandomSeed.generator
@@ -715,14 +744,17 @@ def test_concentration_and_marginal_check_draw_distinct_streams(tmp_path, monkey
         return rng
 
     monkeypatch.setattr(RandomSeed, "generator", recording)
-    cfg = base_config(concentration={"n_ladder": [10, 777], "replicas": 10**4})
+    cfg = base_config(concentration={"n_ladder": [10, 1000], "replicas": 10**4})
     path = write_config(tmp_path, cfg)
     code = main(["verify", "concentration", "--config", path, "--out-dir", str(tmp_path / "out")])
     assert code in (EXIT_PASS, EXIT_VERDICT)
-    # counts of one chunk at N = 10 and two at N = 777, fills only where a
-    # chunk holds an undecided row, one chunk for the marginal check
-    counts = [k for k in keys if k[1] == Purpose.COUNTS]
-    assert counts == [(0, Purpose.COUNTS, i, c) for i, c in ((0, 0), (1, 0), (1, 1))]
+    # N = 10 has one segment: no spacings, and every row of its one chunk
+    # is filled.  N = 1000 has 32 segments: spacings in each of its three
+    # chunks, and fills only where a chunk holds an undecided row.  One
+    # chunk for the marginal check
+    spacings = [k for k in keys if k[1] == Purpose.SPACINGS]
+    assert sorted(spacings) == [(0, Purpose.SPACINGS, 1, c) for c in range(3)]
+    assert (0, Purpose.FILLS, 0, 0) in keys
     assert [k for k in keys if k[1] == Purpose.PROFILES] == [(0, Purpose.PROFILES, 0, 0)]
     assert len(set(keys)) == len(keys)
 
@@ -771,7 +803,15 @@ def test_every_sampling_run_builds_each_key_once(tmp_path, monkeypatch):
     assert sorted(runs["lln"]) == sorted(
         (0, p, i, c) for i, count in enumerate(chunks) for c in range(count) for p in field
     )
-    assert {k[1:3] for k in runs["concentration"]} >= {(Purpose.COUNTS, i) for i in range(3)}
+    # N = 10 and 400 have one segment and fill every row; N = 1000 draws
+    # spacings in each of its 625 chunks of 16 rows
+    conc = runs["concentration"]
+    assert sorted(k for k in conc if k[1] == Purpose.SPACINGS) == [
+        (0, Purpose.SPACINGS, 2, c) for c in range(625)
+    ]
+    for i, n in enumerate((10, 400)):
+        fills = sorted(k for k in conc if k[1] == Purpose.FILLS and k[2] == i)
+        assert fills == [(0, Purpose.FILLS, i, c) for c in range(-(-10**4 // (2**14 // n)))]
 
 
 @pytest.mark.parametrize(

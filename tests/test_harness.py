@@ -473,34 +473,97 @@ def test_outputs_do_not_depend_on_workers_or_block_budget(
     _assert_same_outputs(got, want)
 
 
-def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed):
-    opened = []
+class RecordingPool:
+    """Records each pool's max_workers and the tasks it maps, and runs them
+    on the calling thread, last first when ``reverse``; starts no thread."""
 
-    class RecordingPool:
-        """Records max_workers and runs the tasks in order; starts no thread."""
+    opened: list[int] = []
+    mapped: list[list] = []
+    reverse = False
 
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.mapped.append(tasks)
+        order = range(len(tasks))[:: -1 if self.reverse else 1]
+        results = {k: fn(tasks[k]) for k in order}
+        return [results[k] for k in range(len(tasks))]
 
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "opened", [])
+    monkeypatch.setattr(RecordingPool, "mapped", [])
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    # N = 1000 and 10^4 replicas make three chunks
-    serial = run_concentration([1000], bounds, 10**4, seed, workers=1)
-    assert opened == []
-    for cpus, expected in ((64, [3]), (2, [2]), (1, [])):
+    return RecordingPool
+
+
+def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed, recording_pool):
+    # N = 100 and 1000 at 10^4 replicas make one chunk and three: a ladder
+    # run opens one pool for its four tasks, the largest first
+    serial = run_concentration([100, 1000], bounds, 10**4, seed, workers=1)
+    assert recording_pool.opened == []
+    for cpus, expected in ((64, [4]), (2, [2]), (1, [])):
         affinity = lambda pid, c=cpus: set(range(c))
         monkeypatch.setattr(harness.os, "sched_getaffinity", affinity, raising=False)
-        opened.clear()
-        assert run_concentration([1000], bounds, 10**4, seed, workers=10**6) == serial
-        assert opened == expected
+        recording_pool.opened.clear()
+        recording_pool.mapped.clear()
+        assert run_concentration([100, 1000], bounds, 10**4, seed, workers=10**6) == serial
+        assert recording_pool.opened == expected
+        if expected:
+            (tasks,) = recording_pool.mapped
+            assert tasks == [(1, 0, 4194), (1, 1, 4194), (1, 2, 1612), (0, 0, 10**4)]
+
+
+def test_ladder_runs_do_not_depend_on_the_task_order(monkeypatch, bounds, seed, recording_pool):
+    # every (ladder index, chunk) task of a run in one pool: run last first,
+    # the tasks give the rows of one thread in order, byte for byte
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
+    lln = ExperimentConfig(
+        n_ladder=(50, 400), replicas=100, bounds=bounds, g=g, phi=phi_identity(), seed=seed
+    )
+
+    def rows(workers):
+        return (
+            run_lln(dataclasses.replace(lln, workers=workers)).rows,
+            run_concentration(
+                [10, 100, 1000], bounds, 10**4, seed, [0.5, 0.25, 0.13], workers=workers
+            ).rows,
+        )
+
+    def draws(streams, count):
+        return streams(Purpose.PROFILES).random(count)
+
+    def chunks(workers):
+        """Each chunk's draws at two ladder N: a permutation of the rows
+        between chunks, which a mean cannot see, shows here."""
+        return harness._map_chunks([(draws, 1000), (draws, 4000)], 100, seed, workers)
+
+    want, want_chunks = rows(1), chunks(1)
+    monkeypatch.setattr(recording_pool, "reverse", True)
+    assert rows(2) == want
+    got_chunks = chunks(2)
+    assert [len(parts) for parts in got_chunks] == [7, 25]
+    for got, expected in zip(sum(got_chunks, []), sum(want_chunks, []), strict=True):
+        assert np.array_equal(got, expected)
+    assert recording_pool.opened == [2, 2, 2]
+    # chunks of 2^14 // N rows: 1 + 3 for the lln, 7 + 62 + 625 for the
+    # concentration run, mapped largest first
+    lln_tasks, conc_tasks, _ = recording_pool.mapped
+    assert len(lln_tasks) == 4 and len(conc_tasks) == 694
+    for tasks, ladder in ((lln_tasks, (50, 400)), (conc_tasks, (10, 100, 1000))):
+        sizes = [count * ladder[i] for i, _, count in tasks]
+        assert sizes == sorted(sizes, reverse=True)
 
 
 def _peak_mib(fn) -> float:
@@ -513,13 +576,14 @@ def _peak_mib(fn) -> float:
 
 
 def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
-    # the bounds are well above the measured peaks (about 3, 1, 1, 6 and
-    # 4 MiB); with full-chunk temporaries the runs peak at 97, 64, 191 and
-    # (at the bridge's N) 64 MiB
-    assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 8
-    # at N = 10 the screen's bin tables have as many entries as the block
-    # (about 5 MiB); 64 bins at any N would make them 6.4 times the block
-    assert _peak_mib(lambda: run_concentration([10], bounds, 2 * 10**4, seed)) <= 8
+    # with full-chunk temporaries the runs peak at 97, 64, 191 and (at the
+    # bridge's N) 64 MiB.  The concentration runs hold one block of
+    # spacings and, where a row is undecided, one fill block and its two
+    # gathered segment tables: 0.91 and 0.92 MiB measured, bounded with
+    # 1 MiB of margin.  The bridge and lln bounds stay well above their
+    # measured 0.4 and 2.3 MiB
+    assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 2
+    assert _peak_mib(lambda: run_concentration([10], bounds, 2 * 10**4, seed)) <= 2
     assert _peak_mib(lambda: run_bridge(5000, bounds, 2000, seed)) <= 8
     base = dict(bounds=bounds, phi=phi_one(), seed=seed)
     # the field runs hold one row block at a time, not the chunk's 32 MiB
@@ -617,18 +681,20 @@ def _sort_path_sups(n, bounds, replicas, seed):
     def fn(streams, count):
         return np.abs(profile_batch(n, bounds, streams(Purpose.FILLS), count) - mean).max(axis=1)
 
-    return np.concatenate(harness._map_chunks(fn, replicas, n, seed, 1))
+    return np.concatenate(harness._map_chunks([(fn, n)], replicas, seed, 1)[0])
 
 
 def _spy_concentration(monkeypatch):
-    """Records each chunk's bin counts and screen verdicts, and each
-    filled block's points before and after sorting, in draw order."""
-    seen = {"counts": [], "below": [], "points": [], "sorted": []}
+    """Records each screen block's order statistics V, ranks and verdicts,
+    and each filled block's points before and after sorting, in draw order."""
+    seen = {"v": [], "below": [], "points": [], "sorted": []}
+    ranks = []
     below_eps = harness._below_eps
 
-    def screen(counts, *args):
-        below = below_eps(counts, *args)
-        seen["counts"].append(counts.copy())
+    def screen(v, block_ranks, *args):
+        below = below_eps(v, block_ranks, *args)
+        ranks.append(block_ranks)
+        seen["v"].append(v.copy())
         seen["below"].append(below)
         return below
 
@@ -640,156 +706,193 @@ def _spy_concentration(monkeypatch):
 
     monkeypatch.setattr(harness, "_below_eps", screen)
     monkeypatch.setattr(harness, "sorted_profile", sort)
-    return {key: lambda key=key: np.concatenate(seen[key]) for key in seen}
+    spy = {key: lambda key=key: np.concatenate(seen[key]) for key in seen}
+    spy["ranks"] = lambda: ranks[0]
+    return spy
 
 
-def _bin_floors(counts):
-    """Each point's bin floor k/B, in the bin order of its row's counts."""
-    rows, n_bins = counts.shape
-    floors = np.repeat(np.tile(np.arange(n_bins) / n_bins, rows), counts.ravel())
-    return floors.reshape(rows, -1)
+def _segment_fill(v, ranks, n, offsets):
+    """Rows of N points in rank order: V_i at rank r_i and the other ranks
+    of segment i, r_i < j < r_{i+1}, at V_i + (V_{i+1} - V_i) * offset."""
+    rows = v.shape[0]
+    edges = np.hstack([np.zeros((rows, 1)), v, np.ones((rows, 1))])
+    segment = np.searchsorted(ranks, np.arange(1, n + 1), side="right") - 1
+    u = offsets((rows, n))
+    u[:, ranks[1:-1] - 1] = 0.0
+    return edges[:, segment] + (edges[:, segment + 1] - edges[:, segment]) * u
 
 
-def test_concentration_screen_is_sound_on_the_run_counts(monkeypatch, bounds, seed):
+def test_concentration_screen_is_sound_on_the_run_ranks(monkeypatch, bounds, seed):
     # every row, the decided ones too, is filled from the test's own
     # generator: no decided row reaches eps, and at eps equal to its own
     # sup no row is decided, so the fill's >= counts that tie as a hit
     below_eps = harness._below_eps
-    seen = _spy_concentration(monkeypatch)
+    spy = _spy_concentration(monkeypatch)
     n, replicas = 1000, 10**4
     eps = n**-0.25
-    n_bins = harness._screen_bins(n, eps, bounds.width)
+    segments = harness._screen_segments(n, eps, bounds.width)
     run_concentration([n], bounds, replicas, seed)
-    counts, below = seen["counts"](), seen["below"]()
-    assert n_bins == 32 and counts.shape == (replicas, n_bins)
-    assert np.all(counts.sum(axis=1) == n) and below.sum() > 0.99 * replicas
+    v, below, ranks = spy["v"](), spy["below"](), spy["ranks"]()
+    assert segments == 32 and v.shape == (replicas, segments - 1)
+    assert np.array_equal(ranks, [i * (n + 1) // segments for i in range(segments + 1)])
+    assert np.all(np.diff(v, axis=1) > 0) and 0 < v.min() and v.max() < 1
+    assert below.sum() > 0.99 * replicas
     mean = theta_marginals(n, bounds)[0]
 
     def fill_sups(offsets):
-        """Each row's sup with its points at (k + offsets(shape)) / B."""
+        """Each row's sup with the points of segment i at V_i + (V_{i+1} - V_i) offsets(shape)."""
         sups = np.empty(replicas)
         for lo in range(0, replicas, 500):
-            floors = _bin_floors(counts[lo : lo + 500])
-            u = floors + offsets(floors.shape) / n_bins
+            u = _segment_fill(v[lo : lo + 500], ranks, n, offsets)
             sups[lo : lo + 500] = np.abs(sorted_profile(u, bounds) - mean).max(axis=1)
         return sups
 
     random = fill_sups(np.random.default_rng(5).random)
     assert random[below].max() < eps
-    # a row's bound is the sup of the fill with every point on its bin's
-    # lower edge, or of the fill with every point on its upper edge
+    # a row's bound is the sup of the fill with every point on its
+    # segment's lower edge, or of the fill with every point on its upper edge
     for sups in (random, fill_sups(np.zeros), fill_sups(np.ones)):
-        assert not below_eps(counts, n, sups, bounds).any()
+        assert not below_eps(v, ranks, n, sups, bounds).any()
 
 
-@pytest.mark.parametrize("n_bins", [64, 2**12])
-def test_concentration_screen_counts_ties_as_hits(monkeypatch, bounds, seed, n_bins):
+@pytest.mark.parametrize("segments", [64, 512])
+def test_concentration_screen_counts_ties_as_hits(monkeypatch, bounds, seed, segments):
     # at eps = 0 every row is filled; the screen decides no row at eps equal
     # to its own sup, so at eps = the least sup every row is filled with the
-    # same points again and every row is a hit
-    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)  # small count blocks
-    monkeypatch.setattr(harness, "_screen_bins", lambda *args: n_bins)
+    # same points again and every row is a hit.  512 is the most segments a
+    # power of two gives N = 1000 with distinct ranks (B <= N + 1)
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)  # small chunks
+    monkeypatch.setattr(harness, "_screen_segments", lambda *args: segments)
     below_eps = harness._below_eps
     n, replicas = 1000, 10**4
     mean = theta_marginals(n, bounds)[0]
 
     def run(eps):
-        """Each chunk's counts, as a digest, and each row's sup; every row
-        is filled and a hit, and none is decided at eps equal to its sup."""
-        counts, sups, block = [], [], []
+        """Each screen block's order statistics, as a digest, and each row's
+        sup; every row is filled and a hit, and none is decided at eps
+        equal to its sup."""
+        blocks, sups, sorted_sups = [], [], []
 
-        def screen(chunk_counts, *args):
-            counts.append(chunk_counts)
-            return below_eps(chunk_counts, *args)
+        def screen(v, ranks, *args):
+            assert np.all(np.diff(ranks) >= 1) and ranks[-2] <= n
+            blocks.append((v, ranks))
+            return below_eps(v, ranks, *args)
 
         def sort(u, b):
             thetas = sorted_profile(u, b)
-            block.append(np.abs(thetas - mean).max(axis=1))
-            if sum(map(len, block)) == len(counts[-1]):  # the chunk's last rows
-                sups.append(np.concatenate(block))
-                block.clear()
-                assert not below_eps(counts[-1], n, sups[-1], bounds).any()
-                # one chunk of counts is held at a time
-                counts[-1] = (counts[-1].shape, hashlib.sha256(counts[-1]).hexdigest())
+            sorted_sups.append(np.abs(thetas - mean).max(axis=1))
+            v, ranks = blocks[-1]
+            if sum(map(len, sorted_sups)) == len(v):  # the screen block's last rows
+                sups.append(np.concatenate(sorted_sups))
+                sorted_sups.clear()
+                assert not below_eps(v, ranks, n, sups[-1], bounds).any()
+                # one block of order statistics is held at a time
+                blocks[-1] = (v.shape, hashlib.sha256(v).hexdigest())
             return thetas
 
         monkeypatch.setattr(harness, "_below_eps", screen)
         monkeypatch.setattr(harness, "sorted_profile", sort)
         assert run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2] == 1.0
-        return counts, np.concatenate(sups)
+        return blocks, np.concatenate(sups)
 
-    counts, sups = run(0.0)
-    assert sum(shape[0] for shape, _ in counts) == replicas and counts[0][0][1] == n_bins
+    blocks, sups = run(0.0)
+    assert sum(shape[0] for shape, _ in blocks) == replicas
+    assert {shape[1] for shape, _ in blocks} == {segments - 1}
     assert np.unique(sups).size == replicas
-    counts_again, sups_again = run(sups.min())
-    assert counts_again == counts and np.array_equal(sups_again, sups)
+    blocks_again, sups_again = run(sups.min())
+    assert blocks_again == blocks and np.array_equal(sups_again, sups)
 
 
 def test_concentration_with_one_bin_is_the_sort_path(monkeypatch, bounds, seed):
-    # at eps = 2/sqrt(N) the rule picks one bin, so every row draws and
+    # at eps = 2/sqrt(N) the rule picks one segment, so every row draws and
     # sorts the uniforms of the unscreened sort path, bit for bit
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**18)  # four chunks
     n, replicas = 100, 10**4
     eps = 2 / math.sqrt(n)
-    assert harness._screen_bins(n, eps, bounds.width) == 1
+    assert harness._screen_segments(n, eps, bounds.width) == 1
     sups = _sort_path_sups(n, bounds, replicas, seed)
-    seen = _spy_concentration(monkeypatch)
+    spy = _spy_concentration(monkeypatch)
     tail = run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2]
-    filled = np.abs(seen["sorted"]() - theta_marginals(n, bounds)[0]).max(axis=1)
+    filled = np.abs(spy["sorted"]() - theta_marginals(n, bounds)[0]).max(axis=1)
     assert np.array_equal(filled, sups)
     assert tail == np.mean(sups >= eps)
     # ties are hits: every row's sup is >= the least sup, and exactly one
     # row reaches the largest
-    monkeypatch.setattr(harness, "_screen_bins", lambda *args: 1)
+    monkeypatch.setattr(harness, "_screen_segments", lambda *args: 1)
     assert np.unique(sups).size == replicas
     for eps, tail in ((sups.min(), 1.0), (sups.max(), 1 / replicas)):
         assert run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0][2] == tail
 
 
-def test_concentration_fill_keeps_each_row_counts(monkeypatch, bounds, seed):
-    # only the undecided rows are filled, each point inside the closed bin
-    # its row's counts give it
-    seen = _spy_concentration(monkeypatch)
+def test_concentration_fill_keeps_each_segment(monkeypatch, bounds, seed):
+    # only the undecided rows are filled: V_i at rank r_i, and every other
+    # point inside the closed segment its rank gives it
+    spy = _spy_concentration(monkeypatch)
     n, eps = 1000, 0.13
-    n_bins = harness._screen_bins(n, eps, bounds.width)
+    segments = harness._screen_segments(n, eps, bounds.width)
     run_concentration([n], bounds, 10**4, seed, eps_schedule=[eps])
-    counts, below, points = seen["counts"](), seen["below"](), seen["points"]()
-    assert n_bins == 32 and 0 < below.sum() < below.size
+    v, below, points, ranks = spy["v"](), spy["below"](), spy["points"](), spy["ranks"]()
+    assert segments == 32 and 0 < below.sum() < below.size
     assert points.shape == ((~below).sum(), n)
-    floors = _bin_floors(counts[~below])
-    assert np.all(floors <= points) and np.all(points <= floors + 1 / n_bins)
+    lower = _segment_fill(v[~below], ranks, n, np.zeros)
+    upper = _segment_fill(v[~below], ranks, n, np.ones)
+    assert np.all(lower <= points) and np.all(points <= upper)
+    assert np.array_equal(points[:, ranks[1:-1] - 1], v[~below])
+
+
+def test_concentration_screen_blocks_move_no_byte(monkeypatch, bounds, seed):
+    # a chunk's hits at a screened N with undecided rows are the same for
+    # screen and fill blocks of one row, uneven blocks, and one block
+    n, eps = 1000, 0.1
+    ranks = np.arange(33) * (n + 1) // 32
+    streams = functools.partial(seed.generator, ladder=0, chunk=0)
+    hits = []
+    for budget in (1, 1000, 2**40):
+        monkeypatch.setattr(harness, "_BLOCK_BUDGET", budget)
+        hits.append(harness._concentration_chunk(streams, 3000, n, eps, ranks, bounds))
+    assert 0 < hits[0].sum() and all(np.array_equal(h, hits[0]) for h in hits[1:])
 
 
 def test_concentration_tail_law_does_not_depend_on_the_bins(monkeypatch, bounds, seed):
-    # eight bins decide some rows and fill the rest; one bin sorts them all
-    n, eps, replicas = 100, 0.25, 10**6
-    results = []
-    for n_bins in (8, 1):
-        monkeypatch.setattr(harness, "_screen_bins", lambda *args, b=n_bins: b)
-        results.append(run_concentration([n], bounds, replicas, seed, eps_schedule=[eps]).rows[0])
-    (_, _, binned, se_binned, _), (_, _, sorted_tail, se_sorted, _) = results
-    assert_within_se(binned, sorted_tail, math.hypot(se_binned, se_sorted), 5, "tails")
+    # the segments decide some rows and fill the rest; one segment sorts
+    # them all.  At N = 1000 the 32 segments are those of the default rule
+    for n, eps, segments, replicas in ((100, 0.25, 8, 10**6), (1000, 0.13, 32, 2 * 10**5)):
+        results = []
+        for b in (segments, 1):
+            monkeypatch.setattr(harness, "_screen_segments", lambda *args, b=b: b)
+            run = run_concentration([n], bounds, replicas, seed, eps_schedule=[eps])
+            results.append(run.rows[0])
+        (_, _, screened, se_screened, _), (_, _, sorted_tail, se_sorted, _) = results
+        assert screened > 0 and sorted_tail > 0
+        assert_within_se(screened, sorted_tail, math.hypot(se_screened, se_sorted), 5, "tails")
 
 
-def test_concentration_counts_alone_decide_a_large_n(monkeypatch, bounds, seed):
-    # at N = 10^7 a row of points would take 80 MB; the counts decide every
-    # row, so nothing N sites long is drawn or built
-    filled = []
+def test_concentration_ranks_alone_decide_a_large_n(monkeypatch, bounds, seed):
+    # at N = 10^7 a row of points would take 80 MB; the order statistics at
+    # 127 ranks decide every row, so nothing N sites long is drawn or built
+    filled, purposes = [], set()
     monkeypatch.setattr(
         harness, "sorted_profile", lambda u, b: filled.append(u.shape) or sorted_profile(u, b)
     )
+    generator = RandomSeed.generator
+
+    def recording(seed, purpose, *args, **kwargs):
+        purposes.add(purpose)
+        return generator(seed, purpose, *args, **kwargs)
+
+    monkeypatch.setattr(RandomSeed, "generator", recording)
     assert _peak_mib(lambda: run_concentration([10**7], bounds, 10**4, seed)) <= 8
-    assert filled == []
+    assert filled == [] and purposes == {Purpose.SPACINGS}
 
 
 def test_concentration_bins_and_union_bound(bounds, seed):
     # B is the least power of two up to N/16 whose typical bound
     # width * (1/B + 1/sqrt(N)) is within eps, else 1
     def rule(n, eps):
-        return harness._screen_bins(n, eps, bounds.width)
+        return harness._screen_segments(n, eps, bounds.width)
 
     assert [rule(n, n**-0.25) for n in (10, 100, 1000, 10**4, 10**7)] == [1, 1, 32, 32, 128]
-    # at N = 1000 and eps = 0.12 only 64 > N/16 bins would do
+    # at N = 1000 and eps = 0.12 only 64 > N/16 segments would do
     assert [rule(1000, 2 / math.sqrt(1000)), rule(1000, 0.12), rule(10**4, 0.12)] == [1, 1, 32]
     # the closed-form union bound is the sum of the order-statistic variances
     res = run_concentration([10, 100], bounds, 10**4, seed, eps_schedule=[1.0, 1.5])
@@ -854,8 +957,9 @@ def test_marginal_sums_in_row_blocks_match_the_whole_chunk(
     parts = []
 
     def recording(*args):
-        parts.extend(real(*args))
-        return parts
+        (run_parts,) = real(*args)
+        parts.extend(run_parts)
+        return [parts]
 
     monkeypatch.setattr(harness, "_map_chunks", recording)
     check_profile_marginals(10, bounds, 10**5, seed)
