@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -270,23 +269,24 @@ def build_phi(phi: _Table):
     return phi_polynomial(phi["coefficients"])
 
 
-def _format(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 _CSV_CHUNK = 4096  # rows formatted and written at a time
+_FORMATS = {float: repr, int: str}  # a cell by the type tolist() gives
 
 
-def write_csv(path: Path, digest: str, header: list[str], rows) -> None:
-    rows = iter(rows)
+def _cells(column) -> list[str]:
+    """One column of a row chunk as text, by the one formatter of its dtype."""
+    values = np.asarray(column).tolist()
+    return list(map(_FORMATS[type(values[0])], values))
+
+
+def write_csv(path: Path, digest: str, header: list[str], columns) -> None:
+    """Write ``columns``, one sequence per header name, as CSV rows in chunks."""
+    columns = list(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# manifest: {digest}\n{','.join(header)}\n")
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            fh.write("\n".join([",".join(map(_format, row)) for row in chunk]) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_CHUNK):
+            cells = [_cells(column[lo : lo + _CSV_CHUNK]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _jsonable(obj):
@@ -348,8 +348,8 @@ class _Run:
         self.outputs.append(f"{self.stem}_{part}")
         return self.out_dir / self.outputs[-1]
 
-    def table(self, header: list[str], rows) -> None:
-        write_csv(self._path("table.csv"), self.digest, header, rows)
+    def table(self, header: list[str], columns) -> None:
+        write_csv(self._path("table.csv"), self.digest, header, columns)
 
     def close(self, verdicts: dict, payload: dict) -> None:
         """Write the summary, then the manifest that lists every output."""
@@ -390,7 +390,7 @@ def _sample(cfg: _Table, run: _Run, workers: int):
     bounds = build_bounds(cfg["bounds"])
     thetas = profile_batch(n_sites, bounds, run.seed.generator(Purpose.PROFILES), 1)[0]
     etas = configuration_batch(thetas, run.seed.generator(Purpose.CONFIGURATIONS))
-    run.table(["site", "theta", "eta"], zip(range(1, n_sites + 1), thetas, etas))
+    run.table(["site", "theta", "eta"], (range(1, n_sites + 1), thetas, etas))
     return {"sorted": bool(np.all(np.diff(thetas) >= 0))}, {"n_sites": n_sites}
 
 
@@ -409,7 +409,7 @@ def _verify_lln(cfg, run, workers):
     _check_sites("lln.n_ladder", lln["n_ladder"])
     result = run_lln(_experiment(cfg, run, workers, lln["n_ladder"], lln["replicas"]))
     threshold = result.final_threshold()
-    run.table(["n_sites", "mean_abs_deviation", "standard_error"], result.rows)
+    run.table(["n_sites", "mean_abs_deviation", "standard_error"], zip(*result.rows))
     verdicts = {
         "deviation_decreasing": result.decreasing,
         "final_below_clt_band": bool(result.rows[-1][1] < threshold),
@@ -427,7 +427,8 @@ def _verify_clt(cfg, run, workers):
     clt = cfg["clt"]
     _check_sites("clt.n_sites", [clt["n_sites"]])
     result = run_clt(_experiment(cfg, run, workers, (clt["n_sites"],), clt["replicas"]))
-    run.table(["sample_index", "rescaled_fluctuation"], enumerate(result.samples))
+    samples = result.samples
+    run.table(["sample_index", "rescaled_fluctuation"], (range(samples.size), samples))
     verdicts = {"ks_pass": result.ks_pass, "variance_pass": result.variance_pass}
     payload = {
         "n_sites": result.n_sites,
@@ -450,13 +451,12 @@ def _verify_bridge(cfg, run, workers):
         bridge["n_sites"], build_bounds(cfg["bounds"]), bridge["replicas"], run.seed,
         bridge["grid"], workers,
     )
-    rows = [
-        (s, t, result.empirical[a, b], result.analytic[a, b], result.standard_errors[a, b])
-        for a, s in enumerate(result.grid)
-        for b, t in enumerate(result.grid)
+    grid, m = result.grid, len(result.grid)
+    columns = [np.repeat(grid, m), np.tile(grid, m)] + [
+        a.ravel() for a in (result.empirical, result.analytic, result.standard_errors)
     ]
     max_dev = result.max_deviation_in_se()
-    run.table(["s", "t", "empirical_covariance", "analytic_covariance", "standard_error"], rows)
+    run.table(["s", "t", "empirical_covariance", "analytic_covariance", "standard_error"], columns)
     return {"within_three_se": max_dev <= 3.0}, {"max_deviation_in_se": max_dev}
 
 
@@ -466,7 +466,7 @@ def _verify_le_scaling(cfg, run, workers):
     result = run_le_scaling(
         float(le["x"]), le["p_vec"], le["n_ladder"], build_bounds(cfg["bounds"])
     )
-    run.table(["n_sites", "deviation"], result.rows)
+    run.table(["n_sites", "deviation"], zip(*result.rows))
     if result.degenerate:
         return {"degenerate_equilibrium": True}, {"fit": None}
     fit = result.fit
@@ -487,7 +487,7 @@ def _verify_concentration(cfg, run, workers):
         conc["n_ladder"], bounds, replicas, run.seed, eps_schedule=conc["eps"], workers=workers
     )
     run.table(
-        ["n_sites", "eps", "empirical_tail", "standard_error", "union_bound"], result.rows
+        ["n_sites", "eps", "empirical_tail", "standard_error", "union_bound"], zip(*result.rows)
     )
     final_tail = result.rows[-1][2]
     # profile streams: run_concentration draws only count and fill streams
@@ -532,7 +532,7 @@ def _ldp_inputs(cfg: _Table):
 
 
 def _profile_table(run: _Run, profile) -> None:
-    run.table(["grid_x", "theta"], zip(profile.abscissae, profile.values))
+    run.table(["grid_x", "theta"], (profile.abscissae, profile.values))
 
 
 def _ldp_free_energy(cfg, run, workers):
@@ -543,7 +543,7 @@ def _ldp_free_energy(cfg, run, workers):
     if not lam_grid:
         raise ConfigError("ldp.lambda_grid must not be empty")
     values, _, _ = free_energy(theta, lam_grid, g)
-    run.table(["lambda", "free_energy"], zip(lam_grid, values))
+    run.table(["lambda", "free_energy"], (lam_grid, values))
     return {}, {"theta": theta}
 
 
@@ -554,7 +554,7 @@ def _ldp_rate(cfg, run, workers):
     x_grid = [float(v) for v in ldp["x_grid"]]
     if not x_grid:
         raise ConfigError("ldp.x_grid must not be empty")
-    run.table(["x", "rate"], zip(x_grid, rate_function_batch(theta, x_grid, g)))
+    run.table(["x", "rate"], (x_grid, rate_function_batch(theta, x_grid, g)))
     return {}, {"theta": theta}
 
 

@@ -115,9 +115,11 @@ class LocalFunction:
     and must be numpy-vectorized (each argument may be a scalar or an
     array of window values).  Occupations arrive as exact integer counts:
     float64 arrays in the field runs, int64 arrays from
-    :func:`configuration_batch`, so an evaluator must accept both.  The
-    field runs weight a returned array that owns its data in place, so an
-    evaluator returns a fresh array, never one it keeps.  ``monomials``
+    :func:`configuration_batch`, so an evaluator must accept both.  It may
+    take a keyword-only ``out``, a float64 array of the windows' shape that
+    the field runs pass for g's value.  They weight the returned array in
+    place when it is ``out`` or owns its data, so an evaluator returns
+    ``out`` or a fresh array, never one it keeps.  ``monomials``
     optionally records a polynomial representation {exponent tuple ->
     coefficient}; it enables exact mixture expectations in the harness
     and is filled automatically by :func:`polynomial_function`.
@@ -147,7 +149,9 @@ class LocalFunction:
                 if len(exps) != self.k:
                     raise ValueError("monomial exponent tuples must have length k")
 
-    def __call__(self, *window):
+    def __call__(self, *window, out=None):
+        if out is not None and "out" in (getattr(self.evaluator, "__kwdefaults__", None) or {}):
+            return self.evaluator(*window, out=out)
         return self.evaluator(*window)
 
     @property
@@ -166,11 +170,11 @@ def polynomial_function(
     The evaluator takes Horner's rule one site at a time: g is a
     polynomial in its first site that occurs, whose coefficients are
     polynomials in the later sites, each taken the same way.  The value is
-    the one array it allocates: the leading coefficient is written into it
-    and every other coefficient is added to it, a constant or a bare site
-    in place, and a nested polynomial by pieces of ``_PIECE`` values, so
-    that its scratch is a piece, not the whole window.  No window is
-    written.
+    the one array it allocates, or ``out`` when given: the leading
+    coefficient is written into it and every other coefficient is added
+    to it, a constant or a bare site in place, and a nested polynomial by
+    pieces of ``_PIECE`` values, so that its scratch is a piece, not the
+    whole window.  No window is written.
 
     For integer coefficients and integer counts every step is exact while
     the partial values stay below 2^53 in magnitude, so the value is the
@@ -183,9 +187,9 @@ def polynomial_function(
             raise ValueError(f"invalid exponent tuple {exps} for k={k}")
     form = _horner_form({e: c for e, c in monos.items() if c != 0.0}, 0)
 
-    def evaluator(*window):
+    def evaluator(*window, out=None):
         window = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in window))
-        out = np.empty(window[0].shape)
+        out = np.empty(window[0].shape) if out is None else out
         if isinstance(form, float):
             out.fill(form)
         else:
@@ -278,7 +282,7 @@ def indicator_vacuum_function() -> LocalFunction:
     return LocalFunction(k=1, evaluator=evaluator, saturation=1, name="indicator-vacuum")
 
 
-_MAX_SITES = 2**25  # the largest N a sampling run takes: a worker holds three
+_MAX_SITES = 2**25  # the largest N a sampling run takes: a worker holds two
 # buffers of one row at most, 256 MiB each at this N
 
 

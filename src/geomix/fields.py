@@ -90,6 +90,7 @@ def field_values_batch(
     phi: TestFunction,
     occupations: np.ndarray,
     weights: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(1/N) * sum_i g(window at i) * phi(i/(N+1)) for each row of a
     (replicas, N) batch of configurations; a single (N,) configuration
@@ -97,22 +98,24 @@ def field_values_batch(
 
     Each row is reduced on its own by numpy's pairwise sum, so a row's
     value does not depend on how many rows come with it; a matrix-vector
-    product would group rows differently for different batch sizes.  The
-    phi weights are applied in place when g returns an array that owns its
-    data and has the product's shape; a view, of the configuration say,
-    is never written.  A caller that reduces many batches of one N passes
-    ``weights``, phi's as :func:`_field_weights` gives them, to build them
-    once.
+    product would group rows differently for different batch sizes.  g
+    writes its value into ``out`` when given (:class:`LocalFunction`).
+    The phi weights are applied in place when g returns ``out``, or an
+    array that owns its data, with the product's shape; any other view,
+    of the configuration say, is never written.  A caller that reduces
+    many batches of one N passes ``weights``, phi's as
+    :func:`_field_weights` gives them, to build them once.
     """
     occ = np.asarray(occupations)
     n = occ.shape[-1]
     windows = _windows(occ, g.k)
     if weights is None:
         weights = _field_weights(phi, n, g.k)
-    vals = np.asarray(g(*windows), dtype=float)
+    vals = np.asarray(g(*windows, out=out), dtype=float)
+    owned = vals is out or vals.flags.owndata and vals.flags.writeable
     if weights is None:
         vals = np.broadcast_to(vals, windows[0].shape)
-    elif vals.flags.owndata and vals.flags.writeable and vals.shape[-1:] == weights.shape:
+    elif owned and vals.shape[-1:] == weights.shape:
         vals *= weights
     else:
         vals = vals * weights

@@ -23,16 +23,16 @@ Each reduction draws only what it reads.  The field runs draw each
 block's profile rows and configuration from the chunk's profile and
 configuration streams, so no chunk-wide profile is held.  Each block's
 configuration stays in its reused buffer as exact float64 counts (the
-transform of ``configuration_batch`` without its int64 cast), which is
-what g reads.
+transform of ``configuration_batch`` without its int64 cast) for g to
+read, and g's value goes into the profile rows' buffer: two blocks.
 ``check_profile_marginals`` adds the powers of each block's profile rows
 to running sums, in the order of one sum over the chunk.  ``run_bridge``
 draws the order statistics at its grid ranks alone, from |grid| + 1
 Gamma spacings per replica.  ``run_concentration`` draws each replica's
 order statistics at B - 1 fixed ranks the same way, in row blocks, screens
 them, and draws and sorts whole rows from a second stream only where they
-leave the row undecided.  A run's (ladder index, chunk) tasks share one
-thread pool (:func:`_map_chunks`).
+leave the row undecided.  The calling thread and its helper threads share
+a run's (ladder index, chunk) tasks (:func:`_map_chunks`).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Lock, Thread
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,7 +96,7 @@ __all__ = [
 _CHUNK_BUDGET = 2**22  # doubles per sampling chunk, the stream unit; fixed so
 # chunking is independent of worker count and results stay replica-reproducible
 _BLOCK_BUDGET = 2**16  # doubles per row block inside a chunk, the cache and
-# memory unit (512 KiB, so that a field run worker's three blocks fit in a
+# memory unit (512 KiB, so that a field run worker's two blocks fit in a
 # 2 MiB L2); any value gives the same output bytes
 _MAX_POLY_DEGREE = 6
 # the screen's rounding margin, relative to theta_right: the sort path's
@@ -175,10 +175,13 @@ def _map_chunks(
     chunks; ``jobs`` holds one ``(fn, n_sites)`` per ladder N, in order.
 
     ``streams(purpose)`` builds chunk c's stream of that purpose at the
-    job's ladder index.  All (ladder index, chunk) tasks go to one pool,
+    job's ladder index.  The caller and up to ``workers - 1`` helper
+    threads take the (ladder index, chunk) tasks from one shared iterator,
     the largest first so that the small ones even out the threads' ends,
-    and each job's results come back in chunk order, so the output is the
-    same for any worker count and order of execution.
+    and store each result at its job and chunk, so the output is the same
+    for any worker count and order of execution.  Once a task fails no
+    thread takes another; all join, and the earliest failed task's
+    exception, in task order, is raised.
     """
     chunks = [_chunk_size(n_sites) for _, n_sites in jobs]
     out: list[list] = [[None] * -(-replicas // chunk) for chunk in chunks]
@@ -187,23 +190,35 @@ def _map_chunks(
          for c in range(len(out[i]))),
         key=lambda t: -t[2] * jobs[t[0]][1],
     )
+    errors: dict[int, BaseException] = {}
+    lock = Lock()
 
-    def run(task):
-        i, c, count = task
-        return jobs[i][0](functools.partial(seed.generator, ladder=i, chunk=c), count)
+    def work(order):
+        while True:
+            with lock:
+                k, task = (None, None) if errors else next(order, (None, None))
+            if task is None:
+                return
+            i, c, count = task
+            try:
+                out[i][c] = jobs[i][0](functools.partial(seed.generator, ladder=i, chunk=c), count)
+            except BaseException as exc:
+                errors[k] = exc
 
     # each thread holds a chunk, so threads beyond the tasks or the usable
     # CPUs only add memory
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    max_workers = min(workers, len(tasks), cpus)
-    if max_workers <= 1:
-        results = list(map(run, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, tasks))
-    for (i, c, _), result in zip(tasks, results):
-        out[i][c] = result
+    threads = min(workers, len(tasks), cpus)
+    order = iter(enumerate(tasks))
+    helpers = [Thread(target=work, args=(order,)) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work(order)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
     return out
 
 
@@ -212,9 +227,12 @@ def _order_statistics(rng: np.random.Generator, gaps: np.ndarray, count: int) ->
     1 <= r_1 < ... < r_m <= N alone, from the gaps r_1, r_2 - r_1, ...,
     N + 1 - r_m: with S the partial sums of Gamma spacings of these shapes,
     (U_(r_1), ..., U_(r_m)) has the law of (S_1, ..., S_m) / S_{m+1}
-    (Devroye 1986, ch. V).  Rows drawn in blocks are the rows drawn at once."""
-    sums = np.cumsum(rng.standard_gamma(gaps, size=(count, gaps.size)), axis=1)
-    return sums[:, :-1] / sums[:, -1:]
+    (Devroye 1986, ch. V).  Rows drawn in blocks are the rows drawn at once.
+    The sums and ratios are taken in place: the rows are a view of the draws."""
+    sums = rng.standard_gamma(gaps, size=(count, gaps.size))
+    np.cumsum(sums, axis=1, out=sums)
+    sums[:, :-1] /= sums[:, -1:]
+    return sums[:, :-1]
 
 
 def _field_chunk(
@@ -230,28 +248,27 @@ def _field_chunk(
     rng, occ_rng = streams(Purpose.PROFILES), streams(Purpose.CONFIGURATIONS)
     values = np.empty(count)
     rows = min(count, _block_rows(n_sites))
-    # a block's live set is three arrays of one block: the profile rows, the
-    # uniforms that become the counts, and g's value.  glibc serves an array
-    # from the heap only below its mmap threshold, which it raises to the
-    # size of each mmap-ed array freed (to 32 MiB at most), and trims the
-    # heap once its free top exceeds twice that threshold.  With only
-    # block-sized arrays the threshold stays at one block, so g's value is
-    # mmap-ed and faults its pages in anew in every block.  Freeing one
-    # untouched array of the live set's size, which holds no resident page,
-    # lifts the threshold above a block and the trim bar to six blocks, above
-    # the three a chunk frees at its end.  Freed first, it also keeps the two
-    # buffers below on the heap, where the next chunk reuses their pages.
-    np.empty(min(3 * rows * n_sites, 2**21))
-    # the profile rows and the uniforms that become the counts, one buffer
-    # each per chunk: fresh blocks would fault their pages in anew
+    # a block's live set is two buffers of one block, reused per chunk: the
+    # profile rows, which become -log p and then g's value, and the uniforms
+    # that become the counts.  glibc serves an array from the heap only below
+    # its mmap threshold, which it raises to the size of each mmap-ed array
+    # freed (to 32 MiB at most), and trims the heap once its free top exceeds
+    # twice that threshold.  Freeing one untouched array of the live set's
+    # size, which holds no resident page, lifts the threshold above a block
+    # and the trim bar to four blocks, above the two a chunk frees at its
+    # end, so both buffers stay on the heap and the next chunk reuses their
+    # pages instead of faulting fresh ones in.
+    np.empty(min(2 * rows * n_sites, 2**21))
     theta_buf = np.empty((rows, n_sites))
     occ_buf = np.empty_like(theta_buf)
     weights = _field_weights(phi, n_sites, g.k)
+    windows = max(n_sites - g.k + 1, 0)
     for lo, hi in _row_blocks(count, n_sites):
         thetas = sorted_profile(rng.random(out=theta_buf[: hi - lo]), bounds)
-        # -log p overwrites the profile rows, which nothing reads after it
+        # -log p, then g's value, overwrite the profile rows
         occ = _geometric_counts(thetas, occ_rng.random(out=occ_buf[: hi - lo]), thetas)
-        values[lo:hi] = field_values_batch(g, phi, occ, weights)
+        out = theta_buf.reshape(-1)[: (hi - lo) * windows].reshape(hi - lo, windows)
+        values[lo:hi] = field_values_batch(g, phi, occ, weights, out)
     return values
 
 
@@ -512,7 +529,9 @@ def run_bridge(
         thetas = _order_statistics(streams(Purpose.PROFILES), gaps, count)[:, columns]
         thetas *= bounds.width
         thetas += bounds.theta_left
-        return _bridge_moments(math.sqrt(n) * (thetas - exact_means))
+        thetas -= exact_means
+        thetas *= math.sqrt(n)
+        return _bridge_moments(thetas)
 
     # a replica holds its spacings and its |grid|^2 products, not N sites
     (parts,) = _map_chunks([(fn, gaps.size + idx.size**2)], replicas, seed, workers)
@@ -528,7 +547,8 @@ def run_bridge(
 
 def _bridge_moments(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     prods = v[:, :, None] * v[:, None, :]
-    return v.sum(axis=0), prods.sum(axis=0), (prods**2).sum(axis=0)
+    second = prods.sum(axis=0)
+    return v.sum(axis=0), second, np.multiply(prods, prods, out=prods).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -578,8 +598,10 @@ def _below_eps(v: np.ndarray, ranks: np.ndarray, n: int, eps, bounds: BoundaryPa
     largest V_{i+1} - (r_i + 1)/(N+1) or (r_{i+1} - 1)/(N+1) - V_i.  A
     False row may still fall below eps; only its sorted points decide it.
     """
-    above = np.max(v - (ranks[:-2] + 1) / (n + 1), axis=1, initial=(n - ranks[-2]) / (n + 1))
-    below = np.max((ranks[2:] - 1) / (n + 1) - v, axis=1, initial=(ranks[1] - 1) / (n + 1))
+    gap = v - (ranks[:-2] + 1) / (n + 1)  # one scratch for both sides' gaps
+    above = gap.max(axis=1, initial=(n - ranks[-2]) / (n + 1))
+    np.subtract((ranks[2:] - 1) / (n + 1), v, out=gap)
+    below = gap.max(axis=1, initial=(ranks[1] - 1) / (n + 1))
     bound = bounds.width * np.maximum(above, below)
     return bound + _SCREEN_MARGIN * bounds.theta_right < eps
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import timeit
 import tracemalloc
 import warnings
@@ -473,59 +474,54 @@ def test_outputs_do_not_depend_on_workers_or_block_budget(
     _assert_same_outputs(got, want)
 
 
-class RecordingPool:
-    """Records each pool's max_workers and the tasks it maps, and runs them
-    on the calling thread, last first when ``reverse``; starts no thread."""
+class RecordingThread:
+    """Stands in for a helper thread of ``_map_chunks``: started, it takes
+    every task left in the shared iterator and runs them on the calling
+    thread, last first when ``reverse``, so the caller finds none left;
+    starts no thread.  ``taken`` holds each helper's tasks, in the order
+    they were handed out."""
 
-    opened: list[int] = []
-    mapped: list[list] = []
+    taken: list[list] = []
     reverse = False
 
-    def __init__(self, max_workers):
-        self.opened.append(max_workers)
+    def __init__(self, target, args):
+        self.target, (self.order,) = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        tasks = list(self.order)
+        self.taken.append([task for _, task in tasks])
+        self.target(iter(tasks[::-1] if self.reverse else tasks))
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.mapped.append(tasks)
-        order = range(len(tasks))[:: -1 if self.reverse else 1]
-        results = {k: fn(tasks[k]) for k in order}
-        return [results[k] for k in range(len(tasks))]
+    def join(self):
+        pass
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "opened", [])
-    monkeypatch.setattr(RecordingPool, "mapped", [])
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    return RecordingPool
+def recording_threads(monkeypatch):
+    monkeypatch.setattr(RecordingThread, "taken", [])
+    monkeypatch.setattr(harness, "Thread", RecordingThread)
+    return RecordingThread
 
 
-def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed, recording_pool):
+def test_pool_threads_capped_by_chunks_and_cpus(monkeypatch, bounds, seed, recording_threads):
     # N = 100 and 1000 at 10^4 replicas make one chunk and three: a ladder
-    # run opens one pool for its four tasks, the largest first
+    # run's four tasks go to the caller and at most three helpers, the
+    # largest first, and the first helper started takes them all here
     serial = run_concentration([100, 1000], bounds, 10**4, seed, workers=1)
-    assert recording_pool.opened == []
-    for cpus, expected in ((64, [4]), (2, [2]), (1, [])):
+    assert recording_threads.taken == []
+    tasks = [(1, 0, 4194), (1, 1, 4194), (1, 2, 1612), (0, 0, 10**4)]
+    for cpus, helpers in ((64, 3), (2, 1), (1, 0)):
         affinity = lambda pid, c=cpus: set(range(c))
         monkeypatch.setattr(harness.os, "sched_getaffinity", affinity, raising=False)
-        recording_pool.opened.clear()
-        recording_pool.mapped.clear()
+        recording_threads.taken.clear()
         assert run_concentration([100, 1000], bounds, 10**4, seed, workers=10**6) == serial
-        assert recording_pool.opened == expected
-        if expected:
-            (tasks,) = recording_pool.mapped
-            assert tasks == [(1, 0, 4194), (1, 1, 4194), (1, 2, 1612), (0, 0, 10**4)]
+        assert recording_threads.taken == [tasks, [], []][:helpers]
 
 
-def test_ladder_runs_do_not_depend_on_the_task_order(monkeypatch, bounds, seed, recording_pool):
-    # every (ladder index, chunk) task of a run in one pool: run last first,
-    # the tasks give the rows of one thread in order, byte for byte
+def test_ladder_runs_do_not_depend_on_the_task_order(monkeypatch, bounds, seed, recording_threads):
+    # every (ladder index, chunk) task of a run from one shared iterator:
+    # run last first, the tasks give the rows of one thread in order, byte
+    # for byte
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
@@ -550,20 +546,75 @@ def test_ladder_runs_do_not_depend_on_the_task_order(monkeypatch, bounds, seed, 
         return harness._map_chunks([(draws, 1000), (draws, 4000)], 100, seed, workers)
 
     want, want_chunks = rows(1), chunks(1)
-    monkeypatch.setattr(recording_pool, "reverse", True)
+    monkeypatch.setattr(recording_threads, "reverse", True)
     assert rows(2) == want
     got_chunks = chunks(2)
     assert [len(parts) for parts in got_chunks] == [7, 25]
     for got, expected in zip(sum(got_chunks, []), sum(want_chunks, []), strict=True):
         assert np.array_equal(got, expected)
-    assert recording_pool.opened == [2, 2, 2]
-    # chunks of 2^14 // N rows: 1 + 3 for the lln, 7 + 62 + 625 for the
-    # concentration run, mapped largest first
-    lln_tasks, conc_tasks, _ = recording_pool.mapped
+    # one helper per run at two workers, which took every task: chunks of
+    # 2^14 // N rows, 1 + 3 for the lln, 7 + 62 + 625 for the concentration
+    # run, handed out largest first
+    lln_tasks, conc_tasks, _ = recording_threads.taken
     assert len(lln_tasks) == 4 and len(conc_tasks) == 694
     for tasks, ladder in ((lln_tasks, (50, 400)), (conc_tasks, (10, 100, 1000))):
         sizes = [count * ladder[i] for i, _, count in tasks]
         assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("in_caller", [False, True], ids=["helper", "caller"])
+def test_a_failed_task_raises_its_exception_from_the_run(monkeypatch, seed, in_caller):
+    # two chunks on two threads, which meet at a barrier so that each runs
+    # one; the task on the chosen thread raises, and the run re-raises that
+    # exception once both have joined
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    barrier, error = threading.Barrier(2, timeout=60), ValueError("a failed chunk")
+    ran = []
+
+    def fn(streams, count):
+        barrier.wait()
+        ran.append(threading.current_thread() is threading.main_thread())
+        if ran[-1] == in_caller:
+            raise error
+        return count
+
+    with pytest.raises(ValueError) as info:
+        harness._map_chunks([(fn, harness._CHUNK_BUDGET // 2)], 4, seed, workers=2)
+    assert info.value is error
+    assert sorted(ran) == [False, True]
+    # once a task has failed no thread takes a new one: on one thread the
+    # first of the two tasks raises and the second never runs
+    calls = []
+
+    def failing(streams, count):
+        calls.append(count)
+        raise error
+
+    with pytest.raises(ValueError) as info:
+        harness._map_chunks([(failing, harness._CHUNK_BUDGET // 2)], 4, seed, workers=1)
+    assert info.value is error and calls == [2]
+
+
+def test_every_task_runs_once_on_more_threads_than_cores(monkeypatch, seed):
+    # eight threads, many one- and two-replica tasks and a short switch
+    # interval: each task is taken by exactly one thread, and its result
+    # lands at its own job and chunk
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    ran = []
+
+    def fn(streams, count):
+        ran.append((streams.keywords["ladder"], streams.keywords["chunk"]))
+        return streams.keywords["chunk"], count
+
+    jobs = [(fn, harness._CHUNK_BUDGET), (fn, harness._CHUNK_BUDGET // 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = harness._map_chunks(jobs, 500, seed, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == [(0, c) for c in range(500)] + [(1, c) for c in range(250)]
+    assert out == [[(c, 1) for c in range(500)], [(c, 2) for c in range(250)]]
 
 
 def _peak_mib(fn) -> float:
@@ -580,23 +631,28 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     # bridge's N) 64 MiB.  The concentration runs hold one block of
     # spacings and, where a row is undecided, one fill block and its two
     # gathered segment tables: 0.91 and 0.92 MiB measured, bounded with
-    # 1 MiB of margin.  The bridge and lln bounds stay well above their
-    # measured 0.4 and 2.3 MiB
+    # 1 MiB of margin.  A bridge chunk of 16000 replicas holds its moment
+    # products once, squared in place: 1.47 MiB measured (2.94 with a
+    # second array of products), bounded with 0.5 MiB of margin
     assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 2
     assert _peak_mib(lambda: run_concentration([10], bounds, 2 * 10**4, seed)) <= 2
-    assert _peak_mib(lambda: run_bridge(5000, bounds, 2000, seed)) <= 8
+    assert _peak_mib(lambda: run_bridge(5000, bounds, 16000, seed)) <= 2
     base = dict(bounds=bounds, phi=phi_one(), seed=seed)
     # the field runs hold one row block at a time, not the chunk's 32 MiB
-    # profile (37 and 34 MiB peaks when they did).  A clt worker holds three
-    # blocks of three rows, 1.4 MiB (2.2 and 2.8 MiB measured at 1 and 2
-    # workers, with the first draw's imports); four blocks of six rows and
-    # the per-monomial evaluator's temporaries peaked at 5.3 and 9.2 MiB
+    # profile (37 and 34 MiB peaks when they did).  A clt worker holds two
+    # blocks of three rows, 0.92 MiB, g's value written over the profile
+    # rows: 0.97 and 1.91 MiB measured at 1 and 2 workers, bounded with
+    # about 0.3 MiB of margin per worker.  A third block for g's value
+    # peaked at 1.44 and 2.83 MiB, and four blocks of six rows with the
+    # per-monomial evaluator's temporaries at 5.3 and 9.2 MiB.  The lln
+    # run at N = 10^5 holds two blocks of one row each: 1.54 MiB measured
+    # (2.30 with three blocks)
     g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
     clt = ExperimentConfig(n_ladder=(20000,), replicas=2000, g=g, **base)
-    assert _peak_mib(lambda: run_clt(clt)) <= 3
-    assert _peak_mib(lambda: run_clt(dataclasses.replace(clt, workers=2))) <= 4
+    assert _peak_mib(lambda: run_clt(clt)) <= 1.25
+    assert _peak_mib(lambda: run_clt(dataclasses.replace(clt, workers=2))) <= 2.5
     lln = ExperimentConfig(n_ladder=(10**5,), replicas=100, g=density_function(), **base)
-    assert _peak_mib(lambda: run_lln(lln)) <= 8
+    assert _peak_mib(lambda: run_lln(lln)) <= 2
 
 
 def test_sampling_runs_refuse_rows_above_the_limit(bounds, seed):
@@ -787,7 +843,7 @@ def test_concentration_screen_counts_ties_as_hits(monkeypatch, bounds, seed, seg
                 sorted_sups.clear()
                 assert not below_eps(v, ranks, n, sups[-1], bounds).any()
                 # one block of order statistics is held at a time
-                blocks[-1] = (v.shape, hashlib.sha256(v).hexdigest())
+                blocks[-1] = (v.shape, hashlib.sha256(np.ascontiguousarray(v)).hexdigest())
             return thetas
 
         monkeypatch.setattr(harness, "_below_eps", screen)
