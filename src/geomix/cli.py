@@ -394,21 +394,15 @@ def _sample(cfg: _Table, run: _Run, workers: int):
     return {"sorted": bool(np.all(np.diff(thetas) >= 0))}, {"n_sites": n_sites}
 
 
-def _experiment(cfg, run, workers, n_ladder, replicas):
-    """A Monte Carlo run's settings, with the config's g and phi."""
-    from geomix.harness import ExperimentConfig
-    return ExperimentConfig(
-        n_ladder=n_ladder, replicas=int(replicas), bounds=build_bounds(cfg["bounds"]),
-        g=build_g(cfg["g"]), phi=build_phi(cfg["phi"]), seed=run.seed, workers=workers,
-    )
-
-
 def _verify_lln(cfg, run, workers):
     from geomix.harness import run_lln
     lln = cfg["lln"]
     _check_sites("lln.n_ladder", lln["n_ladder"])
-    result = run_lln(_experiment(cfg, run, workers, lln["n_ladder"], lln["replicas"]))
-    threshold = result.final_threshold()
+    result = run_lln(
+        lln["n_ladder"], build_bounds(cfg["bounds"]), build_g(cfg["g"]), build_phi(cfg["phi"]),
+        lln["replicas"], run.seed, workers,
+    )
+    threshold = result.final_threshold
     run.table(["n_sites", "mean_abs_deviation", "standard_error"], zip(*result.rows))
     verdicts = {
         "deviation_decreasing": result.decreasing,
@@ -426,7 +420,10 @@ def _verify_clt(cfg, run, workers):
     from geomix.harness import run_clt
     clt = cfg["clt"]
     _check_sites("clt.n_sites", [clt["n_sites"]])
-    result = run_clt(_experiment(cfg, run, workers, (clt["n_sites"],), clt["replicas"]))
+    result = run_clt(
+        clt["n_sites"], build_bounds(cfg["bounds"]), build_g(cfg["g"]), build_phi(cfg["phi"]),
+        clt["replicas"], run.seed, workers,
+    )
     samples = result.samples
     run.table(["sample_index", "rescaled_fluctuation"], (range(samples.size), samples))
     verdicts = {"ks_pass": result.ks_pass, "variance_pass": result.variance_pass}
@@ -490,7 +487,7 @@ def _verify_concentration(cfg, run, workers):
         ["n_sites", "eps", "empirical_tail", "standard_error", "union_bound"], zip(*result.rows)
     )
     final_tail = result.rows[-1][2]
-    # profile streams: run_concentration draws only count and fill streams
+    # profile streams: run_concentration draws only spacing and fill streams
     marginals = check_profile_marginals(
         min(10, result.rows[0][0]), bounds, min(replicas, 10**5), run.seed, workers
     )

@@ -33,6 +33,10 @@ order statistics at B - 1 fixed ranks the same way, in row blocks, screens
 them, and draws and sorts whole rows from a second stream only where they
 leave the row undecided.  The calling thread and its helper threads share
 a run's (ladder index, chunk) tasks (:func:`_map_chunks`).
+
+The five sampled runs take plain arguments and share one input gate in
+:func:`_map_chunks` (replicas, workers, row width); each keeps only its
+own checks (replica floors, degree cap, bridge grid, eps schedule).
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ from geomix.moments import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "SlopeFit",
     "LlnResult",
     "CltResult",
@@ -115,27 +118,6 @@ def _ladder(n_ladder: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared experiment settings; ``n_ladder`` must be increasing from
-    N >= 1, and ``replicas`` at least 2 for the sample standard errors."""
-
-    n_ladder: tuple[int, ...]
-    replicas: int
-    bounds: BoundaryParams
-    g: LocalFunction
-    phi: TestFunction
-    seed: RandomSeed
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_ladder", _ladder(self.n_ladder))
-        if self.replicas < 2:
-            raise ValueError("replicas must be >= 2")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-
-
-@dataclass(frozen=True)
 class SlopeFit:
     slope: float
     intercept: float
@@ -147,7 +129,7 @@ class SlopeFit:
 
 
 def _check_sites(n_sites: int) -> None:
-    """Refuse a sampling run above ``_MAX_SITES`` before it allocates a row."""
+    """Refuse a row wider than ``_MAX_SITES`` before it is allocated."""
     if n_sites > _MAX_SITES:
         raise ValueError(f"sampling runs take N <= {_MAX_SITES}, got {n_sites}")
 
@@ -181,8 +163,16 @@ def _map_chunks(
     and store each result at its job and chunk, so the output is the same
     for any worker count and order of execution.  Once a task fails no
     thread takes another; all join, and the earliest failed task's
-    exception, in task order, is raised.
+    exception, in task order, is raised.  Before any task is planned it
+    refuses, for every sampled run, replicas below 2 (no standard error),
+    workers below 1 and a job row wider than ``_MAX_SITES``.
     """
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    for _, n_sites in jobs:
+        _check_sites(n_sites)
     chunks = [_chunk_size(n_sites) for _, n_sites in jobs]
     out: list[list] = [[None] * -(-replicas // chunk) for chunk in chunks]
     tasks = sorted(
@@ -398,9 +388,10 @@ class LlnResult:
     limit: float
     sigma_total: float
 
-    def final_threshold(self, n_se: float = 5.0) -> float:
-        n = self.rows[-1][0]
-        return n_se * math.sqrt(self.sigma_total / n)
+    @property
+    def final_threshold(self) -> float:
+        """The CLT band at the last N: 5 sqrt(sigma_total / N)."""
+        return 5.0 * math.sqrt(self.sigma_total / self.rows[-1][0])
 
     @property
     def decreasing(self) -> bool:
@@ -408,17 +399,21 @@ class LlnResult:
         return all(b < a for a, b in zip(devs, devs[1:]))
 
 
-def run_lln(cfg: ExperimentConfig) -> LlnResult:
-    """Mean absolute deviation of the field from its limit, per ladder N."""
-    if cfg.g.monomials is not None and (cfg.g.degree or 0) > _MAX_POLY_DEGREE:
+def run_lln(
+    n_ladder: Sequence[int], bounds: BoundaryParams, g: LocalFunction, phi: TestFunction,
+    replicas: int, seed: RandomSeed, workers: int = 1,
+) -> LlnResult:
+    """Mean absolute deviation of the field from its limit, per N of a
+    ladder increasing from N >= 1."""
+    ladder = _ladder(n_ladder)
+    if g.monomials is not None and (g.degree or 0) > _MAX_POLY_DEGREE:
         raise ValueError("polynomial degree cap exceeded for the moment hypotheses")
-    _check_sites(cfg.n_ladder[-1])
-    limit = lln_limit(cfg.g, cfg.phi, cfg.bounds)
-    sigma = clt_variances(cfg.g, cfg.phi, cfg.bounds).total
-    field = functools.partial(_field_chunk, bounds=cfg.bounds, g=cfg.g, phi=cfg.phi)
-    jobs = [(functools.partial(field, n_sites=n), n) for n in cfg.n_ladder]
+    limit = lln_limit(g, phi, bounds)
+    sigma = clt_variances(g, phi, bounds).total
+    field = functools.partial(_field_chunk, bounds=bounds, g=g, phi=phi)
+    jobs = [(functools.partial(field, n_sites=n), n) for n in ladder]
     rows = []
-    for n, parts in zip(cfg.n_ladder, _map_chunks(jobs, cfg.replicas, cfg.seed, cfg.workers)):
+    for n, parts in zip(ladder, _map_chunks(jobs, replicas, seed, workers)):
         devs = np.abs(np.concatenate(parts) - limit)
         rows.append((n, float(devs.mean()), float(devs.std(ddof=1) / math.sqrt(devs.size))))
     return LlnResult(rows=tuple(rows), limit=limit, sigma_total=sigma)
@@ -444,8 +439,11 @@ class CltResult:
         return abs(self.sample_variance - self.target.total) <= 5.0 * self.variance_se
 
 
-def run_clt(cfg: ExperimentConfig) -> CltResult:
-    """Distribution of the rescaled fluctuation field at the largest N.
+def run_clt(
+    n_sites: int, bounds: BoundaryParams, g: LocalFunction, phi: TestFunction,
+    replicas: int, seed: RandomSeed, workers: int = 1,
+) -> CltResult:
+    """Distribution of the rescaled fluctuation field at N = ``n_sites``.
 
     Samples sqrt(N) * (X_N - exact mean) and compares them against the
     centered normal law with the analytic limit variance: KS distance
@@ -453,16 +451,15 @@ def run_clt(cfg: ExperimentConfig) -> CltResult:
     the finite-N distance of the law itself) plus a variance check within
     five standard errors of the variance estimator.
     """
-    if cfg.replicas < 2000:
+    if replicas < 2000:
         raise ValueError("distributional tests need at least 2000 replicas")
-    n = cfg.n_ladder[-1]
-    _check_sites(n)
+    n = int(n_sites)
     # first the exact mean, which refuses a g of degree above its cap before
     # the variances expand moments of twice that degree
-    mean = exact_field_mean(cfg.g, cfg.phi, n, cfg.bounds)
-    target = clt_variances(cfg.g, cfg.phi, cfg.bounds)
-    field = functools.partial(_field_chunk, n_sites=n, bounds=cfg.bounds, g=cfg.g, phi=cfg.phi)
-    (parts,) = _map_chunks([(field, n)], cfg.replicas, cfg.seed, cfg.workers)
+    mean = exact_field_mean(g, phi, n, bounds)
+    target = clt_variances(g, phi, bounds)
+    field = functools.partial(_field_chunk, n_sites=n, bounds=bounds, g=g, phi=phi)
+    (parts,) = _map_chunks([(field, n)], replicas, seed, workers)
     samples = math.sqrt(n) * (np.concatenate(parts) - mean)
     ks = ks_statistic(samples, normal_cdf(0.0, target.total))
     centered_sq = samples**2
@@ -507,15 +504,14 @@ def run_bridge(
     Only the order statistics at the grid ranks are drawn
     (:func:`_order_statistics`).  A replica costs |grid| + 1 Gamma draws
     and |grid|^2 moment products, whatever N, and the chunks are sized by
-    that width, so neither cost nor memory grows with N.
+    that width, so neither cost nor memory grows with N.  That width is
+    capped like a row of sites, so a grid of 5793 points or more is refused.
     """
     if replicas < 2000:
         raise ValueError("covariance estimation needs at least 2000 replicas")
     grid = tuple(float(s) for s in (grid if grid is not None else (0.25, 0.5, 0.75)))
     if not grid:
         raise ValueError("the bridge grid must be non-empty")
-    points = np.array(grid)
-    analytic = bridge_covariance(points[:, None], points[None, :], bounds)
     n = int(n_sites)
     idx = np.array([int(math.floor(s * n)) for s in grid])
     if np.any(idx < 1) or np.any(idx >= n):
@@ -536,6 +532,8 @@ def run_bridge(
     # a replica holds its spacings and its |grid|^2 products, not N sites
     (parts,) = _map_chunks([(fn, gaps.size + idx.size**2)], replicas, seed, workers)
     s1, s2, s4 = (sum(p[k] for p in parts) for k in range(3))
+    points = np.array(grid)  # past the gate: the kernel holds |grid|^2 values
+    analytic = bridge_covariance(points[:, None], points[None, :], bounds)
     r = replicas
     mean_v = s1 / r
     cov = s2 / r - np.outer(mean_v, mean_v)
@@ -567,8 +565,8 @@ def run_le_scaling(
     """Log-log slope of the exact local-equilibrium deviation along a
     ladder of system sizes.  Deterministic: no Monte Carlo is involved.
     An all-zero deviation ladder (equilibrium) yields a degenerate report
-    with fit = None."""
-    rows = tuple((int(n), le_deviation(x, powers, int(n), bounds)) for n in n_ladder)
+    with fit = None.  The ladder must increase from N >= 1."""
+    rows = tuple((n, le_deviation(x, powers, n, bounds)) for n in _ladder(n_ladder))
     if any(dev == 0.0 for _, dev in rows):
         return LeScalingResult(rows=rows, fit=None)
     fit = fit_log_slope([(n, abs(dev)) for n, dev in rows])
@@ -606,9 +604,12 @@ def _below_eps(v: np.ndarray, ranks: np.ndarray, n: int, eps, bounds: BoundaryPa
     return bound + _SCREEN_MARGIN * bounds.theta_right < eps
 
 
-def _concentration_chunk(streams, count: int, n: int, eps: float, ranks, bounds) -> np.ndarray:
+def _concentration_chunk(streams, count: int, n: int, eps: float, b: int, bounds) -> np.ndarray:
     """Each of ``count`` replicas' hit, max_j |Theta_(j) - E Theta_(j)| >= eps,
-    screened at ``ranks`` in row blocks and sorted where left undecided."""
+    screened at the ranks of B = ``b`` segments in row blocks and sorted
+    where left undecided.  The B + 1 <= N / 16 + 1 ranks are built here,
+    past the row gate: r_0 = 0 < r_1 < ... < r_B = N + 1."""
+    ranks = np.arange(b + 1) * (n + 1) // b
     hits = np.zeros(count)
     spacings = streams(Purpose.SPACINGS) if ranks.size > 2 else None
     gaps = np.diff(ranks)
@@ -685,7 +686,6 @@ def run_concentration(
     if replicas < 10**4:
         raise ValueError("tail estimation needs at least 10^4 replicas")
     ladder = _ladder(n_ladder)
-    _check_sites(ladder[-1])
     if eps_schedule is None:
         eps_list = [n ** (-0.25) for n in ladder]
     else:
@@ -697,8 +697,7 @@ def run_concentration(
     jobs = []
     for n, eps in zip(ladder, eps_list):
         b = _screen_segments(n, eps, bounds.width)
-        ranks = np.arange(b + 1) * (n + 1) // b  # r_0 = 0 < r_1 < ... < r_B = N + 1
-        chunk = functools.partial(_concentration_chunk, n=n, eps=eps, ranks=ranks, bounds=bounds)
+        chunk = functools.partial(_concentration_chunk, n=n, eps=eps, b=b, bounds=bounds)
         jobs.append((chunk, n))
     rows = []
     for n, eps, parts in zip(ladder, eps_list, _map_chunks(jobs, replicas, seed, workers)):

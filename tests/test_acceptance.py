@@ -23,7 +23,6 @@ from geomix.core import (
 )
 from geomix.fields import TestFunction, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
-    ExperimentConfig,
     check_profile_marginals,
     run_bridge,
     run_clt,
@@ -131,17 +130,9 @@ def test_criterion_3_lln_ladder():
     passed = True
     for gi, g in enumerate((density_function(), pair_product_function())):
         for pi, phi in enumerate((phi_one(), phi_identity())):
-            cfg = ExperimentConfig(
-                n_ladder=ladder,
-                replicas=100,
-                bounds=BOUNDS,
-                g=g,
-                phi=phi,
-                seed=RandomSeed(3000 + 10 * gi + pi, 0),
-                workers=4,
-            )
-            res = run_lln(cfg)
-            threshold = res.final_threshold(5.0)
+            seed = RandomSeed(3000 + 10 * gi + pi, 0)
+            res = run_lln(ladder, BOUNDS, g, phi, 100, seed, workers=4)
+            threshold = res.final_threshold
             ok = res.decreasing and res.rows[-1][1] < threshold
             passed = passed and ok
             details.append(
@@ -153,32 +144,17 @@ def test_criterion_3_lln_ladder():
 
 def test_criterion_4_clt():
     started = time.time()
-    cfg = ExperimentConfig(
-        n_ladder=(5000,),
-        replicas=2000,
-        bounds=BOUNDS,
-        g=density_function(),
-        phi=phi_one(),
-        seed=RandomSeed(17, 0),
-        workers=4,
-    )
-    res = run_clt(cfg)
+    res = run_clt(5000, BOUNDS, density_function(), phi_one(), 2000, RandomSeed(17, 0), workers=4)
     width_sq = BOUNDS.width**2
     analytic = width_sq / 12 + 7.0 / 3.0  # bridge part + integral of rho(1+rho)
     target_ok = abs(res.target.total - analytic) < 1e-6
     ks_ok = res.ks_distance < 0.05
     var_ok = abs(res.sample_variance - res.target.total) <= 5 * res.variance_se
 
-    eq_cfg = ExperimentConfig(
-        n_ladder=(5000,),
-        replicas=2000,
-        bounds=BoundaryParams(1.0, 1.0),
-        g=density_function(),
-        phi=phi_one(),
-        seed=RandomSeed(18, 0),
+    eq = run_clt(
+        5000, BoundaryParams(1.0, 1.0), density_function(), phi_one(), 2000, RandomSeed(18, 0),
         workers=4,
     )
-    eq = run_clt(eq_cfg)
     eq_ok = (
         eq.target.bridge_variance == 0.0
         and eq.ks_distance < 0.05

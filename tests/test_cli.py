@@ -313,7 +313,7 @@ def test_each_numeric_error_exits_3(tmp_path, capsys, monkeypatch, command, cfg,
 def test_numeric_errors_met_by_verify_exit_3(tmp_path, capsys, monkeypatch, error):
     # main maps every NumericError to exit 3, whichever command meets it:
     # here a verify runner meets the two that only ldp raises
-    def fail(cfg):
+    def fail(*args):
         raise error("no convergence")
 
     monkeypatch.setattr(harness, "run_lln", fail)
@@ -330,7 +330,7 @@ def test_unusable_out_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch, 
     # an --out-dir that is, or lies under, a regular file is refused with
     # exit 2 before the command computes anything
     (tmp_path / "file").write_text("kept")
-    monkeypatch.setattr(harness, "run_lln", lambda cfg: pytest.fail("the run started"))
+    monkeypatch.setattr(harness, "run_lln", lambda *args: pytest.fail("the run started"))
     cfg = base_config(lln={"n_ladder": [10, 20], "replicas": 10})
     argv = ["verify", "lln", "--config", write_config(tmp_path, cfg), "--out-dir",
             str(tmp_path / out_dir)]
@@ -344,7 +344,7 @@ def test_unusable_out_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch, 
 def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch):
     # the output directory is made before the run; a run that fails removes
     # every level of it that it made, and leaves an existing one in place
-    def fail(cfg):
+    def fail(*args):
         raise NumericError("no convergence")
 
     monkeypatch.setattr(harness, "run_lln", fail)
@@ -559,6 +559,9 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         (["verify", "bridge"], {"bridge": {"n_sites": 1000, "replicas": 2000, "grid": [1.0005]}}),
         # s = 1 picks the maximum, whose scaled variance is O(1/N) against a kernel of 0
         (["verify", "bridge"], {"bridge": {"n_sites": 1000, "replicas": 2000, "grid": [0.5, 1.0]}}),
+        # 5793 points give a replica |grid| + 1 + |grid|^2 > 2^25 doubles
+        (["verify", "bridge"], {"bridge": {"n_sites": 10**5, "replicas": 2000,
+                                           "grid": [i / 5794 for i in range(1, 5794)]}}),
         (["sample"], {"seed": [1], "sample": {"n_sites": 10}}),
         (["verify", "lln"], {"lln": {"n_ladder": [100], "replicas": 1}}),
         (["verify", "clt"], {"clt": {"n_sites": 0, "replicas": 2000}}),
@@ -582,6 +585,9 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
         # a dual window without particles has E[D] = 1 = rho^0 at every N
         (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [], "n_ladder": [128, 256, 512]}}),
         (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [0], "n_ladder": [128, 256, 512]}}),
+        # a repeated N gives the slope fit a constant log N; the ladder increases
+        (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [1], "n_ladder": [128, 128, 128]}}),
+        (["verify", "le-scaling"], {"le_scaling": {"x": 0.5, "p_vec": [1], "n_ladder": [512, 256, 128]}}),
         # json reads NaN and Infinity: every number key refuses them
         (["verify", "concentration"],
          {"concentration": {"n_ladder": [10, 100], "replicas": 10000, "eps": [math.nan, 0.5]}}),
@@ -601,9 +607,11 @@ def test_state_tables_over_budget_are_config_errors(tmp_path, capsys):
                              "clt": {"n_sites": 100, "replicas": 2000}}),
     ],
     ids=["inf-bounds", "nan-bounds", "ladder-zero", "ladder-negative", "ladder-decreasing",
-         "empty-grid", "grid-above-one", "grid-at-one", "seed-list", "one-replica", "zero-sites", "no-starts",
+         "empty-grid", "grid-above-one", "grid-at-one", "grid-too-wide", "seed-list", "one-replica",
+         "zero-sites", "no-starts",
          "nan-theta-free-energy", "inf-theta-free-energy", "nan-theta-rate", "inf-theta-rate",
          "nan-lambda", "nan-x", "nan-profile", "no-dual-particles", "zero-dual-particles",
+         "le-ladder-repeated", "le-ladder-decreasing",
          "nan-eps", "nan-phi-value", "inf-phi-coefficient", "nan-term-coef", "no-phi-coefficients",
          "clt-degree-above-cap"],
 )

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -35,7 +34,6 @@ from geomix.core import (
 )
 from geomix.fields import TestFunction, field_values_batch, phi_identity, phi_one, phi_polynomial
 from geomix.harness import (
-    ExperimentConfig,
     SlopeFit,
     check_profile_marginals,
     exact_field_mean,
@@ -135,11 +133,7 @@ def test_exact_window_mean_pair_and_square(bounds):
 def test_run_lln_equilibrium_control(seed):
     # equal reservoirs: no bridge term, deviations still decay like 1/sqrt(N)
     eq = BoundaryParams(1.0, 1.0)
-    cfg = ExperimentConfig(
-        n_ladder=(500, 5000), replicas=80, bounds=eq,
-        g=density_function(), phi=phi_one(), seed=seed,
-    )
-    res = run_lln(cfg)
+    res = run_lln((500, 5000), eq, density_function(), phi_one(), 80, seed)
     assert res.sigma_total == pytest.approx(2.0, rel=1e-6)
     assert res.rows[1][1] < res.rows[0][1]
 
@@ -297,73 +291,35 @@ def test_exact_clt_mean_is_fast_and_matches_the_benchmark_reference(bounds):
 
 def test_clt_centering_cross_check(bounds, seed):
     # the exact centering agrees with the empirical mean within 5 se
-    cfg = ExperimentConfig(
-        n_ladder=(800,),
-        replicas=2000,
-        bounds=bounds,
-        g=density_function(),
-        phi=phi_identity(),
-        seed=seed,
-        workers=1,
-    )
-    res = run_clt(cfg)
+    res = run_clt(800, bounds, density_function(), phi_identity(), 2000, seed, workers=1)
     shifted = res.samples / math.sqrt(res.n_sites)  # X_N - exact mean
     se = shifted.std(ddof=1) / math.sqrt(shifted.size)
     assert abs(shifted.mean()) < 5 * se
 
 
 def test_run_lln_smoke(bounds, seed):
-    cfg = ExperimentConfig(
-        n_ladder=(200, 2000),
-        replicas=80,
-        bounds=bounds,
-        g=density_function(),
-        phi=phi_one(),
-        seed=seed,
-    )
-    res = run_lln(cfg)
+    res = run_lln((200, 2000), bounds, density_function(), phi_one(), 80, seed)
     assert res.limit == pytest.approx(1.0, rel=1e-9)
     assert len(res.rows) == 2
     assert res.rows[1][1] < res.rows[0][1]
 
 
 def test_run_clt_replica_floor(bounds, seed):
-    cfg = ExperimentConfig(
-        n_ladder=(100,), replicas=10, bounds=bounds,
-        g=density_function(), phi=phi_one(), seed=seed,
-    )
     with pytest.raises(ValueError):
-        run_clt(cfg)
+        run_clt(100, bounds, density_function(), phi_one(), 10, seed)
 
 
-def test_experiment_config_validation(bounds, seed):
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            n_ladder=(100, 100), replicas=10, bounds=bounds,
-            g=density_function(), phi=phi_one(), seed=seed,
-        )
+def test_run_lln_refuses_a_repeated_n(bounds, seed):
+    with pytest.raises(ValueError, match="increasing"):
+        run_lln((100, 100), bounds, density_function(), phi_one(), 10, seed)
 
 
 def test_reproducible_across_worker_counts(bounds):
-    base = dict(
-        n_ladder=(300, 1500),
-        replicas=64,
-        bounds=bounds,
-        g=pair_product_function(),
-        phi=phi_identity(),
-        seed=RandomSeed(77, 2),
-    )
-    runs = [run_lln(ExperimentConfig(workers=w, **base)) for w in (1, 4, 8)]
+    args = ((300, 1500), bounds, pair_product_function(), phi_identity(), 64, RandomSeed(77, 2))
+    runs = [run_lln(*args, workers=w) for w in (1, 4, 8)]
     assert runs[0].rows == runs[1].rows == runs[2].rows
-    clt_base = dict(
-        n_ladder=(400,),
-        replicas=2000,
-        bounds=bounds,
-        g=density_function(),
-        phi=phi_one(),
-        seed=RandomSeed(78, 2),
-    )
-    samples = [run_clt(ExperimentConfig(workers=w, **clt_base)).samples for w in (1, 4, 8)]
+    clt_args = (400, bounds, density_function(), phi_one(), 2000, RandomSeed(78, 2))
+    samples = [run_clt(*clt_args, workers=w).samples for w in (1, 4, 8)]
     assert np.array_equal(samples[0], samples[1])
     assert np.array_equal(samples[0], samples[2])
 
@@ -395,11 +351,10 @@ def test_field_runs_match_the_whole_chunk_profile(monkeypatch, bounds, seed, wor
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
     monkeypatch.setattr(harness, "_BLOCK_BUDGET", 1000)
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
-    base = dict(bounds=bounds, g=g, phi=phi_identity(), seed=seed, workers=workers)
 
     def outputs():
-        lln = run_lln(ExperimentConfig(n_ladder=(51, 411), replicas=101, **base))
-        clt = run_clt(ExperimentConfig(n_ladder=(411,), replicas=2000, **base))
+        lln = run_lln((51, 411), bounds, g, phi_identity(), 101, seed, workers)
+        clt = run_clt(411, bounds, g, phi_identity(), 2000, seed, workers)
         annealed = annealed_mc_estimate(g, 0.5, 51, bounds, 2000, seed, workers=workers)
         return lln.rows, clt.samples, annealed
 
@@ -417,9 +372,8 @@ def _sampled_outputs(bounds, seed, workers, ladder=(50, 400)):
     summation order visible."""
     small, large = ladder
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
-    base = dict(bounds=bounds, g=g, phi=phi_identity(), seed=seed, workers=workers)
-    lln = run_lln(ExperimentConfig(n_ladder=ladder, replicas=100, **base))
-    clt = run_clt(ExperimentConfig(n_ladder=(large,), replicas=2000, **base))
+    lln = run_lln(ladder, bounds, g, phi_identity(), 100, seed, workers)
+    clt = run_clt(large, bounds, g, phi_identity(), 2000, seed, workers)
     bridge = run_bridge(large, bounds, 2000, seed, workers=workers)
     conc = run_concentration([10, large], bounds, 10**4, seed, workers=workers)
     annealed = annealed_mc_estimate(g, 0.5, small, bounds, 2000, seed, workers=workers)
@@ -525,13 +479,10 @@ def test_ladder_runs_do_not_depend_on_the_task_order(monkeypatch, bounds, seed, 
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 2**14)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     g = polynomial_function(2, {(1, 1): 0.3, (0, 1): 0.7}, name="mixed")
-    lln = ExperimentConfig(
-        n_ladder=(50, 400), replicas=100, bounds=bounds, g=g, phi=phi_identity(), seed=seed
-    )
 
     def rows(workers):
         return (
-            run_lln(dataclasses.replace(lln, workers=workers)).rows,
+            run_lln((50, 400), bounds, g, phi_identity(), 100, seed, workers).rows,
             run_concentration(
                 [10, 100, 1000], bounds, 10**4, seed, [0.5, 0.25, 0.13], workers=workers
             ).rows,
@@ -637,7 +588,6 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     assert _peak_mib(lambda: run_concentration([10000], bounds, 10**4, seed)) <= 2
     assert _peak_mib(lambda: run_concentration([10], bounds, 2 * 10**4, seed)) <= 2
     assert _peak_mib(lambda: run_bridge(5000, bounds, 16000, seed)) <= 2
-    base = dict(bounds=bounds, phi=phi_one(), seed=seed)
     # the field runs hold one row block at a time, not the chunk's 32 MiB
     # profile (37 and 34 MiB peaks when they did).  A clt worker holds two
     # blocks of three rows, 0.92 MiB, g's value written over the profile
@@ -648,22 +598,22 @@ def test_sampling_memory_is_one_chunk_profile_plus_one_block(bounds, seed):
     # run at N = 10^5 holds two blocks of one row each: 1.54 MiB measured
     # (2.30 with three blocks)
     g = polynomial_function(2, {(1, 1): 1.0, (2, 1): 1.0})
-    clt = ExperimentConfig(n_ladder=(20000,), replicas=2000, g=g, **base)
-    assert _peak_mib(lambda: run_clt(clt)) <= 1.25
-    assert _peak_mib(lambda: run_clt(dataclasses.replace(clt, workers=2))) <= 2.5
-    lln = ExperimentConfig(n_ladder=(10**5,), replicas=100, g=density_function(), **base)
-    assert _peak_mib(lambda: run_lln(lln)) <= 2
+    assert _peak_mib(lambda: run_clt(20000, bounds, g, phi_one(), 2000, seed)) <= 1.25
+    assert _peak_mib(lambda: run_clt(20000, bounds, g, phi_one(), 2000, seed, 2)) <= 2.5
+    lln = functools.partial(run_lln, (10**5,), bounds, density_function(), phi_one(), 100, seed)
+    assert _peak_mib(lln) <= 2
 
 
 def test_sampling_runs_refuse_rows_above_the_limit(bounds, seed):
     # a row of 10^12 sites would take 8 TB: the runs that hold rows refuse
     # N above 2^25 before they allocate one, and accept the limit itself
-    base = dict(bounds=bounds, phi=phi_one(), seed=seed, g=density_function())
+    g, phi = density_function(), phi_one()
     big = 10**12
     runs = (
-        lambda: run_clt(ExperimentConfig(n_ladder=(big,), replicas=2000, **base)),
-        lambda: run_lln(ExperimentConfig(n_ladder=(10, big), replicas=100, **base)),
+        lambda: run_clt(big, bounds, g, phi, 2000, seed),
+        lambda: run_lln((10, big), bounds, g, phi, 100, seed),
         lambda: run_concentration([10, big], bounds, 10**4, seed),
+        lambda: check_profile_marginals(big, bounds, 100, seed),
     )
     for run in runs:
         tracemalloc.start()
@@ -677,6 +627,45 @@ def test_sampling_runs_refuse_rows_above_the_limit(bounds, seed):
     harness._check_sites(2**25)
     with pytest.raises(ValueError):
         harness._check_sites(2**25 + 1)
+
+
+def _sampled_run(name, bounds, seed, replicas=None, workers=1, wide=False):
+    """One sampled run on small valid inputs, at its own replica floor
+    unless ``replicas`` is given; ``wide`` gives a replica a row of more
+    than 2^25 doubles."""
+    g, phi = density_function(), phi_one()
+    n = 10**12 if wide else 20
+    if name == "lln":
+        return run_lln((10, n), bounds, g, phi, replicas or 100, seed, workers)
+    if name == "clt":
+        return run_clt(n, bounds, g, phi, replicas or 2000, seed, workers)
+    if name == "bridge":
+        # a bridge replica holds |grid| + 1 spacings and |grid|^2 products,
+        # over 2^25 from 5793 grid points on, at any N
+        grid = np.arange(1, 5794) / 5794 if wide else None
+        return run_bridge(10**5, bounds, replicas or 2000, seed, grid, workers)
+    if name == "concentration":
+        return run_concentration([10, n], bounds, replicas or 10**4, seed, workers=workers)
+    return check_profile_marginals(n, bounds, replicas or 100, seed, workers)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"replicas": 1}, {"workers": 0}, {"wide": True}],
+    ids=["one-replica", "no-worker", "wide-row"],
+)
+@pytest.mark.parametrize("name", ["lln", "clt", "bridge", "concentration", "marginals"])
+def test_sampled_runs_refuse_bad_inputs_before_drawing(bounds, seed, name, bad):
+    # one replica has no sample standard error, no worker runs nothing, and
+    # a row over 2^25 doubles would take 256 MiB or more: every sampled run
+    # refuses each before it draws a row
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            _sampled_run(name, bounds, seed, **bad)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_bridge_memory_and_cost_do_not_grow_with_n(monkeypatch, bounds, seed):
@@ -900,12 +889,11 @@ def test_concentration_screen_blocks_move_no_byte(monkeypatch, bounds, seed):
     # a chunk's hits at a screened N with undecided rows are the same for
     # screen and fill blocks of one row, uneven blocks, and one block
     n, eps = 1000, 0.1
-    ranks = np.arange(33) * (n + 1) // 32
     streams = functools.partial(seed.generator, ladder=0, chunk=0)
     hits = []
     for budget in (1, 1000, 2**40):
         monkeypatch.setattr(harness, "_BLOCK_BUDGET", budget)
-        hits.append(harness._concentration_chunk(streams, 3000, n, eps, ranks, bounds))
+        hits.append(harness._concentration_chunk(streams, 3000, n, eps, 32, bounds))
     assert 0 < hits[0].sum() and all(np.array_equal(h, hits[0]) for h in hits[1:])
 
 
@@ -1036,13 +1024,9 @@ def test_field_runs_at_zero_reservoirs_raise_no_warning(g, seed):
     # theta = 0 everywhere: 1/0 = +inf and log1p(+inf) = +inf in the count
     # transform, then a finite log over +inf; every count and deviation is
     # exactly zero
-    cfg = ExperimentConfig(
-        n_ladder=(10, 1000), replicas=50, bounds=BoundaryParams(0.0, 0.0),
-        g=g, phi=phi_identity(), seed=seed, workers=2,
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = run_lln(cfg)
+        res = run_lln((10, 1000), BoundaryParams(0.0, 0.0), g, phi_identity(), 50, seed, 2)
         value, _ = annealed_mc_estimate(g, 0.5, 100, BoundaryParams(0.0, 0.0), 50, seed)
     assert res.rows == ((10, 0.0, 0.0), (1000, 0.0, 0.0))
     assert value == 0.0
